@@ -6,11 +6,16 @@
 //! granularity within each block (an application write of less than a block
 //! dirties only those bytes, but replacement operates on whole blocks), and
 //! the block cleaner needs to find blocks whose dirty data has aged past
-//! the write-back delay.
+//! the write-back delay. A store built for the omniscient policy
+//! ([`BlockStore::with_schedule`]) also keeps a next-modify index, so the
+//! policy's victim costs O(log n) instead of a scan of every block.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use nvfs_types::{BlockId, ByteRange, FileId, RangeSet, SimTime};
+
+use crate::omniscient::OmniscientSchedule;
 
 /// One cached block.
 #[derive(Debug, Clone)]
@@ -25,6 +30,8 @@ pub struct BlockEntry {
     pub dirty_since: Option<SimTime>,
     /// Key into the LRU index.
     lru_key: (SimTime, u64),
+    /// Key into the next-modify index (unused without one).
+    next_modify: SimTime,
 }
 
 impl BlockEntry {
@@ -49,6 +56,23 @@ pub struct DirtyOutcome {
     pub overwritten: u64,
 }
 
+/// The omniscient policy's index: every cached block keyed by its next
+/// modification time.
+///
+/// A key computed at time `s` is the first modification after `s`, so it
+/// stays exact for every later time until that modification happens. Only
+/// keys at or below the current pick time can be stale, and those sit at
+/// the low end of the set.
+#[derive(Debug, Clone)]
+struct NextModifyIndex {
+    schedule: Arc<OmniscientSchedule>,
+    /// `(next_modify, id)` for every cached block.
+    order: BTreeSet<(SimTime, BlockId)>,
+    /// The latest pick time. New entries are keyed at it, which is never
+    /// after any later pick.
+    clock: SimTime,
+}
+
 /// A bounded block cache with LRU and dirty-age indexes.
 ///
 /// # Examples
@@ -71,6 +95,7 @@ pub struct BlockStore {
     lru: BTreeMap<(SimTime, u64), BlockId>,
     dirty_age: BTreeMap<(SimTime, BlockId), ()>,
     tie: u64,
+    next_modify: Option<NextModifyIndex>,
 }
 
 impl BlockStore {
@@ -78,6 +103,21 @@ impl BlockStore {
     pub fn new(capacity: usize) -> Self {
         BlockStore {
             capacity,
+            ..BlockStore::default()
+        }
+    }
+
+    /// Creates a store holding at most `capacity` blocks, indexed by each
+    /// block's next modification in `schedule` so that
+    /// [`Self::furthest_next_modify`] can answer the omniscient policy.
+    pub fn with_schedule(capacity: usize, schedule: Arc<OmniscientSchedule>) -> Self {
+        BlockStore {
+            capacity,
+            next_modify: Some(NextModifyIndex {
+                schedule,
+                order: BTreeSet::new(),
+                clock: SimTime::ZERO,
+            }),
             ..BlockStore::default()
         }
     }
@@ -130,20 +170,7 @@ impl BlockStore {
     ///
     /// Panics if the store is full or the block is already present.
     pub fn insert_with_access(&mut self, id: BlockId, last_access: SimTime, last_modify: SimTime) {
-        assert!(!self.is_full(), "insert into full BlockStore; evict first");
-        assert!(!self.blocks.contains_key(&id), "block {id} already cached");
-        let key = (last_access, self.next_tie());
-        self.lru.insert(key, id);
-        self.blocks.insert(
-            id,
-            BlockEntry {
-                dirty: RangeSet::new(),
-                last_access,
-                last_modify,
-                dirty_since: None,
-                lru_key: key,
-            },
-        );
+        self.insert_with_state(id, last_access, last_modify, RangeSet::new(), None);
     }
 
     /// Inserts a block with explicit dirty state (used when the hybrid
@@ -173,6 +200,14 @@ impl BlockStore {
         if let Some(since) = effective_since {
             self.dirty_age.insert((since, id), ());
         }
+        let next_modify = match &mut self.next_modify {
+            Some(ix) => {
+                let t = ix.schedule.next_modify(id, ix.clock);
+                ix.order.insert((t, id));
+                t
+            }
+            None => SimTime::MAX,
+        };
         self.blocks.insert(
             id,
             BlockEntry {
@@ -181,6 +216,7 @@ impl BlockStore {
                 last_modify,
                 dirty_since: effective_since,
                 lru_key: key,
+                next_modify,
             },
         );
     }
@@ -264,12 +300,54 @@ impl BlockStore {
         if let Some(since) = entry.dirty_since {
             self.dirty_age.remove(&(since, id));
         }
+        if let Some(ix) = &mut self.next_modify {
+            ix.order.remove(&(entry.next_modify, id));
+        }
         Some(entry)
     }
 
     /// The least-recently accessed block, if any.
     pub fn lru_block(&self) -> Option<(BlockId, SimTime)> {
         self.lru.iter().next().map(|(&(t, _), &id)| (id, t))
+    }
+
+    /// The cached block whose next modification after `now` is furthest in
+    /// the future, ties broken towards the larger [`BlockId`] — the
+    /// omniscient policy's victim (§2.4). `None` if the store is empty.
+    ///
+    /// Pick times must be non-decreasing per store: each call's `now` is at
+    /// least the previous call's. Entries keyed at or before `now` are
+    /// re-keyed from the low end of the index first; every other key is
+    /// still exact, so the answer is the set's maximum. Costs amortised
+    /// O(log n) per re-key plus O(log n) for the pick.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store was not built by [`Self::with_schedule`].
+    pub fn furthest_next_modify(&mut self, now: SimTime) -> Option<BlockId> {
+        let ix = self
+            .next_modify
+            .as_mut()
+            .expect("furthest_next_modify needs a store built by BlockStore::with_schedule");
+        debug_assert!(
+            now >= ix.clock,
+            "pick times must be non-decreasing: {now:?} after {:?}",
+            ix.clock
+        );
+        ix.clock = now;
+        while let Some(&(key, id)) = ix.order.first() {
+            if key > now {
+                break;
+            }
+            ix.order.pop_first();
+            let fresh = ix.schedule.next_modify(id, now);
+            ix.order.insert((fresh, id));
+            self.blocks
+                .get_mut(&id)
+                .expect("indexed block is cached")
+                .next_modify = fresh;
+        }
+        ix.order.last().map(|&(_, id)| id)
     }
 
     /// The least-recently accessed *clean* block, if any (Sprite's volatile
@@ -348,6 +426,16 @@ impl BlockStore {
             match self.blocks.get(&id) {
                 Some(e) if e.dirty_since == Some(since) && e.is_dirty() => {}
                 _ => return false,
+            }
+        }
+        if let Some(ix) = &self.next_modify {
+            if ix.order.len() != self.blocks.len()
+                || !ix
+                    .order
+                    .iter()
+                    .all(|&(key, id)| self.blocks.get(&id).is_some_and(|e| e.next_modify == key))
+            {
+                return false;
             }
         }
         self.blocks.values().filter(|e| e.is_dirty()).count() == self.dirty_age.len()

@@ -102,7 +102,7 @@ impl ClientCache {
             dirty_preference: config.dirty_preference,
             client,
             volatile: BlockStore::new(config.volatile_blocks()),
-            nvram: BlockStore::new(config.nvram_blocks()),
+            nvram: policy.new_store(config.nvram_blocks()),
             policy,
             device: NvramDevice::new(config.nvram_bytes)
                 .with_access_ratio(config.nvram_access_ratio),
@@ -408,7 +408,7 @@ impl ClientCache {
     fn replace_nvram_write_aside(&mut self, t: SimTime, stats: &mut TrafficStats) {
         let victim = self
             .policy
-            .pick_victim(&self.nvram, t)
+            .pick_victim(&mut self.nvram, t)
             .expect("full NVRAM is non-empty");
         let entry = self.nvram.remove(victim).expect("victim is cached");
         self.flush_bytes(
@@ -430,7 +430,7 @@ impl ClientCache {
         }
         let victim = self
             .policy
-            .pick_victim(&self.nvram, t)
+            .pick_victim(&mut self.nvram, t)
             .expect("full NVRAM is non-empty");
         let entry = self.nvram.remove(victim).expect("victim is cached");
         if entry.is_dirty() {

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use nvfs_trace::op::{OpKind, OpStream};
-use nvfs_types::{blocks_of_range, BlockId, ByteRange, FileId, SimTime};
+use nvfs_types::{blocks_of_range, BlockId, FileId, SimTime};
 
 /// Per-block future modification times, built from an op stream.
 #[derive(Debug, Clone, Default)]
@@ -100,16 +100,11 @@ impl OmniscientSchedule {
     }
 }
 
-/// Convenience: the block span a byte range covers (re-exported for tests).
-pub fn blocks_touched(file: FileId, range: ByteRange) -> Vec<BlockId> {
-    blocks_of_range(file, range).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nvfs_trace::op::Op;
-    use nvfs_types::ClientId;
+    use nvfs_types::{ByteRange, ClientId};
 
     fn write(t: u64, file: u32, range: ByteRange) -> Op {
         Op {

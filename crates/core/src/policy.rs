@@ -45,19 +45,34 @@ impl Policy {
         }
     }
 
+    /// An empty store of `capacity` blocks for this policy to pick from:
+    /// the omniscient policy's store carries its next-modify index.
+    pub fn new_store(&self, capacity: usize) -> BlockStore {
+        match self {
+            Policy::Omniscient(schedule) => {
+                BlockStore::with_schedule(capacity, Arc::clone(schedule))
+            }
+            Policy::Lru | Policy::Random(_) => BlockStore::new(capacity),
+        }
+    }
+
     /// Chooses a victim block in `store`, or `None` if the store is empty.
-    pub fn pick_victim(&mut self, store: &BlockStore, now: SimTime) -> Option<BlockId> {
+    ///
+    /// Pick times must be non-decreasing per store (debug-asserted for the
+    /// omniscient policy, whose index relies on it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy is omniscient and `store` was not made by
+    /// [`Self::new_store`].
+    pub fn pick_victim(&mut self, store: &mut BlockStore, now: SimTime) -> Option<BlockId> {
         if store.is_empty() {
             return None;
         }
         match self {
             Policy::Lru => store.lru_block().map(|(id, _)| id),
             Policy::Random(rng) => store.nth_block(rng.gen_range(0..store.len())),
-            Policy::Omniscient(schedule) => store
-                .iter()
-                .map(|(id, _)| (id, schedule.next_modify(id, now)))
-                .max_by_key(|&(id, t)| (t, id))
-                .map(|(id, _)| id),
+            Policy::Omniscient(_) => store.furthest_next_modify(now),
         }
     }
 }
@@ -69,7 +84,10 @@ mod tests {
     use nvfs_types::{ByteRange, ClientId, FileId};
 
     fn store_with(n: u64) -> BlockStore {
-        let mut s = BlockStore::new(n as usize);
+        fill(BlockStore::new(n as usize), n)
+    }
+
+    fn fill(mut s: BlockStore, n: u64) -> BlockStore {
         for i in 0..n {
             s.insert(BlockId::new(FileId(0), i), SimTime::from_secs(i + 1));
         }
@@ -79,26 +97,26 @@ mod tests {
     #[test]
     fn lru_picks_oldest_access() {
         let mut p = Policy::from_kind(PolicyKind::Lru, None);
-        let s = store_with(3);
+        let mut s = store_with(3);
         assert_eq!(
-            p.pick_victim(&s, SimTime::ZERO),
+            p.pick_victim(&mut s, SimTime::ZERO),
             Some(BlockId::new(FileId(0), 0))
         );
     }
 
     #[test]
     fn random_is_deterministic_per_seed_and_in_range() {
-        let s = store_with(8);
+        let mut s = store_with(8);
         let picks_a: Vec<_> = {
             let mut p = Policy::from_kind(PolicyKind::Random { seed: 9 }, None);
             (0..10)
-                .map(|_| p.pick_victim(&s, SimTime::ZERO).unwrap())
+                .map(|_| p.pick_victim(&mut s, SimTime::ZERO).unwrap())
                 .collect()
         };
         let picks_b: Vec<_> = {
             let mut p = Policy::from_kind(PolicyKind::Random { seed: 9 }, None);
             (0..10)
-                .map(|_| p.pick_victim(&s, SimTime::ZERO).unwrap())
+                .map(|_| p.pick_victim(&mut s, SimTime::ZERO).unwrap())
                 .collect()
         };
         assert_eq!(picks_a, picks_b);
@@ -132,18 +150,51 @@ mod tests {
         .collect();
         let schedule = Arc::new(OmniscientSchedule::build(&ops));
         let mut p = Policy::from_kind(PolicyKind::Omniscient, Some(schedule));
-        let s = store_with(3);
+        let mut s = fill(p.new_store(4), 3);
         // Block 1 (never modified) is the ideal victim.
         assert_eq!(
-            p.pick_victim(&s, SimTime::ZERO),
+            p.pick_victim(&mut s, SimTime::ZERO),
             Some(BlockId::new(FileId(0), 1))
         );
+        // Once block 1 is gone, block 2 (rewritten at 50 s) beats block 0
+        // (rewritten at 10 s)...
+        s.remove(BlockId::new(FileId(0), 1));
+        assert_eq!(
+            p.pick_victim(&mut s, SimTime::from_secs(5)),
+            Some(BlockId::new(FileId(0), 2))
+        );
+        // ...until block 0's rewrite has passed and it is never modified
+        // again...
+        assert_eq!(
+            p.pick_victim(&mut s, SimTime::from_secs(10)),
+            Some(BlockId::new(FileId(0), 0))
+        );
+        // ...and once both rewrites have passed, the larger block id wins
+        // the tie, a newcomer included.
+        assert_eq!(
+            p.pick_victim(&mut s, SimTime::from_secs(50)),
+            Some(BlockId::new(FileId(0), 2))
+        );
+        s.insert(BlockId::new(FileId(0), 3), SimTime::from_secs(60));
+        assert_eq!(
+            p.pick_victim(&mut s, SimTime::from_secs(60)),
+            Some(BlockId::new(FileId(0), 3))
+        );
+        assert!(s.check_invariants());
+    }
+
+    #[test]
+    #[should_panic(expected = "with_schedule")]
+    fn omniscient_needs_an_indexed_store() {
+        let schedule = Arc::new(OmniscientSchedule::default());
+        let mut p = Policy::from_kind(PolicyKind::Omniscient, Some(schedule));
+        let _ = p.pick_victim(&mut store_with(2), SimTime::ZERO);
     }
 
     #[test]
     fn empty_store_yields_none() {
         let mut p = Policy::from_kind(PolicyKind::Lru, None);
-        assert_eq!(p.pick_victim(&BlockStore::new(4), SimTime::ZERO), None);
+        assert_eq!(p.pick_victim(&mut BlockStore::new(4), SimTime::ZERO), None);
     }
 
     #[test]

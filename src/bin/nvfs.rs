@@ -216,8 +216,9 @@ commands:
   scorecard    [--scale S]
   export-csv   [--scale S] --out DIR
   bench        [--scale S] [--out FILE] [--iters N] [--profile]
-               time sequential vs parallel passes; --iters repeats the
-               whole matrix, --profile prints a per-phase exclusive-time
+               time sequential vs parallel passes (default --out
+               BENCH.json); --iters repeats the whole matrix, --profile
+               prints a per-phase exclusive-time
                table aggregated from the observability timing spans
   obs          show FILE | diff A B       pretty-print or compare run manifests
 
@@ -783,8 +784,7 @@ fn cmd_bench(mut args: VecDeque<String>) -> Result<(), String> {
 
     let scale = parse_scale(&mut args)?;
     let (cfg, server_cfg) = (scale.trace_config(), scale.server_config());
-    let out =
-        PathBuf::from(take_flag(&mut args, "--out")?.unwrap_or_else(|| "BENCH_pr9.json".into()));
+    let out = PathBuf::from(take_flag(&mut args, "--out")?.unwrap_or_else(|| "BENCH.json".into()));
     let iters: usize = match take_flag(&mut args, "--iters")? {
         Some(v) => v
             .parse()
