@@ -178,6 +178,21 @@ impl SimConfig {
         }
     }
 
+    /// The configuration of cache model `model` with the given memories;
+    /// the volatile model ignores `nvram_bytes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a memory the model uses is smaller than one 4 KB block.
+    pub fn for_model(model: CacheModelKind, volatile_bytes: u64, nvram_bytes: u64) -> Self {
+        match model {
+            CacheModelKind::Volatile => SimConfig::volatile(volatile_bytes),
+            CacheModelKind::WriteAside => SimConfig::write_aside(volatile_bytes, nvram_bytes),
+            CacheModelKind::Unified => SimConfig::unified(volatile_bytes, nvram_bytes),
+            CacheModelKind::Hybrid => SimConfig::hybrid(volatile_bytes, nvram_bytes),
+        }
+    }
+
     /// Enables Sprite's dirty-block replacement preference (builder style).
     pub fn with_dirty_preference(mut self) -> Self {
         self.dirty_preference = true;

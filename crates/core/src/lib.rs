@@ -55,7 +55,6 @@ pub mod policy;
 pub mod recovery;
 pub mod scrub;
 pub mod session;
-pub(crate) mod shard;
 pub mod sim;
 
 pub use client::{ClientCache, FlushCause};

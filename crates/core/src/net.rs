@@ -38,8 +38,8 @@
 //!
 //! Message fates are pure functions of `(seed, client, request id,
 //! attempt)`, partition windows are compiled once from the seed, and the
-//! hook keeps the session on the serial drive loop (`shard_barriers` →
-//! `None`), so a net-faulted run is byte-identical at any `--jobs`.
+//! session replays serially, so a net-faulted run is byte-identical at
+//! any `--jobs`.
 //!
 //! [`ClientCache::take_shed_writes`]: crate::client::ClientCache::take_shed_writes
 
@@ -100,6 +100,20 @@ pub struct NetStats {
     pub shed_writes: u64,
 }
 
+impl NetStats {
+    /// Folds another run's counters into this one.
+    pub fn merge(&mut self, other: &NetStats) {
+        self.requests += other.requests;
+        self.retries += other.retries;
+        self.timeouts += other.timeouts;
+        self.degraded_ops += other.degraded_ops;
+        self.dup_suppressed += other.dup_suppressed;
+        self.gave_up += other.gave_up;
+        self.shed_bytes += other.shed_bytes;
+        self.shed_writes += other.shed_writes;
+    }
+}
+
 /// Everything the network layer learned in one run: counters, the
 /// judge's summary, and any wire-contract violations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,11 +129,6 @@ pub struct NetReport {
 /// Hook: routes every server-interacting op and flush note through the
 /// RPC state machine, maintains degraded-mode accounting, and feeds the
 /// wire transcript to a [`NetJudge`].
-///
-/// Keeps the `RunHook` default `shard_barriers` (`None`): partition
-/// epochs interpose on every op and every cleaner tick, which is exactly
-/// the per-op interposition sharding cannot offer — net-faulted runs are
-/// serial and therefore trivially `--jobs`-invariant.
 #[derive(Debug)]
 pub struct NetFaultInjector<'p> {
     plan: &'p NetFaultPlan,

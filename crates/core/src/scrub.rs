@@ -468,8 +468,8 @@ impl<'s> CorruptionInjector<'s> {
 }
 
 impl RunHook for CorruptionInjector<'_> {
-    // Keeps the default `shard_barriers` (None) and consumes flush
-    // events: corruption classification is inherently per-op.
+    // Consumes flush events (the `wants_flush_events` default):
+    // corruption classification is inherently per-op.
 
     fn before_op(&mut self, engine: &mut SimEngine<'_>, _index: usize, op: &Op) -> OpAction {
         self.advance(engine, op.time);

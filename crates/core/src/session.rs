@@ -137,7 +137,7 @@ pub struct FlushEvent {
 
 /// A queued engine event awaiting broadcast to the hook stack.
 #[derive(Debug, Clone)]
-pub(crate) enum SessionEvent {
+enum SessionEvent {
     Crash(CrashEvent),
     Drain(DrainEvent),
     Flush(FlushEvent),
@@ -187,27 +187,11 @@ pub trait RunHook {
         let _ = engine;
     }
 
-    /// Opt-in to intra-run sharding: the op indices (if any) at which
-    /// this hook needs the whole cluster synchronized and its
-    /// `before_op` called with the full engine — every other `before_op`
-    /// must be a no-op returning [`OpAction::Apply`], and the hook must
-    /// not rely on per-op [`FlushEvent`]s.
-    ///
-    /// The default, `None`, declares the hook incompatible with sharding
-    /// (it observes per-op engine state), which forces the serial drive
-    /// loop — always correct, never faster. Hooks that are pure
-    /// bystanders between ops return `Some(vec![])`; [`WarmupReset`]
-    /// returns its single reset index.
-    fn shard_barriers(&self, n_ops: usize) -> Option<Vec<usize>> {
-        let _ = n_ops;
-        None
-    }
-
     /// Whether this hook consumes [`FlushEvent`]s. Defaults to `true`
     /// so third-party `on_flush` implementors keep working; the
     /// built-in hooks override it to `false`, which lets the engine
     /// skip queueing/broadcasting a flush event per flushed file on the
-    /// hot path (and is a precondition for intra-run sharding).
+    /// hot path.
     fn wants_flush_events(&self) -> bool {
         true
     }
@@ -229,20 +213,25 @@ pub struct SessionOutput {
 #[derive(Debug)]
 pub struct SimEngine<'cfg> {
     pub(crate) config: &'cfg SimConfig,
-    pub(crate) policy_schedule: Option<Arc<OmniscientSchedule>>,
+    policy_schedule: Option<Arc<OmniscientSchedule>>,
     pub(crate) clients: BTreeMap<ClientId, ClientCache>,
-    pub(crate) server: ConsistencyServer,
+    /// `(file, client)` pairs whose cache may hold blocks of the file. A
+    /// cache gains a file's blocks only through its own client's reads
+    /// and writes, so truncate and delete visit these caches instead of
+    /// every cache in the cluster.
+    holders: BTreeSet<(FileId, ClientId)>,
+    server: ConsistencyServer,
     pub(crate) stats: TrafficStats,
     reliability: ReliabilityStats,
-    pub(crate) next_tick: SimTime,
-    pub(crate) run_cleaner: bool,
+    next_tick: SimTime,
+    run_cleaner: bool,
     recovery_writes: Vec<ServerWrite>,
-    pub(crate) pending: Vec<SessionEvent>,
-    pub(crate) ops_replayed: u64,
-    pub(crate) sim_end: SimTime,
+    pending: Vec<SessionEvent>,
+    ops_replayed: u64,
+    sim_end: SimTime,
     /// Whether any hook in the current stack consumes flush events; when
     /// false the engine skips queueing them entirely (hot-path win).
-    pub(crate) flush_events: bool,
+    flush_events: bool,
     /// Network partition state, installed by [`crate::net::NetFaultInjector`];
     /// `None` (the default) leaves every existing path byte-identical.
     pub(crate) net: Option<crate::net::NetState>,
@@ -263,6 +252,7 @@ impl<'cfg> SimEngine<'cfg> {
             config,
             policy_schedule,
             clients: BTreeMap::new(),
+            holders: BTreeSet::new(),
             server: ConsistencyServer::with_mode(config.consistency),
             stats: TrafficStats::default(),
             reliability: ReliabilityStats::default(),
@@ -527,47 +517,20 @@ impl<'cfg> SimEngine<'cfg> {
     }
 
     /// Replays one op against the caches and the consistency server.
-    pub(crate) fn apply_op(&mut self, op: &Op) {
+    /// Flush events are queued only when some hook wants them.
+    fn apply_op(&mut self, op: &Op) {
         let SimEngine {
             config,
             policy_schedule,
             clients,
+            holders,
             server,
             stats,
             pending,
             flush_events,
             ..
         } = self;
-        SimEngine::apply_op_parts(
-            config,
-            policy_schedule,
-            clients,
-            server,
-            stats,
-            pending,
-            *flush_events,
-            op,
-        );
-    }
-
-    /// Replays one op against a set of caches and a consistency server —
-    /// the body of [`SimEngine::apply_op`], split from `self` so the
-    /// intra-run shard driver ([`crate::shard`]) can apply ops against
-    /// per-shard state (one client's cache + its replica server).
-    ///
-    /// With `emit_flush_events` false, flush [`SessionEvent`]s are not
-    /// queued, so flush-producing ops leave `pending` untouched.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn apply_op_parts(
-        config: &SimConfig,
-        policy_schedule: &Option<Arc<OmniscientSchedule>>,
-        clients: &mut BTreeMap<ClientId, ClientCache>,
-        server: &mut ConsistencyServer,
-        stats: &mut TrafficStats,
-        pending: &mut Vec<SessionEvent>,
-        emit_flush_events: bool,
-        op: &Op,
-    ) {
+        let file_holders = |file: FileId| (file, ClientId(0))..=(file, ClientId(u32::MAX));
         macro_rules! client {
             ($id:expr) => {
                 clients.entry($id).or_insert_with(|| {
@@ -581,7 +544,7 @@ impl<'cfg> SimEngine<'cfg> {
         }
         macro_rules! flush_event {
             ($client:expr, $file:expr, $cause:expr) => {
-                if emit_flush_events {
+                if *flush_events {
                     pending.push(SessionEvent::Flush(FlushEvent {
                         at: op.time,
                         client: $client,
@@ -653,6 +616,7 @@ impl<'cfg> SimEngine<'cfg> {
                         }
                     }
                     client!(op.client).read(*file, *range, op.time, stats);
+                    holders.insert((*file, op.client));
                 }
             }
             OpKind::Write { file, range } => {
@@ -661,17 +625,23 @@ impl<'cfg> SimEngine<'cfg> {
                     stats.concurrent_write_bytes += range.len();
                 } else {
                     client!(op.client).write(*file, *range, op.time, stats);
+                    holders.insert((*file, op.client));
                     server.note_write(*file, op.client);
                 }
             }
             OpKind::Truncate { file, new_len } => {
-                for cache in clients.values_mut() {
-                    cache.truncate_file(*file, *new_len, stats);
+                for (_, c) in holders.range(file_holders(*file)) {
+                    if let Some(cache) = clients.get_mut(c) {
+                        cache.truncate_file(*file, *new_len, stats);
+                    }
                 }
             }
             OpKind::Delete { file } => {
-                for cache in clients.values_mut() {
-                    cache.delete_file(*file, stats);
+                while let Some(&(_, c)) = holders.range(file_holders(*file)).next() {
+                    holders.remove(&(*file, c));
+                    if let Some(cache) = clients.get_mut(&c) {
+                        cache.delete_file(*file, stats);
+                    }
                 }
                 server.on_delete(*file);
             }
@@ -717,7 +687,7 @@ impl<'cfg> SimEngine<'cfg> {
 /// Broadcasts every queued engine event to every hook in stack order.
 /// Loops because a hook's handler may itself drive mechanics that
 /// queue further events.
-pub(crate) fn dispatch(engine: &mut SimEngine<'_>, hooks: &mut [&mut dyn RunHook]) {
+fn dispatch(engine: &mut SimEngine<'_>, hooks: &mut [&mut dyn RunHook]) {
     while !engine.pending.is_empty() {
         let batch = std::mem::take(&mut engine.pending);
         for event in &batch {
@@ -784,19 +754,23 @@ impl<'a> SimSession<'a> {
         let mut engine = SimEngine::new(self.config, ops);
         engine.flush_events = hooks.iter().any(|h| h.wants_flush_events());
 
-        // Sharded drive loop: eligible when every hook opts in via
-        // `shard_barriers`, none consumes flush events, and event
-        // tracing is off (per-op obs events must interleave in global
-        // op order, which shards cannot reproduce). Output is
-        // byte-identical to the serial loop — see crate::shard.
-        let barriers = crate::shard::collect_barriers(hooks, ops.len());
-        match barriers {
-            Some(barriers)
-                if !ops.is_empty() && !engine.flush_events && !nvfs_obs::trace_enabled() =>
-            {
-                crate::shard::run_sharded(&mut engine, ops, hooks, &barriers);
+        // The drive loop: one op at a time against the full cluster.
+        for (index, op) in ops.iter().enumerate() {
+            engine.ops_replayed += 1;
+            engine.sim_end = op.time;
+            let mut action = OpAction::Apply;
+            for hook in hooks.iter_mut() {
+                if hook.before_op(&mut engine, index, op) == OpAction::Skip {
+                    action = OpAction::Skip;
+                }
             }
-            _ => self.run_serial(&mut engine, ops, hooks),
+            dispatch(&mut engine, hooks);
+            engine.advance_cleaner(op.time);
+            dispatch(&mut engine, hooks);
+            if action == OpAction::Apply {
+                engine.apply_op(op);
+            }
+            dispatch(&mut engine, hooks);
         }
 
         for i in 0..hooks.len() {
@@ -810,34 +784,6 @@ impl<'a> SimSession<'a> {
         SessionOutput {
             stats: engine.stats,
             reliability: engine.reliability,
-        }
-    }
-
-    /// The reference drive loop: one op at a time against the full
-    /// cluster. Always correct for any hook stack; the sharded loop in
-    /// [`crate::shard`] must match it byte for byte.
-    fn run_serial(
-        &self,
-        engine: &mut SimEngine<'_>,
-        ops: &OpStream,
-        hooks: &mut [&mut dyn RunHook],
-    ) {
-        for (index, op) in ops.iter().enumerate() {
-            engine.ops_replayed += 1;
-            engine.sim_end = op.time;
-            let mut action = OpAction::Apply;
-            for hook in hooks.iter_mut() {
-                if hook.before_op(engine, index, op) == OpAction::Skip {
-                    action = OpAction::Skip;
-                }
-            }
-            dispatch(engine, hooks);
-            engine.advance_cleaner(op.time);
-            dispatch(engine, hooks);
-            if action == OpAction::Apply {
-                engine.apply_op(op);
-            }
-            dispatch(engine, hooks);
         }
     }
 }
@@ -878,11 +824,6 @@ impl RunHook for WarmupReset {
         OpAction::Apply
     }
 
-    /// The reset is the hook's only interposition: one barrier there.
-    fn shard_barriers(&self, _n_ops: usize) -> Option<Vec<usize>> {
-        Some(vec![self.reset_at])
-    }
-
     fn wants_flush_events(&self) -> bool {
         false
     }
@@ -910,11 +851,6 @@ impl WriteLogCapture {
 impl RunHook for WriteLogCapture {
     fn collect(&mut self, engine: &mut SimEngine<'_>) {
         self.writes = engine.take_write_log();
-    }
-
-    /// Pure end-of-run harvest: no per-op interposition at all.
-    fn shard_barriers(&self, _n_ops: usize) -> Option<Vec<usize>> {
-        Some(Vec::new())
     }
 
     fn wants_flush_events(&self) -> bool {
@@ -995,9 +931,6 @@ impl<'s> FaultInjector<'s> {
 }
 
 impl RunHook for FaultInjector<'_> {
-    // Keeps the default `shard_barriers` (None): fault injection cuts
-    // client traces mid-run and observes every op's time, which is
-    // exactly the per-op interposition sharding cannot offer.
     fn wants_flush_events(&self) -> bool {
         false
     }
@@ -1043,9 +976,6 @@ impl OracleJudge {
 }
 
 impl RunHook for OracleJudge {
-    // Keeps the default `shard_barriers` (None): the judge consumes
-    // crash/drain events, which only exist on fault-injected runs —
-    // those are serial anyway (FaultInjector is shard-incompatible).
     fn wants_flush_events(&self) -> bool {
         false
     }
@@ -1095,12 +1025,6 @@ impl ObsRecorder {
 }
 
 impl RunHook for ObsRecorder {
-    /// One-pass fold at the end; the per-event emitters only fire on
-    /// fault-injected (serial) runs, so no barriers are needed.
-    fn shard_barriers(&self, _n_ops: usize) -> Option<Vec<usize>> {
-        Some(Vec::new())
-    }
-
     fn wants_flush_events(&self) -> bool {
         false
     }

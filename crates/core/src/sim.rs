@@ -339,6 +339,39 @@ mod tests {
         assert_eq!(stats.remaining_dirty_bytes, 0);
     }
 
+    /// A truncate or delete issued by a client that never touched the
+    /// file must still reach every cache holding it: the writer's dirty
+    /// block dies and the reader's clean copy is dropped, so its next
+    /// read misses.
+    #[test]
+    fn truncate_and_delete_reach_every_cache_holding_the_file() {
+        let rd = |t: u64, client: u32| {
+            op(
+                t,
+                client,
+                OpKind::Read {
+                    file: FileId(5),
+                    range: ByteRange::at(0, BLOCK_SIZE),
+                },
+            )
+        };
+        for kill in [
+            OpKind::Truncate {
+                file: FileId(5),
+                new_len: 0,
+            },
+            OpKind::Delete { file: FileId(5) },
+        ] {
+            let ops: OpStream = vec![wr(1, 0, 5, 0), rd(2, 1), op(3, 2, kill.clone()), rd(4, 1)]
+                .into_iter()
+                .collect();
+            let stats = ClusterSim::new(SimConfig::volatile(1 << 20)).run(&ops);
+            assert_eq!(stats.deleted_dead_bytes, BLOCK_SIZE, "{kill:?}");
+            assert_eq!(stats.remaining_dirty_bytes, 0, "{kill:?}");
+            assert_eq!(stats.server_read_bytes, 2 * BLOCK_SIZE, "{kill:?}");
+        }
+    }
+
     #[test]
     fn nvram_models_hold_dirty_data_to_the_end() {
         let ops: OpStream = vec![

@@ -25,7 +25,7 @@ pub enum Scale {
     /// Full paper-scale workloads (24-hour traces; slow).
     Paper,
     /// Cluster-scale workloads: 256 mostly-idle clients over two days —
-    /// the width stress for the sharded drive loop.
+    /// the cluster-width stress.
     Mega,
 }
 

@@ -155,12 +155,7 @@ pub fn model_reliability(
         // share everything except battery redundancy, so all models see
         // the same crashes at the same times.
         let schedule = FaultSchedule::compile(seed ^ trace.number() as u64, &plan)?;
-        let cfg = match model {
-            CacheModelKind::Volatile => SimConfig::volatile(BASE_BYTES),
-            CacheModelKind::WriteAside => SimConfig::write_aside(BASE_BYTES, NVRAM_BYTES),
-            CacheModelKind::Unified => SimConfig::unified(BASE_BYTES, NVRAM_BYTES),
-            CacheModelKind::Hybrid => SimConfig::hybrid(BASE_BYTES, NVRAM_BYTES),
-        };
+        let cfg = SimConfig::for_model(model, BASE_BYTES, NVRAM_BYTES);
         Ok(ClusterSim::new(cfg)
             .run_with_faults(trace.ops(), &schedule)
             .reliability)

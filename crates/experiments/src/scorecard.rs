@@ -59,101 +59,76 @@ impl Scorecard {
     }
 }
 
-/// The independent sub-experiment results the scorecard evaluates.
+/// One sub-experiment result, tagged by kind so the heterogeneous
+/// results can share one [`nvfs_par::par_map`].
+enum Part {
+    Tab1(tab1::Tab1),
+    Fig2(fig2::Fig2),
+    Fig3(fig3::Fig3),
+    Fig4(fig4::Fig4),
+    Fig5(fig5::Fig5),
+    Tab3(tab3::Tab3),
+    WriteBuffer(write_buffer::WriteBuffer),
+    DiskSort(disk_sort::DiskSort),
+    BusNvram(bus_nvram::BusNvram),
+    Presto(presto::Presto),
+    ReadLatency(read_latency::ReadLatency),
+    VerifyNet(verify_net::VerifyNet),
+    WalVsBuffer(lfs_wal_vs_buffer::WalVsBuffer),
+    ScrubOverhead(scrub_overhead::ScrubOverhead),
+}
+
+/// The independent sub-experiment results the scorecard evaluates, in
+/// [`Part`] declaration order.
 ///
-/// Gathered up front (in parallel when jobs > 1) so every check below
-/// reads from an already-computed result; the check order — and therefore
-/// the rendered table — is identical either way.
-#[allow(clippy::type_complexity)]
-fn gather(
-    env: &Env,
-) -> (
-    tab1::Tab1,
-    fig2::Fig2,
-    fig3::Fig3,
-    fig4::Fig4,
-    fig5::Fig5,
-    tab3::Tab3,
-    write_buffer::WriteBuffer,
-    disk_sort::DiskSort,
-    bus_nvram::BusNvram,
-    presto::Presto,
-    read_latency::ReadLatency,
-    verify_net::VerifyNet,
-    lfs_wal_vs_buffer::WalVsBuffer,
-    scrub_overhead::ScrubOverhead,
-) {
-    // Each sub-experiment runs in its own submission-indexed obs task
-    // frame (the same contract `par_map` gives its items) so the metric
-    // shards it records land in the global registry with a deterministic
-    // path — on worker threads the frame is also what flushes them at
-    // all; a bare `scope.spawn` would drop its thread-locals on exit.
-    let base = nvfs_obs::task_path();
-    if nvfs_par::jobs() <= 1 {
-        return (
-            nvfs_obs::task_frame(&base, 0, tab1::run),
-            nvfs_obs::task_frame(&base, 1, || fig2::run(env)),
-            nvfs_obs::task_frame(&base, 2, || fig3::run(env)),
-            nvfs_obs::task_frame(&base, 3, || fig4::run(env)),
-            nvfs_obs::task_frame(&base, 4, || fig5::run(env)),
-            nvfs_obs::task_frame(&base, 5, || tab3::run(env)),
-            nvfs_obs::task_frame(&base, 6, || write_buffer::run(env)),
-            nvfs_obs::task_frame(&base, 7, disk_sort::run),
-            nvfs_obs::task_frame(&base, 8, || bus_nvram::run(env)),
-            nvfs_obs::task_frame(&base, 9, presto::run),
-            nvfs_obs::task_frame(&base, 10, read_latency::run),
-            nvfs_obs::task_frame(&base, 11, || {
-                verify_net::run(env).expect("verify-net sweep failed")
-            }),
-            nvfs_obs::task_frame(&base, 12, || lfs_wal_vs_buffer::run(env)),
-            nvfs_obs::task_frame(&base, 13, || scrub_overhead::run(env)),
-        );
-    }
-    // The sub-experiments return heterogeneous types, so fan out with
-    // scoped spawns rather than par_map; joins happen in a fixed order and
-    // every run seeds its own RNGs, so the results match a sequential run.
-    std::thread::scope(|s| {
-        let base = &base;
-        let t1 = s.spawn(move || nvfs_obs::task_frame(base, 0, tab1::run));
-        let f2 = s.spawn(move || nvfs_obs::task_frame(base, 1, || fig2::run(env)));
-        let f3 = s.spawn(move || nvfs_obs::task_frame(base, 2, || fig3::run(env)));
-        let f4 = s.spawn(move || nvfs_obs::task_frame(base, 3, || fig4::run(env)));
-        let f5 = s.spawn(move || nvfs_obs::task_frame(base, 4, || fig5::run(env)));
-        let t3 = s.spawn(move || nvfs_obs::task_frame(base, 5, || tab3::run(env)));
-        let wb = s.spawn(move || nvfs_obs::task_frame(base, 6, || write_buffer::run(env)));
-        let ds = s.spawn(move || nvfs_obs::task_frame(base, 7, disk_sort::run));
-        let bn = s.spawn(move || nvfs_obs::task_frame(base, 8, || bus_nvram::run(env)));
-        let p = s.spawn(move || nvfs_obs::task_frame(base, 9, presto::run));
-        let rl = s.spawn(move || nvfs_obs::task_frame(base, 10, read_latency::run));
-        let vn = s.spawn(move || {
-            nvfs_obs::task_frame(base, 11, || {
-                verify_net::run(env).expect("verify-net sweep failed")
-            })
-        });
-        let wl = s.spawn(move || nvfs_obs::task_frame(base, 12, || lfs_wal_vs_buffer::run(env)));
-        let so = s.spawn(move || nvfs_obs::task_frame(base, 13, || scrub_overhead::run(env)));
-        (
-            t1.join().expect("tab1 panicked"),
-            f2.join().expect("fig2 panicked"),
-            f3.join().expect("fig3 panicked"),
-            f4.join().expect("fig4 panicked"),
-            f5.join().expect("fig5 panicked"),
-            t3.join().expect("tab3 panicked"),
-            wb.join().expect("write_buffer panicked"),
-            ds.join().expect("disk_sort panicked"),
-            bn.join().expect("bus_nvram panicked"),
-            p.join().expect("presto panicked"),
-            rl.join().expect("read_latency panicked"),
-            vn.join().expect("verify_net panicked"),
-            wl.join().expect("lfs_wal_vs_buffer panicked"),
-            so.join().expect("scrub_overhead panicked"),
-        )
+/// Gathered up front through one `par_map`, which leases workers from
+/// the same pool as every nested sweep; results come back in submission
+/// order, so the checks below — and the rendered table — are identical
+/// at any job count.
+fn gather(env: &Env) -> Vec<Part> {
+    nvfs_par::par_map((0..14).collect(), nvfs_par::jobs(), |i: usize| match i {
+        0 => Part::Tab1(tab1::run()),
+        1 => Part::Fig2(fig2::run(env)),
+        2 => Part::Fig3(fig3::run(env)),
+        3 => Part::Fig4(fig4::run(env)),
+        4 => Part::Fig5(fig5::run(env)),
+        5 => Part::Tab3(tab3::run(env)),
+        6 => Part::WriteBuffer(write_buffer::run(env)),
+        7 => Part::DiskSort(disk_sort::run()),
+        8 => Part::BusNvram(bus_nvram::run(env)),
+        9 => Part::Presto(presto::run()),
+        10 => Part::ReadLatency(read_latency::run()),
+        11 => Part::VerifyNet(verify_net::run(env).expect("verify-net sweep failed")),
+        12 => Part::WalVsBuffer(lfs_wal_vs_buffer::run(env)),
+        _ => Part::ScrubOverhead(scrub_overhead::run(env)),
     })
 }
 
 /// Evaluates every claim over `env`.
 pub fn run(env: &Env) -> Scorecard {
-    let (t1, f2, f3, f4, f5, t3, wb, ds, bn, p, rl, vn, wl, so) = gather(env);
+    let mut parts = gather(env).into_iter();
+    macro_rules! next {
+        ($kind:ident) => {
+            match parts.next() {
+                Some(Part::$kind(result)) => result,
+                _ => unreachable!("par_map returns results in submission order"),
+            }
+        };
+    }
+    let t1 = next!(Tab1);
+    let f2 = next!(Fig2);
+    let f3 = next!(Fig3);
+    let f4 = next!(Fig4);
+    let f5 = next!(Fig5);
+    let t3 = next!(Tab3);
+    let wb = next!(WriteBuffer);
+    let ds = next!(DiskSort);
+    let bn = next!(BusNvram);
+    let p = next!(Presto);
+    let rl = next!(ReadLatency);
+    let vn = next!(VerifyNet);
+    let wl = next!(WalVsBuffer);
+    let so = next!(ScrubOverhead);
 
     let mut checks = Vec::new();
     let mut push = |id, paper, measured, band| {

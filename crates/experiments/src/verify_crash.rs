@@ -236,13 +236,7 @@ fn sweep_plan(clients: u32, duration: SimDuration, model: CacheModelKind) -> Fau
 }
 
 fn model_config(model: CacheModelKind) -> SimConfig {
-    let nvram = NVRAM_BLOCKS * BLOCK_SIZE;
-    match model {
-        CacheModelKind::Volatile => SimConfig::volatile(BASE_BYTES),
-        CacheModelKind::WriteAside => SimConfig::write_aside(BASE_BYTES, nvram),
-        CacheModelKind::Unified => SimConfig::unified(BASE_BYTES, nvram),
-        CacheModelKind::Hybrid => SimConfig::hybrid(BASE_BYTES, nvram),
-    }
+    SimConfig::for_model(model, BASE_BYTES, NVRAM_BLOCKS * BLOCK_SIZE)
 }
 
 /// Runs the client half: every trace × model × crash point, one verified
@@ -307,14 +301,7 @@ pub fn faults_oracle_summary(env: &Env, seed: u64) -> Result<OracleSummary, Faul
         let trace = env.traces.trace(i);
         let plan = crate::faults::client_plan(trace.clients() as u32, trace.duration(), model);
         let schedule = FaultSchedule::compile(seed ^ trace.number() as u64, &plan)?;
-        let cfg = match model {
-            CacheModelKind::Volatile => SimConfig::volatile(BASE_BYTES),
-            CacheModelKind::WriteAside => {
-                SimConfig::write_aside(BASE_BYTES, crate::faults::NVRAM_BYTES)
-            }
-            CacheModelKind::Unified => SimConfig::unified(BASE_BYTES, crate::faults::NVRAM_BYTES),
-            CacheModelKind::Hybrid => SimConfig::hybrid(BASE_BYTES, crate::faults::NVRAM_BYTES),
-        };
+        let cfg = SimConfig::for_model(model, BASE_BYTES, crate::faults::NVRAM_BYTES);
         let (_, oracle) = ClusterSim::new(cfg).run_with_faults_verified(trace.ops(), &schedule);
         Ok(oracle.summary())
     });

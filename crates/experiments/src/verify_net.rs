@@ -147,17 +147,6 @@ impl NetRow {
     }
 }
 
-fn merge_stats(into: &mut NetStats, from: &NetStats) {
-    into.requests += from.requests;
-    into.retries += from.retries;
-    into.timeouts += from.timeouts;
-    into.degraded_ops += from.degraded_ops;
-    into.dup_suppressed += from.dup_suppressed;
-    into.gave_up += from.gave_up;
-    into.shed_bytes += from.shed_bytes;
-    into.shed_writes += from.shed_writes;
-}
-
 /// Output of the network sweep.
 #[derive(Debug, Clone)]
 pub struct VerifyNet {
@@ -266,12 +255,11 @@ impl VerifyNet {
 /// whole-cache NVRAM (its defining trait in §2.1), write-aside and hybrid
 /// a bounded board, volatile none.
 fn model_config(model: CacheModelKind) -> SimConfig {
-    match model {
-        CacheModelKind::Volatile => SimConfig::volatile(BASE_BYTES),
-        CacheModelKind::WriteAside => SimConfig::write_aside(BASE_BYTES, WRITE_ASIDE_NVRAM),
-        CacheModelKind::Unified => SimConfig::unified(BASE_BYTES, BASE_BYTES),
-        CacheModelKind::Hybrid => SimConfig::hybrid(BASE_BYTES, WRITE_ASIDE_NVRAM),
-    }
+    let nvram = match model {
+        CacheModelKind::Unified => BASE_BYTES,
+        _ => WRITE_ASIDE_NVRAM,
+    };
+    SimConfig::for_model(model, BASE_BYTES, nvram)
 }
 
 /// Runs the sweep: every trace × model × schedule, one run each, merged
@@ -319,7 +307,7 @@ pub fn sweep(env: &Env, seed: u64) -> Result<Vec<NetRow>, String> {
         let (model, kind, stats, net, shed, oracle) = run?;
         match rows.last_mut() {
             Some(row) if row.model == model && row.kind == kind => {
-                merge_stats(&mut row.stats, &stats);
+                row.stats.merge(&stats);
                 row.net.merge(&net);
                 row.shed_bytes += shed;
                 row.oracle.merge(&oracle);

@@ -105,8 +105,8 @@ impl TraceSetConfig {
     /// 21× the paper's cluster width and twice its trace length. Activity
     /// is thinned to 1/50th (each workstation is mostly idle, as on a
     /// real large cluster) and file sizes reduced, keeping the op count
-    /// tractable while the *width* — the dimension the sharded drive
-    /// loop scales over — goes well beyond `paper`.
+    /// tractable while the *width* — the number of client caches one
+    /// session replays through — goes well beyond `paper`.
     ///
     /// Width is capped where every scorecard band still passes: the
     /// generators clamp inter-burst gaps (e.g. compile bursts fire at

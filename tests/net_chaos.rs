@@ -20,12 +20,11 @@ const MODELS: [CacheModelKind; 4] = [
 
 fn model_config(model: CacheModelKind) -> SimConfig {
     let base = 2 << 20;
-    match model {
-        CacheModelKind::Volatile => SimConfig::volatile(base),
-        CacheModelKind::WriteAside => SimConfig::write_aside(base, 64 << 10),
-        CacheModelKind::Unified => SimConfig::unified(base, base),
-        CacheModelKind::Hybrid => SimConfig::hybrid(base, 64 << 10),
-    }
+    let nvram = match model {
+        CacheModelKind::Unified => base,
+        _ => 64 << 10,
+    };
+    SimConfig::for_model(model, base, nvram)
 }
 
 /// A random-but-valid network plan: every knob drawn from its legal range,
@@ -172,4 +171,34 @@ fn chaos_runs_are_reproducible() {
     let a = sim.run_with_net_faults(trace.ops(), &net);
     let b = sim.run_with_net_faults(trace.ops(), &net);
     assert_eq!(a, b);
+}
+
+/// A net-faulted run's report — stats, write log, wire counters, judge
+/// summary — must be identical whether the surrounding sweep runs on one
+/// worker thread or several. (The only test in this binary that touches
+/// the global job count.)
+#[test]
+fn net_faulted_run_is_jobs_invariant() {
+    let traces = SpriteTraceSet::generate(&TraceSetConfig::tiny());
+    let t = traces.trace(3);
+    let cfg = NetFaultPlanConfig::new(t.clients() as u32, t.duration())
+        .with_client_partitions(t.clients() as u32)
+        .with_server_partitions(1)
+        .with_partition_duration(SimDuration::from_secs(300))
+        .with_drop_probability(0.2)
+        .with_duplicate_probability(0.2);
+    let net = NetFaultPlan::compile(13, &cfg).unwrap();
+    for model in MODELS {
+        let sim = ClusterSim::new(model_config(model));
+        nvfs::par::set_jobs(1);
+        let one = sim.run_with_net_faults(t.ops(), &net);
+        nvfs::par::set_jobs(8);
+        let eight = sim.run_with_net_faults(t.ops(), &net);
+        nvfs::par::set_jobs(1);
+        assert_eq!(
+            one, eight,
+            "{model:?}: net report must not depend on --jobs"
+        );
+        assert_eq!(one.net.summary.violations(), 0, "{model:?}");
+    }
 }

@@ -96,8 +96,8 @@ fn jobs_do_not_change_metrics_or_events() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The scorecard is the widest fan-out in the pipeline (13 concurrent
-/// sub-experiments, each driving the sharded session loop): its stdout
+/// The scorecard is the widest fan-out in the pipeline (14 concurrent
+/// sub-experiments, each fanning out its own sessions): its stdout
 /// and its manifest `run` section must not move between `--jobs 1` and
 /// `--jobs 8`.
 #[test]
@@ -136,27 +136,21 @@ fn scorecard_is_jobs_invariant_end_to_end() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A net-faulted run replays serially inside the engine but fans out
-/// across the sweep: `nvfs verify-net` stdout and its manifest `run`
-/// section must be byte-identical at `--jobs 1` and `--jobs 8`, and the
-/// tiny report must match the golden copy checked into `tests/golden/`.
-#[test]
-fn verify_net_is_jobs_invariant_and_matches_golden() {
-    let dir = tempdir("verify-net");
+/// The verification sweeps replay every session serially but fan out
+/// across sessions: a report's stdout and manifest `run` section must be
+/// byte-identical at `--jobs 1` and `--jobs 8`, carry its clean marker,
+/// and match the golden copy checked into `tests/golden/`.
+fn check_verify_report(args: &[&str], golden_name: &str, marker: &str) {
+    let cmd = args.join(" ");
+    let dir = tempdir(&args.join("-"));
     let run = |jobs: &str| {
-        let manifest = dir.join(format!("net-j{jobs}.json"));
-        let out = nvfs(&[
-            "--jobs",
-            jobs,
-            "--manifest-out",
-            manifest.to_str().unwrap(),
-            "verify-net",
-            "--scale",
-            "tiny",
-        ]);
+        let manifest = dir.join(format!("manifest-j{jobs}.json"));
+        let mut full = vec!["--jobs", jobs, "--manifest-out", manifest.to_str().unwrap()];
+        full.extend_from_slice(args);
+        let out = nvfs(&full);
         assert!(
             out.status.success(),
-            "jobs={jobs}: {}",
+            "{cmd}, jobs={jobs}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
         (
@@ -166,73 +160,57 @@ fn verify_net_is_jobs_invariant_and_matches_golden() {
     };
     let (stdout1, manifest1) = run("1");
     let (stdout8, manifest8) = run("8");
-    assert_eq!(stdout1, stdout8, "verify-net stdout differs, jobs 1 vs 8");
+    assert_eq!(stdout1, stdout8, "{cmd}: stdout differs, jobs 1 vs 8");
     assert_eq!(
         run_section(&manifest1),
         run_section(&manifest8),
-        "verify-net manifest run sections differ, jobs 1 vs 8"
+        "{cmd}: manifest run sections differ, jobs 1 vs 8"
     );
-    assert!(stdout1.contains("\"net_judge\":\"clean\""), "{stdout1}");
+    assert!(stdout1.contains(marker), "{cmd}: {stdout1}");
     let golden = std::fs::read_to_string(
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/net_tiny.txt"),
+        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(golden_name),
     )
-    .expect("golden net report present");
+    .expect("golden report present");
     assert_eq!(
         stdout1, golden,
-        "verify-net output drifted from tests/golden/net_tiny.txt; \
+        "{cmd}: output drifted from tests/golden/{golden_name}; \
          regenerate it if the change is intentional"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The corruption sweep forces the serial engine loop (the injector
-/// wants flush events) but fans out across 288 runs: `nvfs verify-scrub`
-/// stdout and its manifest `run` section must be byte-identical at
-/// `--jobs 1` and `--jobs 8`, and the tiny report must match the golden
-/// copy checked into `tests/golden/`.
+#[test]
+fn verify_net_is_jobs_invariant_and_matches_golden() {
+    check_verify_report(
+        &["verify-net", "--scale", "tiny"],
+        "net_tiny.txt",
+        "\"net_judge\":\"clean\"",
+    );
+}
+
 #[test]
 fn verify_scrub_is_jobs_invariant_and_matches_golden() {
-    let dir = tempdir("verify-scrub");
-    let run = |jobs: &str| {
-        let manifest = dir.join(format!("scrub-j{jobs}.json"));
-        let out = nvfs(&[
-            "--jobs",
-            jobs,
-            "--manifest-out",
-            manifest.to_str().unwrap(),
-            "verify-scrub",
-            "--scale",
-            "tiny",
-        ]);
-        assert!(
-            out.status.success(),
-            "jobs={jobs}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        (
-            String::from_utf8_lossy(&out.stdout).into_owned(),
-            std::fs::read_to_string(&manifest).expect("manifest written"),
-        )
-    };
-    let (stdout1, manifest1) = run("1");
-    let (stdout8, manifest8) = run("8");
-    assert_eq!(stdout1, stdout8, "verify-scrub stdout differs, jobs 1 vs 8");
-    assert_eq!(
-        run_section(&manifest1),
-        run_section(&manifest8),
-        "verify-scrub manifest run sections differ, jobs 1 vs 8"
+    check_verify_report(
+        &["verify-scrub", "--scale", "tiny"],
+        "scrub_tiny.txt",
+        "\"scrub\":\"clean\"",
     );
-    assert!(stdout1.contains("\"scrub\":\"clean\""), "{stdout1}");
-    let golden = std::fs::read_to_string(
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/scrub_tiny.txt"),
-    )
-    .expect("golden scrub report present");
-    assert_eq!(
-        stdout1, golden,
-        "verify-scrub output drifted from tests/golden/scrub_tiny.txt; \
-         regenerate it if the change is intentional"
+}
+
+#[test]
+fn verify_crash_is_jobs_invariant_and_matches_goldens() {
+    check_verify_report(
+        &["verify-crash", "--scale", "tiny", "--seed", "42"],
+        "oracle_tiny.txt",
+        "\"oracle\":\"clean\"",
     );
-    let _ = std::fs::remove_dir_all(&dir);
+    check_verify_report(
+        &["verify-crash", "--wal", "--scale", "tiny", "--seed", "42"],
+        "wal_tiny.txt",
+        "\"oracle\":\"clean\"",
+    );
 }
 
 #[test]
