@@ -9,8 +9,22 @@
 //! the write-back delay. A store built for the omniscient policy
 //! ([`BlockStore::with_schedule`]) also keeps a next-modify index, so the
 //! policy's victim costs O(log n) instead of a scan of every block.
+//!
+//! Every block touch is O(1). Entries live in a slab addressed through a
+//! hash index, which is used for lookups only and never iterated, so no
+//! output depends on hash order. LRU order is the `(last_access, tie)`
+//! key, where the tie is a per-store touch sequence. Most keys are the
+//! newest in the store, so they join an intrusive doubly-linked list at
+//! its most-recent end. A key older than the list's newest one comes from
+//! a demoted or migrated block that keeps its original access time, or
+//! from a touch at an earlier time; it waits in a small ordered side map
+//! instead, and the LRU queries take the older of the two candidates.
+//! Block-order queries ([`BlockStore::file_blocks`], [`BlockStore::iter`],
+//! [`BlockStore::nth_block`]) read an ordered set of ids that changes only
+//! on insert and remove.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use nvfs_types::{BlockId, ByteRange, FileId, RangeSet, SimTime};
@@ -28,7 +42,7 @@ pub struct BlockEntry {
     pub last_modify: SimTime,
     /// When the block first became dirty since it was last clean.
     pub dirty_since: Option<SimTime>,
-    /// Key into the LRU index.
+    /// LRU key: `(last_access, tie)`.
     lru_key: (SimTime, u64),
     /// Key into the next-modify index (unused without one).
     next_modify: SimTime,
@@ -73,6 +87,50 @@ struct NextModifyIndex {
     clock: SimTime,
 }
 
+/// A fixed multiply-rotate hasher for the slab index. It has no
+/// per-process seed, and the index is never iterated, so hashing cannot
+/// reach any output.
+#[derive(Debug, Clone, Copy, Default)]
+struct BlockHasher(u64);
+
+impl Hasher for BlockHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves the low bits weakest; the table indexes by them.
+        self.0.rotate_left(26)
+    }
+}
+
+/// End of the LRU list.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: a cached block, or a free slot awaiting reuse.
+#[derive(Debug, Clone)]
+struct Slot {
+    id: BlockId,
+    entry: BlockEntry,
+    /// Whether the slot is on the LRU list (else it is keyed in the side
+    /// map, or free).
+    listed: bool,
+    /// Older neighbour on the LRU list.
+    prev: u32,
+    /// Newer neighbour on the LRU list.
+    next: u32,
+}
+
 /// A bounded block cache with LRU and dirty-age indexes.
 ///
 /// # Examples
@@ -88,14 +146,43 @@ struct NextModifyIndex {
 /// assert_eq!(out.newly_dirty, 100);
 /// assert_eq!(s.total_dirty_bytes(), 100);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct BlockStore {
     capacity: usize,
-    blocks: BTreeMap<BlockId, BlockEntry>,
-    lru: BTreeMap<(SimTime, u64), BlockId>,
+    slots: Vec<Slot>,
+    /// Slots freed by [`Self::remove`], reused before the slab grows.
+    free: Vec<u32>,
+    /// Block → slot. Lookups only: never iterated.
+    index: HashMap<BlockId, u32, BuildHasherDefault<BlockHasher>>,
+    /// Every cached block, in block order.
+    ids: BTreeSet<BlockId>,
+    /// LRU list ends: `head` is the least recent listed slot.
+    head: u32,
+    tail: u32,
+    /// Slots whose key is older than the list's newest key was when they
+    /// were keyed, by key.
+    older: BTreeMap<(SimTime, u64), u32>,
     dirty_age: BTreeMap<(SimTime, BlockId), ()>,
     tie: u64,
     next_modify: Option<NextModifyIndex>,
+}
+
+impl Default for BlockStore {
+    fn default() -> Self {
+        BlockStore {
+            capacity: 0,
+            slots: Vec::new(),
+            free: Vec::new(),
+            index: HashMap::default(),
+            ids: BTreeSet::new(),
+            head: NIL,
+            tail: NIL,
+            older: BTreeMap::new(),
+            dirty_age: BTreeMap::new(),
+            tie: 0,
+            next_modify: None,
+        }
+    }
 }
 
 impl BlockStore {
@@ -129,27 +216,27 @@ impl BlockStore {
 
     /// Current number of blocks.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.index.len()
     }
 
     /// Whether the store holds no blocks.
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.index.is_empty()
     }
 
     /// Whether the store is at capacity.
     pub fn is_full(&self) -> bool {
-        self.blocks.len() >= self.capacity
+        self.index.len() >= self.capacity
     }
 
     /// Whether `id` is cached.
     pub fn contains(&self, id: BlockId) -> bool {
-        self.blocks.contains_key(&id)
+        self.index.contains_key(&id)
     }
 
     /// Borrows the entry for `id`.
     pub fn get(&self, id: BlockId) -> Option<&BlockEntry> {
-        self.blocks.get(&id)
+        self.index.get(&id).map(|&s| &self.slots[s as usize].entry)
     }
 
     /// Inserts a clean block accessed at `t`.
@@ -189,9 +276,8 @@ impl BlockStore {
         dirty_since: Option<SimTime>,
     ) {
         assert!(!self.is_full(), "insert into full BlockStore; evict first");
-        assert!(!self.blocks.contains_key(&id), "block {id} already cached");
+        assert!(!self.contains(id), "block {id} already cached");
         let key = (last_access, self.next_tie());
-        self.lru.insert(key, id);
         let effective_since = if dirty.is_empty() {
             None
         } else {
@@ -208,9 +294,9 @@ impl BlockStore {
             }
             None => SimTime::MAX,
         };
-        self.blocks.insert(
+        let slot = Slot {
             id,
-            BlockEntry {
+            entry: BlockEntry {
                 dirty,
                 last_access,
                 last_modify,
@@ -218,7 +304,23 @@ impl BlockStore {
                 lru_key: key,
                 next_modify,
             },
-        );
+            listed: false,
+            prev: NIL,
+            next: NIL,
+        };
+        let s = match self.free.pop() {
+            Some(s) => {
+                self.slots[s as usize] = slot;
+                s
+            }
+            None => {
+                self.slots.push(slot);
+                u32::try_from(self.slots.len() - 1).expect("slab index fits u32")
+            }
+        };
+        self.index.insert(id, s);
+        self.ids.insert(id);
+        self.link(s);
     }
 
     /// Updates the access time of `id`.
@@ -227,12 +329,8 @@ impl BlockStore {
     ///
     /// Panics if `id` is not cached.
     pub fn touch(&mut self, id: BlockId, t: SimTime) {
-        let tie = self.next_tie();
-        let entry = self.blocks.get_mut(&id).expect("touch of uncached block");
-        self.lru.remove(&entry.lru_key);
-        entry.last_access = t;
-        entry.lru_key = (t, tie);
-        self.lru.insert(entry.lru_key, id);
+        let s = *self.index.get(&id).expect("touch of uncached block");
+        self.touch_slot(s, t);
     }
 
     /// Marks `range` (clipped to the block) dirty at time `t`, touching the
@@ -242,11 +340,9 @@ impl BlockStore {
     ///
     /// Panics if `id` is not cached.
     pub fn mark_dirty(&mut self, id: BlockId, range: ByteRange, t: SimTime) -> DirtyOutcome {
-        self.touch(id, t);
-        let entry = self
-            .blocks
-            .get_mut(&id)
-            .expect("mark_dirty of uncached block");
+        let s = *self.index.get(&id).expect("mark_dirty of uncached block");
+        self.touch_slot(s, t);
+        let entry = &mut self.slots[s as usize].entry;
         let clipped = match id.byte_range().intersection(range) {
             Some(r) => r,
             None => return DirtyOutcome::default(),
@@ -267,9 +363,10 @@ impl BlockStore {
     /// Clears all dirty state of `id` (it was written to the server or its
     /// data died). Returns the number of bytes that were dirty.
     pub fn clean(&mut self, id: BlockId) -> u64 {
-        let Some(entry) = self.blocks.get_mut(&id) else {
+        let Some(&s) = self.index.get(&id) else {
             return 0;
         };
+        let entry = &mut self.slots[s as usize].entry;
         let bytes = entry.dirty.len_bytes();
         entry.dirty.clear();
         if let Some(since) = entry.dirty_since.take() {
@@ -281,9 +378,10 @@ impl BlockStore {
     /// Kills the dirty bytes of `id` that fall within `range` (truncation).
     /// Returns the number of dirty bytes killed. The block stays cached.
     pub fn kill_dirty(&mut self, id: BlockId, range: ByteRange) -> u64 {
-        let Some(entry) = self.blocks.get_mut(&id) else {
+        let Some(&s) = self.index.get(&id) else {
             return 0;
         };
+        let entry = &mut self.slots[s as usize].entry;
         let killed = entry.dirty.remove(range);
         if !entry.is_dirty() {
             if let Some(since) = entry.dirty_since.take() {
@@ -295,8 +393,21 @@ impl BlockStore {
 
     /// Removes `id` entirely, returning its entry.
     pub fn remove(&mut self, id: BlockId) -> Option<BlockEntry> {
-        let entry = self.blocks.remove(&id)?;
-        self.lru.remove(&entry.lru_key);
+        let s = self.index.remove(&id)?;
+        self.ids.remove(&id);
+        self.unlink(s);
+        self.free.push(s);
+        let entry = std::mem::replace(
+            &mut self.slots[s as usize].entry,
+            BlockEntry {
+                dirty: RangeSet::new(),
+                last_access: SimTime::ZERO,
+                last_modify: SimTime::ZERO,
+                dirty_since: None,
+                lru_key: (SimTime::ZERO, 0),
+                next_modify: SimTime::ZERO,
+            },
+        );
         if let Some(since) = entry.dirty_since {
             self.dirty_age.remove(&(since, id));
         }
@@ -308,7 +419,8 @@ impl BlockStore {
 
     /// The least-recently accessed block, if any.
     pub fn lru_block(&self) -> Option<(BlockId, SimTime)> {
-        self.lru.iter().next().map(|(&(t, _), &id)| (id, t))
+        let listed = (self.head != NIL).then_some(self.head);
+        self.older_of(listed, self.older.values().next().copied())
     }
 
     /// The cached block whose next modification after `now` is furthest in
@@ -342,10 +454,8 @@ impl BlockStore {
             ix.order.pop_first();
             let fresh = ix.schedule.next_modify(id, now);
             ix.order.insert((fresh, id));
-            self.blocks
-                .get_mut(&id)
-                .expect("indexed block is cached")
-                .next_modify = fresh;
+            let s = self.index[&id];
+            self.slots[s as usize].entry.next_modify = fresh;
         }
         ix.order.last().map(|&(_, id)| id)
     }
@@ -354,17 +464,20 @@ impl BlockStore {
     /// cache prefers replacing clean blocks; used by the dirty-preference
     /// ablation).
     pub fn lru_clean_block(&self) -> Option<(BlockId, SimTime)> {
-        self.lru
-            .iter()
-            .map(|(&(t, _), &id)| (id, t))
-            .find(|(id, _)| !self.blocks[id].is_dirty())
+        let is_clean = |&s: &u32| !self.slots[s as usize].entry.is_dirty();
+        let listed = std::iter::successors((self.head != NIL).then_some(self.head), |&s| {
+            let next = self.slots[s as usize].next;
+            (next != NIL).then_some(next)
+        })
+        .find(is_clean);
+        self.older_of(listed, self.older.values().copied().find(is_clean))
     }
 
     /// All cached blocks of `file`, in index order.
     pub fn file_blocks(&self, file: FileId) -> Vec<BlockId> {
-        self.blocks
+        self.ids
             .range(BlockId::new(file, 0)..BlockId::new(FileId(file.0 + 1), 0))
-            .map(|(&id, _)| id)
+            .copied()
             .collect()
     }
 
@@ -389,12 +502,12 @@ impl BlockStore {
 
     /// Iterates over `(BlockId, &BlockEntry)` in block order.
     pub fn iter(&self) -> impl Iterator<Item = (BlockId, &BlockEntry)> {
-        self.blocks.iter().map(|(&id, e)| (id, e))
+        self.ids.iter().map(|&id| (id, self.entry(id)))
     }
 
     /// The `n`-th block in block order (for random replacement sampling).
     pub fn nth_block(&self, n: usize) -> Option<BlockId> {
-        self.blocks.keys().nth(n).copied()
+        self.ids.iter().nth(n).copied()
     }
 
     /// Sum of dirty bytes across all blocks.
@@ -402,7 +515,7 @@ impl BlockStore {
         // The dirty_age index holds exactly the dirty blocks.
         self.dirty_age
             .keys()
-            .map(|&(_, id)| self.blocks[&id].dirty_bytes())
+            .map(|&(_, id)| self.entry(id).dirty_bytes())
             .sum()
     }
 
@@ -411,39 +524,132 @@ impl BlockStore {
         self.dirty_age.len()
     }
 
-    /// Verifies internal index consistency (for tests).
+    /// Verifies internal index consistency (for tests): the slab, hash
+    /// index and id set agree; the LRU list is linked both ways in strictly
+    /// increasing key order; every slot is either listed or keyed in the
+    /// side map, exactly once; and the dirty-age and next-modify indexes
+    /// match the entries.
     pub fn check_invariants(&self) -> bool {
-        if self.blocks.len() > self.capacity || self.lru.len() != self.blocks.len() {
+        let n = self.index.len();
+        if n > self.capacity
+            || self.ids.len() != n
+            || self.slots.len() != n + self.free.len()
+            || !self.ids.iter().all(|id| {
+                self.index
+                    .get(id)
+                    .is_some_and(|&s| self.slots[s as usize].id == *id)
+            })
+        {
             return false;
         }
-        for (key, id) in &self.lru {
-            match self.blocks.get(id) {
-                Some(e) if e.lru_key == *key => {}
-                _ => return false,
+        let mut listed = 0;
+        let (mut prev, mut at) = (NIL, self.head);
+        while at != NIL {
+            let slot = &self.slots[at as usize];
+            if !slot.listed
+                || slot.prev != prev
+                || self.index.get(&slot.id) != Some(&at)
+                || (prev != NIL && self.slots[prev as usize].entry.lru_key >= slot.entry.lru_key)
+            {
+                return false;
+            }
+            listed += 1;
+            (prev, at) = (at, slot.next);
+        }
+        if prev != self.tail || listed + self.older.len() != n {
+            return false;
+        }
+        for (key, &s) in &self.older {
+            let slot = &self.slots[s as usize];
+            if slot.listed || slot.entry.lru_key != *key || self.index.get(&slot.id) != Some(&s) {
+                return false;
             }
         }
         for (&(since, id), ()) in &self.dirty_age {
-            match self.blocks.get(&id) {
+            match self.get(id) {
                 Some(e) if e.dirty_since == Some(since) && e.is_dirty() => {}
                 _ => return false,
             }
         }
         if let Some(ix) = &self.next_modify {
-            if ix.order.len() != self.blocks.len()
+            if ix.order.len() != n
                 || !ix
                     .order
                     .iter()
-                    .all(|&(key, id)| self.blocks.get(&id).is_some_and(|e| e.next_modify == key))
+                    .all(|&(key, id)| self.get(id).is_some_and(|e| e.next_modify == key))
             {
                 return false;
             }
         }
-        self.blocks.values().filter(|e| e.is_dirty()).count() == self.dirty_age.len()
+        self.iter().filter(|(_, e)| e.is_dirty()).count() == self.dirty_age.len()
     }
 
     fn next_tie(&mut self) -> u64 {
         self.tie += 1;
         self.tie
+    }
+
+    fn entry(&self, id: BlockId) -> &BlockEntry {
+        &self.slots[self.index[&id] as usize].entry
+    }
+
+    /// Re-keys slot `s` as accessed at `t`.
+    fn touch_slot(&mut self, s: u32, t: SimTime) {
+        let tie = self.next_tie();
+        self.unlink(s);
+        let entry = &mut self.slots[s as usize].entry;
+        entry.last_access = t;
+        entry.lru_key = (t, tie);
+        self.link(s);
+    }
+
+    /// Files slot `s` under its LRU key: at the list's newest end when no
+    /// listed key is newer, else in the side map.
+    fn link(&mut self, s: u32) {
+        let key = self.slots[s as usize].entry.lru_key;
+        if self.tail != NIL && self.slots[self.tail as usize].entry.lru_key > key {
+            self.older.insert(key, s);
+            return;
+        }
+        let slot = &mut self.slots[s as usize];
+        slot.listed = true;
+        slot.prev = self.tail;
+        slot.next = NIL;
+        match self.tail {
+            NIL => self.head = s,
+            tail => self.slots[tail as usize].next = s,
+        }
+        self.tail = s;
+    }
+
+    /// Takes slot `s` out of the LRU list or the side map.
+    fn unlink(&mut self, s: u32) {
+        let slot = &mut self.slots[s as usize];
+        if !slot.listed {
+            self.older.remove(&slot.entry.lru_key);
+            return;
+        }
+        slot.listed = false;
+        let (prev, next) = (slot.prev, slot.next);
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    /// Of two LRU candidates (one listed, one from the side map), the one
+    /// with the older key.
+    fn older_of(&self, a: Option<u32>, b: Option<u32>) -> Option<(BlockId, SimTime)> {
+        let slot = [a, b]
+            .into_iter()
+            .flatten()
+            .map(|s| &self.slots[s as usize])
+            .min_by_key(|slot| slot.entry.lru_key)?;
+        Some((slot.id, slot.entry.lru_key.0))
     }
 }
 

@@ -217,8 +217,8 @@ pub struct SimEngine<'cfg> {
     pub(crate) clients: BTreeMap<ClientId, ClientCache>,
     /// `(file, client)` pairs whose cache may hold blocks of the file. A
     /// cache gains a file's blocks only through its own client's reads
-    /// and writes, so truncate and delete visit these caches instead of
-    /// every cache in the cluster.
+    /// and writes, so truncate, delete and a caching-disabled open visit
+    /// these caches instead of every cache in the cluster.
     holders: BTreeSet<(FileId, ClientId)>,
     server: ConsistencyServer,
     pub(crate) stats: TrafficStats,
@@ -572,8 +572,11 @@ impl<'cfg> SimEngine<'cfg> {
                     client!(op.client).invalidate_file(*file, FlushCause::Callback, op.time, stats);
                 }
                 if outcome.disable_caching {
-                    for cache in clients.values_mut() {
-                        cache.invalidate_file(*file, FlushCause::Callback, op.time, stats);
+                    // Only holders can have blocks to flush or drop.
+                    for (_, c) in holders.range(file_holders(*file)) {
+                        if let Some(cache) = clients.get_mut(c) {
+                            cache.invalidate_file(*file, FlushCause::Callback, op.time, stats);
+                        }
                     }
                 }
             }

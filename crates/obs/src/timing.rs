@@ -14,6 +14,14 @@
 //! is enabled each span additionally emits `span` begin/end events (at
 //! `t_us = 0`, outside simulated time).
 //!
+//! A span's simulated time (`sim_us`, part of the deterministic `run`
+//! section) is the largest value noted via [`set_span_sim_us`] by work
+//! inside it, or 0 if none. That work includes `nvfs-par` tasks the span
+//! submitted: each task runs under [`capture_sim_us`] and `par_map` folds
+//! the captured maximum back into the submitting thread's open span at
+//! join. Notes from work outside the span, on this thread or any other,
+//! never reach it, so the value is the same at any job count.
+//!
 //! Per-task totals from `nvfs-par` land here too, via [`add_task_wall`]:
 //! a cumulative task count and wall-clock sum, reported in manifest meta.
 
@@ -32,24 +40,18 @@ pub struct SpanRecord {
     pub wall_ms: f64,
     /// Exclusive wall-clock milliseconds (children subtracted).
     pub excl_ms: f64,
-    /// Simulated microseconds covered, when the caller noted them via
-    /// [`set_span_sim_us`]; 0 otherwise.
+    /// The largest simulated microseconds noted via [`set_span_sim_us`]
+    /// by work inside the span; 0 if none.
     pub sim_us: u64,
 }
 
 thread_local! {
     /// Child wall ms accumulated by each open span on this thread.
     static STACK: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+    /// Largest simulated µs noted inside each open span or task capture on
+    /// this thread, innermost last.
+    static SIM: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
-
-/// High-water mark of simulated time noted via [`set_span_sim_us`].
-///
-/// A process-global **max** rather than a per-span slot: simulation work
-/// often runs on `nvfs-par` worker threads, where a thread-local span
-/// stack would silently drop the note (and make the recorded value depend
-/// on `--jobs`). `max` is commutative, so the value a span observes is
-/// identical at any job count.
-static SIM_MAX: AtomicU64 = AtomicU64::new(0);
 
 /// Runs `f` inside a named span, recording a [`SpanRecord`] into the
 /// current task shard and returning it alongside the result.
@@ -59,11 +61,11 @@ pub fn timed<R>(name: &str, f: impl FnOnce() -> R) -> (R, SpanRecord) {
         .str("phase", "begin")
         .emit();
     STACK.with(|s| s.borrow_mut().push(0.0));
-    let sim_at_open = SIM_MAX.load(Ordering::Relaxed);
     let start = Instant::now();
-    let out = f();
+    let (out, sim_us) = capture_sim_us(f);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let sim_at_close = SIM_MAX.load(Ordering::Relaxed);
+    // Work inside this span is inside its parent too.
+    set_span_sim_us(sim_us);
     let child_ms = STACK.with(|s| s.borrow_mut().pop()).unwrap_or(0.0);
     STACK.with(|s| {
         if let Some(parent_child_ms) = s.borrow_mut().last_mut() {
@@ -74,11 +76,7 @@ pub fn timed<R>(name: &str, f: impl FnOnce() -> R) -> (R, SpanRecord) {
         name: name.to_string(),
         wall_ms,
         excl_ms: (wall_ms - child_ms).max(0.0),
-        sim_us: if sim_at_close > sim_at_open {
-            sim_at_close
-        } else {
-            0
-        },
+        sim_us,
     };
     sink::with_local(|l| l.spans.push(record.clone()));
     crate::events::event("span", 0)
@@ -94,11 +92,27 @@ pub fn span<R>(name: &str, f: impl FnOnce() -> R) -> R {
     timed(name, f).0
 }
 
-/// Notes simulated time reached by the running workload. Every span open
-/// while the high-water mark advances reports the new mark as its
-/// `sim_us`; order- and thread-independent, so jobs-invariant.
+/// Notes simulated time reached by the running workload: the innermost
+/// open span (or task capture) on this thread, and through it every
+/// enclosing one, reports at least `sim_us`. A no-op outside any span.
 pub fn set_span_sim_us(sim_us: u64) {
-    SIM_MAX.fetch_max(sim_us, Ordering::Relaxed);
+    SIM.with(|s| {
+        if let Some(top) = s.borrow_mut().last_mut() {
+            *top = (*top).max(sim_us);
+        }
+    });
+}
+
+/// Runs `f` and returns the largest simulated time noted inside it (0 if
+/// none), without passing it to any enclosing span. `nvfs-par` runs every
+/// task body this way and folds the result into the submitting thread's
+/// open span with [`set_span_sim_us`] at join: a task may run on a worker
+/// thread with no open span, so its notes travel back this way.
+pub fn capture_sim_us<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    SIM.with(|s| s.borrow_mut().push(0));
+    let out = f();
+    let sim_us = SIM.with(|s| s.borrow_mut().pop()).unwrap_or(0);
+    (out, sim_us)
 }
 
 /// All recorded spans, merged in submission order.
@@ -126,12 +140,10 @@ pub fn task_totals() -> (u64, u64) {
     )
 }
 
-/// Zeroes the per-task totals and the sim high-water mark (part of
-/// [`crate::reset`]).
+/// Zeroes the per-task totals (part of [`crate::reset`]).
 pub(crate) fn reset_task_totals() {
     TASKS.store(0, Ordering::Relaxed);
     TASK_WALL_US.store(0, Ordering::Relaxed);
-    SIM_MAX.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -163,22 +175,69 @@ mod tests {
     }
 
     #[test]
-    fn sim_time_attaches_to_open_spans() {
+    fn sim_time_is_the_largest_note_inside_the_span() {
         let _g = test_lock();
         reset();
-        reset_task_totals();
-        // Noted from another thread (as under par_map): still attaches.
-        let (_, rec) = timed("phase", || {
-            std::thread::spawn(|| set_span_sim_us(1_000_000))
-                .join()
-                .unwrap();
+        let (_, outer) = timed("outer", || {
+            let (_, inner) = timed("inner", || set_span_sim_us(1_000_000));
+            assert_eq!(inner.sim_us, 1_000_000);
+            set_span_sim_us(400);
         });
-        assert_eq!(rec.sim_us, 1_000_000);
-        // A later span during which the mark does not advance reports 0.
-        let (_, idle) = timed("idle", || set_span_sim_us(500));
+        // The child's note is inside the parent too.
+        assert_eq!(outer.sim_us, 1_000_000);
+        // A later span reports its own notes, however small.
+        let (_, later) = timed("later", || set_span_sim_us(500));
+        assert_eq!(later.sim_us, 500);
+        let (_, idle) = timed("idle", || ());
         assert_eq!(idle.sim_us, 0);
         reset();
-        reset_task_totals();
+    }
+
+    #[test]
+    fn span_ignores_notes_from_other_threads() {
+        let _g = test_lock();
+        reset();
+        let (_, rec) = timed("phase", || {
+            // Another thread's workload, not submitted by this span.
+            std::thread::spawn(|| timed("elsewhere", || set_span_sim_us(7_000_000)).1)
+                .join()
+                .unwrap();
+            set_span_sim_us(250);
+        });
+        assert_eq!(rec.sim_us, 250);
+        reset();
+    }
+
+    #[test]
+    fn span_sees_notes_from_its_task_captures() {
+        let _g = test_lock();
+        reset();
+        // What `par_map` does: capture each task on a worker thread, then
+        // fold the largest value into the submitter at join.
+        let (_, rec) = timed("phase", || {
+            let captured: Vec<u64> = [3_000, 9_000, 0]
+                .map(|t| {
+                    std::thread::spawn(move || {
+                        capture_sim_us(|| {
+                            if t > 0 {
+                                set_span_sim_us(t)
+                            }
+                        })
+                        .1
+                    })
+                })
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .collect();
+            assert_eq!(captured, vec![3_000, 9_000, 0]);
+            set_span_sim_us(captured.into_iter().max().unwrap());
+        });
+        assert_eq!(rec.sim_us, 9_000);
+        // A capture on the span's own thread does not leak into it unless
+        // folded.
+        let (_, rec) = timed("unfolded", || capture_sim_us(|| set_span_sim_us(5)));
+        assert_eq!(rec.sim_us, 0);
+        reset();
     }
 
     #[test]

@@ -27,7 +27,10 @@
 //! Every task runs inside an `nvfs-obs` *task frame* tagged with the
 //! item's submission index, so metrics and trace events recorded by task
 //! bodies merge in submission order — the observability layer inherits
-//! the same any-job-count invariant as the results themselves. Task wall
+//! the same any-job-count invariant as the results themselves. Simulated
+//! time a task notes ([`nvfs_obs::timing::capture_sim_us`]) folds back
+//! into the submitting thread's open span at join, so a span's `sim_us`
+//! covers the tasks it submitted and nothing else. Task wall
 //! time accumulates into the manifest's volatile `meta` section via
 //! [`nvfs_obs::timing::add_task_wall`].
 //!
@@ -46,7 +49,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 pub mod bench;
@@ -74,17 +77,22 @@ where
     // threads have empty thread-local paths, and nested par_map tasks must
     // record under `outer_index/inner_index` for deterministic merging.
     let base = nvfs_obs::task_path();
+    // Largest simulated time any task noted; folded into the caller's
+    // open span once every task has joined.
+    let sim_us = AtomicU64::new(0);
     let permits = if jobs <= 1 || n <= 1 {
         WorkerPermits(0)
     } else {
         acquire_extra_workers(jobs.min(n) - 1)
     };
     if permits.0 == 0 {
-        return items
+        let out = items
             .into_iter()
             .enumerate()
-            .map(|(i, item)| run_task(&base, i as u32, || f(item)))
+            .map(|(i, item)| run_task(&base, i as u32, &sim_us, || f(item)))
             .collect();
+        nvfs_obs::timing::set_span_sim_us(sim_us.into_inner());
+        return out;
     }
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
@@ -96,7 +104,7 @@ where
         }
         let item = slots[i].lock().expect("input slot poisoned").take();
         let item = item.expect("each index is claimed exactly once");
-        let out = run_task(&base, i as u32, || f(item));
+        let out = run_task(&base, i as u32, &sim_us, || f(item));
         *results[i].lock().expect("result slot poisoned") = Some(out);
     };
     std::thread::scope(|scope| {
@@ -108,6 +116,7 @@ where
         work();
     });
     drop(permits);
+    nvfs_obs::timing::set_span_sim_us(sim_us.into_inner());
     results
         .into_iter()
         .map(|slot| {
@@ -158,14 +167,18 @@ fn acquire_extra_workers(want: usize) -> WorkerPermits {
 
 /// Runs one `par_map` item inside its observability task frame (shared by
 /// the sequential and parallel paths, which is what keeps shard layout
-/// independent of the job count) and accumulates its wall time into the
-/// manifest's volatile per-task totals.
-fn run_task<R>(base: &[u32], index: u32, f: impl FnOnce() -> R) -> R {
+/// independent of the job count), raises `sim_us` to the simulated time
+/// it noted, and accumulates its wall time into the manifest's volatile
+/// per-task totals.
+fn run_task<R>(base: &[u32], index: u32, sim_us: &AtomicU64, f: impl FnOnce() -> R) -> R {
     let start = std::time::Instant::now();
-    let out = nvfs_obs::task_frame(base, index, || {
-        nvfs_obs::counter_add("par.tasks", 1);
-        f()
+    let (out, noted) = nvfs_obs::timing::capture_sim_us(|| {
+        nvfs_obs::task_frame(base, index, || {
+            nvfs_obs::counter_add("par.tasks", 1);
+            f()
+        })
     });
+    sim_us.fetch_max(noted, Ordering::Relaxed);
     nvfs_obs::timing::add_task_wall(start.elapsed());
     out
 }
@@ -276,6 +289,21 @@ mod tests {
     #[test]
     fn jobs_is_at_least_one() {
         assert!(jobs() >= 1);
+    }
+
+    #[test]
+    fn spans_see_sim_time_noted_by_their_tasks_at_any_job_count() {
+        for jobs in [1, 4] {
+            let (_, rec) = nvfs_obs::timed("sweep", || {
+                par_map((1..=8u64).collect(), jobs, |i| {
+                    nvfs_obs::timing::set_span_sim_us(i * 1_000)
+                })
+            });
+            assert_eq!(rec.sim_us, 8_000, "jobs={jobs}");
+            // A span that submits no work reports none, whatever ran before.
+            let (_, idle) = nvfs_obs::timed("idle", || ());
+            assert_eq!(idle.sim_us, 0, "jobs={jobs}");
+        }
     }
 
     #[test]
