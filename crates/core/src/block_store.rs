@@ -23,11 +23,10 @@
 //! [`BlockStore::nth_block`]) read an ordered set of ids that changes only
 //! on insert and remove.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use nvfs_types::{BlockId, ByteRange, FileId, RangeSet, SimTime};
+use nvfs_types::{BlockId, BlockMap, ByteRange, FileId, RangeSet, SimTime};
 
 use crate::omniscient::OmniscientSchedule;
 
@@ -87,33 +86,6 @@ struct NextModifyIndex {
     clock: SimTime,
 }
 
-/// A fixed multiply-rotate hasher for the slab index. It has no
-/// per-process seed, and the index is never iterated, so hashing cannot
-/// reach any output.
-#[derive(Debug, Clone, Copy, Default)]
-struct BlockHasher(u64);
-
-impl Hasher for BlockHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn finish(&self) -> u64 {
-        // The multiply leaves the low bits weakest; the table indexes by them.
-        self.0.rotate_left(26)
-    }
-}
-
 /// End of the LRU list.
 const NIL: u32 = u32::MAX;
 
@@ -153,7 +125,7 @@ pub struct BlockStore {
     /// Slots freed by [`Self::remove`], reused before the slab grows.
     free: Vec<u32>,
     /// Block → slot. Lookups only: never iterated.
-    index: HashMap<BlockId, u32, BuildHasherDefault<BlockHasher>>,
+    index: BlockMap<u32>,
     /// Every cached block, in block order.
     ids: BTreeSet<BlockId>,
     /// LRU list ends: `head` is the least recent listed slot.
@@ -173,7 +145,7 @@ impl Default for BlockStore {
             capacity: 0,
             slots: Vec::new(),
             free: Vec::new(),
-            index: HashMap::default(),
+            index: BlockMap::default(),
             ids: BTreeSet::new(),
             head: NIL,
             tail: NIL,

@@ -19,7 +19,8 @@
 //! segments ever reach the disk.
 
 use nvfs_faults::{ReliabilityStats, ServerCrashFault};
-use nvfs_types::{blocks_of_range, FileId, RangeSet, SimDuration, SimTime};
+use nvfs_types::block::block_span;
+use nvfs_types::{FileId, RangeSet, SimDuration, SimTime};
 
 use nvfs_trace::synth::lfs_workload::{FsWorkload, LfsOpKind};
 
@@ -474,7 +475,7 @@ pub fn run_filesystem_faulted(
                     WriteBufferMode::FsyncAbsorb { capacity } => {
                         if let Some(r) = dirty.take_file(file) {
                             fsyncs_absorbed += 1;
-                            fsync_absorbed_page_bytes += page_bytes(file, &r);
+                            fsync_absorbed_page_bytes += page_bytes(&r);
                             nvram_bytes += r.len_bytes();
                             nvram.push((file, r));
                             if nvram_bytes >= capacity {
@@ -493,7 +494,7 @@ pub fn run_filesystem_faulted(
                     WriteBufferMode::StageAll { capacity } => {
                         if let Some(r) = dirty.take_file(file) {
                             fsyncs_absorbed += 1;
-                            fsync_absorbed_page_bytes += page_bytes(file, &r);
+                            fsync_absorbed_page_bytes += page_bytes(&r);
                             nvram_bytes += r.len_bytes();
                             nvram.push((file, r));
                             drain_full_segments(
@@ -540,7 +541,7 @@ pub fn run_filesystem_faulted(
     (
         FsReport {
             name: workload.name.to_string(),
-            records: writer.records().to_vec(),
+            records: writer.into_records(),
             fsync_ops,
             fsyncs_absorbed,
             fsync_absorbed_page_bytes,
@@ -553,14 +554,20 @@ pub fn run_filesystem_faulted(
 
 /// Bytes NVRAM actually copies when staging `r` at page granularity:
 /// distinct 4 KB blocks touched, times the block size.
-fn page_bytes(file: FileId, r: &RangeSet) -> u64 {
-    let mut blocks = std::collections::BTreeSet::new();
+fn page_bytes(r: &RangeSet) -> u64 {
+    // The ranges are sorted and disjoint, so their block spans only ever
+    // share a block with the span before.
+    let mut blocks = 0;
+    let mut covered = 0;
     for piece in r.iter() {
-        for b in blocks_of_range(file, piece) {
-            blocks.insert(b.index);
+        let (lo, hi) = block_span(piece);
+        let lo = lo.max(covered);
+        if hi > lo {
+            blocks += hi - lo;
+            covered = hi;
         }
     }
-    blocks.len() as u64 * 4096
+    blocks * 4096
 }
 
 /// Writes full segments out of the NVRAM staging buffer; forces a flush if

@@ -9,21 +9,41 @@
 //! [`SegmentUsage`] tracks which segment currently holds each live block,
 //! so overwrites and deletes leave dead space behind for the
 //! [cleaner](crate::cleaner) to reclaim.
+//!
+//! Placing a block costs O(1): block locations sit in a lookup-only
+//! [`BlockMap`] (never iterated, so hash order reaches no output), and live
+//! counts in a vector indexed by the writer's dense segment ids. Packing
+//! sorts one flat block list, so a flush builds no tree.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use nvfs_types::{blocks_of_range, BlockId, FileId, RangeSet, SimTime};
+use nvfs_types::{blocks_of_range, BlockId, BlockMap, ByteRange, FileId, RangeSet, SimTime};
 
 use crate::layout::{SegmentCause, SegmentRecord, METADATA_BLOCK_BYTES, SUMMARY_BYTES};
 
 /// Chunks of dirty data handed to the writer: per-file byte ranges.
 pub type Chunks = Vec<(FileId, RangeSet)>;
 
+/// The live count of a segment id with no table entry: never written, or
+/// already evacuated.
+const ABSENT: u32 = u32::MAX;
+
 /// Where every live block lives, and how much live data each segment holds.
+///
+/// Segment ids are expected to be dense, as [`SegmentWriter`] hands them
+/// out: the table keeps one counter per id up to the largest placed.
 #[derive(Debug, Clone, Default)]
 pub struct SegmentUsage {
-    locs: BTreeMap<BlockId, u64>,
-    segs: BTreeMap<u64, BTreeSet<BlockId>>,
+    /// The segment holding each live block. Lookups only: never iterated.
+    locs: BlockMap<u64>,
+    /// Live blocks per segment id, or [`ABSENT`]. A segment whose blocks
+    /// all died keeps a zero count until it is evacuated.
+    live: Vec<u32>,
+    /// Segment ids whose count is not [`ABSENT`].
+    present: usize,
+    /// Each file's live block indices, unordered. A file with no live
+    /// block has no entry.
+    files: BTreeMap<FileId, Vec<u64>>,
 }
 
 impl SegmentUsage {
@@ -35,58 +55,96 @@ impl SegmentUsage {
     /// Records that `block` now lives in segment `seg`, killing any older
     /// copy.
     pub fn place(&mut self, block: BlockId, seg: u64) {
-        if let Some(old) = self.locs.insert(block, seg) {
-            if let Some(set) = self.segs.get_mut(&old) {
-                set.remove(&block);
-            }
+        let idx = seg as usize;
+        if idx >= self.live.len() {
+            self.live.resize(idx + 1, ABSENT);
         }
-        self.segs.entry(seg).or_default().insert(block);
+        match self.locs.insert(block, seg) {
+            // A block's segment is present until evacuated, and evacuation
+            // drops the block, so the old count is never ABSENT.
+            Some(old) => self.live[old as usize] -= 1,
+            None => self.files.entry(block.file).or_default().push(block.index),
+        }
+        let count = &mut self.live[idx];
+        if *count == ABSENT {
+            *count = 0;
+            self.present += 1;
+        }
+        *count += 1;
     }
 
     /// Kills every live block of `file` (the file was deleted).
     pub fn kill_file(&mut self, file: FileId) {
-        let blocks: Vec<BlockId> = self
-            .locs
-            .range(BlockId::new(file, 0)..BlockId::new(FileId(file.0 + 1), 0))
-            .map(|(&b, _)| b)
-            .collect();
-        for b in blocks {
-            if let Some(seg) = self.locs.remove(&b) {
-                if let Some(set) = self.segs.get_mut(&seg) {
-                    set.remove(&b);
-                }
+        for index in self.files.remove(&file).unwrap_or_default() {
+            if let Some(seg) = self.locs.remove(&BlockId::new(file, index)) {
+                self.live[seg as usize] -= 1;
             }
         }
     }
 
+    /// Live blocks in segment `seg`, or `None` if it has no entry.
+    fn count(&self, seg: u64) -> Option<u32> {
+        self.live
+            .get(usize::try_from(seg).ok()?)
+            .copied()
+            .filter(|&c| c != ABSENT)
+    }
+
     /// Live bytes in segment `seg`.
     pub fn live_bytes(&self, seg: u64) -> u64 {
-        self.segs.get(&seg).map_or(0, |s| s.len() as u64 * 4096)
+        self.count(seg).map_or(0, |c| u64::from(c) * 4096)
     }
 
     /// Number of segments on disk (live or dead-but-unreclaimed).
     pub fn segment_count(&self) -> usize {
-        self.segs.len()
+        self.present
     }
 
     /// The `n` segments with the least live data (the cleaner's victims).
     pub fn least_utilized(&self, n: usize) -> Vec<u64> {
-        let mut segs: Vec<(u64, usize)> = self.segs.iter().map(|(&id, s)| (id, s.len())).collect();
-        segs.sort_by_key(|&(id, live)| (live, id));
-        segs.into_iter().take(n).map(|(id, _)| id).collect()
+        let mut segs: Vec<(u32, u64)> = self
+            .live
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c != ABSENT)
+            .map(|(id, &c)| (c, id as u64))
+            .collect();
+        segs.sort_unstable();
+        segs.into_iter().take(n).map(|(_, id)| id).collect()
     }
 
-    /// Removes segment `seg` from the table, returning its live blocks.
+    /// Removes segment `seg` from the table, returning its live blocks in
+    /// block order. Costs O(live blocks) when `seg` holds any.
     pub fn evacuate(&mut self, seg: u64) -> Vec<BlockId> {
-        let blocks: Vec<BlockId> = self
-            .segs
-            .remove(&seg)
-            .map(|s| s.into_iter().collect())
-            .unwrap_or_default();
-        for b in &blocks {
-            self.locs.remove(b);
+        let Some(live) = self.count(seg) else {
+            return Vec::new();
+        };
+        self.live[seg as usize] = ABSENT;
+        self.present -= 1;
+        let mut out = Vec::with_capacity(live as usize);
+        if live == 0 {
+            return out;
         }
-        blocks
+        let locs = &mut self.locs;
+        for (&file, indices) in &mut self.files {
+            let start = out.len();
+            indices.retain(|&index| {
+                let b = BlockId::new(file, index);
+                if locs.get(&b) == Some(&seg) {
+                    locs.remove(&b);
+                    out.push(b);
+                    false
+                } else {
+                    true
+                }
+            });
+            out[start..].sort_unstable();
+            if out.len() == live as usize {
+                break;
+            }
+        }
+        self.files.retain(|_, indices| !indices.is_empty());
+        out
     }
 
     /// Total live bytes across all segments.
@@ -97,12 +155,71 @@ impl SegmentUsage {
     /// Every live byte range on disk, grouped per file — the durability
     /// oracle's view of what a post-crash scan of the log would find.
     pub fn live_ranges(&self) -> Vec<(FileId, RangeSet)> {
-        let mut per_file: BTreeMap<FileId, RangeSet> = BTreeMap::new();
-        for b in self.locs.keys() {
-            per_file.entry(b.file).or_default().insert(b.byte_range());
-        }
-        per_file.into_iter().collect()
+        let mut sorted = Vec::new();
+        self.files
+            .iter()
+            .map(|(&file, indices)| {
+                sorted.clear();
+                sorted.extend_from_slice(indices);
+                sorted.sort_unstable();
+                (file, block_ranges(sorted.iter().copied()))
+            })
+            .collect()
     }
+}
+
+/// The byte ranges of ascending, distinct block `indices`, one insert per
+/// run of consecutive blocks.
+fn block_ranges(indices: impl Iterator<Item = u64>) -> RangeSet {
+    let mut set = RangeSet::new();
+    let mut run: Option<(u64, u64)> = None;
+    for index in indices {
+        run = match run {
+            Some((lo, hi)) if hi == index => Some((lo, index + 1)),
+            Some((lo, hi)) => {
+                set.insert(ByteRange::new(lo * 4096, hi * 4096));
+                Some((index, index + 1))
+            }
+            None => Some((index, index + 1)),
+        };
+    }
+    if let Some((lo, hi)) = run {
+        set.insert(ByteRange::new(lo * 4096, hi * 4096));
+    }
+    set
+}
+
+/// `blocks` (sorted by block id) handed back as per-file chunks.
+fn block_chunks(blocks: &[BlockId]) -> Chunks {
+    blocks
+        .chunk_by(|a, b| a.file == b.file)
+        .map(|run| (run[0].file, block_ranges(run.iter().map(|b| b.index))))
+        .collect()
+}
+
+/// Every distinct 4 KB block of `chunks`, sorted by block id — the order
+/// the segments lay them out in.
+fn sorted_blocks(chunks: &Chunks) -> Vec<BlockId> {
+    let mut blocks = Vec::new();
+    for (file, ranges) in chunks {
+        for r in ranges.iter() {
+            blocks.extend(blocks_of_range(*file, r));
+        }
+    }
+    blocks.sort_unstable();
+    blocks.dedup();
+    blocks
+}
+
+/// Distinct files among `blocks`, which are sorted by block id.
+fn file_count(blocks: &[BlockId]) -> usize {
+    blocks.chunk_by(|a, b| a.file == b.file).count()
+}
+
+/// On-disk bytes of a segment of `blocks` data blocks from `files` files,
+/// budgeting one more incoming data block.
+fn on_disk_with(blocks: usize, files: usize) -> u64 {
+    blocks as u64 * 4096 + 4096 + files.max(1) as u64 * METADATA_BLOCK_BYTES + SUMMARY_BYTES
 }
 
 /// Packs dirty chunks into segments and appends them to the log.
@@ -112,24 +229,6 @@ pub struct SegmentWriter {
     next_id: u64,
     records: Vec<SegmentRecord>,
     usage: SegmentUsage,
-}
-
-/// An in-progress segment during packing.
-#[derive(Debug, Default)]
-struct OpenSegment {
-    blocks: Vec<BlockId>,
-    files: BTreeSet<FileId>,
-}
-
-impl OpenSegment {
-    fn data_bytes(&self) -> u64 {
-        self.blocks.len() as u64 * 4096
-    }
-
-    fn on_disk_with(&self, extra_file: bool) -> u64 {
-        let files = self.files.len() as u64 + u64::from(extra_file);
-        self.data_bytes() + 4096 + files.max(1) * METADATA_BLOCK_BYTES + SUMMARY_BYTES
-    }
 }
 
 impl SegmentWriter {
@@ -157,6 +256,11 @@ impl SegmentWriter {
         &self.records
     }
 
+    /// The segments written, consuming the writer.
+    pub fn into_records(self) -> Vec<SegmentRecord> {
+        self.records
+    }
+
     /// The usage table (for the cleaner).
     pub fn usage(&self) -> &SegmentUsage {
         &self.usage
@@ -178,8 +282,9 @@ impl SegmentWriter {
         cause: SegmentCause,
         uniform_cause: bool,
     ) -> usize {
-        let (written, remainder) = self.pack(t, chunks, Some((cause, uniform_cause)));
-        debug_assert!(remainder.is_none());
+        let blocks = sorted_blocks(chunks);
+        let (written, tail) = self.pack(t, &blocks, Some((cause, uniform_cause)));
+        debug_assert_eq!(tail, blocks.len());
         written
     }
 
@@ -187,87 +292,77 @@ impl SegmentWriter {
     /// returning the remainder (less than one segment's worth) to the
     /// caller. Returns `(segments_written, remainder)`.
     pub fn write_full_only(&mut self, t: SimTime, chunks: &Chunks) -> (usize, Chunks) {
-        let (written, remainder) = self.pack(t, chunks, None);
-        (written, remainder.unwrap_or_default())
+        let blocks = sorted_blocks(chunks);
+        let (written, tail) = self.pack(t, &blocks, None);
+        (written, block_chunks(&blocks[tail..]))
     }
 
-    /// Core packing loop. With `final_cause = Some(..)` everything is
-    /// flushed; with `None` the tail remainder is returned instead.
+    /// Core packing loop over `blocks`, sorted and distinct. Emits every
+    /// segment that fills; with `final_cause = Some(..)` the last one too.
+    /// Returns the segments written and where the unwritten tail starts
+    /// (`blocks.len()` when everything was flushed).
     fn pack(
         &mut self,
         t: SimTime,
-        chunks: &Chunks,
+        blocks: &[BlockId],
         final_cause: Option<(SegmentCause, bool)>,
-    ) -> (usize, Option<Chunks>) {
-        // Deduplicate to whole blocks per file.
-        let mut per_file: BTreeMap<FileId, BTreeSet<u64>> = BTreeMap::new();
-        for (file, ranges) in chunks {
-            let set = per_file.entry(*file).or_default();
-            for r in ranges.iter() {
-                for b in blocks_of_range(*file, r) {
-                    set.insert(b.index);
-                }
-            }
-        }
-
-        let mut open = OpenSegment::default();
+    ) -> (usize, usize) {
+        let full_cause = match final_cause {
+            Some((c, true)) => c,
+            _ => SegmentCause::Full,
+        };
+        let mut start = 0;
+        let mut files = 0;
         let mut written = 0;
-        let uniform = final_cause;
-        for (file, blocks) in &per_file {
-            for &idx in blocks {
-                let adds_file = !open.files.contains(file);
-                if !open.blocks.is_empty() && open.on_disk_with(adds_file) > self.segment_bytes {
-                    let cause = match uniform {
-                        Some((c, true)) => c,
-                        _ => SegmentCause::Full,
-                    };
-                    self.emit(t, std::mem::take(&mut open), cause);
-                    written += 1;
-                }
-                open.blocks.push(BlockId::new(*file, idx));
-                open.files.insert(*file);
+        for i in 0..blocks.len() {
+            // Blocks arrive sorted, so a file is new to the open segment
+            // exactly when it differs from the previous block's.
+            let adds_file = i == start || blocks[i - 1].file != blocks[i].file;
+            if i > start
+                && on_disk_with(i - start, files + usize::from(adds_file)) > self.segment_bytes
+            {
+                self.emit(t, &blocks[start..i], files, full_cause);
+                written += 1;
+                start = i;
+                files = 0;
             }
+            files += usize::from(i == start || adds_file);
         }
 
-        if open.blocks.is_empty() {
-            return (written, None);
-        }
         match final_cause {
-            Some((cause, _)) => {
-                // A final chunk that leaves no room for another block is
-                // Full. `on_disk_with` already budgets one incoming block.
-                let cause = if open.on_disk_with(false) > self.segment_bytes {
-                    SegmentCause::Full
-                } else {
-                    cause
-                };
-                self.emit(t, open, cause);
-                (written + 1, None)
+            Some((cause, _)) if start < blocks.len() => {
+                self.emit_final(t, &blocks[start..], files, cause);
+                (written + 1, blocks.len())
             }
-            None => {
-                // Hand the tail back as chunks.
-                let mut rem: BTreeMap<FileId, RangeSet> = BTreeMap::new();
-                for b in open.blocks {
-                    rem.entry(b.file).or_default().insert(b.byte_range());
-                }
-                (written, Some(rem.into_iter().collect()))
-            }
+            _ => (written, start),
         }
     }
 
-    fn emit(&mut self, t: SimTime, seg: OpenSegment, cause: SegmentCause) {
+    /// Emits the final segment of a flush. A final chunk that leaves no
+    /// room for another block is Full; `on_disk_with` already budgets one
+    /// incoming block.
+    fn emit_final(&mut self, t: SimTime, blocks: &[BlockId], files: usize, cause: SegmentCause) {
+        let cause = if on_disk_with(blocks.len(), files) > self.segment_bytes {
+            SegmentCause::Full
+        } else {
+            cause
+        };
+        self.emit(t, blocks, files, cause);
+    }
+
+    fn emit(&mut self, t: SimTime, blocks: &[BlockId], files: usize, cause: SegmentCause) {
         let id = self.next_id;
         self.next_id += 1;
-        for b in &seg.blocks {
+        for b in blocks {
             self.usage.place(*b, id);
         }
-        let checksum = segment_checksum(&seg.blocks);
+        let checksum = segment_checksum(blocks);
         let record = SegmentRecord {
             id,
             time: t,
             cause,
-            data_bytes: seg.data_bytes(),
-            file_count: seg.files.len(),
+            data_bytes: blocks.len() as u64 * 4096,
+            file_count: files,
             stored_checksum: checksum,
             content_checksum: checksum,
         };
@@ -307,31 +402,18 @@ impl SegmentWriter {
         cause: SegmentCause,
         fraction: f64,
     ) -> Chunks {
-        let (_, tail) = self.write_full_only(t, chunks);
-        if tail.is_empty() {
+        let blocks = sorted_blocks(chunks);
+        let (_, tail) = self.pack(t, &blocks, None);
+        // The tail is the final segment exactly as `write_all` would pack it.
+        let seg = &blocks[tail..];
+        if seg.is_empty() {
             return Chunks::new();
         }
-        // Rebuild the final segment exactly as `pack` would have.
-        let mut per_file: BTreeMap<FileId, BTreeSet<u64>> = BTreeMap::new();
-        for (file, ranges) in &tail {
-            let set = per_file.entry(*file).or_default();
-            for r in ranges.iter() {
-                for b in blocks_of_range(*file, r) {
-                    set.insert(b.index);
-                }
-            }
-        }
-        let mut seg = OpenSegment::default();
-        for (file, blocks) in &per_file {
-            for &idx in blocks {
-                seg.blocks.push(BlockId::new(*file, idx));
-                seg.files.insert(*file);
-            }
-        }
-        let intended = seg.blocks.len();
+        let files = file_count(seg);
+        let intended = seg.len();
         let written = (intended as f64 * fraction) as usize;
         if written >= intended {
-            self.write_all(t, &tail, cause, false);
+            self.emit_final(t, seg, files, cause);
             return Chunks::new();
         }
 
@@ -341,10 +423,10 @@ impl SegmentWriter {
             id,
             time: t,
             cause,
-            data_bytes: seg.data_bytes(),
-            file_count: seg.files.len(),
-            stored_checksum: segment_checksum(&seg.blocks),
-            content_checksum: segment_checksum(&seg.blocks[..written]),
+            data_bytes: intended as u64 * 4096,
+            file_count: files,
+            stored_checksum: segment_checksum(seg),
+            content_checksum: segment_checksum(&seg[..written]),
         };
         debug_assert!(!record.is_valid(), "a torn segment must fail its checksum");
         nvfs_obs::counter_add("lfs.segments_torn", 1);
@@ -357,7 +439,7 @@ impl SegmentWriter {
             .u64("torn", 1)
             .emit();
         self.records.push(record);
-        tail
+        block_chunks(seg)
     }
 
     /// Roll-forward recovery over the log tail: scans back from the end,
@@ -414,10 +496,33 @@ pub struct RollForward {
 /// segment summaries and the WAL records use one checksum definition.
 fn segment_checksum(blocks: &[BlockId]) -> u64 {
     let mut d = nvfs_types::framing::Fnv64::new();
+    // "{file}:{index};" at most: 10 + 1 + 20 + 1 bytes.
+    let mut buf = [0u8; 32];
     for b in blocks {
-        d.update(&format!("{}:{};", b.file.0, b.index));
+        let mut n = put_decimal(&mut buf, 0, u64::from(b.file.0));
+        buf[n] = b':';
+        n = put_decimal(&mut buf, n + 1, b.index);
+        buf[n] = b';';
+        d.update_bytes(&buf[..=n]);
     }
     d.value()
+}
+
+/// Writes `v` in decimal into `buf` at `at`, returning the end offset.
+fn put_decimal(buf: &mut [u8], at: usize, mut v: u64) -> usize {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    let len = digits.len() - i;
+    buf[at..at + len].copy_from_slice(&digits[i..]);
+    at + len
 }
 
 #[cfg(test)]
@@ -441,6 +546,20 @@ mod tests {
             BlockId::new(FileId(7), 2),
         ];
         let mut d = nvfs_obs::digest::Digest::new();
+        for b in &blocks {
+            d.update(&format!("{}:{};", b.file.0, b.index));
+        }
+        assert_eq!(segment_checksum(&blocks), d.value());
+    }
+
+    #[test]
+    fn summary_checksum_formats_extreme_ids_like_format() {
+        let blocks = vec![
+            BlockId::new(FileId(0), 0),
+            BlockId::new(FileId(u32::MAX), u64::MAX),
+            BlockId::new(FileId(10), 1_000_000_007),
+        ];
+        let mut d = nvfs_types::framing::Fnv64::new();
         for b in &blocks {
             d.update(&format!("{}:{};", b.file.0, b.index));
         }

@@ -399,7 +399,7 @@ pub fn run_filesystem_wal_faulted(
         WalFsReport {
             fs: FsReport {
                 name: workload.name.to_string(),
-                records: writer.records().to_vec(),
+                records: writer.into_records(),
                 fsync_ops,
                 fsyncs_absorbed: stats.appends,
                 fsync_absorbed_page_bytes: 0,
@@ -437,20 +437,22 @@ fn drain_log(
     } else {
         return;
     };
-    let due: Vec<_> = log
+    let due = log
         .entries()
         .iter()
         .take_while(|e| e.time <= cutoff)
-        .map(|e| (e.seq, e.file, e.ranges.clone()))
-        .collect();
-    let Some(&(last_seq, _, _)) = due.last() else {
+        .count();
+    let Some(last_seq) = log.entries()[..due].last().map(|e| e.seq) else {
         return;
     };
     nvfs_obs::timing::span("wal_drain", || {
-        let chunks: Chunks = due.iter().map(|(_, f, r)| (*f, r.clone())).collect();
+        let chunks: Chunks = log.entries()[..due]
+            .iter()
+            .map(|e| (e.file, e.ranges.clone()))
+            .collect();
         let drained: u64 = chunks.iter().map(|(_, r)| r.len_bytes()).sum();
         write_out(writer, t, &chunks, SegmentCause::WalDrain);
-        stats.truncated_records += due.len() as u64;
+        stats.truncated_records += due as u64;
         log.truncate_through(t, last_seq);
         if drained > 0 {
             stats.drains += 1;

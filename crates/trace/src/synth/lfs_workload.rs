@@ -198,6 +198,16 @@ pub fn sprite_server_workloads(cfg: &ServerWorkloadConfig) -> Vec<FsWorkload> {
         .collect()
 }
 
+/// The op-list capacity one growth step stops at instead of doubling past
+/// it. glibc's malloc serves a freed block from its heap again only if the
+/// block, header and page rounding included, is under 32 MiB (its largest
+/// dynamic mmap threshold); larger blocks are mapped afresh, and every page
+/// faulted in again, each time. `/user6` holds about a million 32-byte ops,
+/// and plain doubling would size its list at exactly 32 MiB. Capping that
+/// one step lets repeated generation (a benchmark's set-ups) reuse the
+/// freed list. Only capacity changes; the ops are the same.
+const OPS_GROWTH_CAP: usize = ((32 << 20) - 8192) / std::mem::size_of::<LfsOp>();
+
 struct FsGen {
     rng: StdRng,
     ops: Vec<LfsOp>,
@@ -228,8 +238,16 @@ impl FsGen {
         f
     }
 
+    fn push(&mut self, op: LfsOp) {
+        let cap = self.ops.capacity();
+        if self.ops.len() == cap && cap < OPS_GROWTH_CAP && cap * 2 > OPS_GROWTH_CAP {
+            self.ops.reserve_exact(OPS_GROWTH_CAP - cap);
+        }
+        self.ops.push(op);
+    }
+
     fn write(&mut self, t: SimTime, file: FileId, offset: u64, len: u64) {
-        self.ops.push(LfsOp {
+        self.push(LfsOp {
             time: t,
             kind: LfsOpKind::Write {
                 file,
@@ -239,14 +257,14 @@ impl FsGen {
     }
 
     fn fsync(&mut self, t: SimTime, file: FileId) {
-        self.ops.push(LfsOp {
+        self.push(LfsOp {
             time: t,
             kind: LfsOpKind::Fsync { file },
         });
     }
 
     fn delete(&mut self, t: SimTime, file: FileId) {
-        self.ops.push(LfsOp {
+        self.push(LfsOp {
             time: t,
             kind: LfsOpKind::Delete { file },
         });

@@ -14,6 +14,8 @@
 //! * [`block`] — 4 KB cache/FS block geometry helpers.
 //! * [`framing`] — the FNV-1a checksummed record framing shared by the LFS
 //!   segment summary blocks and the NVRAM write-ahead log.
+//! * [`hash`] — the fixed, unseeded [`BlockHasher`] behind the lookup-only
+//!   [`BlockMap`] indexes of the client block store and the LFS usage table.
 //!
 //! # Examples
 //!
@@ -33,12 +35,14 @@
 
 pub mod block;
 pub mod framing;
+pub mod hash;
 pub mod id;
 pub mod range;
 pub mod time;
 
 pub use block::{blocks_of_range, BLOCK_SIZE};
 pub use framing::{decode_stream, encode_record, DecodedStream, Fnv64, FramedRecord};
+pub use hash::{BlockHasher, BlockMap};
 pub use id::{BlockId, BlockIndex, ClientId, FileId, ProcessId};
 pub use range::{ByteRange, RangeSet};
 pub use time::{SimDuration, SimTime, BLOCK_CLEANER_PERIOD, DELAYED_WRITE_BACK};
