@@ -256,6 +256,14 @@ impl FsReport {
     }
 }
 
+/// The first time after `now` on the sweep grid `next + k * period`, for
+/// `next` at or before `now`: where a run resumes when the sweeps up to
+/// `now` would find nothing to take.
+pub(crate) fn first_sweep_after(next: SimTime, now: SimTime, period: SimDuration) -> SimTime {
+    let steps = (now - next).as_micros() / period.as_micros() + 1;
+    next + SimDuration::from_micros(steps * period.as_micros())
+}
+
 fn percentage(part: usize, whole: usize) -> f64 {
     if whole == 0 {
         0.0
@@ -390,6 +398,11 @@ pub fn run_filesystem_faulted(
         // Advance the 5-second sweep: flush data older than the write-back
         // age, folding in any NVRAM-buffered data (piggyback).
         while next_sweep <= op.time {
+            if dirty.file_count() == 0 {
+                // Sweeps take only dirty data: skip the empty ones.
+                next_sweep = first_sweep_after(next_sweep, op.time, config.sweep_period);
+                break;
+            }
             if next_sweep >= SimTime::ZERO + config.writeback_age {
                 let cutoff = next_sweep - config.writeback_age;
                 let aged = dirty.take_older_than(cutoff);
@@ -651,6 +664,14 @@ mod tests {
     use super::*;
     use nvfs_trace::synth::lfs_workload::{sprite_server_workloads, LfsOp, ServerWorkloadConfig};
     use nvfs_types::ByteRange;
+
+    #[test]
+    fn first_sweep_after_lands_on_the_grid() {
+        let (at, period) = (SimTime::from_secs, SimDuration::from_secs(5));
+        assert_eq!(first_sweep_after(at(5), at(5), period), at(10));
+        assert_eq!(first_sweep_after(at(5), at(23), period), at(25));
+        assert_eq!(first_sweep_after(at(5), at(25), period), at(30));
+    }
 
     fn ops_writes_and_fsync() -> FsWorkload {
         FsWorkload {

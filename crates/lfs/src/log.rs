@@ -10,14 +10,15 @@
 //! so overwrites and deletes leave dead space behind for the
 //! [cleaner](crate::cleaner) to reclaim.
 //!
-//! Placing a block costs O(1): block locations sit in a lookup-only
-//! [`BlockMap`] (never iterated, so hash order reaches no output), and live
-//! counts in a vector indexed by the writer's dense segment ids. Packing
-//! sorts one flat block list, so a flush builds no tree.
+//! Placing a block costs two array indexes: each file keeps a dense slot
+//! vector from block index to segment id, and live counts sit in a vector
+//! indexed by the writer's dense segment ids. A segment is placed one file
+//! run at a time, so the file map is searched once per run, not per block.
+//! Packing sorts one flat block list, so a flush builds no tree.
 
 use std::collections::BTreeMap;
 
-use nvfs_types::{blocks_of_range, BlockId, BlockMap, ByteRange, FileId, RangeSet, SimTime};
+use nvfs_types::{blocks_of_range, BlockId, ByteRange, FileId, RangeSet, SimTime};
 
 use crate::layout::{SegmentCause, SegmentRecord, METADATA_BLOCK_BYTES, SUMMARY_BYTES};
 
@@ -28,22 +29,37 @@ pub type Chunks = Vec<(FileId, RangeSet)>;
 /// already evacuated.
 const ABSENT: u32 = u32::MAX;
 
+/// The slot of a block index with no live copy.
+const NONE: u32 = u32::MAX;
+
+/// One file's live blocks: the segment holding each block index, or
+/// [`NONE`].
+#[derive(Debug, Clone, Default)]
+struct FileSlots {
+    /// Segment id by block index.
+    segs: Vec<u32>,
+    /// Slots that are not [`NONE`].
+    live: u32,
+}
+
 /// Where every live block lives, and how much live data each segment holds.
 ///
 /// Segment ids are expected to be dense, as [`SegmentWriter`] hands them
-/// out: the table keeps one counter per id up to the largest placed.
+/// out: the table keeps one counter per id up to the largest placed. Block
+/// indices are expected to be dense too: a file's slot vector reaches its
+/// largest placed index. In the bench, small, paper and mega server
+/// workloads the largest index is 65,543 (the /swap1 page slots), so one
+/// file's slots stay under 256 KB.
 #[derive(Debug, Clone, Default)]
 pub struct SegmentUsage {
-    /// The segment holding each live block. Lookups only: never iterated.
-    locs: BlockMap<u64>,
+    /// Each file's slots. A file whose blocks all died by evacuation keeps
+    /// its (all-[`NONE`]) slots; a killed file has no entry.
+    files: BTreeMap<FileId, FileSlots>,
     /// Live blocks per segment id, or [`ABSENT`]. A segment whose blocks
     /// all died keeps a zero count until it is evacuated.
     live: Vec<u32>,
     /// Segment ids whose count is not [`ABSENT`].
     present: usize,
-    /// Each file's live block indices, unordered. A file with no live
-    /// block has no entry.
-    files: BTreeMap<FileId, Vec<u64>>,
 }
 
 impl SegmentUsage {
@@ -55,30 +71,46 @@ impl SegmentUsage {
     /// Records that `block` now lives in segment `seg`, killing any older
     /// copy.
     pub fn place(&mut self, block: BlockId, seg: u64) {
+        self.place_run(block.file, [block.index], seg);
+    }
+
+    /// Records that blocks `indices` of `file` now live in segment `seg`,
+    /// with one file lookup for the whole run.
+    fn place_run(&mut self, file: FileId, indices: impl IntoIterator<Item = u64>, seg: u64) {
+        assert!(seg < u64::from(NONE), "segment id {seg} overflows a slot");
+        let id = seg as u32;
         let idx = seg as usize;
         if idx >= self.live.len() {
             self.live.resize(idx + 1, ABSENT);
         }
-        match self.locs.insert(block, seg) {
-            // A block's segment is present until evacuated, and evacuation
-            // drops the block, so the old count is never ABSENT.
-            Some(old) => self.live[old as usize] -= 1,
-            None => self.files.entry(block.file).or_default().push(block.index),
-        }
-        let count = &mut self.live[idx];
-        if *count == ABSENT {
-            *count = 0;
+        if self.live[idx] == ABSENT {
+            self.live[idx] = 0;
             self.present += 1;
         }
-        *count += 1;
+        let slots = self.files.entry(file).or_default();
+        for index in indices {
+            let i = usize::try_from(index).expect("block index fits in memory");
+            if i >= slots.segs.len() {
+                slots.segs.resize(i + 1, NONE);
+            }
+            match std::mem::replace(&mut slots.segs[i], id) {
+                NONE => slots.live += 1,
+                // A block's segment is present until evacuated, and
+                // evacuation clears the slot, so the old count is never
+                // ABSENT.
+                old => self.live[old as usize] -= 1,
+            }
+            self.live[idx] += 1;
+        }
     }
 
     /// Kills every live block of `file` (the file was deleted).
     pub fn kill_file(&mut self, file: FileId) {
-        for index in self.files.remove(&file).unwrap_or_default() {
-            if let Some(seg) = self.locs.remove(&BlockId::new(file, index)) {
-                self.live[seg as usize] -= 1;
-            }
+        let Some(slots) = self.files.remove(&file) else {
+            return;
+        };
+        for seg in slots.segs.into_iter().filter(|&s| s != NONE) {
+            self.live[seg as usize] -= 1;
         }
     }
 
@@ -114,55 +146,53 @@ impl SegmentUsage {
     }
 
     /// Removes segment `seg` from the table, returning its live blocks in
-    /// block order. Costs O(live blocks) when `seg` holds any.
+    /// block order. Scans slots in `(file, index)` order until it has found
+    /// them all.
     pub fn evacuate(&mut self, seg: u64) -> Vec<BlockId> {
         let Some(live) = self.count(seg) else {
             return Vec::new();
         };
         self.live[seg as usize] = ABSENT;
         self.present -= 1;
-        let mut out = Vec::with_capacity(live as usize);
-        if live == 0 {
-            return out;
-        }
-        let locs = &mut self.locs;
-        for (&file, indices) in &mut self.files {
-            let start = out.len();
-            indices.retain(|&index| {
-                let b = BlockId::new(file, index);
-                if locs.get(&b) == Some(&seg) {
-                    locs.remove(&b);
-                    out.push(b);
-                    false
-                } else {
-                    true
-                }
-            });
-            out[start..].sort_unstable();
-            if out.len() == live as usize {
+        let want = live as usize;
+        let mut out = Vec::with_capacity(want);
+        let id = seg as u32;
+        for (&file, slots) in &mut self.files {
+            if out.len() == want {
                 break;
             }
+            if slots.live == 0 {
+                continue;
+            }
+            let start = out.len();
+            for (index, s) in slots.segs.iter_mut().enumerate() {
+                if *s == id {
+                    *s = NONE;
+                    out.push(BlockId::new(file, index as u64));
+                    if out.len() == want {
+                        break;
+                    }
+                }
+            }
+            slots.live -= (out.len() - start) as u32;
         }
-        self.files.retain(|_, indices| !indices.is_empty());
         out
     }
 
     /// Total live bytes across all segments.
     pub fn total_live_bytes(&self) -> u64 {
-        self.locs.len() as u64 * 4096
+        self.files.values().map(|s| u64::from(s.live)).sum::<u64>() * 4096
     }
 
     /// Every live byte range on disk, grouped per file — the durability
     /// oracle's view of what a post-crash scan of the log would find.
     pub fn live_ranges(&self) -> Vec<(FileId, RangeSet)> {
-        let mut sorted = Vec::new();
         self.files
             .iter()
-            .map(|(&file, indices)| {
-                sorted.clear();
-                sorted.extend_from_slice(indices);
-                sorted.sort_unstable();
-                (file, block_ranges(sorted.iter().copied()))
+            .filter(|(_, slots)| slots.live > 0)
+            .map(|(&file, slots)| {
+                let indices = (0u64..).zip(&slots.segs).filter(|&(_, &s)| s != NONE);
+                (file, block_ranges(indices.map(|(index, _)| index)))
             })
             .collect()
     }
@@ -353,8 +383,9 @@ impl SegmentWriter {
     fn emit(&mut self, t: SimTime, blocks: &[BlockId], files: usize, cause: SegmentCause) {
         let id = self.next_id;
         self.next_id += 1;
-        for b in blocks {
-            self.usage.place(*b, id);
+        for run in blocks.chunk_by(|a, b| a.file == b.file) {
+            self.usage
+                .place_run(run[0].file, run.iter().map(|b| b.index), id);
         }
         let checksum = segment_checksum(blocks);
         let record = SegmentRecord {

@@ -12,6 +12,9 @@
 //! * Segments are written back lazily: the 5-second sweep drains log
 //!   records older than [`WalConfig::drain_age`] as
 //!   [`SegmentCause::WalDrain`] segments, inside a `wal_drain` timing span.
+//!   The drains of one run fold into one span record, so the manifest
+//!   counts them without keeping a record per drain. Sweeps with nothing
+//!   dirty and an empty log are skipped outright.
 //! * The log truncates through a record's sequence number only after the
 //!   segment write carrying its bytes completes — the invariant that makes
 //!   the ack at append time safe.
@@ -26,7 +29,7 @@ use nvfs_wal::NvLog;
 use nvfs_trace::synth::lfs_workload::{FsWorkload, LfsOpKind};
 
 use crate::dirty::DirtyCache;
-use crate::fs::FsReport;
+use crate::fs::{first_sweep_after, FsReport};
 use crate::layout::{SegmentCause, SEGMENT_BYTES};
 use crate::log::{Chunks, SegmentWriter};
 
@@ -293,6 +296,11 @@ pub fn run_filesystem_wal_faulted(
         }
         end_time = end_time.max(op.time);
         while next_sweep <= op.time {
+            if dirty.file_count() == 0 && log.entries().is_empty() {
+                // Nothing to flush or drain: skip the empty sweeps.
+                next_sweep = first_sweep_after(next_sweep, op.time, config.sweep_period);
+                break;
+            }
             // Aged volatile dirty data flushes exactly as in direct mode.
             if next_sweep >= SimTime::ZERO + config.writeback_age {
                 let cutoff = next_sweep - config.writeback_age;

@@ -9,6 +9,11 @@
 //! are live, zero-live, never written or already evacuated. After every
 //! step the two must agree on every query.
 //!
+//! The table keeps a dense slot vector per file, so further streams place
+//! sparse and high block indices (holes, the 65,543 page slots of /swap1,
+//! index 1 << 20) and write into files just killed, whose slots must have
+//! been cleared.
+//!
 //! Driven by a seeded [`nvfs_rng::StdRng`] so failures reproduce exactly.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -99,6 +104,28 @@ fn random_block(rng: &mut StdRng) -> BlockId {
     )
 }
 
+/// High block indices: the largest page slot of the server workloads, its
+/// neighbours, and one far beyond any of them.
+const HIGH: [u64; 4] = [65_535, 65_542, 65_543, 1 << 20];
+
+/// A block at a sparse index: a few dense low blocks, holes at scattered
+/// mid-range indices, and the [`HIGH`] ones. Only the last file reaches
+/// index 1 << 20, which keeps its slot vector the one a million long.
+fn sparse_block(rng: &mut StdRng) -> BlockId {
+    let file = FileId(rng.gen_range(0..FILES));
+    let high = if file.0 == FILES - 1 {
+        HIGH.len()
+    } else {
+        HIGH.len() - 1
+    };
+    let index = match rng.gen_range(0..4u32) {
+        0 => rng.gen_range(0..4u64),
+        1 => rng.gen_range(0..64u64) * 997,
+        _ => HIGH[rng.gen_range(0..high)],
+    };
+    BlockId::new(file, index)
+}
+
 /// Every query of the two tables must agree. `next` bounds the ids handed
 /// out so far; ids just past it have never been written.
 fn assert_agree(usage: &SegmentUsage, reference: &RefUsage, next: u64, ctx: &str) {
@@ -130,17 +157,20 @@ fn assert_agree(usage: &SegmentUsage, reference: &RefUsage, next: u64, ctx: &str
     );
 }
 
-#[test]
-fn segment_usage_matches_the_two_tree_reference() {
+/// Drives both tables through `cases` seeded streams that draw blocks with
+/// `block`, checking every query after every step. Returns how many
+/// evacuations hit a live, zero-live, never-written and already-evacuated
+/// id.
+fn drive_streams(seed: u64, cases: u64, block: fn(&mut StdRng) -> BlockId) -> [u64; 4] {
     let mut evacuated = [0u64; 4];
-    for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0x5E6_0000 + case);
+    for case in 0..cases {
+        let mut rng = StdRng::seed_from_u64(seed + case);
         let mut usage = SegmentUsage::new();
         let mut reference = RefUsage::default();
         let mut next = 0u64;
         let steps = rng.gen_range(40..140usize);
         for step in 0..steps {
-            let ctx = format!("case {case} step {step}");
+            let ctx = format!("seed {seed:#x} case {case} step {step}");
             let roll = rng.gen_range(0..100u32);
             if roll < 45 || next == 0 {
                 // A new segment, as the writer emits one: a fresh dense id
@@ -148,20 +178,35 @@ fn segment_usage_matches_the_two_tree_reference() {
                 let seg = next;
                 next += 1;
                 for _ in 0..rng.gen_range(1..12usize) {
-                    let b = random_block(&mut rng);
+                    let b = block(&mut rng);
                     usage.place(b, seg);
                     reference.place(b, seg);
                 }
             } else if roll < 52 {
                 // A write into an older id, live, zero-live or evacuated.
                 let seg = rng.gen_range(0..next);
-                let b = random_block(&mut rng);
+                let b = block(&mut rng);
                 usage.place(b, seg);
                 reference.place(b, seg);
-            } else if roll < 62 {
+            } else if roll < 58 {
                 let file = FileId(rng.gen_range(0..FILES));
                 usage.kill_file(file);
                 reference.kill_file(file);
+            } else if roll < 62 {
+                // A file deleted and written again (a reused file id): its
+                // new blocks go to a fresh segment, some at indices the
+                // killed copy held.
+                let file = FileId(rng.gen_range(0..FILES));
+                usage.kill_file(file);
+                reference.kill_file(file);
+                assert_agree(&usage, &reference, next, &format!("{ctx} (killed)"));
+                let seg = next;
+                next += 1;
+                for _ in 0..rng.gen_range(1..8usize) {
+                    let b = BlockId::new(file, block(&mut rng).index);
+                    usage.place(b, seg);
+                    reference.place(b, seg);
+                }
             } else {
                 // Evacuate the cleaner's victim, any id handed out so far
                 // (live, zero-live or already evacuated), or one never
@@ -190,9 +235,77 @@ fn segment_usage_matches_the_two_tree_reference() {
             assert_agree(&usage, &reference, next, &ctx);
         }
     }
+    evacuated
+}
+
+#[test]
+fn segment_usage_matches_the_two_tree_reference() {
+    let evacuated = drive_streams(0x5E6_0000, CASES, random_block);
     // The streams must reach every kind of evacuation: live, zero-live,
     // never written, already evacuated.
     assert!(evacuated.iter().all(|&n| n > 100), "{evacuated:?}");
+}
+
+#[test]
+fn sparse_and_high_indices_match_the_reference() {
+    // Fewer cases: every query walks a slot vector a million entries long.
+    let evacuated = drive_streams(0x5E6_2000, CASES / 16, sparse_block);
+    assert!(evacuated.iter().all(|&n| n > 10), "{evacuated:?}");
+}
+
+#[test]
+fn blocks_placed_into_a_killed_file_start_fresh() {
+    // The same indices, dense and high, live, die with their file, and
+    // live again in a new segment: nothing of the first copy may remain.
+    let file = FileId(2);
+    let indices = [0, 1, 7, 65_543, 1 << 20];
+    let mut usage = SegmentUsage::new();
+    let mut reference = RefUsage::default();
+    for (seg, &index) in indices.iter().enumerate() {
+        for t in [&mut usage as &mut dyn Place, &mut reference] {
+            t.place_block(BlockId::new(file, index), seg as u64 % 2);
+            t.place_block(BlockId::new(FileId(3), index), 1);
+        }
+    }
+    assert_agree(&usage, &reference, 2, "placed");
+    usage.kill_file(file);
+    reference.kill_file(file);
+    assert_agree(&usage, &reference, 2, "killed");
+    assert_eq!(usage.live_bytes(0), 0);
+    for &index in &indices[1..] {
+        usage.place(BlockId::new(file, index), 2);
+        reference.place(BlockId::new(file, index), 2);
+    }
+    assert_agree(&usage, &reference, 3, "placed again");
+    assert_eq!(usage.evacuate(0), reference.evacuate(0));
+    let moved = usage.evacuate(2);
+    assert_eq!(moved, reference.evacuate(2));
+    assert_agree(&usage, &reference, 3, "evacuated");
+    assert_eq!(usage.total_live_bytes(), indices.len() as u64 * 4096);
+    // The cleaner writes the evacuated blocks to a new segment: their old
+    // slots must be clear, or the evacuated segment would be charged.
+    for &b in &moved {
+        usage.place(b, 3);
+        reference.place(b, 3);
+    }
+    assert_agree(&usage, &reference, 4, "rewritten");
+}
+
+/// Placement through either table, so one loop can feed both.
+trait Place {
+    fn place_block(&mut self, block: BlockId, seg: u64);
+}
+
+impl Place for SegmentUsage {
+    fn place_block(&mut self, block: BlockId, seg: u64) {
+        self.place(block, seg);
+    }
+}
+
+impl Place for RefUsage {
+    fn place_block(&mut self, block: BlockId, seg: u64) {
+        self.place(block, seg);
+    }
 }
 
 #[test]

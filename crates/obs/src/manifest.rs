@@ -72,7 +72,7 @@ pub struct RunManifest {
     pub config_digest: Option<String>,
     /// Deterministic metric snapshot.
     pub metrics: Snapshot,
-    /// Completed spans in submission order.
+    /// Span records (one per name per task shard) in submission order.
     pub spans: Vec<SpanRecord>,
     /// Job count the process ran with (meta).
     pub jobs: usize,
@@ -123,8 +123,9 @@ impl RunManifest {
             let sep = if i == 0 { "" } else { "," };
             let _ = write!(
                 out,
-                "{sep}\n      {{\"name\": \"{}\", \"sim_us\": {}}}",
+                "{sep}\n      {{\"name\": \"{}\", {}\"sim_us\": {}}}",
                 json::escape(&span.name),
+                count_field(span),
                 span.sim_us
             );
         }
@@ -151,8 +152,9 @@ impl RunManifest {
             let sep = if i == 0 { "" } else { "," };
             let _ = write!(
                 out,
-                "{sep}\n      {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"excl_ms\": {:.3}}}",
+                "{sep}\n      {{\"name\": \"{}\", {}\"wall_ms\": {:.3}, \"excl_ms\": {:.3}}}",
                 json::escape(&span.name),
+                count_field(span),
                 span.wall_ms,
                 span.excl_ms
             );
@@ -163,6 +165,16 @@ impl RunManifest {
         out.push_str("]\n  },\n");
         let _ = write!(out, "  \"run\": {}\n}}\n", self.render_run());
         out
+    }
+}
+
+/// The `"count": N, ` field of a phase folded from N > 1 spans; empty for
+/// a single span, so single-span phases render as they always have.
+fn count_field(span: &SpanRecord) -> String {
+    if span.count > 1 {
+        format!("\"count\": {}, ", span.count)
+    } else {
+        String::new()
     }
 }
 
@@ -365,19 +377,29 @@ pub fn render_summary(text: &str) -> Result<String, String> {
     let _ = writeln!(out, "jobs:          {}", field(&meta, "jobs"));
     let _ = writeln!(out, "trace events:  {}", field(&meta, "trace_events"));
     if let Some(Json::Arr(phases)) = meta.get("phases") {
-        if !phases.is_empty() {
+        // One row per phase name, in first-seen order: a name recorded by
+        // several tasks sums their calls and wall time.
+        let mut rows: Vec<(&str, u64, f64, f64)> = Vec::new();
+        for p in phases {
+            let name = p.get("name").and_then(Json::as_str).unwrap_or("?");
+            let count = p.get("count").and_then(Json::as_u64).unwrap_or(1);
+            let ms = |key| p.get(key).and_then(Json::as_f64).unwrap_or(0.0);
+            let (wall, excl) = (ms("wall_ms"), ms("excl_ms"));
+            match rows.iter_mut().find(|r| r.0 == name) {
+                Some(r) => {
+                    r.1 += count;
+                    r.2 += wall;
+                    r.3 += excl;
+                }
+                None => rows.push((name, count, wall, excl)),
+            }
+        }
+        if !rows.is_empty() {
             let _ = writeln!(out, "phases:");
-            for p in phases {
+            for (name, calls, wall, excl) in rows {
                 let _ = writeln!(
                     out,
-                    "  {:<16} {:>10} ms wall {:>10} ms excl",
-                    p.get("name").and_then(Json::as_str).unwrap_or("?"),
-                    p.get("wall_ms")
-                        .and_then(Json::as_f64)
-                        .map_or("-".into(), |v| format!("{v:.1}")),
-                    p.get("excl_ms")
-                        .and_then(Json::as_f64)
-                        .map_or("-".into(), |v| format!("{v:.1}")),
+                    "  {name:<16} {calls:>6} calls {wall:>10.1} ms wall {excl:>10.1} ms excl"
                 );
             }
         }
@@ -447,6 +469,34 @@ mod tests {
         assert!(
             text.contains("counters.t.manifest.bytes: 100 -> 105 (+5)"),
             "{text}"
+        );
+        reset();
+    }
+
+    #[test]
+    fn folded_phases_render_their_count() {
+        let _g = test_lock();
+        reset();
+        crate::timing::span("once", || {});
+        for _ in 0..3 {
+            crate::timing::span("drain", || crate::timing::set_span_sim_us(5));
+        }
+        let text = RunManifest::collect("faults", 1).render();
+        assert!(
+            text.contains("{\"name\": \"once\", \"sim_us\": 0}"),
+            "{text}"
+        );
+        assert!(
+            text.contains("{\"name\": \"drain\", \"count\": 3, \"sim_us\": 5}"),
+            "{text}"
+        );
+        assert!(text.contains("{\"name\": \"drain\", \"count\": 3, \"wall_ms\": "));
+        let summary = render_summary(&text).unwrap();
+        assert!(
+            summary
+                .lines()
+                .any(|l| l.starts_with("  drain ") && l.contains(" 3 calls")),
+            "{summary}"
         );
         reset();
     }

@@ -14,6 +14,13 @@
 //! is enabled each span additionally emits `span` begin/end events (at
 //! `t_us = 0`, outside simulated time).
 //!
+//! A completed span folds into its task shard's record of the same name:
+//! the record counts the calls, sums their wall and exclusive time and
+//! keeps the largest `sim_us`. A span repeated inside one task (a
+//! background drain, say) therefore costs one record however often it
+//! runs, and a repeat allocates nothing. Shards are per task path, so the
+//! folded records are the same at any job count.
+//!
 //! A span's simulated time (`sim_us`, part of the deterministic `run`
 //! section) is the largest value noted via [`set_span_sim_us`] by work
 //! inside it, or 0 if none. That work includes `nvfs-par` tasks the span
@@ -31,17 +38,20 @@ use std::time::Instant;
 
 use crate::sink;
 
-/// One completed span.
+/// One or more completed spans of the same name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
     /// Span name (e.g. a bench stage or CLI phase).
     pub name: String,
-    /// Inclusive wall-clock milliseconds.
+    /// Completed spans folded into this record (1 for a single call).
+    pub count: u64,
+    /// Inclusive wall-clock milliseconds, summed over the calls.
     pub wall_ms: f64,
-    /// Exclusive wall-clock milliseconds (children subtracted).
+    /// Exclusive wall-clock milliseconds (children subtracted), summed
+    /// over the calls.
     pub excl_ms: f64,
     /// The largest simulated microseconds noted via [`set_span_sim_us`]
-    /// by work inside the span; 0 if none.
+    /// by work inside any of the calls; 0 if none.
     pub sim_us: u64,
 }
 
@@ -53,9 +63,30 @@ thread_local! {
     static SIM: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Runs `f` inside a named span, recording a [`SpanRecord`] into the
-/// current task shard and returning it alongside the result.
+/// Runs `f` inside a named span, folding it into the current task shard's
+/// record of that name and returning this call's own record alongside the
+/// result.
 pub fn timed<R>(name: &str, f: impl FnOnce() -> R) -> (R, SpanRecord) {
+    let (out, wall_ms, excl_ms, sim_us) = measure(name, f);
+    let record = SpanRecord {
+        name: name.to_string(),
+        count: 1,
+        wall_ms,
+        excl_ms,
+        sim_us,
+    };
+    (out, record)
+}
+
+/// Runs `f` inside a named span, discarding this call's record (the span
+/// is still folded into the manifest's record of that name).
+pub fn span<R>(name: &str, f: impl FnOnce() -> R) -> R {
+    measure(name, f).0
+}
+
+/// Runs `f` as span `name` and folds it into the current task shard.
+/// Returns the result, inclusive and exclusive wall ms, and `sim_us`.
+fn measure<R>(name: &str, f: impl FnOnce() -> R) -> (R, f64, f64, u64) {
     crate::events::event("span", 0)
         .owned("name", name)
         .str("phase", "begin")
@@ -72,24 +103,27 @@ pub fn timed<R>(name: &str, f: impl FnOnce() -> R) -> (R, SpanRecord) {
             *parent_child_ms += wall_ms;
         }
     });
-    let record = SpanRecord {
-        name: name.to_string(),
-        wall_ms,
-        excl_ms: (wall_ms - child_ms).max(0.0),
-        sim_us,
-    };
-    sink::with_local(|l| l.spans.push(record.clone()));
+    let excl_ms = (wall_ms - child_ms).max(0.0);
+    sink::with_local(|l| match l.spans.iter_mut().find(|r| r.name == name) {
+        Some(r) => {
+            r.count += 1;
+            r.wall_ms += wall_ms;
+            r.excl_ms += excl_ms;
+            r.sim_us = r.sim_us.max(sim_us);
+        }
+        None => l.spans.push(SpanRecord {
+            name: name.to_string(),
+            count: 1,
+            wall_ms,
+            excl_ms,
+            sim_us,
+        }),
+    });
     crate::events::event("span", 0)
         .owned("name", name)
         .str("phase", "end")
         .emit();
-    (out, record)
-}
-
-/// Runs `f` inside a named span, discarding the record (it is still
-/// collected for the manifest).
-pub fn span<R>(name: &str, f: impl FnOnce() -> R) -> R {
-    timed(name, f).0
+    (out, wall_ms, excl_ms, sim_us)
 }
 
 /// Notes simulated time reached by the running workload: the innermost
@@ -115,7 +149,8 @@ pub fn capture_sim_us<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (out, sim_us)
 }
 
-/// All recorded spans, merged in submission order.
+/// All recorded span records: one per name per task shard, merged in
+/// submission order.
 pub fn spans() -> Vec<SpanRecord> {
     sink::merged_shards()
         .into_iter()
@@ -237,6 +272,94 @@ mod tests {
         // folded.
         let (_, rec) = timed("unfolded", || capture_sim_us(|| set_span_sim_us(5)));
         assert_eq!(rec.sim_us, 0);
+        reset();
+    }
+
+    #[test]
+    fn repeated_spans_fold_into_one_record() {
+        let _g = test_lock();
+        reset();
+        let mut wall = 0.0;
+        crate::sink::task_frame(&[], 0, || {
+            for i in 0..1_000u64 {
+                let (_, rec) = timed("drain", || set_span_sim_us(i * 7 % 1_000));
+                wall += rec.wall_ms;
+            }
+        });
+        let recs = spans();
+        assert_eq!(recs.len(), 1, "{recs:?}");
+        let rec = &recs[0];
+        assert_eq!((rec.name.as_str(), rec.count), ("drain", 1_000));
+        assert_eq!(rec.sim_us, 999);
+        assert!(
+            (rec.wall_ms - wall).abs() < 1e-6,
+            "{} vs {wall}",
+            rec.wall_ms
+        );
+        assert!(
+            (rec.excl_ms - wall).abs() < 1e-6,
+            "no children: excl is wall"
+        );
+        reset();
+    }
+
+    #[test]
+    fn folded_parent_subtracts_every_child() {
+        let _g = test_lock();
+        reset();
+        let sleep = || std::thread::sleep(std::time::Duration::from_millis(4));
+        let (_, outer) = timed("outer", || {
+            for _ in 0..5 {
+                span("child", sleep);
+            }
+        });
+        let recs = spans();
+        let child = recs.iter().find(|r| r.name == "child").unwrap();
+        assert_eq!(child.count, 5);
+        assert!(child.wall_ms >= 19.0, "{child:?}");
+        // The parent's own time is what is left after all five children.
+        let left = outer.wall_ms - child.wall_ms;
+        assert!((outer.excl_ms - left).abs() < 1e-6, "{outer:?} {child:?}");
+        reset();
+    }
+
+    #[test]
+    fn task_frames_keep_separate_records_in_path_order() {
+        let _g = test_lock();
+        reset();
+        // Submitted out of order, as a parallel run may finish them.
+        for index in [1, 0] {
+            crate::sink::task_frame(&[], index, || {
+                for _ in 0..=index {
+                    span("work", || set_span_sim_us(u64::from(index) + 10));
+                }
+            });
+        }
+        let got: Vec<(String, u64, u64)> = spans()
+            .into_iter()
+            .map(|r| (r.name, r.count, r.sim_us))
+            .collect();
+        assert_eq!(
+            got,
+            vec![("work".into(), 1, 10), ("work".into(), 2, 11)],
+            "one record per task, merged in path order"
+        );
+        reset();
+    }
+
+    #[test]
+    fn timed_returns_the_individual_call() {
+        let _g = test_lock();
+        reset();
+        span("stage", || set_span_sim_us(900));
+        let (_, rec) = timed("stage", || {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            set_span_sim_us(100);
+        });
+        assert_eq!((rec.count, rec.sim_us), (1, 100));
+        let folded = &spans()[0];
+        assert_eq!((folded.count, folded.sim_us), (2, 900));
+        assert!(folded.wall_ms > rec.wall_ms, "{folded:?} vs {rec:?}");
         reset();
     }
 

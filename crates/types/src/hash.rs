@@ -1,9 +1,9 @@
 //! A fixed hasher for lookup-only block indexes.
 //!
-//! The block store's slab index and the LFS segment usage table both map
-//! [`BlockId`]s through a `HashMap`. [`BlockHasher`] has no per-process
-//! seed, and neither index is ever iterated, so hash order cannot reach any
-//! output. Use [`BlockMap`] only for maps that are looked up, never walked.
+//! The block store's slab index maps [`BlockId`]s through a `HashMap`.
+//! [`BlockHasher`] has no per-process seed, and the index is never
+//! iterated, so hash order cannot reach any output. Use [`BlockMap`] only
+//! for maps that are looked up, never walked.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -15,7 +15,7 @@
 //! * [`framing`] — the FNV-1a checksummed record framing shared by the LFS
 //!   segment summary blocks and the NVRAM write-ahead log.
 //! * [`hash`] — the fixed, unseeded [`BlockHasher`] behind the lookup-only
-//!   [`BlockMap`] indexes of the client block store and the LFS usage table.
+//!   [`BlockMap`] index of the client block store.
 //!
 //! # Examples
 //!

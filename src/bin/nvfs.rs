@@ -878,16 +878,17 @@ fn cmd_bench(mut args: VecDeque<String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Aggregates every observability timing span recorded so far by name:
-/// call count, total inclusive wall, and total **exclusive** wall (the
-/// column that sums to real elapsed time without double-billing nested
-/// phases). Sorted by exclusive time, heaviest first.
+/// Aggregates every observability span record so far by name: call count
+/// (each record counts the spans folded into it), total inclusive wall,
+/// and total **exclusive** wall (the column that sums to real elapsed time
+/// without double-billing nested phases). Sorted by exclusive time,
+/// heaviest first.
 fn render_profile() -> String {
     use std::collections::BTreeMap;
     let mut by_name: BTreeMap<String, (u64, f64, f64)> = BTreeMap::new();
     for span in nvfs::obs::timing::spans() {
         let slot = by_name.entry(span.name).or_insert((0, 0.0, 0.0));
-        slot.0 += 1;
+        slot.0 += span.count;
         slot.1 += span.wall_ms;
         slot.2 += span.excl_ms;
     }

@@ -197,3 +197,59 @@ fn export_csv_writes_every_artifact() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn bench_profile_calls_count_every_span_opened() {
+    // The profile folds repeated spans into one record per name and task,
+    // yet its calls column must still count every span the run opened: one
+    // `span` begin event each in the trace.
+    use std::collections::BTreeMap;
+    use std::io::BufRead;
+
+    let dir = tempdir("bench-profile");
+    let trace = dir.join("trace.jsonl");
+    let out = nvfs(&[
+        "--jobs",
+        "1",
+        "--trace-out",
+        trace.to_str().unwrap(),
+        "bench",
+        "--scale",
+        "tiny",
+        "--profile",
+        "--out",
+        dir.join("bench.json").to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let calls: BTreeMap<String, u64> = stdout
+        .lines()
+        .skip_while(|l| !l.starts_with("profile"))
+        .skip(2)
+        .map(|l| {
+            let mut cols = l.split_whitespace();
+            let name = cols.next().unwrap().to_string();
+            (name, cols.next().unwrap().parse().unwrap())
+        })
+        .collect();
+
+    let mut opened: BTreeMap<String, u64> = BTreeMap::new();
+    let file = std::fs::File::open(&trace).expect("trace written");
+    for line in std::io::BufReader::new(file).lines() {
+        let line = line.unwrap();
+        if line.contains("\"kind\": \"span\"") && line.contains("\"phase\": \"begin\"") {
+            let name = line.split("\"name\": \"").nth(1).unwrap();
+            let name = name.split('"').next().unwrap();
+            *opened.entry(name.to_string()).or_default() += 1;
+        }
+    }
+    // The command's own span is still open when the profile prints.
+    assert_eq!(opened.remove("bench"), Some(1));
+    assert_eq!(calls, opened, "{stdout}");
+    assert!(calls["wal_drain"] > 1, "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
