@@ -22,6 +22,7 @@ use nvfs_report::{Cell, Table};
 use nvfs_types::SimDuration;
 
 use crate::env::Env;
+use crate::sweep::sweep;
 
 /// Default schedule seed; `nvfs faults --seed` overrides it.
 pub const DEFAULT_SEED: u64 = 42;
@@ -80,10 +81,6 @@ pub struct Faults {
     pub models: Vec<(CacheModelKind, ReliabilityStats)>,
     /// Per-buffer-mode server-crash accounting.
     pub server_modes: Vec<(&'static str, ReliabilityStats)>,
-    /// Client-side scorecard table.
-    pub client_table: Table,
-    /// Server-side scorecard table.
-    pub server_table: Table,
 }
 
 impl Faults {
@@ -106,12 +103,19 @@ impl Faults {
         }
     }
 
+    /// Why the study fails, if it does: the loss ordering is violated.
+    pub fn failure(&self) -> Option<String> {
+        (!self.loss_ordering_holds()).then(|| {
+            "bytes-lost ordering volatile > write-aside > unified does not hold".to_string()
+        })
+    }
+
     /// Both tables plus the ordering verdict, as printed by `nvfs faults`.
     pub fn render(&self) -> String {
         format!(
             "{}\n{}\nloss ordering (bytes lost): volatile > write-aside > unified — {}\n",
-            self.client_table.render(),
-            self.server_table.render(),
+            client_table(self.seed, &self.models).render(),
+            server_table(self.seed, &self.server_modes).render(),
             if self.loss_ordering_holds() {
                 "HOLDS"
             } else {
@@ -140,31 +144,28 @@ pub(crate) fn client_plan(
         .with_relocation_delay(SimDuration::from_micros((micros / 6).max(1)))
 }
 
-/// Runs every trace against `model` under the seeded schedule and merges
-/// the accounting in trace order (deterministic at any job count).
-pub fn model_reliability(
+/// Runs every trace against each of `models` under the seeded schedule,
+/// one row per model with the accounting merged in trace order.
+pub fn client_reliability(
     env: &Env,
     seed: u64,
-    model: CacheModelKind,
-) -> Result<ReliabilityStats, FaultError> {
-    let indices: Vec<usize> = (0..env.traces.traces().len()).collect();
-    let runs = nvfs_par::par_map(indices, nvfs_par::jobs(), |i| {
-        let trace = env.traces.trace(i);
-        let plan = client_plan(trace.clients() as u32, trace.duration(), model);
-        // Each trace gets its own schedule stream; the per-model plans
-        // share everything except battery redundancy, so all models see
-        // the same crashes at the same times.
-        let schedule = FaultSchedule::compile(seed ^ trace.number() as u64, &plan)?;
-        let cfg = SimConfig::for_model(model, BASE_BYTES, NVRAM_BYTES);
-        Ok(ClusterSim::new(cfg)
-            .run_with_faults(trace.ops(), &schedule)
-            .reliability)
-    });
-    let mut merged = ReliabilityStats::default();
-    for run in runs {
-        merged.merge(&run?);
-    }
-    Ok(merged)
+    models: &[CacheModelKind],
+) -> Result<Vec<(CacheModelKind, ReliabilityStats)>, FaultError> {
+    sweep(
+        models,
+        env.traces.traces(),
+        |&model, trace| {
+            let plan = client_plan(trace.clients() as u32, trace.duration(), model);
+            // Each trace gets its own schedule stream; the per-model plans
+            // share everything except battery redundancy, so all models see
+            // the same crashes at the same times.
+            let schedule = FaultSchedule::compile(seed ^ trace.number() as u64, &plan)?;
+            let cfg = SimConfig::for_model(model, BASE_BYTES, NVRAM_BYTES);
+            let report = ClusterSim::new(cfg).run_with_faults(trace.ops(), &schedule);
+            Ok((model, report.reliability))
+        },
+        |(_, row), (_, next)| row.merge(&next),
+    )
 }
 
 /// Server write-buffer modes compared under the same crash schedule.
@@ -250,27 +251,17 @@ pub fn server_table(seed: u64, modes: &[(&'static str, ReliabilityStats)]) -> Ta
 }
 
 /// Runs the full study under `seed`.
-pub fn run_seeded(env: &Env, seed: u64) -> Result<Faults, FaultError> {
-    let mut models = Vec::with_capacity(MODELS.len());
-    for model in MODELS {
-        models.push((model, model_reliability(env, seed, model)?));
-    }
+pub fn run(env: &Env, seed: u64) -> Result<Faults, FaultError> {
+    let models = client_reliability(env, seed, &MODELS)?;
     let mut server_modes = Vec::new();
     for (name, config) in server_configs() {
         server_modes.push((name, server_reliability(env, seed, &config)?));
     }
     Ok(Faults {
         seed,
-        client_table: client_table(seed, &models),
-        server_table: server_table(seed, &server_modes),
         models,
         server_modes,
     })
-}
-
-/// Runs the full study under the default seed.
-pub fn run(env: &Env) -> Result<Faults, FaultError> {
-    run_seeded(env, DEFAULT_SEED)
 }
 
 #[cfg(test)]
@@ -279,7 +270,7 @@ mod tests {
 
     #[test]
     fn volatile_loses_more_than_write_aside_loses_more_than_unified() {
-        let out = run(&Env::tiny()).unwrap();
+        let out = run(&Env::tiny(), DEFAULT_SEED).unwrap();
         assert!(out.loss_ordering_holds(), "{}", out.render());
         let v = out.model(CacheModelKind::Volatile).unwrap();
         assert_eq!(
@@ -291,14 +282,14 @@ mod tests {
 
     #[test]
     fn all_models_see_the_same_crashes() {
-        let out = run(&Env::tiny()).unwrap();
+        let out = run(&Env::tiny(), DEFAULT_SEED).unwrap();
         let counts: Vec<u64> = out.models.iter().map(|(_, s)| s.client_crashes).collect();
         assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
     }
 
     #[test]
     fn staging_buffer_turns_buffer_loss_into_replay() {
-        let out = run(&Env::tiny()).unwrap();
+        let out = run(&Env::tiny(), DEFAULT_SEED).unwrap();
         let of = |name: &str| {
             out.server_modes
                 .iter()
@@ -322,8 +313,8 @@ mod tests {
     #[test]
     fn scorecard_is_reproducible() {
         let env = Env::tiny();
-        let a = run_seeded(&env, 7).unwrap();
-        let b = run_seeded(&env, 7).unwrap();
+        let a = run(&env, 7).unwrap();
+        let b = run(&env, 7).unwrap();
         assert_eq!(a.render(), b.render());
         assert_eq!(a.models, b.models);
     }

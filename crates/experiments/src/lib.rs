@@ -41,7 +41,9 @@
 //! All runners share an [`env::Env`] so the synthetic workloads are only
 //! generated once, and every CLI-visible artifact above is also a row in
 //! the [`registry`] — the single dispatch table behind `nvfs
-//! experiments`, `export-csv`, and the scorecard.
+//! experiments`, `export-csv`, and the scorecard. The four seeded fault
+//! studies ([`faults`], [`verify_crash`], [`verify_net`], [`verify_scrub`])
+//! run their key × trace grids through the one [`sweep`] driver.
 //!
 //! # Examples
 //!
@@ -79,6 +81,7 @@ pub mod registry;
 pub mod scorecard;
 pub mod scrub_overhead;
 pub mod server_cache;
+pub mod sweep;
 pub mod tab1;
 pub mod tab2;
 pub mod tab3;

@@ -1,9 +1,9 @@
 //! The unified experiment registry: every paper artifact behind one table.
 //!
 //! Each CLI-visible experiment is an [`Entry`] — a name, the paper
-//! artifact it reproduces, the scales it supports, whether it belongs to
-//! the default `nvfs experiments` run, the CSV files it exports, and a
-//! run function producing [`Artifacts`]. The `nvfs` binary routes
+//! artifact it reproduces, whether it belongs to the default `nvfs
+//! experiments` run, the CSV files it exports, and a run function
+//! producing [`Artifacts`]. The `nvfs` binary routes
 //! `experiments`, `export-csv`, the scorecard, and its usage text through
 //! this one registry, so adding an experiment is a single new row here —
 //! no per-module match arms anywhere else.
@@ -17,7 +17,8 @@
 
 use nvfs_report::{render_plot, Figure, PlotOptions};
 
-use crate::env::{Env, Scale};
+use crate::env::Env;
+use crate::faults::DEFAULT_SEED;
 
 /// Everything one experiment run produces: the rendered text artifact,
 /// zero or more named CSV exports, and an optional failure verdict (an
@@ -47,23 +48,12 @@ impl Artifacts {
         self.csv.push((name, body));
         self
     }
-}
 
-/// A runnable, registered experiment. [`Entry`] is the one implementor in
-/// this crate; the trait exists so harnesses can wrap or mock entries.
-pub trait Experiment {
-    /// The CLI id (e.g. `"fig3"`).
-    fn name(&self) -> &'static str;
-    /// One-line description of the paper artifact reproduced.
-    fn artifact(&self) -> &'static str;
-    /// Scales this experiment supports.
-    fn scales(&self) -> &'static [Scale] {
-        &Scale::ALL
+    /// Attaches the failure verdict, if any.
+    pub fn with_failure(mut self, failure: Option<String>) -> Self {
+        self.failure = failure;
+        self
     }
-    /// Whether a bare `nvfs experiments` includes this entry.
-    fn default_run(&self) -> bool;
-    /// Runs the experiment against a pre-generated environment.
-    fn run(&self, env: &Env) -> Result<Artifacts, String>;
 }
 
 /// One registry row: static metadata plus the run function.
@@ -102,12 +92,6 @@ impl Entry {
         self.artifact
     }
 
-    /// Scales this experiment supports (currently every entry runs at
-    /// every scale; the registry records it so callers don't assume).
-    pub fn scales(&self) -> &'static [Scale] {
-        &Scale::ALL
-    }
-
     /// Whether a bare `nvfs experiments` includes this entry.
     pub fn default_run(&self) -> bool {
         self.default_run
@@ -132,24 +116,6 @@ impl std::fmt::Debug for Entry {
             .field("default_run", &self.default_run)
             .field("csv", &self.csv)
             .finish_non_exhaustive()
-    }
-}
-
-impl Experiment for Entry {
-    fn name(&self) -> &'static str {
-        Entry::name(self)
-    }
-    fn artifact(&self) -> &'static str {
-        Entry::artifact(self)
-    }
-    fn scales(&self) -> &'static [Scale] {
-        Entry::scales(self)
-    }
-    fn default_run(&self) -> bool {
-        Entry::default_run(self)
-    }
-    fn run(&self, env: &Env) -> Result<Artifacts, String> {
-        Entry::run(self, env)
     }
 }
 
@@ -561,18 +527,13 @@ fn run_nvram_speed(env: &Env) -> Result<Artifacts, String> {
 }
 
 fn run_faults(env: &Env) -> Result<Artifacts, String> {
-    let out = crate::faults::run(env).map_err(|e| e.to_string())?;
-    Ok(Artifacts::new(out.render()))
+    let out = crate::faults::run(env, DEFAULT_SEED).map_err(|e| e.to_string())?;
+    Ok(Artifacts::new(out.render()).with_failure(out.failure()))
 }
 
 fn run_verify_net(env: &Env) -> Result<Artifacts, String> {
-    let out = crate::verify_net::run(env)?;
-    let failure = (!out.is_clean()).then(|| "network judge has violations".to_string());
-    Ok(Artifacts {
-        text: out.render(),
-        csv: Vec::new(),
-        failure,
-    })
+    let out = crate::verify_net::run(env, DEFAULT_SEED)?;
+    Ok(Artifacts::new(out.render()).with_failure(out.failure()))
 }
 
 fn run_lfs_wal_vs_buffer(env: &Env) -> Result<Artifacts, String> {
@@ -590,11 +551,7 @@ fn run_lfs_wal_vs_buffer(env: &Env) -> Result<Artifacts, String> {
     } else {
         None
     };
-    Ok(Artifacts {
-        text: out.table.render(),
-        csv: Vec::new(),
-        failure,
-    })
+    Ok(Artifacts::new(out.table.render()).with_failure(failure))
 }
 
 fn run_scorecard(env: &Env) -> Result<Artifacts, String> {
@@ -606,21 +563,12 @@ fn run_scorecard(env: &Env) -> Result<Artifacts, String> {
         card.checks.len()
     );
     let failure = (!card.all_passed()).then(|| "scorecard has failures".to_string());
-    Ok(Artifacts {
-        text,
-        csv: Vec::new(),
-        failure,
-    })
+    Ok(Artifacts::new(text).with_failure(failure))
 }
 
 fn run_verify_scrub(env: &Env) -> Result<Artifacts, String> {
-    let out = crate::verify_scrub::run(env).map_err(|e| e.to_string())?;
-    let failure = (!out.is_clean()).then(|| "corruption sweep has violations".to_string());
-    Ok(Artifacts {
-        text: out.render(),
-        csv: Vec::new(),
-        failure,
-    })
+    let out = crate::verify_scrub::run(env, DEFAULT_SEED).map_err(|e| e.to_string())?;
+    Ok(Artifacts::new(out.render()).with_failure(out.failure()))
 }
 
 fn run_scrub_overhead(env: &Env) -> Result<Artifacts, String> {
@@ -631,11 +579,7 @@ fn run_scrub_overhead(env: &Env) -> Result<Artifacts, String> {
         (!out.defense_holds())
             .then(|| "protection modes do not deliver their corruption guarantees".to_string())
     };
-    Ok(Artifacts {
-        text: out.table.render(),
-        csv: Vec::new(),
-        failure,
-    })
+    Ok(Artifacts::new(out.table.render()).with_failure(failure))
 }
 
 #[cfg(test)]
@@ -649,7 +593,6 @@ mod tests {
             assert!(seen.insert(e.name()), "duplicate id {}", e.name());
             assert!(std::ptr::eq(find(e.name()).unwrap(), e));
             assert!(!e.artifact().is_empty());
-            assert_eq!(e.scales(), &Scale::ALL);
         }
     }
 

@@ -70,7 +70,7 @@ enum Part {
     Tab3(tab3::Tab3),
     WriteBuffer(write_buffer::WriteBuffer),
     DiskSort(disk_sort::DiskSort),
-    BusNvram(bus_nvram::BusNvram),
+    BusNvram(Box<bus_nvram::BusNvram>),
     Presto(presto::Presto),
     ReadLatency(read_latency::ReadLatency),
     VerifyNet(verify_net::VerifyNet),
@@ -95,10 +95,12 @@ fn gather(env: &Env) -> Vec<Part> {
         5 => Part::Tab3(tab3::run(env)),
         6 => Part::WriteBuffer(write_buffer::run(env)),
         7 => Part::DiskSort(disk_sort::run()),
-        8 => Part::BusNvram(bus_nvram::run(env)),
+        8 => Part::BusNvram(Box::new(bus_nvram::run(env))),
         9 => Part::Presto(presto::run()),
         10 => Part::ReadLatency(read_latency::run()),
-        11 => Part::VerifyNet(verify_net::run(env).expect("verify-net sweep failed")),
+        11 => Part::VerifyNet(
+            verify_net::run(env, crate::faults::DEFAULT_SEED).expect("verify-net sweep failed"),
+        ),
         12 => Part::WalVsBuffer(lfs_wal_vs_buffer::run(env)),
         _ => Part::ScrubOverhead(scrub_overhead::run(env)),
     })

@@ -33,6 +33,8 @@
 //! [`DoubleReplay`]: nvfs_oracle::Verdict::DoubleReplay
 //! [`roll_forward`]: nvfs_lfs::SegmentWriter::roll_forward
 
+use std::convert::Infallible;
+
 use nvfs_core::{CacheModelKind, ClusterSim, SimConfig};
 use nvfs_faults::{
     CrashPointKind, FaultError, FaultPlanConfig, FaultSchedule, ServerCrashFault, WalCrashFault,
@@ -45,7 +47,8 @@ use nvfs_report::{Cell, Table};
 use nvfs_types::{ClientId, SimDuration, SimTime, BLOCK_SIZE};
 
 use crate::env::Env;
-use crate::faults::{batteries_for, model_name, BASE_BYTES, DEFAULT_SEED, MODELS};
+use crate::faults::{batteries_for, model_name, BASE_BYTES, MODELS};
+use crate::sweep::sweep;
 
 /// NVRAM board size for the sweep: four 4 KB blocks, so the mid-drain
 /// sweep `TornDrainBlocks(0..=4)` crosses every interior block boundary of
@@ -142,12 +145,6 @@ pub struct VerifyCrash {
     pub server_rows: Vec<ServerCheckRow>,
     /// WAL rows, in [`WalCrashPoint::ALL`] order.
     pub wal_rows: Vec<WalSweepRow>,
-    /// Client sweep table.
-    pub client_table: Table,
-    /// Server sweep table.
-    pub server_table: Table,
-    /// WAL sweep table.
-    pub wal_table: Table,
 }
 
 impl VerifyCrash {
@@ -155,16 +152,18 @@ impl VerifyCrash {
     pub fn violations(&self) -> u64 {
         self.rows.iter().map(CrashPointRow::violations).sum::<u64>()
             + self.server_rows.iter().map(|r| r.violations).sum::<u64>()
-            + self
-                .wal_rows
-                .iter()
-                .map(|r| r.summary.violations())
-                .sum::<u64>()
+            + wal_summary(&self.wal_rows).violations()
     }
 
     /// Whether every crash point recovered exactly the durable contract.
     pub fn is_clean(&self) -> bool {
         self.violations() == 0
+    }
+
+    /// Why the sweep fails, if it does: any violation in any half.
+    pub fn failure(&self) -> Option<String> {
+        let n = self.violations();
+        (n > 0).then(|| format!("durability oracle found {n} violation(s)"))
     }
 
     /// One-line machine-readable verdict (stable key order), as printed by
@@ -195,31 +194,31 @@ impl VerifyCrash {
     pub fn render(&self) -> String {
         format!(
             "{}\n{}\n{}\n{}\n",
-            self.client_table.render(),
-            self.server_table.render(),
-            self.wal_table.render(),
+            client_table(self.seed, &self.rows).render(),
+            server_table(self.seed, &self.server_rows).render(),
+            wal_table(self.seed, &self.wal_rows).render(),
             self.verdict_json()
         )
     }
+}
 
-    /// Merged summary of the WAL rows alone.
-    pub fn wal_summary(&self) -> OracleSummary {
-        let mut s = OracleSummary::default();
-        for row in &self.wal_rows {
-            s.merge(&row.summary);
-        }
-        s
+/// Merged summary of the WAL rows alone.
+pub fn wal_summary(rows: &[WalSweepRow]) -> OracleSummary {
+    let mut s = OracleSummary::default();
+    for row in rows {
+        s.merge(&row.summary);
     }
+    s
+}
 
-    /// The WAL table plus its own verdict line, as printed by
-    /// `nvfs verify-crash --wal` (the CI smoke golden).
-    pub fn render_wal(&self) -> String {
-        format!(
-            "{}\n{}\n",
-            self.wal_table.render(),
-            self.wal_summary().verdict_json(self.seed)
-        )
-    }
+/// The WAL table plus its own verdict line, as printed by
+/// `nvfs verify-crash --wal` (the CI smoke golden).
+pub fn render_wal(seed: u64, rows: &[WalSweepRow]) -> String {
+    format!(
+        "{}\n{}\n",
+        wal_table(seed, rows).render(),
+        wal_summary(rows).verdict_json(seed)
+    )
 }
 
 /// The base fault plan for one trace: crash half the clients, torn drains
@@ -242,72 +241,58 @@ fn model_config(model: CacheModelKind) -> SimConfig {
 /// Runs the client half: every trace × model × crash point, one verified
 /// run each, merged into per-(model, crash point) rows in sweep order.
 pub fn client_sweep(env: &Env, seed: u64) -> Result<Vec<CrashPointRow>, FaultError> {
-    let kinds = crash_points();
-    let mut jobs = Vec::new();
-    for model in MODELS {
-        for kind in &kinds {
-            for i in 0..env.traces.traces().len() {
-                jobs.push((model, *kind, i));
-            }
-        }
-    }
-    let runs = nvfs_par::par_map(jobs, nvfs_par::jobs(), |(model, kind, i)| {
-        let trace = env.traces.trace(i);
-        let plan = sweep_plan(trace.clients() as u32, trace.duration(), model);
-        let schedule = FaultSchedule::compile(seed ^ trace.number() as u64, &plan)?
-            .apply_crash_point(kind, FLUSH_TICK);
-        let (report, oracle) =
-            ClusterSim::new(model_config(model)).run_with_faults_verified(trace.ops(), &schedule);
-        Ok((
-            model,
-            kind,
-            oracle.summary(),
-            report.reliability.bytes_recovered,
-        ))
-    });
-    // par_map preserves submission order, so folding in run order gives
-    // the same rows at any job count.
-    let mut rows: Vec<CrashPointRow> = Vec::new();
-    for run in runs {
-        let (model, kind, summary, recovered) = run?;
-        match rows.last_mut() {
-            Some(row) if row.model == model && row.kind == kind => {
-                row.summary.merge(&summary);
-                row.bytes_recovered += recovered;
-            }
-            _ => rows.push(CrashPointRow {
+    let keys: Vec<(CacheModelKind, CrashPointKind)> = MODELS
+        .into_iter()
+        .flat_map(|model| crash_points().into_iter().map(move |kind| (model, kind)))
+        .collect();
+    sweep(
+        &keys,
+        env.traces.traces(),
+        |&(model, kind), trace| {
+            let plan = sweep_plan(trace.clients() as u32, trace.duration(), model);
+            let schedule = FaultSchedule::compile(seed ^ trace.number() as u64, &plan)?
+                .apply_crash_point(kind, FLUSH_TICK);
+            let (report, oracle) = ClusterSim::new(model_config(model))
+                .run_with_faults_verified(trace.ops(), &schedule);
+            Ok(CrashPointRow {
                 model,
                 kind,
-                summary,
-                bytes_recovered: recovered,
-            }),
-        }
-    }
-    Ok(rows)
+                summary: oracle.summary(),
+                bytes_recovered: report.reliability.bytes_recovered,
+            })
+        },
+        |row, next| {
+            row.summary.merge(&next.summary);
+            row.bytes_recovered += next.bytes_recovered;
+        },
+    )
 }
 
-/// Verified replay of the plain `nvfs faults` client schedules: the exact
-/// plans [`crate::faults::model_reliability`] runs, judged by the shadow
-/// oracle. Backs the `nvfs faults --oracle` flag, which must exit nonzero
-/// if the accounted scorecard ever disagrees with the durability contract.
-pub fn faults_oracle_summary(env: &Env, seed: u64) -> Result<OracleSummary, FaultError> {
-    let mut jobs = Vec::new();
-    for model in MODELS {
-        for i in 0..env.traces.traces().len() {
-            jobs.push((model, i));
-        }
-    }
-    let runs = nvfs_par::par_map(jobs, nvfs_par::jobs(), |(model, i)| {
-        let trace = env.traces.trace(i);
-        let plan = crate::faults::client_plan(trace.clients() as u32, trace.duration(), model);
-        let schedule = FaultSchedule::compile(seed ^ trace.number() as u64, &plan)?;
-        let cfg = SimConfig::for_model(model, BASE_BYTES, crate::faults::NVRAM_BYTES);
-        let (_, oracle) = ClusterSim::new(cfg).run_with_faults_verified(trace.ops(), &schedule);
-        Ok(oracle.summary())
-    });
+/// Verified replay of the plain `nvfs faults` client schedules for
+/// `models`: the exact plans [`crate::faults::client_reliability`] runs,
+/// judged by the shadow oracle. Backs the `nvfs faults --oracle` flag,
+/// which must exit nonzero if the accounted scorecard ever disagrees with
+/// the durability contract.
+pub fn faults_oracle_summary(
+    env: &Env,
+    seed: u64,
+    models: &[CacheModelKind],
+) -> Result<OracleSummary, FaultError> {
+    let rows = sweep(
+        models,
+        env.traces.traces(),
+        |&model, trace| {
+            let plan = crate::faults::client_plan(trace.clients() as u32, trace.duration(), model);
+            let schedule = FaultSchedule::compile(seed ^ trace.number() as u64, &plan)?;
+            let cfg = SimConfig::for_model(model, BASE_BYTES, crate::faults::NVRAM_BYTES);
+            let (_, oracle) = ClusterSim::new(cfg).run_with_faults_verified(trace.ops(), &schedule);
+            Ok(oracle.summary())
+        },
+        |row, next| row.merge(&next),
+    )?;
     let mut merged = OracleSummary::default();
-    for run in runs {
-        merged.merge(&run?);
+    for row in &rows {
+        merged.merge(row);
     }
     Ok(merged)
 }
@@ -326,70 +311,59 @@ fn server_modes() -> Vec<(&'static str, LfsConfig)> {
 /// equivalence with the untorn baseline crash.
 pub fn server_sweep(env: &Env) -> Vec<ServerCheckRow> {
     let duration = env.trace_config.duration().as_micros();
-    let quartiles: Vec<SimTime> = (1..=3)
-        .map(|q| SimTime::from_micros(duration * q / 4))
-        .collect();
-    let mut jobs = Vec::new();
-    for (mode, config) in server_modes() {
-        for &at in &quartiles {
-            for i in 0..env.server.len() {
-                jobs.push((mode, config, at, i));
-            }
-        }
-    }
-    let cases = nvfs_par::par_map(jobs, nvfs_par::jobs(), |(mode, config, at, i)| {
-        let workload = &env.server[i];
-        let untorn = ServerCrashFault {
-            time: at,
-            torn_segment: None,
-        };
-        let (base_report, base_rel) = run_filesystem_faulted(workload, &config, &[untorn]);
-        let mut out = Vec::with_capacity(SERVER_FRACTIONS.len());
-        for &fraction in &SERVER_FRACTIONS {
-            let torn = ServerCrashFault {
+    let n = env.server.len();
+    // Input `i` is the crash at quartile `i / n` of workload `i % n`.
+    let cases: Vec<usize> = (0..3 * n).collect();
+    let Ok(rows) = sweep(
+        &server_modes(),
+        &cases,
+        |&(mode, config), &i| {
+            let workload = &env.server[i % n];
+            let at = SimTime::from_micros(duration * (i / n + 1) as u64 / 4);
+            let untorn = ServerCrashFault {
                 time: at,
-                torn_segment: Some(fraction),
+                torn_segment: None,
             };
-            let (report, rel) = run_filesystem_faulted(workload, &config, &[torn]);
-            // The torn run must reconverge with the untorn baseline: the
-            // tear may cost a rewrite but never change what reaches disk.
-            let checks: [bool; 5] = [
-                report.data_bytes() == base_report.data_bytes(),
-                rel.bytes_replayed == base_rel.bytes_replayed,
-                rel.bytes_lost() == base_rel.bytes_lost(),
-                report.records.iter().all(|r| r.is_valid()),
-                rel.bytes_rewritten_torn % BLOCK_SIZE == 0,
-            ];
-            out.push(ServerCheckRow {
-                mode,
-                fraction,
-                crashes: 1,
-                bytes_replayed: rel.bytes_replayed,
-                bytes_rewritten: rel.bytes_rewritten_torn,
-                checks: checks.len() as u64,
-                violations: checks.iter().filter(|ok| !**ok).count() as u64,
-            });
-        }
-        out
-    });
-    // Aggregate per (mode, fraction), keeping mode × fraction order.
-    let mut rows: Vec<ServerCheckRow> = Vec::new();
-    for case in cases.into_iter().flatten() {
-        match rows
-            .iter_mut()
-            .find(|r| r.mode == case.mode && r.fraction == case.fraction)
-        {
-            Some(row) => {
+            let (base_report, base_rel) = run_filesystem_faulted(workload, &config, &[untorn]);
+            let mut out = Vec::with_capacity(SERVER_FRACTIONS.len());
+            for &fraction in &SERVER_FRACTIONS {
+                let torn = ServerCrashFault {
+                    time: at,
+                    torn_segment: Some(fraction),
+                };
+                let (report, rel) = run_filesystem_faulted(workload, &config, &[torn]);
+                // The torn run must reconverge with the untorn baseline: the
+                // tear may cost a rewrite but never change what reaches disk.
+                let checks: [bool; 5] = [
+                    report.data_bytes() == base_report.data_bytes(),
+                    rel.bytes_replayed == base_rel.bytes_replayed,
+                    rel.bytes_lost() == base_rel.bytes_lost(),
+                    report.records.iter().all(|r| r.is_valid()),
+                    rel.bytes_rewritten_torn % BLOCK_SIZE == 0,
+                ];
+                out.push(ServerCheckRow {
+                    mode,
+                    fraction,
+                    crashes: 1,
+                    bytes_replayed: rel.bytes_replayed,
+                    bytes_rewritten: rel.bytes_rewritten_torn,
+                    checks: checks.len() as u64,
+                    violations: checks.iter().filter(|ok| !**ok).count() as u64,
+                });
+            }
+            Ok::<_, Infallible>(out)
+        },
+        |rows, next| {
+            for (row, case) in rows.iter_mut().zip(next) {
                 row.crashes += case.crashes;
                 row.bytes_replayed += case.bytes_replayed;
                 row.bytes_rewritten += case.bytes_rewritten;
                 row.checks += case.checks;
                 row.violations += case.violations;
             }
-            None => rows.push(case),
-        }
-    }
-    rows
+        },
+    );
+    rows.into_iter().flatten().collect()
 }
 
 fn chunks_to_map(chunks: &Chunks) -> DurableMap {
@@ -441,34 +415,28 @@ pub fn judge_wal_report(
 pub fn wal_sweep(env: &Env, seed: u64) -> Vec<WalSweepRow> {
     let duration = env.trace_config.duration().as_micros();
     let config = WalConfig::sprite();
-    let mut jobs = Vec::new();
-    for (point_idx, point) in WalCrashPoint::ALL.iter().enumerate() {
-        for i in 0..env.server.len() {
-            jobs.push((point_idx, *point, i));
-        }
-    }
-    let runs = nvfs_par::par_map(jobs, nvfs_par::jobs(), |(point_idx, point, i)| {
-        // A deterministic but seed- and case-varying quartile, so the
-        // sweep crosses different log/dirty states without RNG state.
-        let quartile = 1 + ((seed ^ i as u64 ^ point_idx as u64) % 3);
-        let crash = WalCrashFault {
-            time: SimTime::from_micros(duration * quartile / 4),
-            point,
-        };
-        let (report, _) = run_filesystem_wal_faulted(&env.server[i], &config, &[crash]);
-        let finish_at = SimTime::from_micros(duration * 2);
-        (
-            point,
-            judge_wal_report(ClientId(i as u32), &report, finish_at),
-        )
-    });
-    let mut rows: Vec<WalSweepRow> = Vec::new();
-    for (point, summary) in runs {
-        match rows.last_mut() {
-            Some(row) if row.point == point => row.summary.merge(&summary),
-            _ => rows.push(WalSweepRow { point, summary }),
-        }
-    }
+    let points: Vec<(usize, WalCrashPoint)> = WalCrashPoint::ALL.into_iter().enumerate().collect();
+    let workloads: Vec<usize> = (0..env.server.len()).collect();
+    let Ok(rows) = sweep(
+        &points,
+        &workloads,
+        |&(point_idx, point), &i| {
+            // A deterministic but seed- and case-varying quartile, so the
+            // sweep crosses different log/dirty states without RNG state.
+            let quartile = 1 + ((seed ^ i as u64 ^ point_idx as u64) % 3);
+            let crash = WalCrashFault {
+                time: SimTime::from_micros(duration * quartile / 4),
+                point,
+            };
+            let (report, _) = run_filesystem_wal_faulted(&env.server[i], &config, &[crash]);
+            let finish_at = SimTime::from_micros(duration * 2);
+            Ok::<_, Infallible>(WalSweepRow {
+                point,
+                summary: judge_wal_report(ClientId(i as u32), &report, finish_at),
+            })
+        },
+        |row, next| row.summary.merge(&next.summary),
+    );
     rows
 }
 
@@ -571,22 +539,16 @@ pub fn server_table(seed: u64, rows: &[ServerCheckRow]) -> Table {
 }
 
 /// Runs the full sweep under `seed`.
-pub fn run_seeded(env: &Env, seed: u64) -> Result<VerifyCrash, FaultError> {
+pub fn run(env: &Env, seed: u64) -> Result<VerifyCrash, FaultError> {
     let rows = client_sweep(env, seed)?;
-    let mut summary = OracleSummary::default();
-    for row in &rows {
-        summary.merge(&row.summary);
-    }
     let server_rows = server_sweep(env);
     let wal_rows = wal_sweep(env, seed);
-    for row in &wal_rows {
+    let mut summary = wal_summary(&wal_rows);
+    for row in &rows {
         summary.merge(&row.summary);
     }
     Ok(VerifyCrash {
         seed,
-        client_table: client_table(seed, &rows),
-        server_table: server_table(seed, &server_rows),
-        wal_table: wal_table(seed, &wal_rows),
         rows,
         summary,
         server_rows,
@@ -594,18 +556,14 @@ pub fn run_seeded(env: &Env, seed: u64) -> Result<VerifyCrash, FaultError> {
     })
 }
 
-/// Runs the full sweep under the default seed.
-pub fn run(env: &Env) -> Result<VerifyCrash, FaultError> {
-    run_seeded(env, DEFAULT_SEED)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::DEFAULT_SEED;
 
     #[test]
     fn tiny_sweep_is_clean_everywhere() {
-        let out = run(&Env::tiny()).unwrap();
+        let out = run(&Env::tiny(), DEFAULT_SEED).unwrap();
         assert!(out.is_clean(), "{}", out.render());
         assert!(out.summary.crash_points > 0);
         assert_eq!(out.summary.clean, out.summary.crash_points);
@@ -623,8 +581,8 @@ mod tests {
     #[test]
     fn sweep_is_reproducible() {
         let env = Env::tiny();
-        let a = run_seeded(&env, 7).unwrap();
-        let b = run_seeded(&env, 7).unwrap();
+        let a = run(&env, 7).unwrap();
+        let b = run(&env, 7).unwrap();
         assert_eq!(a.render(), b.render());
         assert_eq!(a.rows, b.rows);
         assert_eq!(a.server_rows, b.server_rows);
@@ -632,8 +590,8 @@ mod tests {
 
     #[test]
     fn plain_faults_schedules_are_clean_under_the_oracle() {
-        let seed = crate::faults::DEFAULT_SEED;
-        let s = faults_oracle_summary(&Env::tiny(), seed).unwrap();
+        let seed = DEFAULT_SEED;
+        let s = faults_oracle_summary(&Env::tiny(), seed, &MODELS).unwrap();
         assert_eq!(s.violations(), 0, "{}", s.verdict_json(seed));
         assert!(s.crash_points > 0);
         assert!(s
@@ -643,7 +601,7 @@ mod tests {
 
     #[test]
     fn wal_rows_cover_the_crash_point_lattice() {
-        let out = run(&Env::tiny()).unwrap();
+        let out = run(&Env::tiny(), DEFAULT_SEED).unwrap();
         assert_eq!(out.wal_rows.len(), WalCrashPoint::ALL.len());
         for (row, point) in out.wal_rows.iter().zip(WalCrashPoint::ALL) {
             assert_eq!(row.point, point);
@@ -653,17 +611,16 @@ mod tests {
         }
         // Post-append crashes force real replays, so the sweep exercises
         // the promise machinery rather than judging empty incidents.
-        assert!(out.wal_summary().bytes_observed > 0);
-        assert!(out.render_wal().contains("WAL crash-point sweep"));
-        assert!(out
-            .wal_summary()
+        assert!(wal_summary(&out.wal_rows).bytes_observed > 0);
+        assert!(render_wal(out.seed, &out.wal_rows).contains("WAL crash-point sweep"));
+        assert!(wal_summary(&out.wal_rows)
             .verdict_json(out.seed)
             .starts_with("{\"oracle\":\"clean\""));
     }
 
     #[test]
     fn server_rows_cover_every_mode_and_fraction() {
-        let out = run(&Env::tiny()).unwrap();
+        let out = run(&Env::tiny(), DEFAULT_SEED).unwrap();
         assert_eq!(out.server_rows.len(), 2 * SERVER_FRACTIONS.len());
         assert!(out.server_rows.iter().all(|r| r.violations == 0));
         assert!(

@@ -36,7 +36,7 @@ use nvfs_report::{Cell, Table};
 use nvfs_types::SimDuration;
 
 use crate::env::Env;
-use crate::faults::{model_name, BASE_BYTES, DEFAULT_SEED, MODELS};
+use crate::faults::{model_name, BASE_BYTES, MODELS};
 
 /// NVRAM board size for the write-aside and hybrid rows: big enough to
 /// coalesce overwrites during an outage, small enough that a long
@@ -158,8 +158,6 @@ pub struct VerifyNet {
     pub summary: NetSummary,
     /// Merged durability-oracle summary over the composed rows.
     pub oracle: OracleSummary,
-    /// The sweep table.
-    pub table: Table,
 }
 
 impl VerifyNet {
@@ -187,11 +185,17 @@ impl VerifyNet {
         self.rows.iter().map(NetRow::violations).sum()
     }
 
-    /// Whether no acknowledged byte was lost, no request double-applied,
-    /// no delivery leaked through a partition, the composed crashes
-    /// recovered exactly, and the loss ordering held.
-    pub fn is_clean(&self) -> bool {
-        self.violations() == 0 && self.loss_ordering_holds()
+    /// Why the sweep fails, if it does: a wire or durability violation,
+    /// else a broken loss ordering.
+    pub fn failure(&self) -> Option<String> {
+        let n = self.violations();
+        if n > 0 {
+            Some(format!("network judge found {n} violation(s)"))
+        } else if !self.loss_ordering_holds() {
+            Some("partition-loss ordering volatile > write-aside > unified does not hold".into())
+        } else {
+            None
+        }
     }
 
     fn ordering_line(&self) -> String {
@@ -244,7 +248,7 @@ impl VerifyNet {
     pub fn render(&self) -> String {
         format!(
             "{}\n{}\n{}\n",
-            self.table.render(),
+            net_table(self.seed, &self.rows).render(),
             self.ordering_line(),
             self.verdict_json()
         )
@@ -265,64 +269,48 @@ fn model_config(model: CacheModelKind) -> SimConfig {
 /// Runs the sweep: every trace × model × schedule, one run each, merged
 /// into per-(model, schedule) rows in sweep order.
 pub fn sweep(env: &Env, seed: u64) -> Result<Vec<NetRow>, String> {
-    let mut jobs = Vec::new();
-    for model in MODELS {
-        for kind in NET_KINDS {
-            for i in 0..env.traces.traces().len() {
-                jobs.push((model, kind, i));
-            }
-        }
-    }
-    let runs = nvfs_par::par_map(jobs, nvfs_par::jobs(), |(model, kind, i)| {
-        let trace = env.traces.trace(i);
-        let cfg = kind.plan(trace.clients() as u32, trace.duration());
-        let net =
-            NetFaultPlan::compile(seed ^ trace.number() as u64, &cfg).map_err(|e| e.to_string())?;
-        let sim = ClusterSim::new(model_config(model));
-        let (report, oracle) = if kind == NetScheduleKind::PartitionCrash {
-            let plan = crate::faults::client_plan(trace.clients() as u32, trace.duration(), model);
-            let schedule = FaultSchedule::compile(seed ^ trace.number() as u64, &plan)
+    let keys: Vec<(CacheModelKind, NetScheduleKind)> = MODELS
+        .into_iter()
+        .flat_map(|model| NET_KINDS.map(|kind| (model, kind)))
+        .collect();
+    crate::sweep::sweep(
+        &keys,
+        env.traces.traces(),
+        |&(model, kind), trace| {
+            let cfg = kind.plan(trace.clients() as u32, trace.duration());
+            let net = NetFaultPlan::compile(seed ^ trace.number() as u64, &cfg)
                 .map_err(|e| e.to_string())?;
-            let (report, oracle) = sim.run_with_net_faults_verified(trace.ops(), &net, &schedule);
-            (report, oracle.summary())
-        } else {
-            (
-                sim.run_with_net_faults(trace.ops(), &net),
-                OracleSummary::default(),
-            )
-        };
-        Ok::<_, String>((
-            model,
-            kind,
-            report.net.stats,
-            report.net.summary,
-            report.reliability.bytes_lost_partition,
-            oracle,
-        ))
-    });
-    // par_map preserves submission order, so folding in run order gives
-    // the same rows at any job count.
-    let mut rows: Vec<NetRow> = Vec::new();
-    for run in runs {
-        let (model, kind, stats, net, shed, oracle) = run?;
-        match rows.last_mut() {
-            Some(row) if row.model == model && row.kind == kind => {
-                row.stats.merge(&stats);
-                row.net.merge(&net);
-                row.shed_bytes += shed;
-                row.oracle.merge(&oracle);
-            }
-            _ => rows.push(NetRow {
+            let sim = ClusterSim::new(model_config(model));
+            let (report, oracle) = if kind == NetScheduleKind::PartitionCrash {
+                let plan =
+                    crate::faults::client_plan(trace.clients() as u32, trace.duration(), model);
+                let schedule = FaultSchedule::compile(seed ^ trace.number() as u64, &plan)
+                    .map_err(|e| e.to_string())?;
+                let (report, oracle) =
+                    sim.run_with_net_faults_verified(trace.ops(), &net, &schedule);
+                (report, oracle.summary())
+            } else {
+                (
+                    sim.run_with_net_faults(trace.ops(), &net),
+                    OracleSummary::default(),
+                )
+            };
+            Ok(NetRow {
                 model,
                 kind,
-                stats,
-                net,
-                shed_bytes: shed,
+                stats: report.net.stats,
+                net: report.net.summary,
+                shed_bytes: report.reliability.bytes_lost_partition,
                 oracle,
-            }),
-        }
-    }
-    Ok(rows)
+            })
+        },
+        |row, next| {
+            row.stats.merge(&next.stats);
+            row.net.merge(&next.net);
+            row.shed_bytes += next.shed_bytes;
+            row.oracle.merge(&next.oracle);
+        },
+    )
 }
 
 /// Renders the sweep table.
@@ -361,7 +349,7 @@ pub fn net_table(seed: u64, rows: &[NetRow]) -> Table {
 }
 
 /// Runs the full sweep under `seed`.
-pub fn run_seeded(env: &Env, seed: u64) -> Result<VerifyNet, String> {
+pub fn run(env: &Env, seed: u64) -> Result<VerifyNet, String> {
     let rows = sweep(env, seed)?;
     let mut summary = NetSummary::default();
     let mut oracle = OracleSummary::default();
@@ -371,26 +359,21 @@ pub fn run_seeded(env: &Env, seed: u64) -> Result<VerifyNet, String> {
     }
     Ok(VerifyNet {
         seed,
-        table: net_table(seed, &rows),
         rows,
         summary,
         oracle,
     })
 }
 
-/// Runs the full sweep under the default seed.
-pub fn run(env: &Env) -> Result<VerifyNet, String> {
-    run_seeded(env, DEFAULT_SEED)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::DEFAULT_SEED;
 
     #[test]
     fn tiny_sweep_is_clean_and_ordering_holds() {
-        let out = run(&Env::tiny()).unwrap();
-        assert!(out.is_clean(), "{}", out.render());
+        let out = run(&Env::tiny(), DEFAULT_SEED).unwrap();
+        assert_eq!(out.failure(), None, "{}", out.render());
         assert!(out.loss_ordering_holds(), "{}", out.render());
         // Unified's whole-cache NVRAM absorbs almost everything: its shed
         // must be a small fraction of what write-aside loses to overflow.
@@ -421,15 +404,15 @@ mod tests {
     #[test]
     fn sweep_is_reproducible() {
         let env = Env::tiny();
-        let a = run_seeded(&env, 7).unwrap();
-        let b = run_seeded(&env, 7).unwrap();
+        let a = run(&env, 7).unwrap();
+        let b = run(&env, 7).unwrap();
         assert_eq!(a.render(), b.render());
         assert_eq!(a.rows, b.rows);
     }
 
     #[test]
     fn composed_rows_run_the_durability_oracle() {
-        let out = run(&Env::tiny()).unwrap();
+        let out = run(&Env::tiny(), DEFAULT_SEED).unwrap();
         for row in &out.rows {
             if row.kind == NetScheduleKind::PartitionCrash {
                 assert!(row.oracle.crash_points > 0, "{:?}", row.model);

@@ -35,7 +35,8 @@ use nvfs_report::{Cell, Table};
 use nvfs_types::{SimDuration, BLOCK_SIZE};
 
 use crate::env::Env;
-use crate::faults::{BASE_BYTES, DEFAULT_SEED};
+use crate::faults::BASE_BYTES;
+use crate::sweep::sweep;
 use crate::verify_crash::{FLUSH_TICK, NVRAM_BLOCKS};
 
 /// Background scrub period for the sweep: long against the 5-second
@@ -105,8 +106,6 @@ pub struct VerifyScrub {
     pub runs: u64,
     /// Rows in mode × kind × crash-point order.
     pub rows: Vec<ScrubRow>,
-    /// Rendered sweep table.
-    pub table: Table,
 }
 
 impl VerifyScrub {
@@ -118,6 +117,12 @@ impl VerifyScrub {
     /// Whether every row held its contract.
     pub fn is_clean(&self) -> bool {
         self.violations() == 0
+    }
+
+    /// Why the sweep fails, if it does: any row that broke its contract.
+    pub fn failure(&self) -> Option<String> {
+        let n = self.violations();
+        (n > 0).then(|| format!("corruption sweep found {n} violation(s)"))
     }
 
     /// Total silent bytes shipped by one mode across the sweep.
@@ -157,7 +162,11 @@ impl VerifyScrub {
 
     /// The table plus the verdict line, as printed by `nvfs verify-scrub`.
     pub fn render(&self) -> String {
-        format!("{}\n{}\n", self.table.render(), self.verdict_json())
+        format!(
+            "{}\n{}\n",
+            scrub_table(self.seed, &self.rows).render(),
+            self.verdict_json()
+        )
     }
 }
 
@@ -202,81 +211,68 @@ pub fn scrub_table(seed: u64, rows: &[ScrubRow]) -> Table {
 /// Runs the full sweep under `seed`: every protection mode × corruption
 /// kind × crash point × trace, on the unified model (the one whose clean
 /// region holds repairable read-cache data).
-pub fn run_seeded(env: &Env, seed: u64) -> Result<VerifyScrub, FaultError> {
-    let mut jobs = Vec::new();
-    for mode in ProtectionMode::ALL {
-        for kind in CorruptionKind::ALL {
-            for point in CRASH_POINTS {
-                for i in 0..env.traces.traces().len() {
-                    jobs.push((mode, kind, point, i));
-                }
-            }
-        }
-    }
-    let runs_total = jobs.len() as u64;
-    let runs = nvfs_par::par_map(jobs, nvfs_par::jobs(), |(mode, kind, point, i)| {
-        let trace = env.traces.trace(i);
-        let clients = trace.clients() as u32;
-        let crashes = (clients / 2).clamp(1, 4);
-        let plan = FaultPlanConfig::new(clients, trace.duration())
-            .with_client_crashes(crashes)
-            .with_torn_probability(0.5);
-        let run_seed = seed ^ trace.number() as u64;
-        let schedule =
-            FaultSchedule::compile(run_seed, &plan)?.apply_crash_point(point, FLUSH_TICK);
-        let corruption = CorruptionSchedule::compile(
-            run_seed,
-            &corruption_plan(clients, trace.duration(), kind),
-        )?;
-        let config = SimConfig::unified(BASE_BYTES, NVRAM_BLOCKS * BLOCK_SIZE);
-        let (_, oracle, report) = ClusterSim::new(config).run_with_corruption_verified(
-            trace.ops(),
-            &schedule,
-            &corruption,
-            mode,
-            Some(SCRUB_INTERVAL),
-        );
-        Ok((mode, kind, point, oracle.summary(), report))
-    });
-    // par_map preserves submission order, so folding in run order gives
-    // the same rows at any job count.
-    let mut rows: Vec<ScrubRow> = Vec::new();
-    for run in runs {
-        let (mode, kind, point, summary, report) = run?;
-        match rows.last_mut() {
-            Some(row) if row.mode == mode && row.kind == kind && row.point == point => {
-                row.summary.merge(&summary);
-                row.report.merge(&report);
-            }
-            _ => rows.push(ScrubRow {
+pub fn run(env: &Env, seed: u64) -> Result<VerifyScrub, FaultError> {
+    let keys: Vec<(ProtectionMode, CorruptionKind, CrashPointKind)> = ProtectionMode::ALL
+        .into_iter()
+        .flat_map(|mode| {
+            CorruptionKind::ALL
+                .into_iter()
+                .flat_map(move |kind| CRASH_POINTS.map(|point| (mode, kind, point)))
+        })
+        .collect();
+    let traces = env.traces.traces();
+    let rows = sweep(
+        &keys,
+        traces,
+        |&(mode, kind, point), trace| {
+            let clients = trace.clients() as u32;
+            let crashes = (clients / 2).clamp(1, 4);
+            let plan = FaultPlanConfig::new(clients, trace.duration())
+                .with_client_crashes(crashes)
+                .with_torn_probability(0.5);
+            let run_seed = seed ^ trace.number() as u64;
+            let schedule =
+                FaultSchedule::compile(run_seed, &plan)?.apply_crash_point(point, FLUSH_TICK);
+            let corruption = CorruptionSchedule::compile(
+                run_seed,
+                &corruption_plan(clients, trace.duration(), kind),
+            )?;
+            let config = SimConfig::unified(BASE_BYTES, NVRAM_BLOCKS * BLOCK_SIZE);
+            let (_, oracle, report) = ClusterSim::new(config).run_with_corruption_verified(
+                trace.ops(),
+                &schedule,
+                &corruption,
+                mode,
+                Some(SCRUB_INTERVAL),
+            );
+            Ok(ScrubRow {
                 mode,
                 kind,
                 point,
-                summary,
+                summary: oracle.summary(),
                 report,
-            }),
-        }
-    }
+            })
+        },
+        |row, next| {
+            row.summary.merge(&next.summary);
+            row.report.merge(&next.report);
+        },
+    )?;
     Ok(VerifyScrub {
         seed,
-        runs: runs_total,
-        table: scrub_table(seed, &rows),
+        runs: (keys.len() * traces.len()) as u64,
         rows,
     })
-}
-
-/// Runs the full sweep under the default seed.
-pub fn run(env: &Env) -> Result<VerifyScrub, FaultError> {
-    run_seeded(env, DEFAULT_SEED)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::DEFAULT_SEED;
 
     #[test]
     fn tiny_sweep_is_clean_and_covers_the_lattice() {
-        let out = run(&Env::tiny()).unwrap();
+        let out = run(&Env::tiny(), DEFAULT_SEED).unwrap();
         assert!(out.is_clean(), "{}", out.render());
         assert_eq!(
             out.rows.len(),
@@ -311,8 +307,8 @@ mod tests {
     #[test]
     fn sweep_is_reproducible() {
         let env = Env::tiny();
-        let a = run_seeded(&env, 7).unwrap();
-        let b = run_seeded(&env, 7).unwrap();
+        let a = run(&env, 7).unwrap();
+        let b = run(&env, 7).unwrap();
         assert_eq!(a.render(), b.render());
         assert_eq!(a.rows, b.rows);
     }

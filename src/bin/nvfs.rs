@@ -44,6 +44,14 @@ macro_rules! outln {
     }};
 }
 
+/// [`outln!`] without the trailing newline.
+macro_rules! out {
+    ($($arg:tt)*) => {{
+        let mut stdout = std::io::stdout().lock();
+        let _ = write!(stdout, $($arg)*);
+    }};
+}
+
 use nvfs::core::lifetime::LifetimeLog;
 use nvfs::core::{ClusterSim, ConsistencyMode, PolicyKind, SimConfig};
 use nvfs::experiments as exp;
@@ -186,7 +194,8 @@ commands:
                reliability scorecard: bytes lost per cache model under one
                seeded fault schedule (client crashes, battery death, torn
                writes, server crashes); --oracle re-judges every recovery
-               against the shadow durability model and fails on violations
+               of the selected model(s) against the shadow durability
+               model and fails on violations
   verify-crash [--scale S] [--seed N] [--wal]
                durability oracle: deterministic crash-point sweep (full,
                mid-drain per block, dead board, battery edge, pre/post
@@ -506,48 +515,60 @@ fn cmd_lfs(mut args: VecDeque<String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_faults(mut args: VecDeque<String>) -> Result<(), String> {
-    let scale = parse_scale(&mut args)?;
-    let env = scale.env();
-    let seed: u64 = take_flag(&mut args, "--seed")?
-        .unwrap_or_else(|| exp::faults::DEFAULT_SEED.to_string())
-        .parse()
-        .map_err(|_| "bad --seed")?;
-    let model = take_flag(&mut args, "--model")?;
-    let oracle = take_switch(&mut args, "--oracle");
+/// The preamble shared by the four fault studies. Call it after taking
+/// the command's own flags: it parses `--scale` and `--seed`, rejects any
+/// argument left over, notes the seed and `config` in the run manifest,
+/// and only then generates the workloads.
+fn fault_study(
+    args: &mut VecDeque<String>,
+    command: &str,
+    config: &[(&str, &str)],
+) -> Result<(Env, u64), String> {
+    let scale = parse_scale(args)?;
+    let seed: u64 = match take_flag(args, "--seed")? {
+        Some(v) => v.parse().map_err(|_| "bad --seed")?,
+        None => exp::faults::DEFAULT_SEED,
+    };
+    if let Some(arg) = args.front() {
+        return Err(format!("{command}: unexpected argument {arg:?}"));
+    }
     nvfs::obs::manifest::set_seed(seed);
-    note_config(&[
-        ("command", "faults"),
+    let seed_text = seed.to_string();
+    let base = [
+        ("command", command),
         ("scale", scale.name()),
-        ("seed", &seed.to_string()),
-        ("model", model.as_deref().unwrap_or("all")),
-    ]);
-    eprintln!("[faults] jobs = {}", nvfs::par::jobs());
-    match model {
+        ("seed", &seed_text),
+    ];
+    note_config(&[&base[..], config].concat());
+    eprintln!("[{command}] jobs = {}", nvfs::par::jobs());
+    Ok((scale.env(), seed))
+}
+
+fn cmd_faults(mut args: VecDeque<String>) -> Result<(), String> {
+    let model = take_flag(&mut args, "--model")?;
+    let models = match &model {
+        Some(name) => vec![exp::faults::parse_model(name).ok_or_else(|| {
+            format!("unknown model {name:?} (volatile|write-aside|hybrid|unified)")
+        })?],
+        None => exp::faults::MODELS.to_vec(),
+    };
+    let oracle = take_switch(&mut args, "--oracle");
+    let model = model.as_deref().unwrap_or("all");
+    let (env, seed) = fault_study(&mut args, "faults", &[("model", model)])?;
+    if models.len() == 1 {
         // One model: just that row of the client scorecard (the CI fault
         // matrix runs this once per model and diffs against a golden file).
-        Some(name) => {
-            let kind = exp::faults::parse_model(&name).ok_or_else(|| {
-                format!("unknown model {name:?} (volatile|write-aside|hybrid|unified)")
-            })?;
-            let stats = catching("faults", || {
-                exp::faults::model_reliability(&env, seed, kind).map_err(|e| e.to_string())
-            })?;
-            outln!(
-                "{}",
-                exp::faults::client_table(seed, &[(kind, stats)]).render()
-            );
-        }
-        None => {
-            let out = catching("faults", || {
-                exp::faults::run_seeded(&env, seed).map_err(|e| e.to_string())
-            })?;
-            outln!("{}", out.render());
-            if !out.loss_ordering_holds() {
-                return Err(
-                    "bytes-lost ordering volatile > write-aside > unified does not hold".into(),
-                );
-            }
+        let rows = catching("faults", || {
+            exp::faults::client_reliability(&env, seed, &models).map_err(|e| e.to_string())
+        })?;
+        outln!("{}", exp::faults::client_table(seed, &rows).render());
+    } else {
+        let out = catching("faults", || {
+            exp::faults::run(&env, seed).map_err(|e| e.to_string())
+        })?;
+        outln!("{}", out.render());
+        if let Some(reason) = out.failure() {
+            return Err(reason);
         }
     }
     if oracle {
@@ -555,7 +576,7 @@ fn cmd_faults(mut args: VecDeque<String>) -> Result<(), String> {
         // any recovery that lost a promised byte, resurrected an
         // unpromised one, or replayed a byte twice fails the run.
         let summary = catching("faults --oracle", || {
-            exp::verify_crash::faults_oracle_summary(&env, seed).map_err(|e| e.to_string())
+            exp::verify_crash::faults_oracle_summary(&env, seed, &models).map_err(|e| e.to_string())
         })?;
         outln!("{}", summary.verdict_json(seed));
         if summary.violations() > 0 {
@@ -570,115 +591,50 @@ fn cmd_faults(mut args: VecDeque<String>) -> Result<(), String> {
 
 fn cmd_verify_crash(mut args: VecDeque<String>) -> Result<(), String> {
     let wal_only = take_switch(&mut args, "--wal");
-    let scale = parse_scale(&mut args)?;
-    let env = scale.env();
-    let seed: u64 = take_flag(&mut args, "--seed")?
-        .unwrap_or_else(|| exp::faults::DEFAULT_SEED.to_string())
-        .parse()
-        .map_err(|_| "bad --seed")?;
-    nvfs::obs::manifest::set_seed(seed);
-    note_config(&[
-        ("command", "verify-crash"),
-        ("scale", scale.name()),
-        ("seed", &seed.to_string()),
-    ]);
-    eprintln!("[verify-crash] jobs = {}", nvfs::par::jobs());
+    let (env, seed) = fault_study(&mut args, "verify-crash", &[])?;
     if wal_only {
         // The CI smoke path: just the WAL crash-point lattice, judged and
         // rendered with its own verdict line, diffed against a golden.
         let rows = catching("verify-crash", || {
             Ok::<_, String>(exp::verify_crash::wal_sweep(&env, seed))
         })?;
-        let mut summary = nvfs::oracle::OracleSummary::default();
-        for row in &rows {
-            summary.merge(&row.summary);
-        }
-        outln!("{}", exp::verify_crash::wal_table(seed, &rows).render());
-        outln!("{}", summary.verdict_json(seed));
-        if summary.violations() > 0 {
+        out!("{}", exp::verify_crash::render_wal(seed, &rows));
+        let violations = exp::verify_crash::wal_summary(&rows).violations();
+        if violations > 0 {
             return Err(format!(
-                "durability oracle found {} WAL violation(s)",
-                summary.violations()
+                "durability oracle found {violations} WAL violation(s)"
             ));
         }
         return Ok(());
     }
     let out = catching("verify-crash", || {
-        exp::verify_crash::run_seeded(&env, seed).map_err(|e| e.to_string())
+        exp::verify_crash::run(&env, seed).map_err(|e| e.to_string())
     })?;
     outln!("{}", out.render());
-    if !out.is_clean() {
-        return Err(format!(
-            "durability oracle found {} violation(s)",
-            out.violations()
-        ));
-    }
-    Ok(())
+    out.failure().map_or(Ok(()), Err)
 }
 
 fn cmd_verify_net(mut args: VecDeque<String>) -> Result<(), String> {
-    let scale = parse_scale(&mut args)?;
-    let env = scale.env();
-    let seed: u64 = take_flag(&mut args, "--seed")?
-        .unwrap_or_else(|| exp::faults::DEFAULT_SEED.to_string())
-        .parse()
-        .map_err(|_| "bad --seed")?;
-    nvfs::obs::manifest::set_seed(seed);
-    note_config(&[
-        ("command", "verify-net"),
-        ("scale", scale.name()),
-        ("seed", &seed.to_string()),
-    ]);
-    eprintln!("[verify-net] jobs = {}", nvfs::par::jobs());
-    let out = catching("verify-net", || exp::verify_net::run_seeded(&env, seed))?;
+    let (env, seed) = fault_study(&mut args, "verify-net", &[])?;
+    let out = catching("verify-net", || exp::verify_net::run(&env, seed))?;
     outln!("{}", out.render());
-    if out.violations() > 0 {
-        return Err(format!(
-            "network judge found {} violation(s)",
-            out.violations()
-        ));
-    }
-    if !out.loss_ordering_holds() {
-        return Err(
-            "partition-loss ordering volatile > write-aside > unified does not hold".into(),
-        );
-    }
-    Ok(())
+    out.failure().map_or(Ok(()), Err)
 }
 
 fn cmd_verify_scrub(mut args: VecDeque<String>) -> Result<(), String> {
-    let scale = parse_scale(&mut args)?;
-    let env = scale.env();
-    let seed: u64 = take_flag(&mut args, "--seed")?
-        .unwrap_or_else(|| exp::faults::DEFAULT_SEED.to_string())
-        .parse()
-        .map_err(|_| "bad --seed")?;
-    nvfs::obs::manifest::set_seed(seed);
-    note_config(&[
-        ("command", "verify-scrub"),
-        ("scale", scale.name()),
-        ("seed", &seed.to_string()),
-    ]);
-    eprintln!("[verify-scrub] jobs = {}", nvfs::par::jobs());
+    let (env, seed) = fault_study(&mut args, "verify-scrub", &[])?;
     let out = catching("verify-scrub", || {
-        exp::verify_scrub::run_seeded(&env, seed).map_err(|e| e.to_string())
+        exp::verify_scrub::run(&env, seed).map_err(|e| e.to_string())
     })?;
     outln!("{}", out.render());
-    if !out.is_clean() {
-        return Err(format!(
-            "corruption sweep found {} violation(s)",
-            out.violations()
-        ));
-    }
-    Ok(())
+    out.failure().map_or(Ok(()), Err)
 }
 
 fn cmd_experiments(mut args: VecDeque<String>) -> Result<(), String> {
     // `--list` prints the registry and exits before any workload is
     // generated; CI diffs this output against the ids in `nvfs help`.
     if take_switch(&mut args, "--list") {
-        let mut stdout = std::io::stdout().lock();
-        let _ = write!(stdout, "{}", registry::list_text());
+        out!("{}", registry::list_text());
         return Ok(());
     }
     // `--only NAME` resolves before the (possibly expensive) environment
@@ -710,9 +666,7 @@ fn cmd_experiments(mut args: VecDeque<String>) -> Result<(), String> {
         run_experiment(&env, &id)
     });
     for text in rendered {
-        let text = text?;
-        let mut stdout = std::io::stdout().lock();
-        let _ = write!(stdout, "{text}");
+        out!("{}", text?);
     }
     Ok(())
 }
@@ -736,10 +690,7 @@ fn cmd_scorecard(mut args: VecDeque<String>) -> Result<(), String> {
     let artifacts = catching("scorecard", || {
         registry::find_or_suggest("scorecard")?.run(&env)
     })?;
-    {
-        let mut stdout = std::io::stdout().lock();
-        let _ = write!(stdout, "{}", artifacts.text);
-    }
+    out!("{}", artifacts.text);
     artifacts.failure.map_or(Ok(()), Err)
 }
 

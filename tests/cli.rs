@@ -253,3 +253,52 @@ fn bench_profile_calls_count_every_span_opened() {
     assert!(calls["wal_drain"] > 1, "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `faults --model M --oracle` judges only the selected model's
+/// schedules: the verdict's `crash_points` equals the `crashes` column of
+/// the one row printed above it.
+#[test]
+fn faults_oracle_judges_only_the_selected_model() {
+    let out = nvfs(&[
+        "faults", "--scale", "tiny", "--seed", "42", "--model", "unified", "--oracle",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let row = stdout
+        .lines()
+        .find(|l| l.trim_start().starts_with("unified "))
+        .expect("unified row printed");
+    let crashes = row.split_whitespace().nth(1).unwrap();
+    let verdict = stdout.lines().last().unwrap();
+    assert!(
+        verdict.contains(&format!("\"crash_points\":{crashes},")),
+        "{stdout}"
+    );
+}
+
+/// The fault studies reject leftover arguments with a one-line error
+/// before generating any workload (no jobs banner on stderr), so a typo
+/// such as `--sed 7` cannot silently run the default seed.
+#[test]
+fn fault_studies_reject_leftover_arguments() {
+    for args in [
+        &["verify-net", "--scale", "tiny", "--bogus"][..],
+        &["faults", "--sed", "7"],
+        &["verify-crash", "--wal", "extra"],
+        &["verify-scrub", "--scale", "tiny", "--seed", "1", "2"],
+    ] {
+        let out = nvfs(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+        assert!(
+            err.starts_with("error: ") && err.contains("unexpected argument"),
+            "{err}"
+        );
+    }
+}

@@ -95,11 +95,11 @@ fn faults_golden_matrix_reproduces_in_process() {
     let mut matrix = String::new();
     for model in ["volatile", "write-aside", "hybrid", "unified"] {
         let kind = exp::faults::parse_model(model).unwrap();
-        let stats = exp::faults::model_reliability(&env, seed, kind).unwrap();
-        matrix.push_str(&exp::faults::client_table(seed, &[(kind, stats)]).render());
+        let rows = exp::faults::client_reliability(&env, seed, &[kind]).unwrap();
+        matrix.push_str(&exp::faults::client_table(seed, &rows).render());
         matrix.push('\n');
     }
-    matrix.push_str(&exp::faults::run_seeded(&env, seed).unwrap().render());
+    matrix.push_str(&exp::faults::run(&env, seed).unwrap().render());
     matrix.push('\n');
     assert_eq!(matrix, include_str!("golden/faults_tiny.txt"));
 }

@@ -220,9 +220,9 @@ fn verified_trace_run_is_clean_at_every_crash_point() {
 fn verify_crash_sweep_is_jobs_invariant() {
     let env = Env::tiny();
     nvfs::par::set_jobs(1);
-    let seq = exp::verify_crash::run_seeded(&env, 42).unwrap();
+    let seq = exp::verify_crash::run(&env, 42).unwrap();
     nvfs::par::set_jobs(8);
-    let par = exp::verify_crash::run_seeded(&env, 42).unwrap();
+    let par = exp::verify_crash::run(&env, 42).unwrap();
     assert_eq!(seq.render(), par.render());
     assert!(seq.is_clean(), "{}", seq.render());
     assert_eq!(seq.verdict_json(), par.verdict_json());
