@@ -572,14 +572,8 @@ fn run_verify_scrub(env: &Env) -> Result<Artifacts, String> {
 }
 
 fn run_scrub_overhead(env: &Env) -> Result<Artifacts, String> {
-    let out = crate::scrub_overhead::run(env);
-    let failure = if !out.ordering_holds() {
-        Some("protection overhead is not ordered unprotected < write-protect < verified".into())
-    } else {
-        (!out.defense_holds())
-            .then(|| "protection modes do not deliver their corruption guarantees".to_string())
-    };
-    Ok(Artifacts::new(out.table.render()).with_failure(failure))
+    let out = crate::scrub_overhead::run(env, DEFAULT_SEED).map_err(|e| e.to_string())?;
+    Ok(Artifacts::new(out.table().render()).with_failure(out.failure()))
 }
 
 #[cfg(test)]

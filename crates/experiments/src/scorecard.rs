@@ -102,7 +102,10 @@ fn gather(env: &Env) -> Vec<Part> {
             verify_net::run(env, crate::faults::DEFAULT_SEED).expect("verify-net sweep failed"),
         ),
         12 => Part::WalVsBuffer(lfs_wal_vs_buffer::run(env)),
-        _ => Part::ScrubOverhead(scrub_overhead::run(env)),
+        _ => Part::ScrubOverhead(
+            scrub_overhead::run(env, crate::faults::DEFAULT_SEED)
+                .expect("scrub-overhead study failed"),
+        ),
     })
 }
 

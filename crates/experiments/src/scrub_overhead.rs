@@ -20,7 +20,7 @@
 
 use nvfs_core::{ClusterSim, ScrubReport, SimConfig};
 use nvfs_faults::corrupt::{CorruptionPlanConfig, CorruptionSchedule};
-use nvfs_faults::{FaultPlanConfig, FaultSchedule};
+use nvfs_faults::{FaultError, FaultPlanConfig, FaultSchedule};
 use nvfs_nvram::protect::{
     scrub_overhead_ns, verify_overhead_ns, write_protect_overhead_ns, ProtectionMode,
     NVRAM_NS_PER_BYTE,
@@ -29,7 +29,8 @@ use nvfs_report::{Cell, Table};
 use nvfs_types::{SimDuration, BLOCK_SIZE};
 
 use crate::env::Env;
-use crate::faults::{BASE_BYTES, DEFAULT_SEED};
+use crate::faults::BASE_BYTES;
+use crate::sweep::sweep;
 use crate::verify_crash::NVRAM_BLOCKS;
 
 /// Background scrub period charged in the defended modes.
@@ -64,8 +65,6 @@ pub struct ScrubOverhead {
     pub seed: u64,
     /// One row per protection mode, in [`ProtectionMode::ALL`] order.
     pub rows: Vec<OverheadRow>,
-    /// Rendered table.
-    pub table: Table,
 }
 
 impl ScrubOverhead {
@@ -93,106 +92,122 @@ impl ScrubOverhead {
             && self.row(ProtectionMode::Unprotected).report.bytes_silent > 0
             && self.rows.iter().all(|r| r.report.conservation_holds())
     }
+
+    /// Why the study fails, if it does: overhead out of order, or a mode
+    /// that does not deliver its guarantee.
+    pub fn failure(&self) -> Option<String> {
+        if !self.ordering_holds() {
+            Some("protection overhead is not ordered unprotected < write-protect < verified".into())
+        } else {
+            (!self.defense_holds())
+                .then(|| "protection modes do not deliver their corruption guarantees".to_string())
+        }
+    }
+
+    /// The rendered table.
+    pub fn table(&self) -> Table {
+        let mut table = Table::new(
+            &format!(
+                "Protection overhead vs undetected corruption (seed {}, trace 7)",
+                self.seed
+            ),
+            &[
+                "mode",
+                "overhead ms",
+                "overhead %",
+                "events",
+                "corrupt KB",
+                "silent KB",
+                "detect KB",
+                "repair KB",
+                "bounce KB",
+            ],
+        );
+        let kb = |b: u64| Cell::f1(b as f64 / 1024.0);
+        for row in &self.rows {
+            let r = &row.report;
+            table.push_row(vec![
+                Cell::from(row.mode.label()),
+                Cell::Float {
+                    value: row.overhead_ns as f64 / 1e6,
+                    precision: 3,
+                },
+                Cell::Pct(row.overhead_pct),
+                Cell::Int(r.events as i64),
+                kb(r.bytes_corrupted_dirty + r.bytes_corrupted_clean),
+                kb(r.bytes_silent),
+                kb(r.bytes_detected),
+                kb(r.bytes_repaired),
+                kb(r.bytes_bounced),
+            ]);
+        }
+        table
+    }
 }
 
 /// Runs the study under `seed`: trace 7's unified model, one run per
 /// protection mode against the same corruption schedule, no crashes (so
 /// overhead is measured on the pure caching path).
-pub fn run_seeded(env: &Env, seed: u64) -> ScrubOverhead {
+pub fn run(env: &Env, seed: u64) -> Result<ScrubOverhead, FaultError> {
     let trace = env.trace7();
     let clients = trace.clients() as u32;
-    let schedule = FaultSchedule::compile(seed, &FaultPlanConfig::new(clients, trace.duration()))
-        .expect("empty fault plan compiles");
+    let schedule = FaultSchedule::compile(seed, &FaultPlanConfig::new(clients, trace.duration()))?;
     let corruption = CorruptionSchedule::compile(
         seed,
         &CorruptionPlanConfig::new(clients, trace.duration())
             .with_stray_writes(24)
             .with_bit_flips(16)
             .with_decay_events(6),
-    )
-    .expect("corruption plan compiles");
+    )?;
     let config = SimConfig::unified(BASE_BYTES, NVRAM_BLOCKS * BLOCK_SIZE);
-    let runs = nvfs_par::par_map(ProtectionMode::ALL.to_vec(), nvfs_par::jobs(), |mode| {
-        let (out, _, report) = ClusterSim::new(config.clone()).run_with_corruption_verified(
-            trace.ops(),
-            &schedule,
-            &corruption,
-            mode,
-            scrub_interval_for(mode),
-        );
-        (mode, out.stats, report)
-    });
-    let mut rows = Vec::new();
-    for (mode, stats, report) in runs {
-        let machinery = match mode {
-            ProtectionMode::Unprotected => 0,
-            ProtectionMode::WriteProtected => write_protect_overhead_ns(stats.nvram_writes),
-            ProtectionMode::Verified => verify_overhead_ns(stats.nvram_bytes),
-        };
-        let overhead_ns = machinery + scrub_overhead_ns(report.blocks_scanned);
-        let base_ns = stats.nvram_bytes * NVRAM_NS_PER_BYTE;
-        let overhead_pct = if base_ns == 0 {
-            0.0
-        } else {
-            100.0 * overhead_ns as f64 / base_ns as f64
-        };
-        rows.push(OverheadRow {
-            mode,
-            overhead_ns,
-            overhead_pct,
-            report,
-        });
-    }
-    let mut table = Table::new(
-        &format!("Protection overhead vs undetected corruption (seed {seed}, trace 7)"),
-        &[
-            "mode",
-            "overhead ms",
-            "overhead %",
-            "events",
-            "corrupt KB",
-            "silent KB",
-            "detect KB",
-            "repair KB",
-            "bounce KB",
-        ],
-    );
-    let kb = |b: u64| Cell::f1(b as f64 / 1024.0);
-    for row in &rows {
-        let r = &row.report;
-        table.push_row(vec![
-            Cell::from(row.mode.label()),
-            Cell::Float {
-                value: row.overhead_ns as f64 / 1e6,
-                precision: 3,
-            },
-            Cell::Pct(row.overhead_pct),
-            Cell::Int(r.events as i64),
-            kb(r.bytes_corrupted_dirty + r.bytes_corrupted_clean),
-            kb(r.bytes_silent),
-            kb(r.bytes_detected),
-            kb(r.bytes_repaired),
-            kb(r.bytes_bounced),
-        ]);
-    }
-    ScrubOverhead { seed, rows, table }
-}
-
-/// Runs the study under the default seed.
-pub fn run(env: &Env) -> ScrubOverhead {
-    run_seeded(env, DEFAULT_SEED)
+    let rows = sweep(
+        &ProtectionMode::ALL,
+        &[trace],
+        |&mode, trace| {
+            let (out, _, report) = ClusterSim::new(config.clone()).run_with_corruption_verified(
+                trace.ops(),
+                &schedule,
+                &corruption,
+                mode,
+                scrub_interval_for(mode),
+            );
+            let stats = out.stats;
+            let machinery = match mode {
+                ProtectionMode::Unprotected => 0,
+                ProtectionMode::WriteProtected => write_protect_overhead_ns(stats.nvram_writes),
+                ProtectionMode::Verified => verify_overhead_ns(stats.nvram_bytes),
+            };
+            let overhead_ns = machinery + scrub_overhead_ns(report.blocks_scanned);
+            let base_ns = stats.nvram_bytes * NVRAM_NS_PER_BYTE;
+            let overhead_pct = if base_ns == 0 {
+                0.0
+            } else {
+                100.0 * overhead_ns as f64 / base_ns as f64
+            };
+            Ok(OverheadRow {
+                mode,
+                overhead_ns,
+                overhead_pct,
+                report,
+            })
+        },
+        |_, _| unreachable!("one trace, so one run per mode"),
+    )?;
+    Ok(ScrubOverhead { seed, rows })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::DEFAULT_SEED;
 
     #[test]
     fn overhead_is_ordered_and_defenses_deliver() {
-        let out = run(&Env::tiny());
+        let out = run(&Env::tiny(), DEFAULT_SEED).unwrap();
         assert_eq!(out.rows.len(), ProtectionMode::ALL.len());
-        assert!(out.ordering_holds(), "{}", out.table.render());
-        assert!(out.defense_holds(), "{}", out.table.render());
+        assert!(out.ordering_holds(), "{}", out.table().render());
+        assert!(out.defense_holds(), "{}", out.table().render());
+        assert_eq!(out.failure(), None);
         // The verified mode's overhead stays within the same order of
         // magnitude as the raw NVRAM cost (checksum = one extra pass).
         assert!(out.row(ProtectionMode::Verified).overhead_pct <= 200.0);
@@ -201,9 +216,9 @@ mod tests {
     #[test]
     fn study_is_reproducible() {
         let env = Env::tiny();
-        let a = run_seeded(&env, 9);
-        let b = run_seeded(&env, 9);
+        let a = run(&env, 9).unwrap();
+        let b = run(&env, 9).unwrap();
         assert_eq!(a.rows, b.rows);
-        assert_eq!(a.table.render(), b.table.render());
+        assert_eq!(a.table().render(), b.table().render());
     }
 }

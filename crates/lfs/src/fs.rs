@@ -17,6 +17,11 @@
 //! discussion assumes ("Using NVRAM would eliminate partial segment
 //! writes"): *all* flushed data stages through NVRAM and only full
 //! segments ever reach the disk.
+//!
+//! One drive loop runs every server simulation: it owns the segment
+//! writer, the dirty cache, the 5-second sweep, the crash cursor and the
+//! flushes, and is generic over the buffer in front of the log — the
+//! paging buffer here, or the NVRAM log of [`wal_fs`](crate::wal_fs).
 
 use nvfs_faults::{ReliabilityStats, ServerCrashFault};
 use nvfs_types::block::block_span;
@@ -259,7 +264,7 @@ impl FsReport {
 /// The first time after `now` on the sweep grid `next + k * period`, for
 /// `next` at or before `now`: where a run resumes when the sweeps up to
 /// `now` would find nothing to take.
-pub(crate) fn first_sweep_after(next: SimTime, now: SimTime, period: SimDuration) -> SimTime {
+fn first_sweep_after(next: SimTime, now: SimTime, period: SimDuration) -> SimTime {
     let steps = (now - next).as_micros() / period.as_micros() + 1;
     next + SimDuration::from_micros(steps * period.as_micros())
 }
@@ -314,255 +319,394 @@ pub fn run_filesystem_faulted(
     config: &LfsConfig,
     crashes: &[ServerCrashFault],
 ) -> (FsReport, ReliabilityStats) {
-    let mut reliability = ReliabilityStats::default();
-    let mut next_fault = 0usize;
-    let mut writer = SegmentWriter::new(config.segment_bytes);
-    let mut dirty = DirtyCache::new();
-    let mut nvram: Vec<(FileId, RangeSet)> = Vec::new();
-    let mut nvram_bytes: u64 = 0;
-    let mut cleaner = config.cleaner.map(Cleaner::new);
-    let mut fsync_ops = 0u64;
-    let mut fsyncs_absorbed = 0u64;
-    let mut fsync_absorbed_page_bytes = 0u64;
-    let mut app_write_bytes = 0u64;
-    let mut next_sweep = SimTime::ZERO + config.sweep_period;
-    let mut end_time = SimTime::ZERO;
+    let paging = Paging {
+        mode: config.buffer,
+        segment_bytes: config.segment_bytes,
+        nvram: Chunks::new(),
+        nvram_bytes: 0,
+        fsyncs_absorbed: 0,
+        fsync_absorbed_page_bytes: 0,
+    };
+    drive(workload, config, paging, crashes)
+}
 
-    let write_out = |writer: &mut SegmentWriter,
-                     cleaner: &mut Option<Cleaner>,
-                     t: SimTime,
-                     chunks: &Chunks,
-                     cause: SegmentCause| {
+/// Runs all eight Sprite file systems under `config`.
+pub fn run_server(workloads: &[FsWorkload], config: &LfsConfig) -> Vec<FsReport> {
+    run_server_faulted(workloads, config, &[]).0
+}
+
+/// Runs all eight Sprite file systems under `config` with the same
+/// injected server-crash schedule, merging the per-FS reliability
+/// accounting in workload order (deterministic at any job count).
+pub fn run_server_faulted(
+    workloads: &[FsWorkload],
+    config: &LfsConfig,
+    crashes: &[ServerCrashFault],
+) -> (Vec<FsReport>, ReliabilityStats) {
+    fan_out(workloads, |w| run_filesystem_faulted(w, config, crashes))
+}
+
+/// Runs every file system through `run`: each simulates independently, so
+/// they fan out and rejoin in workload order, and the reliability
+/// accounting merges in that order too, as a sequential run would.
+pub(crate) fn fan_out<R: Send>(
+    workloads: &[FsWorkload],
+    run: impl Fn(&FsWorkload) -> (R, ReliabilityStats) + Sync,
+) -> (Vec<R>, ReliabilityStats) {
+    let results = nvfs_par::par_map(workloads.iter().collect(), nvfs_par::jobs(), run);
+    let mut merged = ReliabilityStats::default();
+    let mut reports = Vec::with_capacity(results.len());
+    for (report, reliability) in results {
+        merged.merge(&reliability);
+        reports.push(report);
+    }
+    (reports, merged)
+}
+
+/// The server state every run shares, whatever sits in front of it: the
+/// segment log, the volatile dirty cache, the optional cleaner, and the
+/// run's counters.
+pub(crate) struct Lfs {
+    pub(crate) writer: SegmentWriter,
+    pub(crate) dirty: DirtyCache,
+    cleaner: Option<Cleaner>,
+    pub(crate) reliability: ReliabilityStats,
+    fsync_ops: u64,
+    app_write_bytes: u64,
+}
+
+impl Lfs {
+    /// Writes `chunks` as `cause` segments, unless they hold no bytes, and
+    /// gives the cleaner its turn.
+    pub(crate) fn write_out(&mut self, t: SimTime, chunks: &Chunks, cause: SegmentCause) {
         if chunks.iter().all(|(_, r)| r.is_empty()) {
             return;
         }
-        writer.write_all(t, chunks, cause, false);
-        if let Some(c) = cleaner {
-            c.maybe_clean(t, writer);
-        }
-    };
-
-    // The server dies: the in-memory partial-segment buffer is lost, the
-    // NVRAM staging buffer survives and is replayed on restart. A replay
-    // write torn by the crash fails its summary checksum; roll-forward
-    // truncates it and the segment is written again from NVRAM (wasted
-    // access, no loss).
-    macro_rules! server_crash {
-        ($fault:expr) => {{
-            let fault: &ServerCrashFault = $fault;
-            reliability.server_crashes += 1;
-            let lost = dirty.take_all();
-            reliability.bytes_lost_buffer += lost.iter().map(|(_, r)| r.len_bytes()).sum::<u64>();
-            if nvram_bytes > 0 {
-                let staged = std::mem::take(&mut nvram);
-                reliability.bytes_replayed += nvram_bytes;
-                if let Some(fraction) = fault.torn_segment {
-                    let tail = writer.write_all_torn(
-                        fault.time,
-                        &staged,
-                        SegmentCause::Recovery,
-                        fraction,
-                    );
-                    let rolled = writer.roll_forward(fault.time);
-                    reliability.bytes_rewritten_torn += rolled.truncated_data_bytes;
-                    if !tail.is_empty() {
-                        write_out(
-                            &mut writer,
-                            &mut cleaner,
-                            fault.time,
-                            &tail,
-                            SegmentCause::Recovery,
-                        );
-                    }
-                } else {
-                    write_out(
-                        &mut writer,
-                        &mut cleaner,
-                        fault.time,
-                        &staged,
-                        SegmentCause::Recovery,
-                    );
-                }
-                nvram_bytes = 0;
-            }
-        }};
+        self.writer.write_all(t, chunks, cause, false);
+        self.clean(t);
     }
+
+    /// Writes the full segments in `chunks`, gives the cleaner its turn
+    /// (even when nothing was written) and returns the remainder.
+    fn write_full(&mut self, t: SimTime, chunks: &Chunks) -> Chunks {
+        let (_, remainder) = self.writer.write_full_only(t, chunks);
+        self.clean(t);
+        remainder
+    }
+
+    fn clean(&mut self, t: SimTime) {
+        if let Some(c) = &mut self.cleaner {
+            c.maybe_clean(t, &mut self.writer);
+        }
+    }
+
+    /// The segment-level report; buffers fill in what they absorbed.
+    pub(crate) fn into_report(self, name: &str) -> FsReport {
+        FsReport {
+            name: name.to_string(),
+            records: self.writer.into_records(),
+            fsync_ops: self.fsync_ops,
+            fsyncs_absorbed: 0,
+            fsync_absorbed_page_bytes: 0,
+            app_write_bytes: self.app_write_bytes,
+            cleaner: self.cleaner.map_or(CleanerStats::default(), |c| c.stats()),
+        }
+    }
+}
+
+/// The non-volatile buffer in front of the segment log: the paging write
+/// buffer (`Paging`) or the NVRAM log (`wal_fs::Logging`). `drive` is
+/// generic over it, so each buffer gets its own monomorphised loop.
+pub(crate) trait Buffer {
+    /// The server crash this buffer is driven through.
+    type Crash;
+    /// What one run reports.
+    type Report;
+
+    /// When `crash` fires.
+    fn crash_time(crash: &Self::Crash) -> SimTime;
+
+    /// Whether a sweep that finds no dirty file has nothing to do and may
+    /// be skipped: true unless the buffer works on sweeps of its own.
+    fn sweep_idle(&self) -> bool {
+        true
+    }
+
+    /// Adds buffered data to dirty `chunks` on their way to disk.
+    fn piggyback(&mut self, _chunks: &mut Chunks) {}
+
+    /// Flushes the dirty data a sweep at `t` found past the write-back age.
+    fn flush_aged(&mut self, lfs: &mut Lfs, t: SimTime, aged: Chunks) {
+        lfs.write_out(t, &aged, SegmentCause::Timeout);
+    }
+
+    /// Ends the sweep at `t`.
+    fn sweep(&mut self, _lfs: &mut Lfs, _t: SimTime) {}
+
+    /// An application fsync of `file` at `t`.
+    fn fsync(&mut self, lfs: &mut Lfs, t: SimTime, file: FileId);
+
+    /// `file` was deleted at `t`.
+    fn delete(&mut self, t: SimTime, file: FileId);
+
+    /// The server dies and restarts. `lost` holds the volatile dirty cache;
+    /// whatever the buffer leaves in it counts as lost.
+    fn crash(&mut self, lfs: &mut Lfs, crash: &Self::Crash, lost: &mut Chunks);
+
+    /// Shutdown at `t`, before the dirty remainder `rest` is written as one
+    /// [`SegmentCause::Shutdown`] write.
+    fn shutdown(&mut self, lfs: &mut Lfs, t: SimTime, rest: &mut Chunks);
+
+    /// The run's report.
+    fn report(self, lfs: Lfs, name: &str) -> Self::Report;
+}
+
+/// The one server drive loop: replays `workload` through the segment
+/// log with `buffer` in front, under the 5-second sweep and the crashes
+/// in `crashes` (sorted by time). `config.buffer` is not read: the
+/// buffer is `buffer`.
+pub(crate) fn drive<B: Buffer>(
+    workload: &FsWorkload,
+    config: &LfsConfig,
+    mut buffer: B,
+    crashes: &[B::Crash],
+) -> (B::Report, ReliabilityStats) {
+    let mut lfs = Lfs {
+        writer: SegmentWriter::new(config.segment_bytes),
+        dirty: DirtyCache::new(),
+        cleaner: config.cleaner.map(Cleaner::new),
+        reliability: ReliabilityStats::default(),
+        fsync_ops: 0,
+        app_write_bytes: 0,
+    };
+    let mut crashes = crashes.iter().peekable();
+    let mut next_sweep = SimTime::ZERO + config.sweep_period;
+    let mut end_time = SimTime::ZERO;
 
     for op in &workload.ops {
         // Fire server crashes due by this op's time.
-        while next_fault < crashes.len() && crashes[next_fault].time <= op.time {
-            server_crash!(&crashes[next_fault]);
-            next_fault += 1;
+        while let Some(fault) = crashes.next_if(|c| B::crash_time(c) <= op.time) {
+            crash(&mut lfs, &mut buffer, fault);
         }
         end_time = end_time.max(op.time);
         // Advance the 5-second sweep: flush data older than the write-back
-        // age, folding in any NVRAM-buffered data (piggyback).
+        // age, then let the buffer take its turn.
         while next_sweep <= op.time {
-            if dirty.file_count() == 0 {
-                // Sweeps take only dirty data: skip the empty ones.
+            if lfs.dirty.file_count() == 0 && buffer.sweep_idle() {
+                // Nothing for the sweeps to take: skip the empty ones.
                 next_sweep = first_sweep_after(next_sweep, op.time, config.sweep_period);
                 break;
             }
             if next_sweep >= SimTime::ZERO + config.writeback_age {
-                let cutoff = next_sweep - config.writeback_age;
-                let aged = dirty.take_older_than(cutoff);
+                let aged = lfs.dirty.take_older_than(next_sweep - config.writeback_age);
                 if !aged.is_empty() {
-                    let mut chunks = aged;
-                    if matches!(config.buffer, WriteBufferMode::FsyncAbsorb { .. }) {
-                        chunks.append(&mut nvram);
-                        nvram_bytes = 0;
-                    }
-                    match config.buffer {
-                        WriteBufferMode::StageAll { capacity } => {
-                            // Timeout data stages into NVRAM instead.
-                            for (f, r) in chunks {
-                                nvram_bytes += r.len_bytes();
-                                nvram.push((f, r));
-                            }
-                            drain_full_segments(
-                                &mut writer,
-                                &mut cleaner,
-                                next_sweep,
-                                &mut nvram,
-                                &mut nvram_bytes,
-                                capacity,
-                                config.segment_bytes,
-                            );
-                        }
-                        _ => {
-                            write_out(
-                                &mut writer,
-                                &mut cleaner,
-                                next_sweep,
-                                &chunks,
-                                SegmentCause::Timeout,
-                            );
-                        }
-                    }
+                    buffer.flush_aged(&mut lfs, next_sweep, aged);
                 }
             }
+            buffer.sweep(&mut lfs, next_sweep);
             next_sweep += config.sweep_period;
         }
 
         match op.kind {
             LfsOpKind::Write { file, range } => {
-                app_write_bytes += range.len();
-                dirty.add(file, range, op.time);
+                lfs.app_write_bytes += range.len();
+                lfs.dirty.add(file, range, op.time);
                 // A full segment's worth of dirty data accumulated: write
                 // the full segments now, keep the tail dirty.
-                if dirty.total_bytes() >= config.segment_bytes {
-                    let mut chunks = dirty.take_all();
-                    if matches!(config.buffer, WriteBufferMode::FsyncAbsorb { .. }) {
-                        chunks.append(&mut nvram);
-                        nvram_bytes = 0;
-                    }
-                    let (_, remainder) = writer.write_full_only(op.time, &chunks);
-                    if let Some(c) = &mut cleaner {
-                        c.maybe_clean(op.time, &mut writer);
-                    }
-                    for (f, r) in remainder {
+                if lfs.dirty.total_bytes() >= config.segment_bytes {
+                    let mut chunks = lfs.dirty.take_all();
+                    buffer.piggyback(&mut chunks);
+                    for (f, r) in lfs.write_full(op.time, &chunks) {
                         for piece in r.iter() {
-                            dirty.add(f, piece, op.time);
+                            lfs.dirty.add(f, piece, op.time);
                         }
                     }
                 }
             }
             LfsOpKind::Fsync { file } => {
-                fsync_ops += 1;
-                match config.buffer {
-                    WriteBufferMode::None => {
-                        // An fsync that finds no dirty data for its file is
-                        // free; otherwise LFS "immediately writes out
-                        // whatever dirty data is present" — all of it.
-                        if dirty.has_file(file) {
-                            let chunks = dirty.take_all();
-                            write_out(
-                                &mut writer,
-                                &mut cleaner,
-                                op.time,
-                                &chunks,
-                                SegmentCause::Fsync,
-                            );
-                        }
-                    }
-                    WriteBufferMode::FsyncAbsorb { capacity } => {
-                        if let Some(r) = dirty.take_file(file) {
-                            fsyncs_absorbed += 1;
-                            fsync_absorbed_page_bytes += page_bytes(&r);
-                            nvram_bytes += r.len_bytes();
-                            nvram.push((file, r));
-                            if nvram_bytes >= capacity {
-                                let chunks = std::mem::take(&mut nvram);
-                                nvram_bytes = 0;
-                                write_out(
-                                    &mut writer,
-                                    &mut cleaner,
-                                    op.time,
-                                    &chunks,
-                                    SegmentCause::NvramFull,
-                                );
-                            }
-                        }
-                    }
-                    WriteBufferMode::StageAll { capacity } => {
-                        if let Some(r) = dirty.take_file(file) {
-                            fsyncs_absorbed += 1;
-                            fsync_absorbed_page_bytes += page_bytes(&r);
-                            nvram_bytes += r.len_bytes();
-                            nvram.push((file, r));
-                            drain_full_segments(
-                                &mut writer,
-                                &mut cleaner,
-                                op.time,
-                                &mut nvram,
-                                &mut nvram_bytes,
-                                capacity,
-                                config.segment_bytes,
-                            );
-                        }
-                    }
-                }
+                lfs.fsync_ops += 1;
+                buffer.fsync(&mut lfs, op.time, file);
             }
             LfsOpKind::Delete { file } => {
-                dirty.discard_file(file);
-                nvram.retain(|(f, _)| *f != file);
-                nvram_bytes = nvram.iter().map(|(_, r)| r.len_bytes()).sum();
-                writer.usage_mut().kill_file(file);
+                lfs.dirty.discard_file(file);
+                buffer.delete(op.time, file);
+                lfs.writer.usage_mut().kill_file(file);
             }
         }
     }
 
     // Crashes scheduled past the end of the recorded workload still fire:
     // the plan's duration may exceed the op stream's.
-    while next_fault < crashes.len() {
-        end_time = end_time.max(crashes[next_fault].time);
-        server_crash!(&crashes[next_fault]);
-        next_fault += 1;
+    for fault in crashes {
+        end_time = end_time.max(B::crash_time(fault));
+        crash(&mut lfs, &mut buffer, fault);
     }
 
     // Shutdown: flush whatever is left.
-    let mut rest = dirty.take_all();
-    rest.append(&mut nvram);
-    write_out(
-        &mut writer,
-        &mut cleaner,
-        end_time,
-        &rest,
-        SegmentCause::Shutdown,
-    );
+    let mut rest = lfs.dirty.take_all();
+    buffer.shutdown(&mut lfs, end_time, &mut rest);
+    lfs.write_out(end_time, &rest, SegmentCause::Shutdown);
+    let reliability = lfs.reliability;
+    (buffer.report(lfs, workload.name), reliability)
+}
 
-    (
+/// The server dies: the volatile dirty cache is lost, except what the
+/// buffer recovers from it.
+fn crash<B: Buffer>(lfs: &mut Lfs, buffer: &mut B, fault: &B::Crash) {
+    lfs.reliability.server_crashes += 1;
+    let mut lost = lfs.dirty.take_all();
+    buffer.crash(lfs, fault, &mut lost);
+    lfs.reliability.bytes_lost_buffer += lost.iter().map(|(_, r)| r.len_bytes()).sum::<u64>();
+}
+
+/// The paper's *paging* answer: an NVRAM write buffer that stages whole
+/// blocks, in one of the three [`WriteBufferMode`]s.
+struct Paging {
+    mode: WriteBufferMode,
+    segment_bytes: u64,
+    nvram: Chunks,
+    nvram_bytes: u64,
+    fsyncs_absorbed: u64,
+    fsync_absorbed_page_bytes: u64,
+}
+
+impl Paging {
+    fn stage(&mut self, file: FileId, r: RangeSet) {
+        self.nvram_bytes += r.len_bytes();
+        self.nvram.push((file, r));
+    }
+
+    /// Stages an fsync'd file's dirty data instead of writing it.
+    fn absorb(&mut self, file: FileId, r: RangeSet) {
+        self.fsyncs_absorbed += 1;
+        self.fsync_absorbed_page_bytes += page_bytes(&r);
+        self.stage(file, r);
+    }
+
+    fn take(&mut self) -> Chunks {
+        self.nvram_bytes = 0;
+        std::mem::take(&mut self.nvram)
+    }
+
+    /// Writes full segments out of the staging buffer; forces a flush if
+    /// the buffer exceeded its capacity.
+    fn drain_full_segments(&mut self, lfs: &mut Lfs, t: SimTime, capacity: u64) {
+        if self.nvram_bytes >= self.segment_bytes {
+            let chunks = std::mem::take(&mut self.nvram);
+            self.nvram = lfs.write_full(t, &chunks);
+            self.nvram_bytes = self.nvram.iter().map(|(_, r)| r.len_bytes()).sum();
+        }
+        if self.nvram_bytes > capacity {
+            // Overflow: force everything out.
+            let chunks = self.take();
+            lfs.write_out(t, &chunks, SegmentCause::NvramFull);
+        }
+    }
+}
+
+impl Buffer for Paging {
+    type Crash = ServerCrashFault;
+    type Report = FsReport;
+
+    fn crash_time(crash: &ServerCrashFault) -> SimTime {
+        crash.time
+    }
+
+    /// `FsyncAbsorb` folds the buffer into any segment written for another
+    /// reason. This is where a known durability loss sits: on the write
+    /// path's full flush, the remainder that misses the full segments goes
+    /// back to the *volatile* dirty cache, fsync-acked NVRAM bytes included,
+    /// so a later server crash counts them in `bytes_lost_buffer`.
+    fn piggyback(&mut self, chunks: &mut Chunks) {
+        if matches!(self.mode, WriteBufferMode::FsyncAbsorb { .. }) {
+            chunks.append(&mut self.take());
+        }
+    }
+
+    fn flush_aged(&mut self, lfs: &mut Lfs, t: SimTime, mut aged: Chunks) {
+        self.piggyback(&mut aged);
+        match self.mode {
+            WriteBufferMode::StageAll { capacity } => {
+                // Timeout data stages into NVRAM instead.
+                for (f, r) in aged {
+                    self.stage(f, r);
+                }
+                self.drain_full_segments(lfs, t, capacity);
+            }
+            _ => lfs.write_out(t, &aged, SegmentCause::Timeout),
+        }
+    }
+
+    fn fsync(&mut self, lfs: &mut Lfs, t: SimTime, file: FileId) {
+        match self.mode {
+            WriteBufferMode::None => {
+                // An fsync that finds no dirty data for its file is free;
+                // otherwise LFS "immediately writes out whatever dirty data
+                // is present" — all of it.
+                if lfs.dirty.has_file(file) {
+                    let chunks = lfs.dirty.take_all();
+                    lfs.write_out(t, &chunks, SegmentCause::Fsync);
+                }
+            }
+            WriteBufferMode::FsyncAbsorb { capacity } => {
+                if let Some(r) = lfs.dirty.take_file(file) {
+                    self.absorb(file, r);
+                    if self.nvram_bytes >= capacity {
+                        let chunks = self.take();
+                        lfs.write_out(t, &chunks, SegmentCause::NvramFull);
+                    }
+                }
+            }
+            WriteBufferMode::StageAll { capacity } => {
+                if let Some(r) = lfs.dirty.take_file(file) {
+                    self.absorb(file, r);
+                    self.drain_full_segments(lfs, t, capacity);
+                }
+            }
+        }
+    }
+
+    fn delete(&mut self, _t: SimTime, file: FileId) {
+        self.nvram.retain(|(f, _)| *f != file);
+        self.nvram_bytes = self.nvram.iter().map(|(_, r)| r.len_bytes()).sum();
+    }
+
+    /// The staging buffer survives and is replayed on restart. A replay
+    /// write torn by the crash fails its summary checksum; roll-forward
+    /// truncates it and the segment is written again from NVRAM (wasted
+    /// access, no loss).
+    fn crash(&mut self, lfs: &mut Lfs, crash: &ServerCrashFault, _lost: &mut Chunks) {
+        if self.nvram_bytes == 0 {
+            return;
+        }
+        lfs.reliability.bytes_replayed += self.nvram_bytes;
+        let staged = self.take();
+        let t = crash.time;
+        match crash.torn_segment {
+            Some(fraction) => {
+                let tail = lfs
+                    .writer
+                    .write_all_torn(t, &staged, SegmentCause::Recovery, fraction);
+                let rolled = lfs.writer.roll_forward(t);
+                lfs.reliability.bytes_rewritten_torn += rolled.truncated_data_bytes;
+                lfs.write_out(t, &tail, SegmentCause::Recovery);
+            }
+            None => lfs.write_out(t, &staged, SegmentCause::Recovery),
+        }
+    }
+
+    /// Buffered data leaves with the dirty remainder, in one write.
+    fn shutdown(&mut self, _lfs: &mut Lfs, _t: SimTime, rest: &mut Chunks) {
+        rest.append(&mut self.nvram);
+    }
+
+    fn report(self, lfs: Lfs, name: &str) -> FsReport {
         FsReport {
-            name: workload.name.to_string(),
-            records: writer.into_records(),
-            fsync_ops,
-            fsyncs_absorbed,
-            fsync_absorbed_page_bytes,
-            app_write_bytes,
-            cleaner: cleaner.map_or(CleanerStats::default(), |c| c.stats()),
-        },
-        reliability,
-    )
+            fsyncs_absorbed: self.fsyncs_absorbed,
+            fsync_absorbed_page_bytes: self.fsync_absorbed_page_bytes,
+            ..lfs.into_report(name)
+        }
+    }
 }
 
 /// Bytes NVRAM actually copies when staging `r` at page granularity:
@@ -581,67 +725,6 @@ fn page_bytes(r: &RangeSet) -> u64 {
         }
     }
     blocks * 4096
-}
-
-/// Writes full segments out of the NVRAM staging buffer; forces a flush if
-/// the buffer exceeded its capacity.
-#[allow(clippy::too_many_arguments)]
-fn drain_full_segments(
-    writer: &mut SegmentWriter,
-    cleaner: &mut Option<Cleaner>,
-    t: SimTime,
-    nvram: &mut Vec<(FileId, RangeSet)>,
-    nvram_bytes: &mut u64,
-    capacity: u64,
-    segment_bytes: u64,
-) {
-    if *nvram_bytes >= segment_bytes {
-        let chunks = std::mem::take(nvram);
-        let (_, remainder) = writer.write_full_only(t, &chunks);
-        *nvram = remainder;
-        *nvram_bytes = nvram.iter().map(|(_, r)| r.len_bytes()).sum();
-        if let Some(c) = cleaner {
-            c.maybe_clean(t, writer);
-        }
-    }
-    if *nvram_bytes > capacity {
-        // Overflow: force everything out.
-        let chunks = std::mem::take(nvram);
-        *nvram_bytes = 0;
-        writer.write_all(t, &chunks, SegmentCause::NvramFull, false);
-        if let Some(c) = cleaner {
-            c.maybe_clean(t, writer);
-        }
-    }
-}
-
-/// Runs all eight Sprite file systems under `config`.
-pub fn run_server(workloads: &[FsWorkload], config: &LfsConfig) -> Vec<FsReport> {
-    // Each file system simulates independently; fan out and rejoin in
-    // workload order, so the report vector matches a sequential run.
-    nvfs_par::par_map(workloads.iter().collect(), nvfs_par::jobs(), |w| {
-        run_filesystem(w, config)
-    })
-}
-
-/// Runs all eight Sprite file systems under `config` with the same
-/// injected server-crash schedule, merging the per-FS reliability
-/// accounting in workload order (deterministic at any job count).
-pub fn run_server_faulted(
-    workloads: &[FsWorkload],
-    config: &LfsConfig,
-    crashes: &[ServerCrashFault],
-) -> (Vec<FsReport>, ReliabilityStats) {
-    let results = nvfs_par::par_map(workloads.iter().collect(), nvfs_par::jobs(), |w| {
-        run_filesystem_faulted(w, config, crashes)
-    });
-    let mut merged = ReliabilityStats::default();
-    let mut reports = Vec::with_capacity(results.len());
-    for (report, reliability) in results {
-        merged.merge(&reliability);
-        reports.push(report);
-    }
-    (reports, merged)
 }
 
 /// Share of total segment writes (across `reports`) issued by each file

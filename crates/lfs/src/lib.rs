@@ -9,14 +9,15 @@
 //!   age rule;
 //! * [`log`] — the segment packer/writer and the per-segment liveness table;
 //! * [`cleaner`] — the garbage collector that compacts live data;
-//! * [`fs`] — the trace-driven file-system simulator with three write-buffer
-//!   modes (none / fsync-absorbing / full staging), producing the
-//!   [`fs::FsReport`]s behind Tables 3 and 4 and the 10–25% / 90%
-//!   disk-write-reduction claims;
-//! * [`wal_fs`] — the write-ahead-log server mode: `fsync` appends exact
-//!   bytes to an NVRAM log and acks immediately, segments drain lazily,
-//!   and the log truncates only after writeback completes — the *logging*
-//!   alternative to the write buffer's *paging*;
+//! * [`fs`] — the trace-driven file-system simulator: one drive loop
+//!   (sweep clock, crash cursor, full-segment and shutdown flushes) with a
+//!   non-volatile buffer in front of the segment log. This module holds the
+//!   *paging* buffer with three write-buffer modes (none / fsync-absorbing
+//!   / full staging), producing the [`fs::FsReport`]s behind Tables 3 and 4
+//!   and the 10–25% / 90% disk-write-reduction claims;
+//! * [`wal_fs`] — the *logging* buffer for the same loop: `fsync` appends
+//!   exact bytes to an NVRAM log and acks immediately, segments drain
+//!   lazily, and the log truncates only after writeback completes;
 //! * [`read_latency`] — the §3 closing analysis: M/G/1 read response time
 //!   vs write size (optimal ≈ two tracks; full segments cost ~14%);
 //! * [`ffs_baseline`] — the traditional update-in-place comparator that the

@@ -3,7 +3,10 @@
 //! Where [`fs`](crate::fs) models the paper's §4 *paging* answer (a
 //! non-volatile segment write buffer staging whole 4 KB blocks), this
 //! module models the *logging* answer the follow-on literature converged
-//! on (NVLog, arXiv 2408.02911; logging-vs-paging, arXiv 2305.02244):
+//! on (NVLog, arXiv 2408.02911; logging-vs-paging, arXiv 2305.02244).
+//! Both are buffers of the one drive loop in [`fs`](crate::fs), which owns
+//! the segment writer, dirty cache, sweep clock and crash cursor; the log
+//! supplies only what differs:
 //!
 //! * `fsync` encodes the file's dirty byte ranges into one checksummed,
 //!   sequence-numbered record, appends it to the [`NvLog`], and
@@ -24,14 +27,13 @@
 
 use nvfs_faults::{ReliabilityStats, WalCrashFault, WalCrashPoint};
 use nvfs_types::{FileId, RangeSet, SimDuration, SimTime};
-use nvfs_wal::NvLog;
+use nvfs_wal::{NvLog, WalEntry};
 
-use nvfs_trace::synth::lfs_workload::{FsWorkload, LfsOpKind};
+use nvfs_trace::synth::lfs_workload::FsWorkload;
 
-use crate::dirty::DirtyCache;
-use crate::fs::{first_sweep_after, FsReport};
+use crate::fs::{drive, fan_out, Buffer, FsReport, Lfs, LfsConfig, WriteBufferMode};
 use crate::layout::{SegmentCause, SEGMENT_BYTES};
-use crate::log::{Chunks, SegmentWriter};
+use crate::log::Chunks;
 
 /// Configuration for one WAL-mode file-system simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -194,287 +196,27 @@ pub fn run_filesystem_wal_faulted(
     config: &WalConfig,
     crashes: &[WalCrashFault],
 ) -> (WalFsReport, ReliabilityStats) {
-    let mut reliability = ReliabilityStats::default();
-    let mut stats = WalStats::default();
-    let mut next_fault = 0usize;
-    let mut writer = SegmentWriter::new(config.segment_bytes);
-    let mut dirty = DirtyCache::new();
-    let mut log = NvLog::new(config.log_capacity);
-    let mut fsync_ops = 0u64;
-    let mut app_write_bytes = 0u64;
-    let mut fsync_samples = Vec::new();
-    let mut events = Vec::new();
-    let mut next_sweep = SimTime::ZERO + config.sweep_period;
-    let mut end_time = SimTime::ZERO;
-
-    // A crash fires: the volatile dirty cache dies, the log survives.
-    // Point-specific behaviour exercises each boundary of the commit
-    // protocol's append -> writeback -> truncate cycle.
-    macro_rules! wal_crash {
-        ($fault:expr) => {{
-            let fault: &WalCrashFault = $fault;
-            reliability.server_crashes += 1;
-            let mut doomed = dirty.take_all();
-            match fault.point {
-                WalCrashPoint::MidAppend | WalCrashPoint::TornRecord => {
-                    // An in-flight append is torn: mostly-header for
-                    // MidAppend, mostly-payload for TornRecord. Either way
-                    // the fsync never acked, so the bytes are simply lost
-                    // with the rest of the dirty cache.
-                    if let Some((f, r)) = doomed.first() {
-                        let fraction = match fault.point {
-                            WalCrashPoint::MidAppend => 0.2,
-                            _ => 0.8,
-                        };
-                        log.append_torn(*f, r, fraction);
-                    }
-                }
-                WalCrashPoint::PostAppend => {
-                    // The append completed and acked just before the crash:
-                    // those bytes are promised and must be replayed.
-                    if !doomed.is_empty() {
-                        let (f, r) = doomed.remove(0);
-                        log.append(fault.time, f, &r);
-                        stats.appends += 1;
-                        stats.append_bytes += r.len_bytes();
-                        events.push(WalTraceEvent::Append {
-                            t: fault.time,
-                            file: f,
-                            ranges: r,
-                        });
-                    }
-                }
-                WalCrashPoint::MidTruncation => {
-                    // A drain's segment writes completed but the crash
-                    // lands before truncation: the records survive in the
-                    // log and will be replayed a second time. Replay is
-                    // idempotent (the blocks are simply rewritten), which
-                    // is exactly what this point proves.
-                    let chunks: Chunks = log
-                        .entries()
-                        .iter()
-                        .map(|e| (e.file, e.ranges.clone()))
-                        .collect();
-                    write_out(&mut writer, fault.time, &chunks, SegmentCause::WalDrain);
-                }
-            }
-            reliability.bytes_lost_buffer += doomed.iter().map(|(_, r)| r.len_bytes()).sum::<u64>();
-
-            // Restart: roll the log forward and replay the valid prefix.
-            let disk = writer.usage().live_ranges();
-            let recovery = log.recover(fault.time);
-            stats.torn_log_bytes += recovery.truncated_bytes;
-            let replayed: Chunks = log
-                .entries()
-                .iter()
-                .map(|e| (e.file, e.ranges.clone()))
-                .collect();
-            if !replayed.is_empty() {
-                write_out(&mut writer, fault.time, &replayed, SegmentCause::Recovery);
-                reliability.bytes_replayed += recovery.replayed_bytes;
-                stats.replayed_bytes += recovery.replayed_bytes;
-            }
-            if let Some(last) = log.entries().last() {
-                let seq = last.seq;
-                stats.truncated_records += log.entries().len() as u64;
-                log.truncate_through(fault.time, seq);
-            }
-            events.push(WalTraceEvent::Crash(WalCrashIncident {
-                at: fault.time,
-                point: fault.point,
-                replayed,
-                disk,
-                truncated_log_bytes: recovery.truncated_bytes,
-            }));
-        }};
-    }
-
-    for op in &workload.ops {
-        while next_fault < crashes.len() && crashes[next_fault].time <= op.time {
-            wal_crash!(&crashes[next_fault]);
-            next_fault += 1;
-        }
-        end_time = end_time.max(op.time);
-        while next_sweep <= op.time {
-            if dirty.file_count() == 0 && log.entries().is_empty() {
-                // Nothing to flush or drain: skip the empty sweeps.
-                next_sweep = first_sweep_after(next_sweep, op.time, config.sweep_period);
-                break;
-            }
-            // Aged volatile dirty data flushes exactly as in direct mode.
-            if next_sweep >= SimTime::ZERO + config.writeback_age {
-                let cutoff = next_sweep - config.writeback_age;
-                let aged = dirty.take_older_than(cutoff);
-                if !aged.is_empty() {
-                    write_out(&mut writer, next_sweep, &aged, SegmentCause::Timeout);
-                }
-            }
-            // Background drain: log records old enough leave for disk, and
-            // only then does the log let them go.
-            drain_log(
-                &mut writer,
-                &mut log,
-                &mut stats,
-                next_sweep,
-                config.drain_age,
-            );
-            next_sweep += config.sweep_period;
-        }
-
-        match op.kind {
-            LfsOpKind::Write { file, range } => {
-                app_write_bytes += range.len();
-                dirty.add(file, range, op.time);
-                if dirty.total_bytes() >= config.segment_bytes {
-                    let chunks = dirty.take_all();
-                    let (_, remainder) = writer.write_full_only(op.time, &chunks);
-                    for (f, r) in remainder {
-                        for piece in r.iter() {
-                            dirty.add(f, piece, op.time);
-                        }
-                    }
-                }
-            }
-            LfsOpKind::Fsync { file } => {
-                fsync_ops += 1;
-                if let Some(r) = dirty.take_file(file) {
-                    // Overflow forces a synchronous drain first — the WAL
-                    // analogue of the write buffer's NvramFull flush — and
-                    // this fsync pays the disk time.
-                    let mut sample = FsyncSample {
-                        payload_bytes: r.len_bytes(),
-                        forced_segments: 0,
-                        forced_on_disk_bytes: 0,
-                    };
-                    if log.would_overflow(&r) {
-                        let before = writer.records().len();
-                        let chunks: Chunks = log
-                            .entries()
-                            .iter()
-                            .map(|e| (e.file, e.ranges.clone()))
-                            .collect();
-                        write_out(&mut writer, op.time, &chunks, SegmentCause::NvramFull);
-                        if let Some(last) = log.entries().last() {
-                            let seq = last.seq;
-                            stats.truncated_records += log.entries().len() as u64;
-                            log.truncate_through(op.time, seq);
-                        }
-                        stats.overflow_drains += 1;
-                        let forced = &writer.records()[before..];
-                        sample.forced_segments = forced.len() as u64;
-                        sample.forced_on_disk_bytes =
-                            forced.iter().map(|rec| rec.on_disk_bytes()).sum();
-                    }
-                    log.append(op.time, file, &r);
-                    stats.appends += 1;
-                    stats.append_bytes += r.len_bytes();
-                    events.push(WalTraceEvent::Append {
-                        t: op.time,
-                        file,
-                        ranges: r,
-                    });
-                    fsync_samples.push(sample);
-                }
-            }
-            LfsOpKind::Delete { file } => {
-                dirty.discard_file(file);
-                log.kill_file(file);
-                writer.usage_mut().kill_file(file);
-                events.push(WalTraceEvent::Delete { t: op.time, file });
-            }
-        }
-    }
-
-    while next_fault < crashes.len() {
-        end_time = end_time.max(crashes[next_fault].time);
-        wal_crash!(&crashes[next_fault]);
-        next_fault += 1;
-    }
-
-    // Shutdown: drain the log, then flush the volatile remainder.
-    drain_log(
-        &mut writer,
-        &mut log,
-        &mut stats,
-        end_time,
-        SimDuration::ZERO,
-    );
-    let rest = dirty.take_all();
-    write_out(&mut writer, end_time, &rest, SegmentCause::Shutdown);
-
-    let final_disk = writer.usage().live_ranges();
-    (
-        WalFsReport {
-            fs: FsReport {
-                name: workload.name.to_string(),
-                records: writer.into_records(),
-                fsync_ops,
-                fsyncs_absorbed: stats.appends,
-                fsync_absorbed_page_bytes: 0,
-                app_write_bytes,
-                cleaner: Default::default(),
-            },
-            wal: stats,
-            fsync_samples,
-            trace: WalTrace { events, final_disk },
-        },
-        reliability,
-    )
-}
-
-fn write_out(writer: &mut SegmentWriter, t: SimTime, chunks: &Chunks, cause: SegmentCause) {
-    if chunks.iter().all(|(_, r)| r.is_empty()) {
-        return;
-    }
-    writer.write_all(t, chunks, cause, false);
-}
-
-/// Drains every log record appended at or before `t - age` as
-/// [`SegmentCause::WalDrain`] segments, then truncates the log through the
-/// last drained sequence number — writeback completion first, truncation
-/// second, never the other way around.
-fn drain_log(
-    writer: &mut SegmentWriter,
-    log: &mut NvLog,
-    stats: &mut WalStats,
-    t: SimTime,
-    age: SimDuration,
-) {
-    let cutoff = if t >= SimTime::ZERO + age {
-        t - age
-    } else {
-        return;
+    let logging = Logging {
+        log: NvLog::new(config.log_capacity),
+        drain_age: config.drain_age,
+        stats: WalStats::default(),
+        fsync_samples: Vec::new(),
+        events: Vec::new(),
     };
-    let due = log
-        .entries()
-        .iter()
-        .take_while(|e| e.time <= cutoff)
-        .count();
-    let Some(last_seq) = log.entries()[..due].last().map(|e| e.seq) else {
-        return;
+    let lfs = LfsConfig {
+        segment_bytes: config.segment_bytes,
+        sweep_period: config.sweep_period,
+        writeback_age: config.writeback_age,
+        buffer: WriteBufferMode::None,
+        cleaner: None,
     };
-    nvfs_obs::timing::span("wal_drain", || {
-        let chunks: Chunks = log.entries()[..due]
-            .iter()
-            .map(|e| (e.file, e.ranges.clone()))
-            .collect();
-        let drained: u64 = chunks.iter().map(|(_, r)| r.len_bytes()).sum();
-        write_out(writer, t, &chunks, SegmentCause::WalDrain);
-        stats.truncated_records += due as u64;
-        log.truncate_through(t, last_seq);
-        if drained > 0 {
-            stats.drains += 1;
-            stats.drained_bytes += drained;
-        }
-    });
+    drive(workload, &lfs, logging, crashes)
 }
 
 /// Runs all eight Sprite file systems in WAL mode (deterministic at any
 /// job count: fan out, rejoin in workload order).
 pub fn run_server_wal(workloads: &[FsWorkload], config: &WalConfig) -> Vec<WalFsReport> {
-    nvfs_par::par_map(workloads.iter().collect(), nvfs_par::jobs(), |w| {
-        run_filesystem_wal(w, config)
-    })
+    run_server_wal_faulted(workloads, config, &[]).0
 }
 
 /// Runs all eight Sprite file systems in WAL mode with the same injected
@@ -485,22 +227,208 @@ pub fn run_server_wal_faulted(
     config: &WalConfig,
     crashes: &[WalCrashFault],
 ) -> (Vec<WalFsReport>, ReliabilityStats) {
-    let results = nvfs_par::par_map(workloads.iter().collect(), nvfs_par::jobs(), |w| {
+    fan_out(workloads, |w| {
         run_filesystem_wal_faulted(w, config, crashes)
-    });
-    let mut merged = ReliabilityStats::default();
-    let mut reports = Vec::with_capacity(results.len());
-    for (report, reliability) in results {
-        merged.merge(&reliability);
-        reports.push(report);
+    })
+}
+
+/// The *logging* buffer: the NVRAM log, its accounting and the event
+/// trace the durability oracle reads.
+struct Logging {
+    log: NvLog,
+    drain_age: SimDuration,
+    stats: WalStats,
+    fsync_samples: Vec<FsyncSample>,
+    events: Vec<WalTraceEvent>,
+}
+
+impl Logging {
+    /// Appends and acknowledges one record: its ranges are promised from
+    /// `t` on.
+    fn append(&mut self, t: SimTime, file: FileId, ranges: RangeSet) {
+        self.log.append(t, file, &ranges);
+        self.stats.appends += 1;
+        self.stats.append_bytes += ranges.len_bytes();
+        self.events.push(WalTraceEvent::Append { t, file, ranges });
     }
-    (reports, merged)
+
+    /// Writes the first `n` log records as `cause` segments, then truncates
+    /// the log through them — writeback completion first, truncation
+    /// second, never the other way around. Returns what was written.
+    fn write_back(&mut self, lfs: &mut Lfs, t: SimTime, n: usize, cause: SegmentCause) -> Chunks {
+        let chunks = log_chunks(&self.log.entries()[..n]);
+        lfs.write_out(t, &chunks, cause);
+        if let Some(seq) = self.log.entries()[..n].last().map(|e| e.seq) {
+            self.stats.truncated_records += n as u64;
+            self.log.truncate_through(t, seq);
+        }
+        chunks
+    }
+
+    /// Drains every log record appended at or before `t - age` as
+    /// [`SegmentCause::WalDrain`] segments.
+    fn drain(&mut self, lfs: &mut Lfs, t: SimTime, age: SimDuration) {
+        if t < SimTime::ZERO + age {
+            return;
+        }
+        let cutoff = t - age;
+        let due = self
+            .log
+            .entries()
+            .iter()
+            .take_while(|e| e.time <= cutoff)
+            .count();
+        if due == 0 {
+            return;
+        }
+        nvfs_obs::timing::span("wal_drain", || {
+            let chunks = self.write_back(lfs, t, due, SegmentCause::WalDrain);
+            let drained: u64 = chunks.iter().map(|(_, r)| r.len_bytes()).sum();
+            if drained > 0 {
+                self.stats.drains += 1;
+                self.stats.drained_bytes += drained;
+            }
+        });
+    }
+}
+
+fn log_chunks(entries: &[WalEntry]) -> Chunks {
+    entries.iter().map(|e| (e.file, e.ranges.clone())).collect()
+}
+
+impl Buffer for Logging {
+    type Crash = WalCrashFault;
+    type Report = WalFsReport;
+
+    fn crash_time(crash: &WalCrashFault) -> SimTime {
+        crash.time
+    }
+
+    /// A sweep with nothing dirty still drains a non-empty log.
+    fn sweep_idle(&self) -> bool {
+        self.log.entries().is_empty()
+    }
+
+    /// Background drain: log records old enough leave for disk, and only
+    /// then does the log let them go.
+    fn sweep(&mut self, lfs: &mut Lfs, t: SimTime) {
+        self.drain(lfs, t, self.drain_age);
+    }
+
+    fn fsync(&mut self, lfs: &mut Lfs, t: SimTime, file: FileId) {
+        let Some(r) = lfs.dirty.take_file(file) else {
+            return;
+        };
+        // Overflow forces a synchronous drain first — the WAL analogue of
+        // the write buffer's NvramFull flush — and this fsync pays the disk
+        // time.
+        let mut sample = FsyncSample {
+            payload_bytes: r.len_bytes(),
+            forced_segments: 0,
+            forced_on_disk_bytes: 0,
+        };
+        if self.log.would_overflow(&r) {
+            let before = lfs.writer.records().len();
+            let n = self.log.entries().len();
+            self.write_back(lfs, t, n, SegmentCause::NvramFull);
+            self.stats.overflow_drains += 1;
+            let forced = &lfs.writer.records()[before..];
+            sample.forced_segments = forced.len() as u64;
+            sample.forced_on_disk_bytes = forced.iter().map(|rec| rec.on_disk_bytes()).sum();
+        }
+        self.append(t, file, r);
+        self.fsync_samples.push(sample);
+    }
+
+    fn delete(&mut self, t: SimTime, file: FileId) {
+        self.log.kill_file(file);
+        self.events.push(WalTraceEvent::Delete { t, file });
+    }
+
+    /// The log survives the crash. Point-specific behaviour exercises each
+    /// boundary of the commit protocol's append -> writeback -> truncate
+    /// cycle; the restart then rolls the log forward and replays it.
+    fn crash(&mut self, lfs: &mut Lfs, crash: &WalCrashFault, doomed: &mut Chunks) {
+        let t = crash.time;
+        match crash.point {
+            WalCrashPoint::MidAppend | WalCrashPoint::TornRecord => {
+                // An in-flight append is torn: mostly-header for MidAppend,
+                // mostly-payload for TornRecord. Either way the fsync never
+                // acked, so the bytes are simply lost with the rest of the
+                // dirty cache.
+                if let Some((f, r)) = doomed.first() {
+                    let fraction = match crash.point {
+                        WalCrashPoint::MidAppend => 0.2,
+                        _ => 0.8,
+                    };
+                    self.log.append_torn(*f, r, fraction);
+                }
+            }
+            WalCrashPoint::PostAppend => {
+                // The append completed and acked just before the crash:
+                // those bytes are promised and must be replayed.
+                if !doomed.is_empty() {
+                    let (f, r) = doomed.remove(0);
+                    self.append(t, f, r);
+                }
+            }
+            WalCrashPoint::MidTruncation => {
+                // A drain's segment writes completed but the crash lands
+                // before truncation: the records survive in the log and
+                // will be replayed a second time. Replay is idempotent (the
+                // blocks are simply rewritten), which is exactly what this
+                // point proves.
+                lfs.write_out(t, &log_chunks(self.log.entries()), SegmentCause::WalDrain);
+            }
+        }
+
+        // Restart: roll the log forward and replay the valid prefix.
+        let disk = lfs.writer.usage().live_ranges();
+        let recovery = self.log.recover(t);
+        self.stats.torn_log_bytes += recovery.truncated_bytes;
+        let n = self.log.entries().len();
+        let replayed = self.write_back(lfs, t, n, SegmentCause::Recovery);
+        if !replayed.is_empty() {
+            lfs.reliability.bytes_replayed += recovery.replayed_bytes;
+            self.stats.replayed_bytes += recovery.replayed_bytes;
+        }
+        self.events.push(WalTraceEvent::Crash(WalCrashIncident {
+            at: t,
+            point: crash.point,
+            replayed,
+            disk,
+            truncated_log_bytes: recovery.truncated_bytes,
+        }));
+    }
+
+    /// The log drains first; the dirty remainder then goes out on its own.
+    fn shutdown(&mut self, lfs: &mut Lfs, t: SimTime, _rest: &mut Chunks) {
+        self.drain(lfs, t, SimDuration::ZERO);
+    }
+
+    fn report(self, lfs: Lfs, name: &str) -> WalFsReport {
+        let final_disk = lfs.writer.usage().live_ranges();
+        WalFsReport {
+            fs: FsReport {
+                fsyncs_absorbed: self.stats.appends,
+                ..lfs.into_report(name)
+            },
+            wal: self.stats,
+            fsync_samples: self.fsync_samples,
+            trace: WalTrace {
+                events: self.events,
+                final_disk,
+            },
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvfs_trace::synth::lfs_workload::{sprite_server_workloads, LfsOp, ServerWorkloadConfig};
+    use nvfs_trace::synth::lfs_workload::{
+        sprite_server_workloads, LfsOp, LfsOpKind, ServerWorkloadConfig,
+    };
     use nvfs_types::ByteRange;
 
     fn write_then_fsync() -> FsWorkload {

@@ -8,20 +8,37 @@
 //! roll-forward, `live_ranges` at every WAL crash point, and the final disk
 //! image. A change to the segment writer or usage table that alters any
 //! output byte changes [`EXPECTED`].
+//!
+//! [`EXPECTED_FAULTS`] covers the branches of the drive loop that
+//! `EXPECTED` leaves dark: direct and staging runs under torn and untorn
+//! server crashes, crashes scheduled after every workload's last op (for
+//! both the paging buffer and the log), the cleaner's turn after a
+//! full-segment flush that wrote nothing, a log small enough to overflow
+//! under every WAL crash point, and shutdowns that find both buffered and
+//! plain dirty data. A paging sweep that finds no dirty file is skipped
+//! even when NVRAM holds data; not skipping it gives the same bytes (such
+//! a sweep takes nothing), so no digest can pin that choice.
 
 use nvfs_faults::{ReliabilityStats, ServerCrashFault, WalCrashFault, WalCrashPoint};
 use nvfs_lfs::cleaner::CleanerConfig;
 use nvfs_lfs::fs::{run_server, run_server_faulted, FsReport, LfsConfig};
 use nvfs_lfs::wal_fs::{
-    run_filesystem_wal_faulted, run_server_wal, WalConfig, WalFsReport, WalTraceEvent,
+    run_filesystem_wal_faulted, run_server_wal, run_server_wal_faulted, WalConfig, WalFsReport,
+    WalTraceEvent,
 };
-use nvfs_lfs::Chunks;
-use nvfs_trace::synth::lfs_workload::{sprite_server_workloads, ServerWorkloadConfig};
-use nvfs_types::{Fnv64, RangeSet, SimTime};
+use nvfs_lfs::{Chunks, SegmentCause};
+use nvfs_trace::synth::lfs_workload::{
+    sprite_server_workloads, FsWorkload, LfsOpKind, ServerWorkloadConfig,
+};
+use nvfs_types::{Fnv64, RangeSet, SimDuration, SimTime};
 
 /// The digest of every run below, recorded before the segment writer's
 /// usage table and packing loop were rewritten.
 const EXPECTED: u64 = 0x2fc7_af1c_edec_51e1;
+
+/// The digest of the crash, trailing-crash and overflow runs below,
+/// recorded before the paging and logging drive loops were merged.
+const EXPECTED_FAULTS: u64 = 0xe64f_3738_015a_4bca;
 
 struct Fold(Fnv64);
 
@@ -222,4 +239,160 @@ fn lfs_layer_output_matches_the_recorded_digest() {
     }
 
     assert_eq!(d.0.value(), EXPECTED, "LFS digest {:#018x}", d.0.value());
+}
+
+/// `w` cut just after the first write, past its midpoint, that follows
+/// an fsync within a second: the shutdown flush then finds the fsynced
+/// data still in NVRAM next to plain dirty data.
+fn cut_after_mid_fsync(w: &FsWorkload) -> FsWorkload {
+    let end = w
+        .ops
+        .windows(2)
+        .enumerate()
+        .skip(w.ops.len() / 2)
+        .find(|(_, pair)| {
+            matches!(pair[0].kind, LfsOpKind::Fsync { .. })
+                && matches!(pair[1].kind, LfsOpKind::Write { .. })
+                && pair[1].time - pair[0].time < SimDuration::from_secs(1)
+        })
+        .map_or(w.ops.len(), |(i, _)| i + 2);
+    FsWorkload {
+        name: w.name,
+        ops: w.ops[..end].to_vec(),
+    }
+}
+
+#[test]
+fn crash_and_overflow_paths_match_the_recorded_digest() {
+    let workloads = sprite_server_workloads(&ServerWorkloadConfig::small());
+    let last_op = workloads
+        .iter()
+        .filter_map(|w| w.ops.last())
+        .map(|op| op.time)
+        .max()
+        .expect("the workloads have ops");
+    let after_last = |mins| last_op + SimDuration::from_mins(mins);
+    let mut d = Fold(Fnv64::new());
+
+    // Two crashes inside the run and two after every workload's last op,
+    // each pair with one torn replay write.
+    let crashes = [
+        ServerCrashFault {
+            time: SimTime::from_mins(50),
+            torn_segment: Some(0.5),
+        },
+        ServerCrashFault {
+            time: SimTime::from_mins(170),
+            torn_segment: None,
+        },
+        ServerCrashFault {
+            time: after_last(1),
+            torn_segment: Some(0.25),
+        },
+        ServerCrashFault {
+            time: after_last(2),
+            torn_segment: None,
+        },
+    ];
+    // Staging again with a busy cleaner: some of its full-segment drains
+    // write no segment, and the cleaner still gets its turn after them.
+    let cleaned = LfsConfig {
+        cleaner: Some(CleanerConfig {
+            trigger_segments: 12,
+            batch: 4,
+        }),
+        ..LfsConfig::with_staging_buffer(1 << 20)
+    };
+    for config in [
+        LfsConfig::direct(),
+        LfsConfig::with_fsync_buffer(512 << 10),
+        LfsConfig::with_staging_buffer(1 << 20),
+        cleaned,
+    ] {
+        let (reports, reliability) = run_server_faulted(&workloads, &config, &crashes);
+        assert_eq!(
+            reliability.server_crashes,
+            (crashes.len() * workloads.len()) as u64,
+            "every crash fires, the trailing ones included"
+        );
+        if config.buffer != LfsConfig::direct().buffer {
+            assert!(
+                reliability.bytes_rewritten_torn > 0,
+                "{:?}: a torn replay must be rewritten",
+                config.buffer
+            );
+        }
+        for report in &reports {
+            d.fs(report);
+        }
+        d.reliability(&reliability);
+    }
+
+    // A log an eighth of the default size overflows under fsync storms.
+    let small_log = WalConfig {
+        log_capacity: 64 << 10,
+        ..WalConfig::sprite()
+    };
+    for point in WalCrashPoint::ALL {
+        let crashes = [
+            WalCrashFault {
+                time: SimTime::from_mins(75),
+                point,
+            },
+            WalCrashFault {
+                time: after_last(1),
+                point,
+            },
+        ];
+        let (reports, reliability) = run_server_wal_faulted(&workloads, &small_log, &crashes);
+        assert_eq!(
+            reliability.server_crashes,
+            (crashes.len() * workloads.len()) as u64,
+            "{point:?}: every crash fires, the trailing one included"
+        );
+        let overflows: u64 = reports.iter().map(|r| r.wal.overflow_drains).sum();
+        assert!(overflows > 0, "{point:?}: the small log must overflow");
+        for report in &reports {
+            d.wal(report);
+        }
+        d.reliability(&reliability);
+    }
+
+    // Shutdown order: the paging buffer writes NVRAM and dirty data as one
+    // segment write; the log drains first, then the dirty rest goes out.
+    let cut: Vec<FsWorkload> = workloads.iter().map(cut_after_mid_fsync).collect();
+    for config in [
+        LfsConfig::with_fsync_buffer(512 << 10),
+        LfsConfig::with_staging_buffer(1 << 20),
+    ] {
+        for report in run_server(&cut, &config) {
+            d.fs(&report);
+        }
+    }
+    let reports = run_server_wal(&cut, &WalConfig::sprite());
+    let both = reports
+        .iter()
+        .filter(|r| {
+            let last = |cause| r.fs.records.iter().rposition(|rec| rec.cause == cause);
+            matches!(
+                (last(SegmentCause::WalDrain), last(SegmentCause::Shutdown)),
+                (Some(drain), Some(shutdown)) if drain < shutdown
+                    && r.fs.records[drain].time == r.fs.records[shutdown].time
+            )
+        })
+        .count();
+    assert!(
+        both > 0,
+        "some shutdown must drain the log and flush dirty data"
+    );
+    for report in &reports {
+        d.wal(report);
+    }
+
+    assert_eq!(
+        d.0.value(),
+        EXPECTED_FAULTS,
+        "LFS fault digest {:#018x}",
+        d.0.value()
+    );
 }

@@ -10,11 +10,8 @@
 use std::collections::BTreeMap;
 
 use nvfs_core::client::{FlushCause, ServerWrite};
-use nvfs_core::{ClusterSim, NetReport, SimConfig, TrafficStats};
-use nvfs_faults::net::NetFaultPlan;
-use nvfs_faults::ReliabilityStats;
+use nvfs_core::{ClusterSim, SimConfig, TrafficStats};
 use nvfs_lfs::fs::{run_filesystem, FsReport, LfsConfig};
-use nvfs_lfs::wal_fs::{run_filesystem_wal, WalConfig, WalFsReport};
 use nvfs_trace::op::OpStream;
 use nvfs_trace::synth::lfs_workload::{FsWorkload, LfsOp, LfsOpKind};
 use nvfs_types::{ByteRange, FileId, SimDuration};
@@ -26,46 +23,6 @@ pub struct PipelineReport {
     pub client: TrafficStats,
     /// Server-side LFS report over the client-generated write stream.
     pub server: FsReport,
-}
-
-/// Combined result of a net-faulted client + server pipeline run
-/// ([`client_server_pipeline_net`]).
-#[derive(Debug, Clone)]
-pub struct NetPipelineReport {
-    /// Client-side traffic statistics (shed bytes excluded — they never
-    /// reached the server).
-    pub client: TrafficStats,
-    /// Server-side LFS report over the writes that survived the wire.
-    pub server: FsReport,
-    /// Wire-layer counters, judge summary and verdicts.
-    pub net: NetReport,
-    /// Reliability accounting; partition sheds land in
-    /// [`ReliabilityStats::bytes_lost_partition`].
-    pub reliability: ReliabilityStats,
-}
-
-/// Combined result of a client + WAL-mode server pipeline run
-/// ([`client_server_pipeline_wal`]).
-#[derive(Debug, Clone)]
-pub struct WalPipelineReport {
-    /// Client-side traffic statistics.
-    pub client: TrafficStats,
-    /// WAL-mode server report over the client-generated write stream.
-    pub server: WalFsReport,
-}
-
-/// Combined result of a net-faulted client + WAL-mode server pipeline run
-/// ([`client_server_pipeline_wal_net`]).
-#[derive(Debug, Clone)]
-pub struct WalNetPipelineReport {
-    /// Client-side traffic statistics (shed bytes excluded).
-    pub client: TrafficStats,
-    /// WAL-mode server report over the writes that survived the wire.
-    pub server: WalFsReport,
-    /// Wire-layer counters, judge summary and verdicts.
-    pub net: NetReport,
-    /// Reliability accounting for the degraded wire.
-    pub reliability: ReliabilityStats,
 }
 
 /// Converts the client→server write log into a server-side LFS workload.
@@ -133,73 +90,12 @@ pub fn client_server_pipeline(
     PipelineReport { client, server }
 }
 
-/// Runs the pipeline with the server in write-ahead-log mode: the server's
-/// consistency commit path changes so a client fsync RPC is acknowledged
-/// the moment its record is durably appended to the NVRAM log — the
-/// segment writes the paper's commit path would have waited for happen
-/// lazily in the background drain instead.
-pub fn client_server_pipeline_wal(
-    ops: &OpStream,
-    client_cfg: &SimConfig,
-    wal_cfg: &WalConfig,
-) -> WalPipelineReport {
-    let (client, writes) = ClusterSim::new(client_cfg.clone()).run_detailed(ops);
-    let workload = server_workload_from_writes(&writes);
-    let server = run_filesystem_wal(&workload, wal_cfg);
-    WalPipelineReport { client, server }
-}
-
-/// Like [`client_server_pipeline`], but with the client↔server wire driven
-/// through a compiled [`NetFaultPlan`]: every client interaction becomes an
-/// RPC subject to drops, duplicates, delays and timed partitions, and the
-/// LFS only sees the writes that actually survived the network. Flushes
-/// shed at a severed link never enter the server workload — they are
-/// accounted in [`ReliabilityStats::bytes_lost_partition`] instead — so
-/// the server-side segment behaviour of a degraded cluster can be measured
-/// directly.
-pub fn client_server_pipeline_net(
-    ops: &OpStream,
-    client_cfg: &SimConfig,
-    lfs_cfg: &LfsConfig,
-    net: &NetFaultPlan,
-) -> NetPipelineReport {
-    let report = ClusterSim::new(client_cfg.clone()).run_with_net_faults(ops, net);
-    let workload = server_workload_from_writes(&report.writes);
-    let server = run_filesystem(&workload, lfs_cfg);
-    NetPipelineReport {
-        client: report.stats,
-        server,
-        net: report.net,
-        reliability: report.reliability,
-    }
-}
-
-/// [`client_server_pipeline_wal`] with the wire driven through a compiled
-/// [`NetFaultPlan`]: drops, duplicates, delays and partitions shape which
-/// writes the WAL-mode server ever sees, so degraded-cluster behaviour of
-/// the logging commit path can be measured under the same wire contract as
-/// the paging one.
-pub fn client_server_pipeline_wal_net(
-    ops: &OpStream,
-    client_cfg: &SimConfig,
-    wal_cfg: &WalConfig,
-    net: &NetFaultPlan,
-) -> WalNetPipelineReport {
-    let report = ClusterSim::new(client_cfg.clone()).run_with_net_faults(ops, net);
-    let workload = server_workload_from_writes(&report.writes);
-    let server = run_filesystem_wal(&workload, wal_cfg);
-    WalNetPipelineReport {
-        client: report.stats,
-        server,
-        net: report.net,
-        reliability: report.reliability,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvfs_faults::net::{NetFaultPlan, NetFaultPlanConfig};
     use nvfs_lfs::layout::SegmentCause;
+    use nvfs_lfs::wal_fs::{run_filesystem_wal, WalConfig};
     use nvfs_trace::synth::{SpriteTraceSet, TraceSetConfig};
     use nvfs_types::SimTime;
 
@@ -256,7 +152,6 @@ mod tests {
 
     #[test]
     fn partitioned_pipeline_starves_the_server_by_model() {
-        use nvfs_faults::net::NetFaultPlanConfig;
         let traces = SpriteTraceSet::generate(&TraceSetConfig::tiny());
         let trace = traces.trace(0);
         let cfg = NetFaultPlanConfig::new(trace.clients() as u32, trace.duration())
@@ -264,20 +159,29 @@ mod tests {
             .with_partition_duration(SimDuration::from_secs(900));
         let net = NetFaultPlan::compile(9, &cfg).unwrap();
         let run = |sim_cfg: SimConfig| {
-            client_server_pipeline_net(trace.ops(), &sim_cfg, &LfsConfig::direct(), &net)
+            let client = ClusterSim::new(sim_cfg).run_with_net_faults(trace.ops(), &net);
+            let workload = server_workload_from_writes(&client.writes);
+            let server = run_filesystem(&workload, &LfsConfig::direct());
+            (client, server)
         };
         let volatile = run(SimConfig::volatile(2 << 20));
         let unified = run(SimConfig::unified(2 << 20, 2 << 20));
         // Sheds never enter the server workload, and the wire contract
         // holds for both models.
-        for r in [&volatile, &unified] {
-            assert!(r.server.app_write_bytes >= r.client.server_write_bytes);
-            assert_eq!(r.net.summary.violations(), 0, "{:?}", r.net.verdicts);
+        for (client, server) in [&volatile, &unified] {
+            assert!(server.app_write_bytes >= client.stats.server_write_bytes);
+            assert_eq!(
+                client.net.summary.violations(),
+                0,
+                "{:?}",
+                client.net.verdicts
+            );
         }
         // A volatile client loses its aged write-backs at the severed
         // server; a whole-cache NVRAM client just defers and reconciles.
         assert!(
-            volatile.reliability.bytes_lost_partition > unified.reliability.bytes_lost_partition
+            volatile.0.reliability.bytes_lost_partition
+                > unified.0.reliability.bytes_lost_partition
         );
     }
 
@@ -287,32 +191,25 @@ mod tests {
         let ops = traces.trace(0).ops();
         let client_cfg = SimConfig::volatile(2 << 20);
         let direct = client_server_pipeline(ops, &client_cfg, &LfsConfig::direct());
-        let wal = client_server_pipeline_wal(ops, &client_cfg, &WalConfig::sprite());
+        let (client, writes) = ClusterSim::new(client_cfg).run_detailed(ops);
+        let wal = run_filesystem_wal(&server_workload_from_writes(&writes), &WalConfig::sprite());
         // Same client traffic feeds both servers.
-        assert_eq!(
-            wal.client.server_write_bytes,
-            direct.client.server_write_bytes
-        );
+        assert_eq!(client.server_write_bytes, direct.client.server_write_bytes);
         // The fsyncs that forced partial segments in direct mode are all
         // absorbed by log appends in WAL mode.
         assert!(direct.server.count(SegmentCause::Fsync) > 0);
-        assert_eq!(wal.server.fs.count(SegmentCause::Fsync), 0);
+        assert_eq!(wal.fs.count(SegmentCause::Fsync), 0);
         assert_eq!(
-            wal.server.wal.appends,
+            wal.wal.appends,
             direct.server.count(SegmentCause::Fsync) as u64
         );
         // No fsync ever waited on a disk write: every ack came straight
         // from the NVRAM append, the logging path's latency claim.
-        assert!(wal
-            .server
-            .fsync_samples
-            .iter()
-            .all(|s| s.forced_segments == 0));
+        assert!(wal.fsync_samples.iter().all(|s| s.forced_segments == 0));
     }
 
     #[test]
     fn net_faulted_wal_pipeline_keeps_the_wire_contract() {
-        use nvfs_faults::net::NetFaultPlanConfig;
         let traces = SpriteTraceSet::generate(&TraceSetConfig::tiny());
         let trace = traces.trace(2);
         let cfg = NetFaultPlanConfig::new(trace.clients() as u32, trace.duration())
@@ -321,15 +218,20 @@ mod tests {
             .with_server_partitions(1)
             .with_partition_duration(SimDuration::from_secs(300));
         let net = NetFaultPlan::compile(17, &cfg).unwrap();
-        let r = client_server_pipeline_wal_net(
-            trace.ops(),
-            &SimConfig::volatile(2 << 20),
+        let client =
+            ClusterSim::new(SimConfig::volatile(2 << 20)).run_with_net_faults(trace.ops(), &net);
+        let server = run_filesystem_wal(
+            &server_workload_from_writes(&client.writes),
             &WalConfig::sprite(),
-            &net,
         );
-        assert_eq!(r.net.summary.violations(), 0, "{:?}", r.net.verdicts);
+        assert_eq!(
+            client.net.summary.violations(),
+            0,
+            "{:?}",
+            client.net.verdicts
+        );
         // Whatever survived the wire is conserved into the WAL server.
-        assert!(r.server.fs.app_write_bytes >= r.client.server_write_bytes);
+        assert!(server.fs.app_write_bytes >= client.stats.server_write_bytes);
     }
 
     #[test]

@@ -17,10 +17,7 @@
 pub mod e2e;
 pub mod presto;
 
-pub use e2e::{
-    client_server_pipeline, client_server_pipeline_wal, server_workload_from_writes,
-    PipelineReport, WalPipelineReport,
-};
+pub use e2e::{client_server_pipeline, server_workload_from_writes, PipelineReport};
 pub use presto::{
     nfs_synchronous, prestoserve, sprite_delayed, PrestoConfig, WriteOutcome, WriteRequest,
 };

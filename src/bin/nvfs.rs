@@ -274,6 +274,16 @@ fn take_flag(args: &mut VecDeque<String>, flag: &str) -> Result<Option<String>, 
     }
 }
 
+/// Fails with `<command>: unexpected argument "…"` if anything is left
+/// once the command has taken its flags and operands, so a typo cannot
+/// silently run the defaults.
+fn reject_leftovers(args: &VecDeque<String>, command: &str) -> Result<(), String> {
+    match args.front() {
+        Some(arg) => Err(format!("{command}: unexpected argument {arg:?}")),
+        None => Ok(()),
+    }
+}
+
 /// Resolves the `--scale` flag to a [`Scale`], noting its canonical name
 /// in the run-manifest context.
 fn parse_scale(args: &mut VecDeque<String>) -> Result<Scale, String> {
@@ -306,6 +316,7 @@ fn load_ops(path: &str) -> Result<OpStream, String> {
 fn cmd_gen_traces(mut args: VecDeque<String>) -> Result<(), String> {
     let cfg = parse_scale(&mut args)?.trace_config();
     let out = PathBuf::from(take_flag(&mut args, "--out")?.unwrap_or_else(|| "traces".into()));
+    reject_leftovers(&args, "gen-traces")?;
     fs::create_dir_all(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
     eprintln!("[gen-traces] jobs = {}", nvfs::par::jobs());
     let set = SpriteTraceSet::generate(&cfg);
@@ -327,6 +338,7 @@ fn cmd_gen_traces(mut args: VecDeque<String>) -> Result<(), String> {
 
 fn cmd_trace_stats(mut args: VecDeque<String>) -> Result<(), String> {
     let path = args.pop_front().ok_or("trace-stats requires a file")?;
+    reject_leftovers(&args, "trace-stats")?;
     let ops = load_ops(&path)?;
     let s = TraceStats::for_stream(&ops);
     outln!("ops:          {}", s.ops);
@@ -379,6 +391,7 @@ fn cmd_client_sim(mut args: VecDeque<String>) -> Result<(), String> {
         Some(other) => return Err(format!("unknown consistency mode {other:?}")),
     };
     let path = args.pop_front().ok_or("client-sim requires a trace file")?;
+    reject_leftovers(&args, "client-sim")?;
     let ops = load_ops(&path)?;
 
     if volatile_mb == 0 {
@@ -460,6 +473,7 @@ fn cmd_client_sim(mut args: VecDeque<String>) -> Result<(), String> {
 
 fn cmd_lifetime(mut args: VecDeque<String>) -> Result<(), String> {
     let path = args.pop_front().ok_or("lifetime requires a trace file")?;
+    reject_leftovers(&args, "lifetime")?;
     let ops = load_ops(&path)?;
     let log = LifetimeLog::analyze(&ops);
     outln!(
@@ -493,11 +507,12 @@ fn cmd_lifetime(mut args: VecDeque<String>) -> Result<(), String> {
 
 fn cmd_lfs(mut args: VecDeque<String>) -> Result<(), String> {
     let scale = parse_scale(&mut args)?;
-    let env = scale.env();
     let buffer_kb: u64 = take_flag(&mut args, "--buffer-kb")?
         .unwrap_or_else(|| "512".into())
         .parse()
         .map_err(|_| "bad --buffer-kb")?;
+    reject_leftovers(&args, "lfs")?;
+    let env = scale.env();
     note_config(&[
         ("command", "lfs"),
         ("scale", scale.name()),
@@ -529,9 +544,7 @@ fn fault_study(
         Some(v) => v.parse().map_err(|_| "bad --seed")?,
         None => exp::faults::DEFAULT_SEED,
     };
-    if let Some(arg) = args.front() {
-        return Err(format!("{command}: unexpected argument {arg:?}"));
-    }
+    reject_leftovers(args, command)?;
     nvfs::obs::manifest::set_seed(seed);
     let seed_text = seed.to_string();
     let base = [
@@ -684,6 +697,7 @@ fn run_experiment(env: &Env, id: &str) -> Result<String, String> {
 
 fn cmd_scorecard(mut args: VecDeque<String>) -> Result<(), String> {
     let scale = parse_scale(&mut args)?;
+    reject_leftovers(&args, "scorecard")?;
     let env = scale.env();
     note_config(&[("command", "scorecard"), ("scale", scale.name())]);
     eprintln!("[scorecard] jobs = {}", nvfs::par::jobs());
@@ -696,8 +710,9 @@ fn cmd_scorecard(mut args: VecDeque<String>) -> Result<(), String> {
 
 fn cmd_export_csv(mut args: VecDeque<String>) -> Result<(), String> {
     let scale = parse_scale(&mut args)?;
-    let env = scale.env();
     let out = PathBuf::from(take_flag(&mut args, "--out")?.ok_or("export-csv requires --out DIR")?);
+    reject_leftovers(&args, "export-csv")?;
+    let env = scale.env();
     note_config(&[("command", "export-csv"), ("scale", scale.name())]);
     fs::create_dir_all(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
 
@@ -750,6 +765,7 @@ fn cmd_bench(mut args: VecDeque<String>) -> Result<(), String> {
         None => 1,
     };
     let profile = take_switch(&mut args, "--profile");
+    reject_leftovers(&args, "bench")?;
     note_config(&[("command", "bench"), ("scale", scale.name())]);
 
     let parallel = nvfs::par::jobs();
@@ -777,8 +793,9 @@ fn cmd_bench(mut args: VecDeque<String>) -> Result<(), String> {
                 exp::lfs_wal_vs_buffer::run(&env)
             });
             let scrub = bench::timed(&mut pass, BENCH_STAGES[5], jobs, || {
-                exp::scrub_overhead::run(&env)
-            });
+                exp::scrub_overhead::run(&env, exp::faults::DEFAULT_SEED)
+            })
+            .map_err(|e| e.to_string())?;
             let card = bench::timed(&mut pass, BENCH_STAGES[6], jobs, || {
                 exp::scorecard::run(&env)
             });
@@ -794,7 +811,7 @@ fn cmd_bench(mut args: VecDeque<String>) -> Result<(), String> {
             digest.update(&f3.figure.render());
             digest.update(&t3.table.render());
             digest.update(&wal.table.render());
-            digest.update(&scrub.table.render());
+            digest.update(&scrub.table().render());
             digest.update(&card.table.render());
             let digest = digest.hex();
             match &reference {

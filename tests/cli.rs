@@ -280,16 +280,53 @@ fn faults_oracle_judges_only_the_selected_model() {
     );
 }
 
-/// The fault studies reject leftover arguments with a one-line error
-/// before generating any workload (no jobs banner on stderr), so a typo
-/// such as `--sed 7` cannot silently run the default seed.
+/// Every command that takes flags rejects leftover arguments, and bad
+/// flag values, with a one-line error before generating any workload (no
+/// jobs banner on stderr), so a typo such as `--sed 7` cannot silently
+/// run the defaults.
 #[test]
 fn fault_studies_reject_leftover_arguments() {
-    for args in [
-        &["verify-net", "--scale", "tiny", "--bogus"][..],
-        &["faults", "--sed", "7"],
-        &["verify-crash", "--wal", "extra"],
-        &["verify-scrub", "--scale", "tiny", "--seed", "1", "2"],
+    for (args, reason) in [
+        (
+            &["verify-net", "--scale", "tiny", "--bogus"][..],
+            "unexpected argument",
+        ),
+        (&["faults", "--sed", "7"], "unexpected argument"),
+        (&["verify-crash", "--wal", "extra"], "unexpected argument"),
+        (
+            &["verify-scrub", "--scale", "tiny", "--seed", "1", "2"],
+            "unexpected argument",
+        ),
+        (
+            &["gen-traces", "--bogus"],
+            "gen-traces: unexpected argument \"--bogus\"",
+        ),
+        (
+            &["lfs", "--scale", "tiny", "--bogus"],
+            "lfs: unexpected argument",
+        ),
+        (&["lfs", "--buffer-kb", "abc"], "bad --buffer-kb"),
+        (&["scorecard", "--bogus"], "scorecard: unexpected argument"),
+        (
+            &["export-csv", "--out", "csv", "--bogus"],
+            "export-csv: unexpected argument",
+        ),
+        (
+            &["client-sim", "--model", "volatile", "t.ops", "extra"],
+            "client-sim: unexpected argument",
+        ),
+        (
+            &["lifetime", "t.ops", "extra"],
+            "lifetime: unexpected argument",
+        ),
+        (
+            &["trace-stats", "t.ops", "--bogus"],
+            "trace-stats: unexpected argument",
+        ),
+        (
+            &["bench", "--scale", "tiny", "--bogus"],
+            "bench: unexpected argument",
+        ),
     ] {
         let out = nvfs(args);
         assert_eq!(out.status.code(), Some(1), "{args:?}");
@@ -297,8 +334,8 @@ fn fault_studies_reject_leftover_arguments() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
         assert!(
-            err.starts_with("error: ") && err.contains("unexpected argument"),
-            "{err}"
+            err.starts_with("error: ") && err.contains(reason),
+            "{args:?}: {err}"
         );
     }
 }
