@@ -47,9 +47,10 @@ fn main() {
 
     println!("\n== omniscient unified sweep, trace 7 (Fig 3 shape) ==");
     let t7 = set.trace(6);
+    let replay = |cfg: SimConfig| ClusterSim::new(cfg).session(t7.ops()).run().stats;
     for nv_kb in [128u64, 256, 512, 1024, 2048, 4096, 8192] {
         let cfg = SimConfig::unified(8 << 20, nv_kb << 10).with_policy(PolicyKind::Omniscient);
-        let s = ClusterSim::new(cfg).run(t7.ops());
+        let s = replay(cfg);
         println!(
             "  nvram {:>5} KB -> net write {:>5.1}%",
             nv_kb,
@@ -63,7 +64,7 @@ fn main() {
         ("random", PolicyKind::Random { seed: 42 }),
         ("omniscient", PolicyKind::Omniscient),
     ] {
-        let s = ClusterSim::new(SimConfig::unified(8 << 20, 1 << 20).with_policy(p)).run(t7.ops());
+        let s = replay(SimConfig::unified(8 << 20, 1 << 20).with_policy(p));
         println!(
             "  {:>10} -> net write {:>5.1}%",
             name,
@@ -73,16 +74,16 @@ fn main() {
 
     println!("\n== model comparison, trace 7, 8MB base (Fig 5 shape) ==");
     for extra_mb in [0u64, 1, 2, 4, 8] {
-        let vol = ClusterSim::new(SimConfig::volatile((8 + extra_mb) << 20)).run(t7.ops());
+        let vol = replay(SimConfig::volatile((8 + extra_mb) << 20));
         let uni = if extra_mb == 0 {
             None
         } else {
-            Some(ClusterSim::new(SimConfig::unified(8 << 20, extra_mb << 20)).run(t7.ops()))
+            Some(replay(SimConfig::unified(8 << 20, extra_mb << 20)))
         };
         let wa = if extra_mb == 0 {
             None
         } else {
-            Some(ClusterSim::new(SimConfig::write_aside(8 << 20, extra_mb << 20)).run(t7.ops()))
+            Some(replay(SimConfig::write_aside(8 << 20, extra_mb << 20)))
         };
         println!(
             "  +{} MB: volatile {:>5.1}% (hit {:.2}, sr {:.1}MB sw {:.1}MB)  unified {}  write-aside {}",

@@ -14,9 +14,9 @@
 //! * [`policy`] / [`omniscient`] — LRU, random, and omniscient replacement;
 //! * [`session`] — the composable engine: [`SimSession`] drives a
 //!   [`SimEngine`] under a caller-assembled [`RunHook`] stack;
-//! * [`sim`] — the multi-client [`ClusterSim`] facade whose `run_*`
-//!   methods assemble the canonical hook stacks, and its
-//!   [`TrafficStats`];
+//! * [`sim`] — the multi-client [`ClusterSim`] facade: one
+//!   [`SessionBuilder`] stacks the canonical hooks for a run and returns
+//!   one [`RunReport`];
 //! * [`lifetime`] — the infinite-cache byte-lifetime pass (Figure 2,
 //!   Table 2);
 //! * [`cost`] — the §2.7 NVRAM-vs-DRAM cost-effectiveness arithmetic;
@@ -35,7 +35,7 @@
 //!
 //! let traces = SpriteTraceSet::generate(&TraceSetConfig::tiny());
 //! let unified = ClusterSim::new(SimConfig::unified(2 << 20, 1 << 20));
-//! let stats = unified.run(traces.trace(6).ops());
+//! let stats = unified.session(traces.trace(6).ops()).run().stats;
 //! assert!(stats.net_write_traffic_pct() < 100.0);
 //! ```
 
@@ -69,6 +69,6 @@ pub use recovery::{recover, recover_up_to, snapshot_nvram, RecoveryError, Recove
 pub use scrub::{CorruptionInjector, ScrubReport};
 pub use session::{
     warmup_cut, CrashEvent, DrainEvent, FaultInjector, FlushEvent, ObsRecorder, OpAction,
-    OracleJudge, RunHook, SessionOutput, SimEngine, SimSession, WarmupReset, WriteLogCapture,
+    OracleJudge, RunHook, SimEngine, SimSession, WarmupReset, WriteLogCapture,
 };
-pub use sim::{ClusterSim, FaultRunReport, NetFaultRunReport};
+pub use sim::{ClusterSim, RunReport, RunSummary, SessionBuilder};

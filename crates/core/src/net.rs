@@ -116,7 +116,7 @@ impl NetStats {
 
 /// Everything the network layer learned in one run: counters, the
 /// judge's summary, and any wire-contract violations.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetReport {
     /// Wire-layer counters.
     pub stats: NetStats,

@@ -7,10 +7,8 @@
 //! write, a bit flip, or media decay damages NVRAM-resident dirty data
 //! *after* the cache model promised it?
 //!
-//! [`CorruptionInjector`] replays a compiled
-//! [`CorruptionSchedule`](nvfs_faults::corrupt::CorruptionSchedule)
-//! against a run under one of the three
-//! [`ProtectionMode`](nvfs_nvram::protect::ProtectionMode)s and an
+//! [`CorruptionInjector`] replays a compiled [`CorruptionSchedule`]
+//! against a run under one of the three [`ProtectionMode`]s and an
 //! optional background scrub interval. Corruption is **pure metadata**:
 //! it never alters simulated traffic, write logs, or existing counters —
 //! the hook tracks which promised bytes hold wrong contents and follows
@@ -657,7 +655,7 @@ impl RunHook for CorruptionInjector<'_> {
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use crate::session::{FaultInjector, ObsRecorder, OracleJudge, SimSession};
+    use crate::ClusterSim;
     use nvfs_faults::corrupt::CorruptionPlanConfig;
     use nvfs_faults::{FaultPlanConfig, FaultSchedule};
     use nvfs_trace::synth::{SpriteTraceSet, TraceSetConfig};
@@ -686,12 +684,13 @@ mod tests {
             FaultPlanConfig::new(8, SimDuration::from_hours(24)).with_client_crashes(3);
         let schedule = FaultSchedule::compile(seed, &fault_plan).unwrap();
         let corruption = corruption(seed);
-        let mut faults = FaultInjector::new(&schedule);
-        let mut corrupt = CorruptionInjector::new(&corruption, mode, interval);
-        let mut obs = ObsRecorder::new();
-        let mut judge = OracleJudge::new();
-        SimSession::new(&config).run(ops, &mut [&mut faults, &mut corrupt, &mut obs, &mut judge]);
-        (corrupt.into_report(), judge.into_oracle().summary())
+        let report = ClusterSim::new(config)
+            .session(ops)
+            .faults(&schedule)
+            .corruption(&corruption, mode, interval)
+            .judged()
+            .run();
+        (report.scrub, report.oracle.summary())
     }
 
     #[test]
@@ -752,24 +751,24 @@ mod tests {
         let fault_plan =
             FaultPlanConfig::new(8, SimDuration::from_hours(24)).with_client_crashes(3);
         let schedule = FaultSchedule::compile(11, &fault_plan).unwrap();
-        let sim = crate::ClusterSim::new(config.clone());
-        let baseline = sim.run_with_faults(ops, &schedule);
+        let sim = ClusterSim::new(config.clone());
+        let baseline = sim.session(ops).faults(&schedule).writes().run();
         let corruption = corruption(11);
-        let (with_corruption, oracle, report) = sim.run_with_corruption_verified(
-            ops,
-            &schedule,
-            &corruption,
-            ProtectionMode::Unprotected,
-            None,
-        );
+        let with_corruption = sim
+            .session(ops)
+            .faults(&schedule)
+            .corruption(&corruption, ProtectionMode::Unprotected, None)
+            .judged()
+            .writes()
+            .run();
         assert_eq!(baseline.reliability, with_corruption.reliability);
         assert_eq!(baseline.writes, with_corruption.writes);
         assert_eq!(
             baseline.stats.server_write_bytes,
             with_corruption.stats.server_write_bytes
         );
-        assert_eq!(oracle.summary().violations(), 0);
-        assert!(report.conservation_holds());
+        assert_eq!(with_corruption.oracle.summary().violations(), 0);
+        assert!(with_corruption.scrub.conservation_holds());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! # Ordering guarantees
 //!
 //! Hooks never call each other. Engine mechanics instead *queue* typed
-//! [`SessionEvent`]s (crash, recovery drain, flush) and the driver
+//! events ([`CrashEvent`], [`DrainEvent`], [`FlushEvent`]) and the driver
 //! broadcasts each queued event to every hook in stack order at fixed
 //! dispatch points: after the per-op `before_op` round, after the
 //! cleaner advance, after the op applies, and after each hook's
@@ -24,13 +24,14 @@
 //! order the mechanics produced them, so two hooks always observe the
 //! same interleaving the old monolithic driver produced.
 //!
-//! The canonical stack order is
-//! `[WarmupReset, FaultInjector, ObsRecorder, OracleJudge,
-//! WriteLogCapture]` (omitting whichever are unused). `ObsRecorder`
-//! must precede `OracleJudge`: both emit obs events for the same drain
-//! (`recovery_drain` vs `oracle_verdict`), and when a schedule's
-//! relocation delay is zero their timestamps tie, so submission order
-//! is what keeps the rendered JSONL stable.
+//! The canonical stack order, the one
+//! [`SessionBuilder::run`](crate::SessionBuilder::run) applies, is
+//! `[WarmupReset, NetFaultInjector, FaultInjector, CorruptionInjector,
+//! ObsRecorder, OracleJudge, WriteLogCapture]` (omitting whichever are
+//! unused). `ObsRecorder` must precede `OracleJudge`: both emit obs
+//! events for the same drain (`recovery_drain` vs `oracle_verdict`),
+//! and when a schedule's relocation delay is zero their timestamps tie,
+//! so submission order is what keeps the rendered JSONL stable.
 //!
 //! # Determinism contract
 //!
@@ -57,6 +58,7 @@ use crate::metrics::TrafficStats;
 use crate::omniscient::OmniscientSchedule;
 use crate::policy::Policy;
 use crate::recovery::{recover_up_to, snapshot_nvram, RecoveryError};
+use crate::sim::RunReport;
 
 /// Index of the first steady-state op for a warm-up `fraction` over a
 /// stream of `len` ops.
@@ -195,15 +197,6 @@ pub trait RunHook {
     fn wants_flush_events(&self) -> bool {
         true
     }
-}
-
-/// What a session hands back once the hook stack has run to completion.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SessionOutput {
-    /// Aggregated traffic counters.
-    pub stats: TrafficStats,
-    /// Crash/recovery accounting (all zeros on a fault-free stack).
-    pub reliability: ReliabilityStats,
 }
 
 /// The cluster mechanics a hook stack drives: one [`ClientCache`] per
@@ -710,8 +703,9 @@ fn dispatch(engine: &mut SimEngine<'_>, hooks: &mut [&mut dyn RunHook]) {
 ///
 /// # Examples
 ///
-/// A composition the old `run_*` forks never offered — warm-up, fault
-/// injection and durability judging on one run:
+/// A hand-assembled stack, as [`SessionBuilder`](crate::SessionBuilder)
+/// assembles the shipped hooks (a custom [`RunHook`] joins the same
+/// way): warm-up, fault injection and durability judging on one run.
 ///
 /// ```
 /// use nvfs_core::{
@@ -750,10 +744,10 @@ impl<'a> SimSession<'a> {
     }
 
     /// Drives the engine over `ops` with the given hook stack and
-    /// returns the aggregated output. Hook results beyond the stats
-    /// (write logs, oracles) stay in the hooks themselves — the caller
-    /// kept ownership and harvests them afterwards.
-    pub fn run(&self, ops: &OpStream, hooks: &mut [&mut dyn RunHook]) -> SessionOutput {
+    /// returns a report holding the stats and reliability accounting.
+    /// Its other sections stay empty: hook results (write logs, oracles)
+    /// stay in the hooks themselves, which the caller harvests.
+    pub fn run(&self, ops: &OpStream, hooks: &mut [&mut dyn RunHook]) -> RunReport {
         let mut engine = SimEngine::new(self.config, ops);
         engine.flush_events = hooks.iter().any(|h| h.wants_flush_events());
 
@@ -784,9 +778,10 @@ impl<'a> SimSession<'a> {
         for hook in hooks.iter_mut() {
             hook.collect(&mut engine);
         }
-        SessionOutput {
+        RunReport {
             stats: engine.stats,
             reliability: engine.reliability,
+            ..RunReport::default()
         }
     }
 }
@@ -803,11 +798,6 @@ pub struct WarmupReset {
 }
 
 impl WarmupReset {
-    /// Reset counters just before the op at `index` applies.
-    pub fn at_index(index: usize) -> Self {
-        WarmupReset { reset_at: index }
-    }
-
     /// Reset after the first `fraction` of a `len`-op stream (see
     /// [`warmup_cut`] for the rounding contract).
     ///
@@ -815,7 +805,9 @@ impl WarmupReset {
     ///
     /// Panics unless `0.0 <= fraction < 1.0`.
     pub fn fraction(len: usize, fraction: f64) -> Self {
-        WarmupReset::at_index(warmup_cut(len, fraction))
+        WarmupReset {
+            reset_at: warmup_cut(len, fraction),
+        }
     }
 }
 

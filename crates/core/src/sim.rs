@@ -7,73 +7,232 @@
 //! The volatile model's 30-second delayed write-back is driven by a
 //! 5-second cleaner tick, exactly as in Sprite.
 //!
-//! Every `run_*` entry point is a thin wrapper over the composable
-//! engine in [`session`](crate::session): it assembles the canonical
-//! [`RunHook`](crate::session::RunHook) stack for that concern and
-//! drives one [`SimSession`]. Custom compositions (warmup + faults +
-//! oracle, say) are assembled the same way by callers.
+//! Every run goes through one entry point, [`ClusterSim::session`]: its
+//! [`SessionBuilder`] chooses which concerns ride along, and
+//! [`SessionBuilder::run`] stacks the matching [`RunHook`]s in the one
+//! canonical order over a [`SimSession`] and returns one [`RunReport`],
+//! whose [`RunSummary`] a fault sweep merges into its rows.
+
+use std::mem::take;
 
 use nvfs_faults::corrupt::CorruptionSchedule;
 use nvfs_faults::net::NetFaultPlan;
 use nvfs_faults::{FaultSchedule, ReliabilityStats};
 use nvfs_nvram::protect::ProtectionMode;
-use nvfs_oracle::Oracle;
+use nvfs_oracle::{NetSummary, Oracle, OracleSummary};
 use nvfs_trace::op::OpStream;
 use nvfs_types::SimDuration;
 
 use crate::client::ServerWrite;
 use crate::config::SimConfig;
 use crate::metrics::TrafficStats;
-use crate::net::{NetFaultInjector, NetReport};
+use crate::net::{NetFaultInjector, NetReport, NetStats};
 use crate::scrub::{CorruptionInjector, ScrubReport};
 use crate::session::{
-    FaultInjector, ObsRecorder, OracleJudge, SimSession, WarmupReset, WriteLogCapture,
+    FaultInjector, ObsRecorder, OracleJudge, RunHook, SimSession, WarmupReset, WriteLogCapture,
 };
 
 /// A configured cluster simulation, ready to run over op streams.
-///
-/// # Examples
-///
-/// ```
-/// use nvfs_core::{ClusterSim, SimConfig};
-/// use nvfs_trace::synth::{SpriteTraceSet, TraceSetConfig};
-///
-/// let traces = SpriteTraceSet::generate(&TraceSetConfig::tiny());
-/// let stats = ClusterSim::new(SimConfig::unified(1 << 20, 512 << 10))
-///     .run(traces.trace(0).ops());
-/// assert!(stats.app_write_bytes > 0);
-/// assert!(stats.net_write_traffic_pct() <= 100.0 + 1e-9 || stats.server_read_bytes > 0);
-/// ```
 #[derive(Debug, Clone)]
 pub struct ClusterSim {
     config: SimConfig,
 }
 
-/// Results of a fault-injected run ([`ClusterSim::run_with_faults`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultRunReport {
-    /// Ordinary traffic counters; recovery drains appear under
-    /// [`TrafficStats::recovery_bytes`].
+/// Everything one run produced. Each section a run did not ask for is
+/// left empty.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RunReport {
+    /// Traffic counters; recovery drains count as
+    /// [`TrafficStats::recovery_bytes`], partition-shed bytes not at all.
     pub stats: TrafficStats,
-    /// Crash/recovery accounting, per fault kind.
+    /// Crash, recovery and partition-loss accounting.
     pub reliability: ReliabilityStats,
-    /// Time-ordered server-write log including recovery drains.
+    /// Time-ordered server-write log ([`SessionBuilder::writes`]).
     pub writes: Vec<ServerWrite>,
+    /// Wire counters, judge summary and verdicts ([`SessionBuilder::net`]).
+    pub net: NetReport,
+    /// One report per judged recovery ([`SessionBuilder::judged`]).
+    pub oracle: Oracle,
+    /// The fate of every corrupt byte ([`SessionBuilder::corruption`]).
+    pub scrub: ScrubReport,
 }
 
-/// Results of a network-faulted run ([`ClusterSim::run_with_net_faults`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NetFaultRunReport {
-    /// Ordinary traffic counters (shed bytes never appear here — they
-    /// did not reach the server).
-    pub stats: TrafficStats,
-    /// Reliability accounting; partition-shed bytes land in
-    /// [`ReliabilityStats::bytes_lost_partition`].
+impl RunReport {
+    /// The mergeable part of the report, for folding into a sweep row.
+    pub fn into_summary(self) -> RunSummary {
+        RunSummary {
+            reliability: self.reliability,
+            oracle: self.oracle.summary(),
+            net_stats: self.net.stats,
+            net: self.net.summary,
+            scrub: self.scrub,
+        }
+    }
+}
+
+/// The part of a [`RunReport`] that sums across runs: what one row of a
+/// fault sweep carries, merged over its inputs with [`RunSummary::merge`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RunSummary {
+    /// Crash, recovery and partition-loss accounting.
     pub reliability: ReliabilityStats,
-    /// Time-ordered server-write log of the bytes that *did* get through.
-    pub writes: Vec<ServerWrite>,
-    /// Wire-layer counters, judge summary and verdicts.
-    pub net: NetReport,
+    /// The durability judge's verdict totals.
+    pub oracle: OracleSummary,
+    /// Wire-layer counters.
+    pub net_stats: NetStats,
+    /// The wire judge's verdict totals.
+    pub net: NetSummary,
+    /// Corruption accounting (verdicts append in merge order).
+    pub scrub: ScrubReport,
+}
+
+impl RunSummary {
+    /// Folds `other` into `self`.
+    pub fn merge(&mut self, other: &RunSummary) {
+        self.reliability.merge(&other.reliability);
+        self.oracle.merge(&other.oracle);
+        self.net_stats.merge(&other.net_stats);
+        self.net.merge(&other.net);
+        self.scrub.merge(&other.scrub);
+    }
+}
+
+/// Which concerns ride along on one replay; see [`ClusterSim::session`].
+///
+/// # Examples
+///
+/// Warm-up, crash faults and the durability judge on one run:
+///
+/// ```
+/// use nvfs_core::{ClusterSim, SimConfig};
+/// use nvfs_faults::{FaultPlanConfig, FaultSchedule};
+/// use nvfs_trace::synth::{SpriteTraceSet, TraceSetConfig};
+/// use nvfs_types::SimDuration;
+///
+/// let traces = SpriteTraceSet::generate(&TraceSetConfig::tiny());
+/// let ops = traces.trace(6).ops();
+/// let plan = FaultPlanConfig::new(8, SimDuration::from_hours(24)).with_client_crashes(2);
+/// let schedule = FaultSchedule::compile(7, &plan).unwrap();
+/// let sim = ClusterSim::new(SimConfig::unified(1 << 20, 512 << 10));
+/// let report = sim.session(ops).warmup(0.3).faults(&schedule).judged().run();
+/// assert_eq!(report.reliability.client_crashes, 2);
+/// assert_eq!(report.oracle.summary().violations(), 0);
+/// ```
+#[derive(Debug, Clone, Copy)]
+#[must_use = "a session does nothing until `run` is called"]
+pub struct SessionBuilder<'a> {
+    config: &'a SimConfig,
+    ops: &'a OpStream,
+    warmup: Option<f64>,
+    net: Option<&'a NetFaultPlan>,
+    faults: Option<&'a FaultSchedule>,
+    corruption: Option<(&'a CorruptionSchedule, ProtectionMode, Option<SimDuration>)>,
+    judged: bool,
+    writes: bool,
+}
+
+impl<'a> SessionBuilder<'a> {
+    /// Measures steady state only: the first `fraction` of the stream
+    /// (cut at [`warmup_cut`](crate::session::warmup_cut)) populates the
+    /// caches, then every traffic counter is reset.
+    ///
+    /// # Panics
+    ///
+    /// [`run`](SessionBuilder::run) panics unless `0.0 <= fraction < 1.0`.
+    pub fn warmup(mut self, fraction: f64) -> Self {
+        self.warmup = Some(fraction);
+        self
+    }
+
+    /// Routes every server interaction through the RPC layer under
+    /// `plan`; flushes shed at a partition count as
+    /// [`ReliabilityStats::bytes_lost_partition`], and the wire judge's
+    /// verdicts land in [`RunReport::net`].
+    pub fn net(mut self, plan: &'a NetFaultPlan) -> Self {
+        self.net = Some(plan);
+        self
+    }
+
+    /// Replays a crash [`FaultSchedule`] (or none): crashed clients' NVRAM
+    /// boards drain through the §4 recovery flow, and every loss lands in
+    /// [`RunReport::reliability`].
+    pub fn faults(mut self, schedule: impl Into<Option<&'a FaultSchedule>>) -> Self {
+        self.faults = schedule.into();
+        self
+    }
+
+    /// Lands NVRAM corruption under `mode`, with a background checksum
+    /// scrub every `scrub_interval` when given; every corrupt byte's fate
+    /// lands in [`RunReport::scrub`].
+    pub fn corruption(
+        mut self,
+        schedule: &'a CorruptionSchedule,
+        mode: ProtectionMode,
+        scrub_interval: Option<SimDuration>,
+    ) -> Self {
+        self.corruption = Some((schedule, mode, scrub_interval));
+        self
+    }
+
+    /// Judges every crash and recovery against the durability contract
+    /// into [`RunReport::oracle`].
+    pub fn judged(mut self) -> Self {
+        self.judged = true;
+        self
+    }
+
+    /// Keeps the server-write log in [`RunReport::writes`].
+    pub fn writes(mut self) -> Self {
+        self.writes = true;
+        self
+    }
+
+    /// Runs judged with the write log, and moves the oracle and the scrub
+    /// report out: the tuple shape the judged presets return.
+    fn run_split(self) -> (RunReport, Oracle, ScrubReport) {
+        let mut report = self.judged().writes().run();
+        let (oracle, scrub) = (take(&mut report.oracle), take(&mut report.scrub));
+        (report, oracle, scrub)
+    }
+
+    /// Replays the ops with the chosen hooks in the one canonical order
+    /// (see the [`session`](crate::session) module docs). Byte-identical
+    /// at any worker-thread count.
+    pub fn run(self) -> RunReport {
+        fn hook(h: &mut Option<impl RunHook>) -> Option<&mut dyn RunHook> {
+            h.as_mut().map(|h| h as &mut dyn RunHook)
+        }
+        let mut warm = self
+            .warmup
+            .map(|fraction| WarmupReset::fraction(self.ops.len(), fraction));
+        let mut net = self.net.map(NetFaultInjector::new);
+        let mut faults = self.faults.map(FaultInjector::new);
+        let mut corrupt = self
+            .corruption
+            .map(|(schedule, mode, interval)| CorruptionInjector::new(schedule, mode, interval));
+        let mut obs = ObsRecorder::new();
+        let mut judge = self.judged.then(OracleJudge::new);
+        let mut log = self.writes.then(WriteLogCapture::new);
+        let mut hooks: Vec<&mut dyn RunHook> = Vec::with_capacity(7);
+        hooks.extend(hook(&mut warm));
+        hooks.extend(hook(&mut net));
+        hooks.extend(hook(&mut faults));
+        hooks.extend(hook(&mut corrupt));
+        hooks.push(&mut obs);
+        hooks.extend(hook(&mut judge));
+        hooks.extend(hook(&mut log));
+        let out = SimSession::new(self.config).run(self.ops, &mut hooks);
+        drop(hooks);
+        RunReport {
+            writes: log.map(|mut log| log.take()).unwrap_or_default(),
+            net: net.map(NetFaultInjector::into_report).unwrap_or_default(),
+            oracle: judge.map(OracleJudge::into_oracle).unwrap_or_default(),
+            scrub: corrupt
+                .map(CorruptionInjector::into_report)
+                .unwrap_or_default(),
+            ..out
+        }
+    }
 }
 
 impl ClusterSim {
@@ -82,116 +241,57 @@ impl ClusterSim {
         ClusterSim { config }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
-    /// Replays `ops` and returns the aggregated traffic statistics.
-    ///
-    /// The omniscient policy builds its schedule from this same stream (the
-    /// paper's third pass).
-    pub fn run(&self, ops: &OpStream) -> TrafficStats {
-        let mut obs = ObsRecorder::new();
-        SimSession::new(&self.config)
-            .run(ops, &mut [&mut obs])
-            .stats
-    }
-
-    /// Runs with a warm-up prefix: the first `warmup` fraction of the
-    /// stream populates the caches, then every counter is reset, so the
-    /// returned statistics describe steady state only. The cut index is
-    /// `floor(len * warmup)` — see [`warmup_cut`](crate::session::warmup_cut).
-    ///
-    /// The paper notes its own simulations "started with empty caches,
-    /// thereby misclassifying some writes as new data rather than
-    /// overwrites" — this quantifies that cold-start bias.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= warmup < 1.0`.
-    pub fn run_with_warmup(&self, ops: &OpStream, warmup: f64) -> TrafficStats {
-        let mut warm = WarmupReset::fraction(ops.len(), warmup);
-        let mut obs = ObsRecorder::new();
-        SimSession::new(&self.config)
-            .run(ops, &mut [&mut warm, &mut obs])
-            .stats
-    }
-
-    /// Like [`ClusterSim::run`], but also returns the time-ordered log of
-    /// every write the clients sent to the server — the input for a
-    /// server-side (LFS) simulation downstream.
-    pub fn run_detailed(&self, ops: &OpStream) -> (TrafficStats, Vec<ServerWrite>) {
-        let (mut obs, mut log) = (ObsRecorder::new(), WriteLogCapture::new());
-        let out = SimSession::new(&self.config).run(ops, &mut [&mut obs, &mut log]);
-        (out.stats, log.take())
-    }
-
-    /// Replays `ops` under an injected [`FaultSchedule`]: each scheduled
-    /// client crash cuts that client's trace at the fault time, snapshots
-    /// its NVRAM contents onto a removable board, and — after the board's
-    /// relocation delay, with its batteries aged on the schedule's failure
-    /// clock — drains the board through the §4 recovery flow. Losses
-    /// (volatile window, dead batteries, torn drains) are reported in the
-    /// returned [`ReliabilityStats`] rather than panicking.
-    ///
-    /// Deterministic: the same `(schedule, ops, config)` triple produces
-    /// byte-identical results at any worker-thread count.
-    pub fn run_with_faults(&self, ops: &OpStream, schedule: &FaultSchedule) -> FaultRunReport {
-        let (mut faults, mut obs, mut log) = (
-            FaultInjector::new(schedule),
-            ObsRecorder::new(),
-            WriteLogCapture::new(),
-        );
-        let out = SimSession::new(&self.config).run(ops, &mut [&mut faults, &mut obs, &mut log]);
-        FaultRunReport {
-            stats: out.stats,
-            reliability: out.reliability,
-            writes: log.take(),
+    /// Starts describing one run over `ops` (a plain replay until more is
+    /// chosen). The omniscient policy builds its schedule from this same
+    /// stream (the paper's third pass).
+    pub fn session<'a>(&'a self, ops: &'a OpStream) -> SessionBuilder<'a> {
+        SessionBuilder {
+            config: &self.config,
+            ops,
+            warmup: None,
+            net: None,
+            faults: None,
+            corruption: None,
+            judged: false,
+            writes: false,
         }
     }
 
-    /// Like [`ClusterSim::run_with_faults`], but every crash + recovery is
-    /// judged by the durability [`Oracle`]: at each crash instant the cache
-    /// model's durable promise is captured *before* any recovery code runs,
-    /// and after the board drain the recovered ranges are diffed against
-    /// the shadow model's independent prediction. The returned oracle holds
-    /// one [`CrashReport`](nvfs_oracle::CrashReport) per recovered crash.
+    /// A plain replay. This and the four `run_with_*` presets are kept only
+    /// for the `nvbench` benchmark, which calls and times them by name.
+    pub fn run(&self, ops: &OpStream) -> TrafficStats {
+        self.session(ops).run().stats
+    }
+
+    /// Crash faults, with the write log; kept only for `nvbench`.
+    pub fn run_with_faults(&self, ops: &OpStream, schedule: &FaultSchedule) -> RunReport {
+        self.session(ops).faults(schedule).writes().run()
+    }
+
+    /// Crash faults, judged, with the write log; kept only for `nvbench`.
     pub fn run_with_faults_verified(
         &self,
         ops: &OpStream,
         schedule: &FaultSchedule,
-    ) -> (FaultRunReport, Oracle) {
-        let (mut faults, mut obs, mut judge, mut log) = (
-            FaultInjector::new(schedule),
-            ObsRecorder::new(),
-            OracleJudge::new(),
-            WriteLogCapture::new(),
-        );
-        let out = SimSession::new(&self.config)
-            .run(ops, &mut [&mut faults, &mut obs, &mut judge, &mut log]);
-        (
-            FaultRunReport {
-                stats: out.stats,
-                reliability: out.reliability,
-                writes: log.take(),
-            },
-            judge.into_oracle(),
-        )
+    ) -> (RunReport, Oracle) {
+        let (report, oracle, _) = self.session(ops).faults(schedule).run_split();
+        (report, oracle)
     }
 
-    /// Like [`ClusterSim::run_with_faults_verified`], but with an NVRAM
-    /// corruption schedule layered on top: stray writes, bit flips, and
-    /// board decay land on the clients' NVRAM contents under the given
-    /// [`ProtectionMode`], with an optional background checksum scrub
-    /// sweeping every `scrub_interval`. Corruption is pure metadata —
-    /// the traffic statistics, write log, and crash/recovery flow are
-    /// byte-identical to the corruption-free run (modulo the scrub's
-    /// repair reads, charged to server read traffic) — and every corrupt
-    /// byte's fate is classified in the returned [`ScrubReport`].
-    ///
-    /// Deterministic and serial: byte-identical at any worker-thread
-    /// count.
+    /// Network and crash faults, judged, with the write log; kept only for
+    /// `nvbench`.
+    pub fn run_with_net_faults_verified(
+        &self,
+        ops: &OpStream,
+        net: &NetFaultPlan,
+        schedule: &FaultSchedule,
+    ) -> (RunReport, Oracle) {
+        let (report, oracle, _) = self.session(ops).net(net).faults(schedule).run_split();
+        (report, oracle)
+    }
+
+    /// Crash faults and NVRAM corruption, judged, with the write log; kept
+    /// only for `nvbench`.
     pub fn run_with_corruption_verified(
         &self,
         ops: &OpStream,
@@ -199,84 +299,11 @@ impl ClusterSim {
         corruption: &CorruptionSchedule,
         mode: ProtectionMode,
         scrub_interval: Option<SimDuration>,
-    ) -> (FaultRunReport, Oracle, ScrubReport) {
-        let (mut faults, mut corrupt, mut obs, mut judge, mut log) = (
-            FaultInjector::new(schedule),
-            CorruptionInjector::new(corruption, mode, scrub_interval),
-            ObsRecorder::new(),
-            OracleJudge::new(),
-            WriteLogCapture::new(),
-        );
-        let out = SimSession::new(&self.config).run(
-            ops,
-            &mut [&mut faults, &mut corrupt, &mut obs, &mut judge, &mut log],
-        );
-        (
-            FaultRunReport {
-                stats: out.stats,
-                reliability: out.reliability,
-                writes: log.take(),
-            },
-            judge.into_oracle(),
-            corrupt.into_report(),
-        )
-    }
-
-    /// Replays `ops` with the deterministic network layer between the
-    /// clients and the server: every server-interacting op and flush note
-    /// becomes an RPC resolved through `net` (drops, duplicates, delays,
-    /// retries, timed partitions). While a client's link is severed,
-    /// flushes the model cannot defer are shed and accounted as
-    /// [`ReliabilityStats::bytes_lost_partition`]; the wire transcript is
-    /// judged by the [`NetJudge`](nvfs_oracle::NetJudge) and the verdicts
-    /// returned in the report. Deterministic and serial: byte-identical
-    /// at any worker-thread count.
-    pub fn run_with_net_faults(&self, ops: &OpStream, net: &NetFaultPlan) -> NetFaultRunReport {
-        let (mut netinj, mut obs, mut log) = (
-            NetFaultInjector::new(net),
-            ObsRecorder::new(),
-            WriteLogCapture::new(),
-        );
-        let out = SimSession::new(&self.config).run(ops, &mut [&mut netinj, &mut obs, &mut log]);
-        NetFaultRunReport {
-            stats: out.stats,
-            reliability: out.reliability,
-            writes: log.take(),
-            net: netinj.into_report(),
-        }
-    }
-
-    /// Like [`ClusterSim::run_with_net_faults`], but composed with a
-    /// crash [`FaultSchedule`] and the durability [`Oracle`]: partitions,
-    /// retries and crashes interleave in one run, recovery drains defer
-    /// past whole-server partitions, and every crash + recovery is judged
-    /// against the shadow durability model on top of the wire contract.
-    pub fn run_with_net_faults_verified(
-        &self,
-        ops: &OpStream,
-        net: &NetFaultPlan,
-        schedule: &FaultSchedule,
-    ) -> (NetFaultRunReport, Oracle) {
-        let (mut netinj, mut faults, mut obs, mut judge, mut log) = (
-            NetFaultInjector::new(net),
-            FaultInjector::new(schedule),
-            ObsRecorder::new(),
-            OracleJudge::new(),
-            WriteLogCapture::new(),
-        );
-        let out = SimSession::new(&self.config).run(
-            ops,
-            &mut [&mut netinj, &mut faults, &mut obs, &mut judge, &mut log],
-        );
-        (
-            NetFaultRunReport {
-                stats: out.stats,
-                reliability: out.reliability,
-                writes: log.take(),
-                net: netinj.into_report(),
-            },
-            judge.into_oracle(),
-        )
+    ) -> (RunReport, Oracle, ScrubReport) {
+        self.session(ops)
+            .faults(schedule)
+            .corruption(corruption, mode, scrub_interval)
+            .run_split()
     }
 }
 
@@ -334,7 +361,10 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let stats = ClusterSim::new(SimConfig::volatile(1 << 20)).run(&ops);
+        let stats = ClusterSim::new(SimConfig::volatile(1 << 20))
+            .session(&ops)
+            .run()
+            .stats;
         assert_eq!(stats.writeback_bytes, BLOCK_SIZE);
         assert_eq!(stats.remaining_dirty_bytes, 0);
     }
@@ -365,7 +395,10 @@ mod tests {
             let ops: OpStream = vec![wr(1, 0, 5, 0), rd(2, 1), op(3, 2, kill.clone()), rd(4, 1)]
                 .into_iter()
                 .collect();
-            let stats = ClusterSim::new(SimConfig::volatile(1 << 20)).run(&ops);
+            let stats = ClusterSim::new(SimConfig::volatile(1 << 20))
+                .session(&ops)
+                .run()
+                .stats;
             assert_eq!(stats.deleted_dead_bytes, BLOCK_SIZE, "{kill:?}");
             assert_eq!(stats.remaining_dirty_bytes, 0, "{kill:?}");
             assert_eq!(stats.server_read_bytes, 2 * BLOCK_SIZE, "{kill:?}");
@@ -400,7 +433,7 @@ mod tests {
             SimConfig::write_aside(1 << 20, 512 << 10),
             SimConfig::unified(1 << 20, 512 << 10),
         ] {
-            let stats = ClusterSim::new(cfg).run(&ops);
+            let stats = ClusterSim::new(cfg).session(&ops).run().stats;
             assert_eq!(stats.writeback_bytes, 0);
             assert_eq!(stats.remaining_dirty_bytes, BLOCK_SIZE);
             assert_eq!(stats.server_write_bytes, 0);
@@ -431,12 +464,18 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let stats = ClusterSim::new(SimConfig::unified(1 << 20, 512 << 10)).run(&ops);
+        let stats = ClusterSim::new(SimConfig::unified(1 << 20, 512 << 10))
+            .session(&ops)
+            .run()
+            .stats;
         assert_eq!(stats.deleted_dead_bytes, BLOCK_SIZE);
         assert_eq!(stats.server_write_bytes, 0);
         assert_eq!(stats.net_write_traffic_pct(), 0.0);
         // The volatile model, by contrast, wrote it back at ~32s.
-        let v = ClusterSim::new(SimConfig::volatile(1 << 20)).run(&ops);
+        let v = ClusterSim::new(SimConfig::volatile(1 << 20))
+            .session(&ops)
+            .run()
+            .stats;
         assert_eq!(v.writeback_bytes, BLOCK_SIZE);
     }
 
@@ -473,7 +512,10 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let stats = ClusterSim::new(SimConfig::unified(1 << 20, 512 << 10)).run(&ops);
+        let stats = ClusterSim::new(SimConfig::unified(1 << 20, 512 << 10))
+            .session(&ops)
+            .run()
+            .stats;
         assert_eq!(stats.callback_bytes, BLOCK_SIZE);
         assert_eq!(stats.remaining_dirty_bytes, 0);
     }
@@ -523,7 +565,10 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let stats = ClusterSim::new(SimConfig::unified(1 << 20, 512 << 10)).run(&ops);
+        let stats = ClusterSim::new(SimConfig::unified(1 << 20, 512 << 10))
+            .session(&ops)
+            .run()
+            .stats;
         assert_eq!(stats.concurrent_write_bytes, 2 * BLOCK_SIZE);
         assert_eq!(stats.concurrent_read_bytes, 100);
         // The post-sharing write is cached normally.
@@ -555,7 +600,10 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let stats = ClusterSim::new(SimConfig::unified(1 << 20, 512 << 10)).run(&ops);
+        let stats = ClusterSim::new(SimConfig::unified(1 << 20, 512 << 10))
+            .session(&ops)
+            .run()
+            .stats;
         assert_eq!(stats.migration_bytes, BLOCK_SIZE);
         assert_eq!(stats.remaining_dirty_bytes, 0);
     }
@@ -596,7 +644,10 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let whole = ClusterSim::new(SimConfig::unified(1 << 20, 512 << 10)).run(&ops);
+        let whole = ClusterSim::new(SimConfig::unified(1 << 20, 512 << 10))
+            .session(&ops)
+            .run()
+            .stats;
         assert_eq!(
             whole.callback_bytes,
             2 * BLOCK_SIZE,
@@ -605,7 +656,9 @@ mod tests {
         let block = ClusterSim::new(
             SimConfig::unified(1 << 20, 512 << 10).with_consistency(ConsistencyMode::BlockOnDemand),
         )
-        .run(&ops);
+        .session(&ops)
+        .run()
+        .stats;
         assert_eq!(
             block.callback_bytes, BLOCK_SIZE,
             "lazy recall takes only the read block"
@@ -620,12 +673,12 @@ mod tests {
         let traces = SpriteTraceSet::generate(&TraceSetConfig::tiny());
         let ops = traces.trace(6).ops();
         let sim = ClusterSim::new(SimConfig::unified(2 << 20, 512 << 10));
-        let warm = sim.run_with_warmup(ops, 0.3);
+        let warm = sim.session(ops).warmup(0.3).run().stats;
         // The clean comparison: the same steady-state suffix replayed from
         // empty caches.
         let cut = warmup_cut(ops.len(), 0.3);
         let suffix: OpStream = ops.as_slice()[cut..].iter().cloned().collect();
-        let cold_suffix = sim.run(&suffix);
+        let cold_suffix = sim.session(&suffix).run().stats;
         assert_eq!(warm.app_write_bytes, cold_suffix.app_write_bytes);
         // Warmed caches can only hit more often on identical requests.
         assert!(
@@ -643,7 +696,7 @@ mod tests {
     #[should_panic(expected = "warmup must be in")]
     fn warmup_rejects_full_fraction() {
         let sim = ClusterSim::new(SimConfig::volatile(1 << 20));
-        let _ = sim.run_with_warmup(&OpStream::new(), 1.0);
+        let _ = sim.session(&OpStream::new()).warmup(1.0).run().stats;
     }
 
     #[test]
@@ -669,8 +722,8 @@ mod tests {
         // A warm-up fraction just below 1.0 resets before the very last
         // op: the run must not panic, and the counters can only describe
         // that one-op tail.
-        let tail = sim.run_with_warmup(ops, 1.0 - f64::EPSILON);
-        let full = sim.run(ops);
+        let tail = sim.session(ops).warmup(1.0 - f64::EPSILON).run().stats;
+        let full = sim.session(ops).run().stats;
         assert!(tail.app_write_bytes <= full.app_write_bytes);
         assert!(tail.app_read_bytes <= full.app_read_bytes);
     }
@@ -678,7 +731,7 @@ mod tests {
     #[test]
     fn warmup_on_empty_stream_is_a_no_op() {
         let sim = ClusterSim::new(SimConfig::unified(1 << 20, 512 << 10));
-        let stats = sim.run_with_warmup(&OpStream::new(), 0.5);
+        let stats = sim.session(&OpStream::new()).warmup(0.5).run().stats;
         assert_eq!(stats, TrafficStats::default());
     }
 
@@ -688,8 +741,14 @@ mod tests {
         let traces = SpriteTraceSet::generate(&TraceSetConfig::tiny());
         let cfg =
             SimConfig::unified(1 << 20, 256 << 10).with_policy(PolicyKind::Random { seed: 5 });
-        let a = ClusterSim::new(cfg.clone()).run(traces.trace(4).ops());
-        let b = ClusterSim::new(cfg).run(traces.trace(4).ops());
+        let a = ClusterSim::new(cfg.clone())
+            .session(traces.trace(4).ops())
+            .run()
+            .stats;
+        let b = ClusterSim::new(cfg)
+            .session(traces.trace(4).ops())
+            .run()
+            .stats;
         assert_eq!(a, b);
     }
 
@@ -722,7 +781,10 @@ mod tests {
         assert_eq!(schedule.client_crashes[0].client, ClientId(0));
 
         let unified = ClusterSim::new(SimConfig::unified(1 << 20, 512 << 10))
-            .run_with_faults(&ops, &schedule);
+            .session(&ops)
+            .faults(&schedule)
+            .writes()
+            .run();
         let r = &unified.reliability;
         assert_eq!(r.client_crashes, 1);
         assert_eq!(r.bytes_at_risk, BLOCK_SIZE, "only the pre-crash write");
@@ -741,8 +803,11 @@ mod tests {
             .any(|w| w.cause == FlushCause::Recovery));
 
         // The volatile model has nothing in NVRAM: the window is lost.
-        let volatile =
-            ClusterSim::new(SimConfig::volatile(1 << 20)).run_with_faults(&ops, &schedule);
+        let volatile = ClusterSim::new(SimConfig::volatile(1 << 20))
+            .session(&ops)
+            .faults(&schedule)
+            .writes()
+            .run();
         let r = &volatile.reliability;
         assert_eq!(r.bytes_at_risk, BLOCK_SIZE);
         assert_eq!(r.bytes_in_nvram, 0);
@@ -764,8 +829,8 @@ mod tests {
             .with_torn_probability(0.3);
         let schedule = FaultSchedule::compile(42, &plan).unwrap();
         let sim = ClusterSim::new(SimConfig::write_aside(1 << 20, 512 << 10));
-        let a = sim.run_with_faults(ops, &schedule);
-        let b = sim.run_with_faults(ops, &schedule);
+        let a = sim.session(ops).faults(&schedule).writes().run();
+        let b = sim.session(ops).faults(&schedule).writes().run();
         assert_eq!(a, b);
         assert_eq!(a.reliability.client_crashes, 3);
     }
@@ -794,7 +859,8 @@ mod tests {
             CrashPointKind::PostFlush,
         ] {
             let variant = schedule.apply_crash_point(kind, SimDuration::from_secs(5));
-            let (report, oracle) = sim.run_with_faults_verified(ops, &variant);
+            let report = sim.session(ops).faults(&variant).judged().run();
+            let oracle = &report.oracle;
             assert_eq!(report.reliability.client_crashes, 4, "{kind}");
             let s = oracle.summary();
             assert_eq!(
@@ -809,10 +875,16 @@ mod tests {
                 "{kind}"
             );
         }
-        // And the unverified path is byte-identical to the verified one.
-        let (verified, _) = sim.run_with_faults_verified(ops, &schedule);
-        let plain = sim.run_with_faults(ops, &schedule);
-        assert_eq!(verified, plain);
+        // And the unjudged run is byte-identical to the judged one.
+        let verified = sim.session(ops).faults(&schedule).judged().writes().run();
+        let plain = sim.session(ops).faults(&schedule).writes().run();
+        assert_eq!(
+            RunReport {
+                oracle: Oracle::new(),
+                ..verified
+            },
+            plain
+        );
     }
 
     #[test]
@@ -820,9 +892,14 @@ mod tests {
         use nvfs_trace::synth::{SpriteTraceSet, TraceSetConfig};
         let traces = SpriteTraceSet::generate(&TraceSetConfig::tiny());
         let cfg = SimConfig::unified(1 << 20, 128 << 10).with_policy(PolicyKind::Omniscient);
-        let omni = ClusterSim::new(cfg).run(traces.trace(6).ops());
-        let lru =
-            ClusterSim::new(SimConfig::unified(1 << 20, 128 << 10)).run(traces.trace(6).ops());
+        let omni = ClusterSim::new(cfg)
+            .session(traces.trace(6).ops())
+            .run()
+            .stats;
+        let lru = ClusterSim::new(SimConfig::unified(1 << 20, 128 << 10))
+            .session(traces.trace(6).ops())
+            .run()
+            .stats;
         // Omniscient replacement can only help (small tolerance for the
         // block-vs-byte optimality caveat the paper itself notes).
         assert!(

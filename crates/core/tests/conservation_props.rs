@@ -136,7 +136,7 @@ fn every_written_byte_is_accounted_for() {
         for cfg in configs() {
             let model = cfg.model;
             let policy = cfg.policy;
-            let stats = ClusterSim::new(cfg).run(&ops);
+            let stats = ClusterSim::new(cfg).session(&ops).run().stats;
             let accounted = stats.server_write_bytes
                 + stats.concurrent_write_bytes
                 + stats.overwritten_dead_bytes
@@ -157,7 +157,7 @@ fn cause_breakdown_sums_to_server_writes() {
         let actions = rand_actions(&mut rng, 120);
         let ops = to_stream(&actions);
         for cfg in configs() {
-            let stats = ClusterSim::new(cfg).run(&ops);
+            let stats = ClusterSim::new(cfg).session(&ops).run().stats;
             let by_cause = stats.writeback_bytes
                 + stats.replacement_bytes
                 + stats.callback_bytes
@@ -175,11 +175,11 @@ fn detailed_log_matches_totals() {
         let actions = rand_actions(&mut rng, 100);
         let ops = to_stream(&actions);
         for cfg in configs() {
-            let (stats, writes) = ClusterSim::new(cfg).run_detailed(&ops);
-            let logged: u64 = writes.iter().map(|w| w.bytes).sum();
-            assert_eq!(logged, stats.server_write_bytes);
+            let report = ClusterSim::new(cfg).session(&ops).writes().run();
+            let logged: u64 = report.writes.iter().map(|w| w.bytes).sum();
+            assert_eq!(logged, report.stats.server_write_bytes);
             // The log is time ordered.
-            for pair in writes.windows(2) {
+            for pair in report.writes.windows(2) {
                 assert!(pair[0].time <= pair[1].time);
             }
         }
@@ -196,7 +196,7 @@ fn nvram_models_never_write_back_on_fsync() {
             SimConfig::write_aside(16 * BLOCK_SIZE, 8 * BLOCK_SIZE),
             SimConfig::unified(16 * BLOCK_SIZE, 8 * BLOCK_SIZE),
         ] {
-            let stats = ClusterSim::new(cfg).run(&ops);
+            let stats = ClusterSim::new(cfg).session(&ops).run().stats;
             assert_eq!(stats.fsync_bytes, 0);
             assert_eq!(stats.writeback_bytes, 0);
         }

@@ -23,7 +23,10 @@ use nvfs_types::{ByteRange, ClientId, FileId, ProcessId, SimTime, BLOCK_SIZE};
 const HUGE: u64 = 1 << 30;
 
 fn agree(ops: &OpStream) -> Result<(), String> {
-    let stats = ClusterSim::new(SimConfig::unified(64 * BLOCK_SIZE, HUGE)).run(ops);
+    let stats = ClusterSim::new(SimConfig::unified(64 * BLOCK_SIZE, HUGE))
+        .session(ops)
+        .run()
+        .stats;
     let log = LifetimeLog::analyze(ops);
     let fates = log.bytes_by_fate();
     let get = |f: ByteFate| fates.get(&f).copied().unwrap_or(0);

@@ -33,6 +33,7 @@ pub const HYBRID_NVRAM_MB: [f64; 4] = [0.125, 0.25, 0.5, 1.0];
 /// write bursts).
 pub fn hybrid(env: &Env) -> HybridAblation {
     let trace = env.trace7();
+    let replay = |cfg: SimConfig| ClusterSim::new(cfg).session(trace.ops()).run().stats;
     let base = 8u64 << 20;
     let mut figure = Figure::new(
         "Ablation: hybrid (§2.6 sketch) vs unified, Trace 7",
@@ -49,7 +50,7 @@ pub fn hybrid(env: &Env) -> HybridAblation {
             .iter()
             .map(|&mb| {
                 let nv = (mb * (1 << 20) as f64) as u64;
-                let stats = ClusterSim::new(make(base, nv)).run(trace.ops());
+                let stats = replay(make(base, nv));
                 if name == "hybrid" && (mb - 1.0).abs() < 1e-9 {
                     exposed_bytes_1mb = stats.aged_into_nvram_bytes;
                     app_write_bytes = stats.app_write_bytes;
@@ -88,8 +89,9 @@ pub fn dirty_preference(env: &Env) -> DirtyPreferenceAblation {
     // which is why the paper could drop the preference "for simplicity".
     let trace = env.trace7();
     let cache = 64 * nvfs_types::BLOCK_SIZE; // 256 KB
-    let strict_lru = ClusterSim::new(SimConfig::volatile(cache)).run(trace.ops());
-    let pref = ClusterSim::new(SimConfig::volatile(cache).with_dirty_preference()).run(trace.ops());
+    let replay = |cfg: SimConfig| ClusterSim::new(cfg).session(trace.ops()).run().stats;
+    let strict_lru = replay(SimConfig::volatile(cache));
+    let pref = replay(SimConfig::volatile(cache).with_dirty_preference());
     let mut table = Table::new(
         "Ablation: Sprite's dirty-block replacement preference (Trace 7, 256 KB)",
         &[

@@ -45,8 +45,9 @@ pub fn run(env: &Env) -> BusNvram {
 /// Parameterized variant.
 pub fn run_sized(env: &Env, volatile: u64, nvram: u64) -> BusNvram {
     let trace = env.trace7();
-    let unified = ClusterSim::new(SimConfig::unified(volatile, nvram)).run(trace.ops());
-    let write_aside = ClusterSim::new(SimConfig::write_aside(volatile, nvram)).run(trace.ops());
+    let replay = |cfg: SimConfig| ClusterSim::new(cfg).session(trace.ops()).run().stats;
+    let unified = replay(SimConfig::unified(volatile, nvram));
+    let write_aside = replay(SimConfig::write_aside(volatile, nvram));
     let mut table = Table::new(
         "§2.6: memory-bus traffic and NVRAM accesses (Trace 7)",
         &["Model", "Bus MB", "NVRAM accesses", "NVRAM MB"],

@@ -45,11 +45,11 @@ pub fn run(env: &Env) -> ConsistencyProtocol {
     );
     let mut per_trace = Vec::new();
     for trace in env.traces.typical() {
-        let whole = ClusterSim::new(SimConfig::unified(8 << 20, 1 << 20)).run(trace.ops());
-        let block = ClusterSim::new(
+        let replay = |cfg: SimConfig| ClusterSim::new(cfg).session(trace.ops()).run().stats;
+        let whole = replay(SimConfig::unified(8 << 20, 1 << 20));
+        let block = replay(
             SimConfig::unified(8 << 20, 1 << 20).with_consistency(ConsistencyMode::BlockOnDemand),
-        )
-        .run(trace.ops());
+        );
         table.push_row(vec![
             Cell::from(format!("Trace {}", trace.number())),
             Cell::f2(whole.callback_bytes as f64 / (1 << 20) as f64),

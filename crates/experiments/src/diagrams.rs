@@ -18,8 +18,9 @@ use nvfs_types::{ByteRange, FileId, RangeSet, SimTime};
 pub fn figure1() -> String {
     let traces = SpriteTraceSet::generate(&TraceSetConfig::tiny());
     let ops = traces.trace(0).ops();
-    let wa = ClusterSim::new(SimConfig::write_aside(1 << 20, 512 << 10)).run(ops);
-    let uni = ClusterSim::new(SimConfig::unified(1 << 20, 512 << 10)).run(ops);
+    let replay = |cfg: SimConfig| ClusterSim::new(cfg).session(ops).run().stats;
+    let wa = replay(SimConfig::write_aside(1 << 20, 512 << 10));
+    let uni = replay(SimConfig::unified(1 << 20, 512 << 10));
     format!(
         r#"Figure 1: NVRAM cache models (annotated from a live tiny run)
 

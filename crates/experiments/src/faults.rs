@@ -15,9 +15,10 @@
 //! Everything is a pure function of `(seed, scale)`, so the rendered
 //! scorecard is byte-identical across runs and `--jobs` counts.
 
-use nvfs_core::{CacheModelKind, ClusterSim, SimConfig};
+use nvfs_core::{CacheModelKind, ClusterSim, RunSummary, SimConfig};
 use nvfs_faults::{FaultError, FaultPlanConfig, FaultSchedule, ReliabilityStats};
 use nvfs_lfs::{run_server_faulted, LfsConfig, SEGMENT_BYTES};
+use nvfs_oracle::OracleSummary;
 use nvfs_report::{Cell, Table};
 use nvfs_types::SimDuration;
 
@@ -77,8 +78,8 @@ pub fn parse_model(name: &str) -> Option<CacheModelKind> {
 pub struct Faults {
     /// The schedule seed everything was compiled from.
     pub seed: u64,
-    /// Per-model client-crash accounting, in [`MODELS`] order.
-    pub models: Vec<(CacheModelKind, ReliabilityStats)>,
+    /// Per-model client-crash runs, in [`MODELS`] order.
+    pub models: Vec<(CacheModelKind, RunSummary)>,
     /// Per-buffer-mode server-crash accounting.
     pub server_modes: Vec<(&'static str, ReliabilityStats)>,
 }
@@ -86,7 +87,8 @@ pub struct Faults {
 impl Faults {
     /// The merged reliability accounting of one cache model.
     pub fn model(&self, kind: CacheModelKind) -> Option<&ReliabilityStats> {
-        self.models.iter().find(|(m, _)| *m == kind).map(|(_, s)| s)
+        let (_, run) = self.models.iter().find(|(m, _)| *m == kind)?;
+        Some(&run.reliability)
     }
 
     /// §2.3/§4's qualitative claim as a strict ordering on bytes lost.
@@ -145,12 +147,14 @@ pub(crate) fn client_plan(
 }
 
 /// Runs every trace against each of `models` under the seeded schedule,
-/// one row per model with the accounting merged in trace order.
+/// judged by the shadow durability oracle when `judged`, one row per
+/// model with the runs merged in trace order.
 pub fn client_reliability(
     env: &Env,
     seed: u64,
     models: &[CacheModelKind],
-) -> Result<Vec<(CacheModelKind, ReliabilityStats)>, FaultError> {
+    judged: bool,
+) -> Result<Vec<(CacheModelKind, RunSummary)>, FaultError> {
     sweep(
         models,
         env.traces.traces(),
@@ -160,12 +164,29 @@ pub fn client_reliability(
             // share everything except battery redundancy, so all models see
             // the same crashes at the same times.
             let schedule = FaultSchedule::compile(seed ^ trace.number() as u64, &plan)?;
-            let cfg = SimConfig::for_model(model, BASE_BYTES, NVRAM_BYTES);
-            let report = ClusterSim::new(cfg).run_with_faults(trace.ops(), &schedule);
-            Ok((model, report.reliability))
+            let sim = ClusterSim::new(SimConfig::for_model(model, BASE_BYTES, NVRAM_BYTES));
+            let session = sim.session(trace.ops()).faults(&schedule);
+            let report = if judged { session.judged() } else { session }.run();
+            Ok((model, report.into_summary()))
         },
         |(_, row), (_, next)| row.merge(&next),
     )
+}
+
+/// The durability oracle's verdicts on exactly the runs
+/// [`client_reliability`] accounts for. Backs the `nvfs faults --oracle`
+/// flag, which must exit nonzero if the accounted scorecard ever
+/// disagrees with the durability contract.
+pub fn oracle_summary(
+    env: &Env,
+    seed: u64,
+    models: &[CacheModelKind],
+) -> Result<OracleSummary, FaultError> {
+    let mut total = RunSummary::default();
+    for (_, run) in client_reliability(env, seed, models, true)? {
+        total.merge(&run);
+    }
+    Ok(total.oracle)
 }
 
 /// Server write-buffer modes compared under the same crash schedule.
@@ -193,7 +214,7 @@ pub fn server_reliability(
 }
 
 /// Renders the client-crash half of the scorecard for `models`.
-pub fn client_table(seed: u64, models: &[(CacheModelKind, ReliabilityStats)]) -> Table {
+pub fn client_table(seed: u64, models: &[(CacheModelKind, RunSummary)]) -> Table {
     let mut table = Table::new(
         &format!("Reliability scorecard — client crashes (seed {seed})"),
         &[
@@ -208,7 +229,7 @@ pub fn client_table(seed: u64, models: &[(CacheModelKind, ReliabilityStats)]) ->
         ],
     );
     let kb = |b: u64| Cell::f1(b as f64 / 1024.0);
-    for (model, s) in models {
+    for (model, RunSummary { reliability: s, .. }) in models {
         table.push_row(vec![
             Cell::from(model_name(*model)),
             Cell::Int(s.client_crashes as i64),
@@ -252,7 +273,7 @@ pub fn server_table(seed: u64, modes: &[(&'static str, ReliabilityStats)]) -> Ta
 
 /// Runs the full study under `seed`.
 pub fn run(env: &Env, seed: u64) -> Result<Faults, FaultError> {
-    let models = client_reliability(env, seed, &MODELS)?;
+    let models = client_reliability(env, seed, &MODELS, false)?;
     let mut server_modes = Vec::new();
     for (name, config) in server_configs() {
         server_modes.push((name, server_reliability(env, seed, &config)?));
@@ -283,7 +304,11 @@ mod tests {
     #[test]
     fn all_models_see_the_same_crashes() {
         let out = run(&Env::tiny(), DEFAULT_SEED).unwrap();
-        let counts: Vec<u64> = out.models.iter().map(|(_, s)| s.client_crashes).collect();
+        let counts: Vec<u64> = out
+            .models
+            .iter()
+            .map(|(_, run)| run.reliability.client_crashes)
+            .collect();
         assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
     }
 
@@ -308,6 +333,17 @@ mod tests {
         // NVRAM buffer changes is how much of the in-flight data survives.
         assert!(none.loss_pct() > absorb.loss_pct());
         assert!(absorb.loss_pct() > staged.loss_pct());
+    }
+
+    #[test]
+    fn plain_faults_schedules_are_clean_under_the_oracle() {
+        let seed = DEFAULT_SEED;
+        let s = oracle_summary(&Env::tiny(), seed, &MODELS).unwrap();
+        assert_eq!(s.violations(), 0, "{}", s.verdict_json(seed));
+        assert!(s.crash_points > 0);
+        assert!(s
+            .verdict_json(seed)
+            .starts_with("{\"oracle\":\"clean\",\"seed\":42"));
     }
 
     #[test]

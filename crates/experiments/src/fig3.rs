@@ -45,12 +45,8 @@ pub fn run(env: &Env) -> Fig3 {
     let cells = nvfs_par::par_map(tasks, nvfs_par::jobs(), |(trace, mb)| {
         let nv = (mb * (1 << 20) as f64) as u64;
         let cfg = SimConfig::unified(VOLATILE_BYTES, nv).with_policy(PolicyKind::Omniscient);
-        (
-            mb,
-            ClusterSim::new(cfg)
-                .run(trace.ops())
-                .net_write_traffic_pct(),
-        )
+        let stats = ClusterSim::new(cfg).session(trace.ops()).run().stats;
+        (mb, stats.net_write_traffic_pct())
     });
     for (trace, points) in env.traces.traces().iter().zip(cells.chunks(NVRAM_MB.len())) {
         figure.push(Series::new(

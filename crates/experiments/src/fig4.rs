@@ -42,12 +42,8 @@ pub fn run(env: &Env) -> Fig4 {
     let cells = nvfs_par::par_map(tasks, nvfs_par::jobs(), |(policy, mb)| {
         let nv = (mb * (1 << 20) as f64) as u64;
         let cfg = SimConfig::unified(VOLATILE_BYTES, nv).with_policy(policy);
-        (
-            mb,
-            ClusterSim::new(cfg)
-                .run(trace.ops())
-                .net_write_traffic_pct(),
-        )
+        let stats = ClusterSim::new(cfg).session(trace.ops()).run().stats;
+        (mb, stats.net_write_traffic_pct())
     });
     for ((name, _), points) in POLICIES.iter().zip(cells.chunks(NVRAM_MB.len())) {
         figure.push(Series::new(name, points.to_vec()));

@@ -41,12 +41,8 @@ pub fn model_curve(env: &Env, model: CacheModelKind, base: u64, grid: &[f64]) ->
             // Zero extra NVRAM degenerates to the volatile model.
             _ => SimConfig::volatile(base),
         };
-        (
-            extra,
-            ClusterSim::new(cfg)
-                .run(trace.ops())
-                .net_total_traffic_pct(),
-        )
+        let stats = ClusterSim::new(cfg).session(trace.ops()).run().stats;
+        (extra, stats.net_total_traffic_pct())
     })
 }
 

@@ -2,7 +2,8 @@
 //!
 //! The paper's write buffer is a *paging* design — an fsync copies the
 //! file's dirty 4 KB pages into NVRAM, and when the buffer fills, the
-//! pages are pushed to disk synchronously ([`SegmentCause::NvramFull`]).
+//! pages are pushed to disk synchronously
+//! ([`SegmentCause::NvramFull`](nvfs_lfs::layout::SegmentCause::NvramFull)).
 //! The WAL server mode is the *logging* alternative: an fsync appends the
 //! exact dirty bytes as one checksummed record and acks as soon as the
 //! append is durable, deferring all segment writes to the background

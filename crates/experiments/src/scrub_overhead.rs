@@ -164,14 +164,12 @@ pub fn run(env: &Env, seed: u64) -> Result<ScrubOverhead, FaultError> {
         &ProtectionMode::ALL,
         &[trace],
         |&mode, trace| {
-            let (out, _, report) = ClusterSim::new(config.clone()).run_with_corruption_verified(
-                trace.ops(),
-                &schedule,
-                &corruption,
-                mode,
-                scrub_interval_for(mode),
-            );
-            let stats = out.stats;
+            let run = ClusterSim::new(config.clone())
+                .session(trace.ops())
+                .faults(&schedule)
+                .corruption(&corruption, mode, scrub_interval_for(mode))
+                .run();
+            let (stats, report) = (run.stats, run.scrub);
             let machinery = match mode {
                 ProtectionMode::Unprotected => 0,
                 ProtectionMode::WriteProtected => write_protect_overhead_ns(stats.nvram_writes),

@@ -81,13 +81,14 @@ pub fn server_ops_from_writes(writes: &[ServerWrite]) -> OpStream {
 /// server's arrival stream; the server then uses either a 4 MB volatile
 /// cache or the same cache with 1 MB of NVRAM (unified).
 pub fn run(env: &Env) -> ServerCache {
-    let (_, writes) =
-        ClusterSim::new(SimConfig::volatile(8 << 20)).run_detailed(env.trace7().ops());
+    let clients = ClusterSim::new(SimConfig::volatile(8 << 20));
+    let writes = clients.session(env.trace7().ops()).writes().run().writes;
     let server_ops = server_ops_from_writes(&writes);
     let arriving_bytes = server_ops.app_write_bytes();
 
-    let volatile = ClusterSim::new(SimConfig::volatile(4 << 20)).run(&server_ops);
-    let nvram = ClusterSim::new(SimConfig::unified(4 << 20, 1 << 20)).run(&server_ops);
+    let replay = |cfg: SimConfig| ClusterSim::new(cfg).session(&server_ops).run().stats;
+    let volatile = replay(SimConfig::volatile(4 << 20));
+    let nvram = replay(SimConfig::unified(4 << 20, 1 << 20));
 
     let mut table = Table::new(
         "§3: a server NVRAM cache absorbs client write traffic before the disk",

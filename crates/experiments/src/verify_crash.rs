@@ -35,7 +35,7 @@
 
 use std::convert::Infallible;
 
-use nvfs_core::{CacheModelKind, ClusterSim, SimConfig};
+use nvfs_core::{CacheModelKind, ClusterSim, RunSummary, SimConfig};
 use nvfs_faults::{
     CrashPointKind, FaultError, FaultPlanConfig, FaultSchedule, ServerCrashFault, WalCrashFault,
     WalCrashPoint,
@@ -79,24 +79,27 @@ pub fn crash_points() -> Vec<CrashPointKind> {
 
 /// One row of the client sweep: a cache model replayed through one crash
 /// point across every trace, judged by the shadow oracle.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrashPointRow {
     /// Cache model swept.
     pub model: CacheModelKind,
     /// The crash-point dimension pinned for this row.
     pub kind: CrashPointKind,
-    /// Merged oracle verdicts across the trace set.
-    pub summary: OracleSummary,
-    /// Bytes the reliability accounting says recoveries produced — must
-    /// equal `summary.bytes_observed` or the row counts a violation.
-    pub bytes_recovered: u64,
+    /// The judged runs merged across the trace set. The bytes the
+    /// reliability accounting says recoveries produced must equal the
+    /// oracle's `bytes_observed`, or the row counts a violation.
+    pub run: RunSummary,
 }
 
 impl CrashPointRow {
     /// Oracle violations plus any oracle-vs-accounting disagreement.
     pub fn violations(&self) -> u64 {
-        let mismatch = u64::from(self.summary.bytes_observed != self.bytes_recovered);
-        self.summary.violations() + mismatch
+        let RunSummary {
+            oracle,
+            reliability,
+            ..
+        } = &self.run;
+        oracle.violations() + u64::from(oracle.bytes_observed != reliability.bytes_recovered)
     }
 }
 
@@ -252,49 +255,19 @@ pub fn client_sweep(env: &Env, seed: u64) -> Result<Vec<CrashPointRow>, FaultErr
             let plan = sweep_plan(trace.clients() as u32, trace.duration(), model);
             let schedule = FaultSchedule::compile(seed ^ trace.number() as u64, &plan)?
                 .apply_crash_point(kind, FLUSH_TICK);
-            let (report, oracle) = ClusterSim::new(model_config(model))
-                .run_with_faults_verified(trace.ops(), &schedule);
+            let report = ClusterSim::new(model_config(model))
+                .session(trace.ops())
+                .faults(&schedule)
+                .judged()
+                .run();
             Ok(CrashPointRow {
                 model,
                 kind,
-                summary: oracle.summary(),
-                bytes_recovered: report.reliability.bytes_recovered,
+                run: report.into_summary(),
             })
         },
-        |row, next| {
-            row.summary.merge(&next.summary);
-            row.bytes_recovered += next.bytes_recovered;
-        },
+        |row, next| row.run.merge(&next.run),
     )
-}
-
-/// Verified replay of the plain `nvfs faults` client schedules for
-/// `models`: the exact plans [`crate::faults::client_reliability`] runs,
-/// judged by the shadow oracle. Backs the `nvfs faults --oracle` flag,
-/// which must exit nonzero if the accounted scorecard ever disagrees with
-/// the durability contract.
-pub fn faults_oracle_summary(
-    env: &Env,
-    seed: u64,
-    models: &[CacheModelKind],
-) -> Result<OracleSummary, FaultError> {
-    let rows = sweep(
-        models,
-        env.traces.traces(),
-        |&model, trace| {
-            let plan = crate::faults::client_plan(trace.clients() as u32, trace.duration(), model);
-            let schedule = FaultSchedule::compile(seed ^ trace.number() as u64, &plan)?;
-            let cfg = SimConfig::for_model(model, BASE_BYTES, crate::faults::NVRAM_BYTES);
-            let (_, oracle) = ClusterSim::new(cfg).run_with_faults_verified(trace.ops(), &schedule);
-            Ok(oracle.summary())
-        },
-        |row, next| row.merge(&next),
-    )?;
-    let mut merged = OracleSummary::default();
-    for row in &rows {
-        merged.merge(row);
-    }
-    Ok(merged)
 }
 
 /// Server write-buffer modes swept (the volatile `none` mode has nothing
@@ -490,7 +463,7 @@ pub fn client_table(seed: u64, rows: &[CrashPointRow]) -> Table {
     );
     let kb = |b: u64| Cell::f1(b as f64 / 1024.0);
     for row in rows {
-        let s = &row.summary;
+        let s = &row.run.oracle;
         table.push_row(vec![
             Cell::from(model_name(row.model)),
             Cell::Text(row.kind.to_string()),
@@ -545,7 +518,7 @@ pub fn run(env: &Env, seed: u64) -> Result<VerifyCrash, FaultError> {
     let wal_rows = wal_sweep(env, seed);
     let mut summary = wal_summary(&wal_rows);
     for row in &rows {
-        summary.merge(&row.summary);
+        summary.merge(&row.run.oracle);
     }
     Ok(VerifyCrash {
         seed,
@@ -568,11 +541,11 @@ mod tests {
         assert!(out.summary.crash_points > 0);
         assert_eq!(out.summary.clean, out.summary.crash_points);
         // Every model × crash point row actually judged something.
-        assert!(out.rows.iter().all(|r| r.summary.crash_points > 0));
+        assert!(out.rows.iter().all(|r| r.run.oracle.crash_points > 0));
         // The dead-board rows must observe zero bytes.
         for row in &out.rows {
             if row.kind == CrashPointKind::DeadBoard {
-                assert_eq!(row.summary.bytes_observed, 0, "{}", row.kind);
+                assert_eq!(row.run.oracle.bytes_observed, 0, "{}", row.kind);
             }
         }
         assert!(out.verdict_json().starts_with("{\"oracle\":\"clean\""));
@@ -586,17 +559,6 @@ mod tests {
         assert_eq!(a.render(), b.render());
         assert_eq!(a.rows, b.rows);
         assert_eq!(a.server_rows, b.server_rows);
-    }
-
-    #[test]
-    fn plain_faults_schedules_are_clean_under_the_oracle() {
-        let seed = DEFAULT_SEED;
-        let s = faults_oracle_summary(&Env::tiny(), seed, &MODELS).unwrap();
-        assert_eq!(s.violations(), 0, "{}", s.verdict_json(seed));
-        assert!(s.crash_points > 0);
-        assert!(s
-            .verdict_json(seed)
-            .starts_with("{\"oracle\":\"clean\",\"seed\":42"));
     }
 
     #[test]

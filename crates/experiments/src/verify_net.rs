@@ -28,7 +28,7 @@
 //! [`DoubleApply`]: nvfs_oracle::NetVerdict::DoubleApply
 //! [`PartitionLeak`]: nvfs_oracle::NetVerdict::PartitionLeak
 
-use nvfs_core::{CacheModelKind, ClusterSim, NetStats, SimConfig};
+use nvfs_core::{CacheModelKind, ClusterSim, RunSummary, SimConfig};
 use nvfs_faults::net::{NetFaultPlan, NetFaultPlanConfig};
 use nvfs_faults::FaultSchedule;
 use nvfs_oracle::{NetSummary, OracleSummary};
@@ -128,22 +128,18 @@ pub struct NetRow {
     pub model: CacheModelKind,
     /// The network schedule pinned for this row.
     pub kind: NetScheduleKind,
-    /// Merged wire-layer counters across the trace set.
-    pub stats: NetStats,
-    /// Merged wire-judge summary across the trace set.
-    pub net: NetSummary,
-    /// Bytes shed at the unreachable server
-    /// ([`nvfs_faults::ReliabilityStats::bytes_lost_partition`]).
-    pub shed_bytes: u64,
-    /// Durability-oracle summary — nonzero only for the composed
-    /// partition+crash schedule.
-    pub oracle: OracleSummary,
+    /// The runs merged across the trace set: wire counters and judge
+    /// summary, bytes shed at the unreachable server
+    /// ([`nvfs_faults::ReliabilityStats::bytes_lost_partition`]), and the
+    /// durability-oracle summary (nonzero only for the composed
+    /// partition+crash schedule).
+    pub run: RunSummary,
 }
 
 impl NetRow {
     /// Wire-judge violations plus durability-oracle violations.
     pub fn violations(&self) -> u64 {
-        self.net.violations() + self.oracle.violations()
+        self.run.net.violations() + self.run.oracle.violations()
     }
 }
 
@@ -166,7 +162,7 @@ impl VerifyNet {
         self.rows
             .iter()
             .filter(|r| r.model == model && r.kind.pure_partition())
-            .map(|r| r.shed_bytes)
+            .map(|r| r.run.reliability.bytes_lost_partition)
             .sum()
     }
 
@@ -280,36 +276,26 @@ pub fn sweep(env: &Env, seed: u64) -> Result<Vec<NetRow>, String> {
             let cfg = kind.plan(trace.clients() as u32, trace.duration());
             let net = NetFaultPlan::compile(seed ^ trace.number() as u64, &cfg)
                 .map_err(|e| e.to_string())?;
-            let sim = ClusterSim::new(model_config(model));
-            let (report, oracle) = if kind == NetScheduleKind::PartitionCrash {
+            // Only the composed schedule crashes clients.
+            let crashes = (kind == NetScheduleKind::PartitionCrash).then(|| {
                 let plan =
                     crate::faults::client_plan(trace.clients() as u32, trace.duration(), model);
-                let schedule = FaultSchedule::compile(seed ^ trace.number() as u64, &plan)
-                    .map_err(|e| e.to_string())?;
-                let (report, oracle) =
-                    sim.run_with_net_faults_verified(trace.ops(), &net, &schedule);
-                (report, oracle.summary())
-            } else {
-                (
-                    sim.run_with_net_faults(trace.ops(), &net),
-                    OracleSummary::default(),
-                )
-            };
+                FaultSchedule::compile(seed ^ trace.number() as u64, &plan)
+            });
+            let crashes = crashes.transpose().map_err(|e| e.to_string())?;
+            let report = ClusterSim::new(model_config(model))
+                .session(trace.ops())
+                .net(&net)
+                .faults(crashes.as_ref())
+                .judged()
+                .run();
             Ok(NetRow {
                 model,
                 kind,
-                stats: report.net.stats,
-                net: report.net.summary,
-                shed_bytes: report.reliability.bytes_lost_partition,
-                oracle,
+                run: report.into_summary(),
             })
         },
-        |row, next| {
-            row.stats.merge(&next.stats);
-            row.net.merge(&next.net);
-            row.shed_bytes += next.shed_bytes;
-            row.oracle.merge(&next.oracle);
-        },
+        |row, next| row.run.merge(&next.run),
     )
 }
 
@@ -332,17 +318,18 @@ pub fn net_table(seed: u64, rows: &[NetRow]) -> Table {
     );
     let kb = |b: u64| Cell::f1(b as f64 / 1024.0);
     for row in rows {
+        let run = &row.run;
         table.push_row(vec![
             Cell::from(model_name(row.model)),
             Cell::from(row.kind.name()),
-            Cell::Int(row.stats.requests as i64),
-            Cell::Int(row.stats.retries as i64),
-            Cell::Int(row.stats.timeouts as i64),
-            Cell::Int(row.stats.degraded_ops as i64),
-            Cell::Int(row.net.duplicates as i64),
-            kb(row.shed_bytes),
-            Cell::Int(row.net.violations() as i64),
-            Cell::Int(row.oracle.violations() as i64),
+            Cell::Int(run.net_stats.requests as i64),
+            Cell::Int(run.net_stats.retries as i64),
+            Cell::Int(run.net_stats.timeouts as i64),
+            Cell::Int(run.net_stats.degraded_ops as i64),
+            Cell::Int(run.net.duplicates as i64),
+            kb(run.reliability.bytes_lost_partition),
+            Cell::Int(run.net.violations() as i64),
+            Cell::Int(run.oracle.violations() as i64),
         ]);
     }
     table
@@ -351,17 +338,15 @@ pub fn net_table(seed: u64, rows: &[NetRow]) -> Table {
 /// Runs the full sweep under `seed`.
 pub fn run(env: &Env, seed: u64) -> Result<VerifyNet, String> {
     let rows = sweep(env, seed)?;
-    let mut summary = NetSummary::default();
-    let mut oracle = OracleSummary::default();
+    let mut total = RunSummary::default();
     for row in &rows {
-        summary.merge(&row.net);
-        oracle.merge(&row.oracle);
+        total.merge(&row.run);
     }
     Ok(VerifyNet {
         seed,
         rows,
-        summary,
-        oracle,
+        summary: total.net,
+        oracle: total.oracle,
     })
 }
 
@@ -386,18 +371,18 @@ mod tests {
         assert_eq!(out.summary.double_apply, 0);
         assert_eq!(out.summary.acked_lost, 0);
         assert!(out.summary.acked > 0);
-        assert!(out.rows.iter().all(|r| r.stats.requests > 0));
+        assert!(out.rows.iter().all(|r| r.run.net_stats.requests > 0));
         // The partition schedules actually severed something.
         assert!(out
             .rows
             .iter()
-            .any(|r| r.kind.pure_partition() && r.stats.timeouts > 0));
+            .any(|r| r.kind.pure_partition() && r.run.net_stats.timeouts > 0));
         // The dup-reorder schedule actually duplicated something, and
         // every duplicate was suppressed by server-side dedup.
         assert!(out
             .rows
             .iter()
-            .any(|r| r.kind == NetScheduleKind::DupReorder && r.net.duplicates > 0));
+            .any(|r| r.kind == NetScheduleKind::DupReorder && r.run.net.duplicates > 0));
         assert!(out.verdict_json().starts_with("{\"net_judge\":\"clean\""));
     }
 
@@ -415,10 +400,10 @@ mod tests {
         let out = run(&Env::tiny(), DEFAULT_SEED).unwrap();
         for row in &out.rows {
             if row.kind == NetScheduleKind::PartitionCrash {
-                assert!(row.oracle.crash_points > 0, "{:?}", row.model);
-                assert_eq!(row.oracle.violations(), 0, "{:?}", row.model);
+                assert!(row.run.oracle.crash_points > 0, "{:?}", row.model);
+                assert_eq!(row.run.oracle.violations(), 0, "{:?}", row.model);
             } else {
-                assert_eq!(row.oracle.crash_points, 0, "{:?}", row.model);
+                assert_eq!(row.run.oracle.crash_points, 0, "{:?}", row.model);
             }
         }
     }

@@ -26,11 +26,10 @@
 //! Everything is a pure function of `(seed, scale)` and byte-identical at
 //! any `--jobs` count; CI diffs the rendered report against a golden copy.
 
-use nvfs_core::{ClusterSim, ScrubReport, SimConfig};
+use nvfs_core::{ClusterSim, RunSummary, ScrubReport, SimConfig};
 use nvfs_faults::corrupt::{CorruptionKind, CorruptionPlanConfig, CorruptionSchedule};
 use nvfs_faults::{CrashPointKind, FaultError, FaultPlanConfig, FaultSchedule};
 use nvfs_nvram::protect::ProtectionMode;
-use nvfs_oracle::OracleSummary;
 use nvfs_report::{Cell, Table};
 use nvfs_types::{SimDuration, BLOCK_SIZE};
 
@@ -78,10 +77,9 @@ pub struct ScrubRow {
     pub kind: CorruptionKind,
     /// The crash-point dimension pinned for this row.
     pub point: CrashPointKind,
-    /// Merged durability-oracle verdicts across the trace set.
-    pub summary: OracleSummary,
-    /// Merged corruption accounting across the trace set.
-    pub report: ScrubReport,
+    /// The judged runs merged across the trace set: durability-oracle
+    /// verdicts and corruption accounting.
+    pub run: RunSummary,
 }
 
 impl ScrubRow {
@@ -90,10 +88,11 @@ impl ScrubRow {
     /// Silent corruption under the other modes is the expected finding,
     /// not a violation.
     pub fn violations(&self) -> u64 {
-        let broken = u64::from(!self.report.conservation_holds());
+        let scrub = &self.run.scrub;
+        let broken = u64::from(!scrub.conservation_holds());
         let verified_silent =
-            u64::from(self.mode == ProtectionMode::Verified && self.report.bytes_silent > 0);
-        self.summary.violations() + broken + verified_silent
+            u64::from(self.mode == ProtectionMode::Verified && scrub.bytes_silent > 0);
+        self.run.oracle.violations() + broken + verified_silent
     }
 }
 
@@ -130,7 +129,7 @@ impl VerifyScrub {
         self.rows
             .iter()
             .filter(|r| r.mode == mode)
-            .map(|r| r.report.bytes_silent)
+            .map(|r| r.run.scrub.bytes_silent)
             .sum()
     }
 
@@ -138,7 +137,7 @@ impl VerifyScrub {
     /// by `nvfs verify-scrub` and parsed by CI.
     pub fn verdict_json(&self) -> String {
         let total =
-            |f: fn(&ScrubReport) -> u64| self.rows.iter().map(|r| f(&r.report)).sum::<u64>();
+            |f: fn(&ScrubReport) -> u64| self.rows.iter().map(|r| f(&r.run.scrub)).sum::<u64>();
         format!(
             concat!(
                 "{{\"scrub\":\"{}\",\"seed\":{},\"runs\":{},\"events\":{},",
@@ -190,7 +189,7 @@ pub fn scrub_table(seed: u64, rows: &[ScrubRow]) -> Table {
     );
     let kb = |b: u64| Cell::f1(b as f64 / 1024.0);
     for row in rows {
-        let r = &row.report;
+        let r = &row.run.scrub;
         table.push_row(vec![
             Cell::from(row.mode.label()),
             Cell::from(row.kind.label()),
@@ -238,25 +237,20 @@ pub fn run(env: &Env, seed: u64) -> Result<VerifyScrub, FaultError> {
                 &corruption_plan(clients, trace.duration(), kind),
             )?;
             let config = SimConfig::unified(BASE_BYTES, NVRAM_BLOCKS * BLOCK_SIZE);
-            let (_, oracle, report) = ClusterSim::new(config).run_with_corruption_verified(
-                trace.ops(),
-                &schedule,
-                &corruption,
-                mode,
-                Some(SCRUB_INTERVAL),
-            );
+            let report = ClusterSim::new(config)
+                .session(trace.ops())
+                .faults(&schedule)
+                .corruption(&corruption, mode, Some(SCRUB_INTERVAL))
+                .judged()
+                .run();
             Ok(ScrubRow {
                 mode,
                 kind,
                 point,
-                summary: oracle.summary(),
-                report,
+                run: report.into_summary(),
             })
         },
-        |row, next| {
-            row.summary.merge(&next.summary);
-            row.report.merge(&next.report);
-        },
+        |row, next| row.run.merge(&next.run),
     )?;
     Ok(VerifyScrub {
         seed,
@@ -285,7 +279,7 @@ mod tests {
             .iter()
             .filter(|r| r.mode != ProtectionMode::WriteProtected
                 || r.kind != CorruptionKind::StrayWrite)
-            .all(|r| r.report.events > 0));
+            .all(|r| r.run.scrub.events > 0));
         // The headline claims: Verified ships zero silent bytes, while
         // Unprotected — same schedules — does not.
         assert_eq!(out.silent_bytes(ProtectionMode::Verified), 0);
@@ -298,9 +292,9 @@ mod tests {
             .rows
             .iter()
             .filter(|r| r.mode == ProtectionMode::WriteProtected)
-            .any(|r| r.report.bytes_bounced > 0));
+            .any(|r| r.run.scrub.bytes_bounced > 0));
         // The scrub actually repairs clean-region damage somewhere.
-        assert!(out.rows.iter().any(|r| r.report.bytes_repaired > 0));
+        assert!(out.rows.iter().any(|r| r.run.scrub.bytes_repaired > 0));
         assert!(out.verdict_json().starts_with("{\"scrub\":\"clean\""));
     }
 
@@ -342,21 +336,20 @@ mod tests {
                     Some(SCRUB_INTERVAL),
                     Some(SimDuration::from_secs(3600)),
                 ] {
-                    let (_, oracle, report) = ClusterSim::new(config.clone())
-                        .run_with_corruption_verified(
-                            trace.ops(),
-                            &schedule,
-                            &corruption,
-                            mode,
-                            interval,
-                        );
+                    let run = ClusterSim::new(config.clone())
+                        .session(trace.ops())
+                        .faults(&schedule)
+                        .corruption(&corruption, mode, interval)
+                        .judged()
+                        .run();
+                    let report = &run.scrub;
                     assert_eq!(
                         report.bytes_repaired + report.bytes_unrecoverable(),
                         report.bytes_corrupted_dirty + report.bytes_corrupted_clean,
                         "seed {seed} {mode} {interval:?}: {report:?}"
                     );
                     assert!(report.conservation_holds());
-                    assert_eq!(oracle.summary().violations(), 0);
+                    assert_eq!(run.oracle.summary().violations(), 0);
                     if mode == ProtectionMode::Verified {
                         assert_eq!(report.bytes_silent, 0, "seed {seed} {interval:?}");
                     }

@@ -47,13 +47,13 @@ impl Warmup {
 /// warming with the first 30% of the trace.
 pub fn run(env: &Env) -> Warmup {
     let ops = env.trace7().ops();
-    let cfg = SimConfig::unified(8 << 20, 1 << 20);
-    let warm = ClusterSim::new(cfg.clone()).run_with_warmup(ops, 0.3);
-    // The same rounding rule `run_with_warmup` uses, so the cold suffix is
+    let sim = ClusterSim::new(SimConfig::unified(8 << 20, 1 << 20));
+    let warm = sim.session(ops).warmup(0.3).run().stats;
+    // The same rounding rule the warm-up reset uses, so the cold suffix is
     // exactly the ops the warm run measures.
     let cut = warmup_cut(ops.len(), 0.3);
     let suffix: OpStream = ops.as_slice()[cut..].iter().cloned().collect();
-    let cold = ClusterSim::new(cfg).run(&suffix);
+    let cold = sim.session(&suffix).run().stats;
 
     let mut table = Table::new(
         "Cold-start bias: the same steady-state suffix, empty vs warmed caches",

@@ -258,7 +258,7 @@ impl OracleSummary {
 /// The stateful judge: feed it one `(promise, expectation, observed)`
 /// triple per recovered crash and it produces [`CrashReport`]s, tracking
 /// earlier replays of the same crash so double application is caught.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Oracle {
     /// What has already been replayed for each crash incident, keyed by
     /// (client, crash time) — one client cannot crash twice at the same

@@ -34,7 +34,7 @@
 //! time accumulates into the manifest's volatile `meta` section via
 //! [`nvfs_obs::timing::add_task_wall`].
 //!
-//! The [`bench`] module is the matching timing harness: nesting-safe
+//! The [`bench`](mod@bench) module is the matching timing harness: nesting-safe
 //! [`nvfs_obs::timing`] spans serialized as JSON rows
 //! (`{name, wall_ms, excl_ms, jobs}`) for the repository's
 //! `BENCH_*.json` trajectory.

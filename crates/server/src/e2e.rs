@@ -84,9 +84,10 @@ pub fn client_server_pipeline(
     client_cfg: &SimConfig,
     lfs_cfg: &LfsConfig,
 ) -> PipelineReport {
-    let (client, writes) = ClusterSim::new(client_cfg.clone()).run_detailed(ops);
-    let workload = server_workload_from_writes(&writes);
-    let server = run_filesystem(&workload, lfs_cfg);
+    let sim = ClusterSim::new(client_cfg.clone());
+    let report = sim.session(ops).writes().run();
+    let (client, writes) = (report.stats, report.writes);
+    let server = run_filesystem(&server_workload_from_writes(&writes), lfs_cfg);
     PipelineReport { client, server }
 }
 
@@ -159,7 +160,11 @@ mod tests {
             .with_partition_duration(SimDuration::from_secs(900));
         let net = NetFaultPlan::compile(9, &cfg).unwrap();
         let run = |sim_cfg: SimConfig| {
-            let client = ClusterSim::new(sim_cfg).run_with_net_faults(trace.ops(), &net);
+            let client = ClusterSim::new(sim_cfg)
+                .session(trace.ops())
+                .net(&net)
+                .writes()
+                .run();
             let workload = server_workload_from_writes(&client.writes);
             let server = run_filesystem(&workload, &LfsConfig::direct());
             (client, server)
@@ -191,10 +196,16 @@ mod tests {
         let ops = traces.trace(0).ops();
         let client_cfg = SimConfig::volatile(2 << 20);
         let direct = client_server_pipeline(ops, &client_cfg, &LfsConfig::direct());
-        let (client, writes) = ClusterSim::new(client_cfg).run_detailed(ops);
-        let wal = run_filesystem_wal(&server_workload_from_writes(&writes), &WalConfig::sprite());
+        let client = ClusterSim::new(client_cfg).session(ops).writes().run();
+        let wal = run_filesystem_wal(
+            &server_workload_from_writes(&client.writes),
+            &WalConfig::sprite(),
+        );
         // Same client traffic feeds both servers.
-        assert_eq!(client.server_write_bytes, direct.client.server_write_bytes);
+        assert_eq!(
+            client.stats.server_write_bytes,
+            direct.client.server_write_bytes
+        );
         // The fsyncs that forced partial segments in direct mode are all
         // absorbed by log appends in WAL mode.
         assert!(direct.server.count(SegmentCause::Fsync) > 0);
@@ -218,8 +229,11 @@ mod tests {
             .with_server_partitions(1)
             .with_partition_duration(SimDuration::from_secs(300));
         let net = NetFaultPlan::compile(17, &cfg).unwrap();
-        let client =
-            ClusterSim::new(SimConfig::volatile(2 << 20)).run_with_net_faults(trace.ops(), &net);
+        let client = ClusterSim::new(SimConfig::volatile(2 << 20))
+            .session(trace.ops())
+            .net(&net)
+            .writes()
+            .run();
         let server = run_filesystem_wal(
             &server_workload_from_writes(&client.writes),
             &WalConfig::sprite(),

@@ -19,7 +19,7 @@
 
 use std::fmt::Write as _;
 
-use nvfs_types::{ByteRange, ClientId, FileId, ProcessId, SimTime};
+use nvfs_types::{ByteRange, ClientId, FileId, ProcessId, SimTime, BLOCK_SIZE};
 
 use crate::event::OpenMode;
 use crate::op::{Op, OpKind, OpStream};
@@ -137,6 +137,13 @@ pub fn parse_ops(text: &str) -> Result<OpStream, ParseOpsError> {
         let id32 = |name: &str, v: u64| -> Result<u32, ParseOpsError> {
             u32::try_from(v).map_err(|_| err(&format!("{name} out of range")))
         };
+        // A byte offset whose 4 KB block would end past `u64::MAX` cannot
+        // be cached: block math on it overflows.
+        let offset = |name: &str, v: u64| -> Result<u64, ParseOpsError> {
+            v.checked_next_multiple_of(BLOCK_SIZE)
+                .map(|_| v)
+                .ok_or_else(|| err(&format!("{name} past the last addressable block")))
+        };
         let kind = match tag {
             "O" => {
                 let file = FileId(id32("file", num("file")?)?);
@@ -154,7 +161,7 @@ pub fn parse_ops(text: &str) -> Result<OpStream, ParseOpsError> {
             "r" | "w" => {
                 let file = FileId(id32("file", num("file")?)?);
                 let start = num("start")?;
-                let end = num("end")?;
+                let end = offset("end", num("end")?)?;
                 if end < start {
                     return Err(err("range end before start"));
                 }
@@ -169,7 +176,7 @@ pub fn parse_ops(text: &str) -> Result<OpStream, ParseOpsError> {
                 let file = FileId(id32("file", num("file")?)?);
                 OpKind::Truncate {
                     file,
-                    new_len: num("new_len")?,
+                    new_len: offset("new_len", num("new_len")?)?,
                 }
             }
             "D" => OpKind::Delete {
@@ -247,6 +254,22 @@ mod tests {
             parse_ops("1 0 D 4294967297\n").is_err(),
             "oversized id rejected"
         );
+    }
+
+    #[test]
+    fn offsets_stop_at_the_last_whole_block() {
+        let last = u64::MAX - (BLOCK_SIZE - 1);
+        assert!(parse_ops(&format!("1 0 w 0 0 {last}\n")).is_ok());
+        assert!(parse_ops(&format!("1 0 T 0 {last}\n")).is_ok());
+        for line in [
+            format!("1 0 w 0 0 {}", last + 1),
+            format!("1 0 r 0 {} {}", u64::MAX - 615, u64::MAX),
+            format!("1 0 T 0 {}", u64::MAX),
+        ] {
+            let e = parse_ops(&format!("1 0 D 3\n{line}\n")).unwrap_err();
+            assert_eq!(e.line, 2, "{line}");
+            assert!(e.message.contains("past the last addressable block"), "{e}");
+        }
     }
 
     #[test]

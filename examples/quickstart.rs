@@ -44,7 +44,7 @@ fn main() {
         ],
     );
     for (name, cfg) in configs {
-        let s = ClusterSim::new(cfg).run(trace.ops());
+        let s = ClusterSim::new(cfg).session(trace.ops()).run().stats;
         table.push_row(vec![
             Cell::from(name),
             Cell::Pct(s.net_write_traffic_pct()),

@@ -402,15 +402,17 @@ fn cmd_client_sim(mut args: VecDeque<String>) -> Result<(), String> {
             "--nvram-mb must be at least 1 for the {model} model"
         ));
     }
-    let vol = volatile_mb << 20;
-    let nv = nvram_mb << 20;
-    let cfg = match model.as_str() {
-        "volatile" => SimConfig::volatile(vol),
-        "write-aside" => SimConfig::write_aside(vol, nv),
-        "unified" => SimConfig::unified(vol, nv),
-        "hybrid" => SimConfig::hybrid(vol, nv),
-        other => return Err(format!("unknown model {other:?}")),
-    }
+    let kind =
+        exp::faults::parse_model(&model).ok_or_else(|| format!("unknown model {model:?}"))?;
+    let bytes = |flag: &str, mb: u64| {
+        mb.checked_mul(1 << 20)
+            .ok_or_else(|| format!("{flag} {mb} is too large"))
+    };
+    let cfg = SimConfig::for_model(
+        kind,
+        bytes("--volatile-mb", volatile_mb)?,
+        bytes("--nvram-mb", nvram_mb)?,
+    )
     .with_policy(policy)
     .with_consistency(consistency);
     note_config(&[
@@ -422,8 +424,7 @@ fn cmd_client_sim(mut args: VecDeque<String>) -> Result<(), String> {
         ("policy", &format!("{policy:?}")),
         ("consistency", &format!("{consistency:?}")),
     ]);
-    let kind = cfg.model;
-    let stats = ClusterSim::new(cfg).run(&ops);
+    let stats = ClusterSim::new(cfg).session(&ops).run().stats;
 
     let mb = |b: u64| b as f64 / (1 << 20) as f64;
     outln!("model:              {kind:?}");
@@ -572,7 +573,7 @@ fn cmd_faults(mut args: VecDeque<String>) -> Result<(), String> {
         // One model: just that row of the client scorecard (the CI fault
         // matrix runs this once per model and diffs against a golden file).
         let rows = catching("faults", || {
-            exp::faults::client_reliability(&env, seed, &models).map_err(|e| e.to_string())
+            exp::faults::client_reliability(&env, seed, &models, false).map_err(|e| e.to_string())
         })?;
         outln!("{}", exp::faults::client_table(seed, &rows).render());
     } else {
@@ -589,7 +590,7 @@ fn cmd_faults(mut args: VecDeque<String>) -> Result<(), String> {
         // any recovery that lost a promised byte, resurrected an
         // unpromised one, or replayed a byte twice fails the run.
         let summary = catching("faults --oracle", || {
-            exp::verify_crash::faults_oracle_summary(&env, seed, &models).map_err(|e| e.to_string())
+            exp::faults::oracle_summary(&env, seed, &models).map_err(|e| e.to_string())
         })?;
         outln!("{}", summary.verdict_json(seed));
         if summary.violations() > 0 {

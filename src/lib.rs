@@ -55,7 +55,7 @@
 //! // NVRAM cache model over it.
 //! let traces = SpriteTraceSet::generate(&TraceSetConfig::small());
 //! let cfg = SimConfig::unified(8 << 20, 1 << 20);
-//! let stats = ClusterSim::new(cfg).run(traces.trace(6).ops());
+//! let stats = ClusterSim::new(cfg).session(traces.trace(6).ops()).run().stats;
 //! assert!(stats.server_write_bytes <= stats.app_write_bytes);
 //! ```
 

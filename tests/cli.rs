@@ -154,6 +154,40 @@ fn client_sim_rejects_bad_model() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Inputs whose block math used to overflow inside the simulator: each
+/// must be a one-line `error:` with exit 1, never a panic.
+#[test]
+fn client_sim_rejects_overflowing_inputs() {
+    let dir = tempdir("overflow");
+    for (trace, flags, reason) in [
+        (
+            "5 4294967295 w 4294967295 18446744073709551000 18446744073709551615\n",
+            &[][..],
+            "line 1: end past the last addressable block",
+        ),
+        (
+            "1000 0 D 3\n",
+            &["--volatile-mb", "17592186044416"],
+            "--volatile-mb 17592186044416 is too large",
+        ),
+    ] {
+        let path = dir.join("t.ops");
+        std::fs::write(&path, trace).unwrap();
+        let mut args = vec!["client-sim"];
+        args.extend(flags);
+        args.push(path.to_str().unwrap());
+        let out = nvfs(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+        assert!(
+            err.starts_with("error: ") && err.contains(reason),
+            "{args:?}: {err}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn experiments_subset_runs() {
     let out = nvfs(&["experiments", "--scale", "tiny", "tab1", "disk-sort"]);

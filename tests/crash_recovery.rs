@@ -15,7 +15,10 @@ use nvfs::types::{ByteRange, ClientId, FileId, RangeSet};
 #[test]
 fn simulated_remaining_data_survives_a_crash() {
     let set = SpriteTraceSet::generate(&TraceSetConfig::tiny());
-    let stats = ClusterSim::new(SimConfig::unified(2 << 20, 512 << 10)).run(set.trace(6).ops());
+    let stats = ClusterSim::new(SimConfig::unified(2 << 20, 512 << 10))
+        .session(set.trace(6).ops())
+        .run()
+        .stats;
     assert!(
         stats.remaining_dirty_bytes > 0,
         "trace must leave dirty data"

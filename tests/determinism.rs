@@ -38,8 +38,8 @@ fn simulations_are_deterministic_across_runs() {
         SimConfig::unified(2 << 20, 512 << 10).with_policy(PolicyKind::Random { seed: 3 }),
         SimConfig::unified(2 << 20, 512 << 10).with_policy(PolicyKind::Omniscient),
     ] {
-        let a = ClusterSim::new(cfg.clone()).run(ops);
-        let b = ClusterSim::new(cfg).run(ops);
+        let a = ClusterSim::new(cfg.clone()).session(ops).run().stats;
+        let b = ClusterSim::new(cfg).session(ops).run().stats;
         assert_eq!(a, b);
     }
 }
@@ -49,8 +49,8 @@ fn detailed_write_logs_are_deterministic() {
     let set = SpriteTraceSet::generate(&TraceSetConfig::tiny());
     let ops = set.trace(0).ops();
     let cfg = SimConfig::volatile(2 << 20);
-    let (_, a) = ClusterSim::new(cfg.clone()).run_detailed(ops);
-    let (_, b) = ClusterSim::new(cfg).run_detailed(ops);
+    let a = ClusterSim::new(cfg.clone()).session(ops).writes().run();
+    let b = ClusterSim::new(cfg).session(ops).writes().run();
     assert_eq!(a, b);
 }
 

@@ -75,9 +75,13 @@ fn random_net_schedules_never_violate_the_contracts() {
         let schedule = FaultSchedule::compile(seed, &crash_cfg)
             .unwrap_or_else(|e| panic!("seed {seed}: bad crash plan: {e}"));
         for model in MODELS {
-            let (report, oracle) = ClusterSim::new(model_config(model))
-                .run_with_net_faults_verified(trace.ops(), &net, &schedule);
-            let summary = oracle.summary();
+            let report = ClusterSim::new(model_config(model))
+                .session(trace.ops())
+                .net(&net)
+                .faults(&schedule)
+                .judged()
+                .run();
+            let summary = report.oracle.summary();
             assert_eq!(
                 report.net.summary.violations(),
                 0,
@@ -136,7 +140,10 @@ fn random_wal_schedules_never_violate_the_contracts() {
         let schedule = FaultSchedule::compile(seed, &wal_cfg)
             .unwrap_or_else(|e| panic!("seed {seed}: bad WAL crash plan: {e}"));
         let report = ClusterSim::new(model_config(CacheModelKind::Volatile))
-            .run_with_net_faults(trace.ops(), &net);
+            .session(trace.ops())
+            .net(&net)
+            .writes()
+            .run();
         assert_eq!(
             report.net.summary.violations(),
             0,
@@ -168,8 +175,8 @@ fn chaos_runs_are_reproducible() {
     let net_cfg = random_net_plan(&mut rng, clients, trace.duration());
     let net = NetFaultPlan::compile(5, &net_cfg).unwrap();
     let sim = ClusterSim::new(model_config(CacheModelKind::WriteAside));
-    let a = sim.run_with_net_faults(trace.ops(), &net);
-    let b = sim.run_with_net_faults(trace.ops(), &net);
+    let a = sim.session(trace.ops()).net(&net).writes().run();
+    let b = sim.session(trace.ops()).net(&net).writes().run();
     assert_eq!(a, b);
 }
 
@@ -191,9 +198,9 @@ fn net_faulted_run_is_jobs_invariant() {
     for model in MODELS {
         let sim = ClusterSim::new(model_config(model));
         nvfs::par::set_jobs(1);
-        let one = sim.run_with_net_faults(t.ops(), &net);
+        let one = sim.session(t.ops()).net(&net).writes().run();
         nvfs::par::set_jobs(8);
-        let eight = sim.run_with_net_faults(t.ops(), &net);
+        let eight = sim.session(t.ops()).net(&net).writes().run();
         nvfs::par::set_jobs(1);
         assert_eq!(
             one, eight,

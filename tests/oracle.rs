@@ -203,9 +203,9 @@ fn verified_trace_run_is_clean_at_every_crash_point() {
         CrashPointKind::PostFlush,
     ] {
         let pinned = schedule.apply_crash_point(kind, SimDuration::from_secs(5));
-        let (report, oracle) = sim.run_with_faults_verified(trace.ops(), &pinned);
-        let s = oracle.summary();
-        assert_eq!(s.violations(), 0, "{kind}: {:?}", oracle.reports());
+        let report = sim.session(trace.ops()).faults(&pinned).judged().run();
+        let s = report.oracle.summary();
+        assert_eq!(s.violations(), 0, "{kind}: {:?}", report.oracle.reports());
         assert_eq!(
             s.bytes_observed, report.reliability.bytes_recovered,
             "{kind}"
