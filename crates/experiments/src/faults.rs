@@ -18,7 +18,6 @@
 use nvfs_core::{CacheModelKind, ClusterSim, RunSummary, SimConfig};
 use nvfs_faults::{FaultError, FaultPlanConfig, FaultSchedule, ReliabilityStats};
 use nvfs_lfs::{run_server_faulted, LfsConfig, SEGMENT_BYTES};
-use nvfs_oracle::OracleSummary;
 use nvfs_report::{Cell, Table};
 use nvfs_types::SimDuration;
 
@@ -173,22 +172,6 @@ pub fn client_reliability(
     )
 }
 
-/// The durability oracle's verdicts on exactly the runs
-/// [`client_reliability`] accounts for. Backs the `nvfs faults --oracle`
-/// flag, which must exit nonzero if the accounted scorecard ever
-/// disagrees with the durability contract.
-pub fn oracle_summary(
-    env: &Env,
-    seed: u64,
-    models: &[CacheModelKind],
-) -> Result<OracleSummary, FaultError> {
-    let mut total = RunSummary::default();
-    for (_, run) in client_reliability(env, seed, models, true)? {
-        total.merge(&run);
-    }
-    Ok(total.oracle)
-}
-
 /// Server write-buffer modes compared under the same crash schedule.
 fn server_configs() -> Vec<(&'static str, LfsConfig)> {
     vec![
@@ -271,9 +254,10 @@ pub fn server_table(seed: u64, modes: &[(&'static str, ReliabilityStats)]) -> Ta
     table
 }
 
-/// Runs the full study under `seed`.
-pub fn run(env: &Env, seed: u64) -> Result<Faults, FaultError> {
-    let models = client_reliability(env, seed, &MODELS, false)?;
+/// Runs the full study under `seed`, with the client runs judged by the
+/// shadow durability oracle when `judged` (`nvfs faults --oracle`).
+pub fn run(env: &Env, seed: u64, judged: bool) -> Result<Faults, FaultError> {
+    let models = client_reliability(env, seed, &MODELS, judged)?;
     let mut server_modes = Vec::new();
     for (name, config) in server_configs() {
         server_modes.push((name, server_reliability(env, seed, &config)?));
@@ -291,7 +275,7 @@ mod tests {
 
     #[test]
     fn volatile_loses_more_than_write_aside_loses_more_than_unified() {
-        let out = run(&Env::tiny(), DEFAULT_SEED).unwrap();
+        let out = run(&Env::tiny(), DEFAULT_SEED, false).unwrap();
         assert!(out.loss_ordering_holds(), "{}", out.render());
         let v = out.model(CacheModelKind::Volatile).unwrap();
         assert_eq!(
@@ -303,7 +287,7 @@ mod tests {
 
     #[test]
     fn all_models_see_the_same_crashes() {
-        let out = run(&Env::tiny(), DEFAULT_SEED).unwrap();
+        let out = run(&Env::tiny(), DEFAULT_SEED, false).unwrap();
         let counts: Vec<u64> = out
             .models
             .iter()
@@ -314,7 +298,7 @@ mod tests {
 
     #[test]
     fn staging_buffer_turns_buffer_loss_into_replay() {
-        let out = run(&Env::tiny(), DEFAULT_SEED).unwrap();
+        let out = run(&Env::tiny(), DEFAULT_SEED, false).unwrap();
         let of = |name: &str| {
             out.server_modes
                 .iter()
@@ -338,7 +322,19 @@ mod tests {
     #[test]
     fn plain_faults_schedules_are_clean_under_the_oracle() {
         let seed = DEFAULT_SEED;
-        let s = oracle_summary(&Env::tiny(), seed, &MODELS).unwrap();
+        let env = Env::tiny();
+        let judged = client_reliability(&env, seed, &MODELS, true).unwrap();
+        let mut s = nvfs_oracle::OracleSummary::default();
+        for (_, row) in &judged {
+            s.merge(&row.oracle);
+        }
+        // Judging only watches: one judged sweep renders the same table
+        // as the plain one, so `faults --oracle` needs no second sweep.
+        let plain = client_reliability(&env, seed, &MODELS, false).unwrap();
+        assert_eq!(
+            client_table(seed, &judged).render(),
+            client_table(seed, &plain).render()
+        );
         assert_eq!(s.violations(), 0, "{}", s.verdict_json(seed));
         assert!(s.crash_points > 0);
         assert!(s
@@ -349,8 +345,8 @@ mod tests {
     #[test]
     fn scorecard_is_reproducible() {
         let env = Env::tiny();
-        let a = run(&env, 7).unwrap();
-        let b = run(&env, 7).unwrap();
+        let a = run(&env, 7, false).unwrap();
+        let b = run(&env, 7, false).unwrap();
         assert_eq!(a.render(), b.render());
         assert_eq!(a.models, b.models);
     }

@@ -527,7 +527,7 @@ fn run_nvram_speed(env: &Env) -> Result<Artifacts, String> {
 }
 
 fn run_faults(env: &Env) -> Result<Artifacts, String> {
-    let out = crate::faults::run(env, DEFAULT_SEED).map_err(|e| e.to_string())?;
+    let out = crate::faults::run(env, DEFAULT_SEED, false).map_err(|e| e.to_string())?;
     Ok(Artifacts::new(out.render()).with_failure(out.failure()))
 }
 
@@ -538,19 +538,10 @@ fn run_verify_net(env: &Env) -> Result<Artifacts, String> {
 
 fn run_lfs_wal_vs_buffer(env: &Env) -> Result<Artifacts, String> {
     let out = crate::lfs_wal_vs_buffer::run(env);
-    let failure = if out.post_append_violations > 0 {
-        Some(format!(
-            "{} oracle violations after post-append crashes",
-            out.post_append_violations
-        ))
-    } else if out.non_regressions() < 6 {
-        Some(format!(
-            "WAL fsync latency holds on only {} of 8 workloads (need >= 6)",
-            out.non_regressions()
-        ))
-    } else {
-        None
-    };
+    let failure = crate::scorecard::wal_checks(&out)
+        .into_iter()
+        .find(|c| !c.passed())
+        .map(|c| format!("{} fails: {} (measured {})", c.id, c.paper, c.measured));
     Ok(Artifacts::new(out.table.render()).with_failure(failure))
 }
 

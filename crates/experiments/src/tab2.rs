@@ -44,14 +44,6 @@ impl FateTotals {
         (self.overwritten + self.deleted) as f64 / self.total as f64
     }
 
-    /// Fraction causing server traffic (called back + concurrent).
-    pub fn server_fraction(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        (self.called_back + self.concurrent) as f64 / self.total as f64
-    }
-
     fn pct(&self, v: u64) -> f64 {
         if self.total == 0 {
             0.0

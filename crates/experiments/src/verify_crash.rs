@@ -42,7 +42,7 @@ use nvfs_faults::{
 };
 use nvfs_lfs::wal_fs::{run_filesystem_wal_faulted, WalFsReport, WalTraceEvent};
 use nvfs_lfs::{run_filesystem_faulted, Chunks, LfsConfig, WalConfig, SEGMENT_BYTES};
-use nvfs_oracle::{DurableMap, OracleSummary, WalEvent, WalJudge};
+use nvfs_oracle::{union_into, DurableMap, OracleSummary, WalEvent, WalJudge};
 use nvfs_report::{Cell, Table};
 use nvfs_types::{ClientId, SimDuration, SimTime, BLOCK_SIZE};
 
@@ -341,12 +341,7 @@ pub fn server_sweep(env: &Env) -> Vec<ServerCheckRow> {
 
 fn chunks_to_map(chunks: &Chunks) -> DurableMap {
     let mut m = DurableMap::new();
-    for (file, ranges) in chunks {
-        let slot = m.entry(*file).or_default();
-        for r in ranges.iter() {
-            slot.insert(r);
-        }
-    }
+    union_into(&mut m, chunks.iter().map(|(f, s)| (f, s)));
     m
 }
 

@@ -25,13 +25,6 @@ pub struct Warmup {
 }
 
 impl Warmup {
-    /// Additional absorbed bytes the warm run sees (the cold-start bias).
-    pub fn absorption_bias_bytes(&self) -> u64 {
-        self.warm
-            .absorbed_bytes()
-            .saturating_sub(self.cold.absorbed_bytes())
-    }
-
     /// Read-hit-ratio gain from warm caches, in points.
     ///
     /// (Net-traffic percentages are *not* compared: dirty blocks inherited

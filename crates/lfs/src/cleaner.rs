@@ -24,18 +24,6 @@ pub struct CleanerConfig {
     pub batch: usize,
 }
 
-impl CleanerConfig {
-    /// A configuration sized for `disk_bytes` of log space: clean when the
-    /// log reaches ~90% of the disk, 8 segments at a time.
-    pub fn for_disk(disk_bytes: u64, segment_bytes: u64) -> Self {
-        let total = (disk_bytes / segment_bytes).max(8) as usize;
-        CleanerConfig {
-            trigger_segments: total * 9 / 10,
-            batch: 8,
-        }
-    }
-}
-
 /// Cumulative cleaner activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CleanerStats {

@@ -115,12 +115,6 @@ impl NvramDevice {
         self.read_bytes + self.write_bytes
     }
 
-    /// Relative time spent on NVRAM accesses compared to making the same
-    /// accesses to DRAM (1.0 = parity).
-    pub fn relative_access_cost(&self) -> f64 {
-        self.access_ratio()
-    }
-
     /// Clears the access counters (capacity and batteries unchanged).
     pub fn reset_counters(&mut self) {
         self.reads = 0;

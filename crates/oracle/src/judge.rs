@@ -5,7 +5,7 @@ use std::fmt;
 
 use nvfs_types::{ByteRange, ClientId, FileId, RangeSet, SimTime};
 
-use crate::shadow::{DrainExpectation, DurableMap, DurablePromise};
+use crate::shadow::{intersect, union_into, DrainExpectation, DurableMap, DurablePromise};
 
 /// One typed finding about a crash's recovery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -302,12 +302,7 @@ impl Oracle {
             }
         }
         let slot = self.replayed.entry(incident).or_default();
-        for (file, set) in observed {
-            let target = slot.entry(*file).or_default();
-            for r in set.iter() {
-                target.insert(r);
-            }
-        }
+        union_into(slot, observed);
 
         if verdicts.is_empty() {
             verdicts.push(Verdict::Clean);
@@ -328,11 +323,6 @@ impl Oracle {
     /// Every judged crash, in judgement order.
     pub fn reports(&self) -> &[CrashReport] {
         &self.reports
-    }
-
-    /// Consumes the oracle, returning its reports.
-    pub fn into_reports(self) -> Vec<CrashReport> {
-        self.reports
     }
 
     /// Summarises every judged crash.
@@ -390,24 +380,6 @@ fn subtract(a: &DurableMap, b: &DurableMap) -> Vec<(FileId, ByteRange)> {
         }
         for r in remaining.iter() {
             out.push((*file, r));
-        }
-    }
-    out
-}
-
-/// Ranges present in both `a` and `b`, per file, in deterministic order.
-fn intersect(a: &DurableMap, b: &DurableMap) -> Vec<(FileId, ByteRange)> {
-    let mut out = Vec::new();
-    for (file, set) in a {
-        let Some(other) = b.get(file) else { continue };
-        for r in set.iter() {
-            for o in other.iter() {
-                if let Some(overlap) = r.intersection(o) {
-                    if !overlap.is_empty() {
-                        out.push((*file, overlap));
-                    }
-                }
-            }
         }
     }
     out

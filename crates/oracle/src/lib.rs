@@ -40,5 +40,7 @@ mod wal;
 
 pub use judge::{CrashReport, Oracle, OracleSummary, Verdict};
 pub use netjudge::{NetJudge, NetSummary, NetVerdict, WireEvent};
-pub use shadow::{torn_prefix, DrainExpectation, DurableMap, DurablePromise, ServerState};
+pub use shadow::{
+    torn_prefix, union_into, DrainExpectation, DurableMap, DurablePromise, ServerState,
+};
 pub use wal::{WalEvent, WalJudge};

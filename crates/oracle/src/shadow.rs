@@ -1,5 +1,6 @@
 //! The shadow durability model: what each cache model promised to keep.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use nvfs_types::{ByteRange, ClientId, FileId, RangeSet, SimTime, BLOCK_SIZE};
@@ -41,12 +42,7 @@ impl DurablePromise {
         I: IntoIterator<Item = (FileId, &'a RangeSet)>,
     {
         let mut ranges = DurableMap::new();
-        for (file, set) in contents {
-            let merged = ranges.entry(file).or_default();
-            for r in set.iter() {
-                merged.insert(r);
-            }
-        }
+        union_into(&mut ranges, contents);
         DurablePromise {
             client,
             captured_at,
@@ -151,6 +147,30 @@ pub fn torn_prefix(ranges: &DurableMap, max_bytes: u64) -> DurableMap {
     out
 }
 
+/// Adds every `(file, ranges)` pair to `map`, merging per file; returns
+/// the bytes that were not already covered.
+pub fn union_into<'a, F: Borrow<FileId>>(
+    map: &mut DurableMap,
+    sets: impl IntoIterator<Item = (F, &'a RangeSet)>,
+) -> u64 {
+    sets.into_iter()
+        .map(|(file, set)| map.entry(*file.borrow()).or_default().union_with(set))
+        .sum()
+}
+
+/// Every overlap of `a` with `b`: one `(file, range)` per pair of
+/// overlapping ranges, in `a`'s file and offset order.
+pub(crate) fn intersect(a: &DurableMap, b: &DurableMap) -> Vec<(FileId, ByteRange)> {
+    let mut out = Vec::new();
+    for (file, set) in a {
+        let Some(other) = b.get(file) else { continue };
+        for r in set.iter() {
+            out.extend(other.overlapping(r).map(|overlap| (*file, overlap)));
+        }
+    }
+    out
+}
+
 /// A shadow of the server's durable state, used to prove replay
 /// idempotence: applying the same recovered drain twice must be a no-op
 /// the second time.
@@ -169,14 +189,7 @@ impl ServerState {
     /// bytes. A second application of the same map returns 0 and leaves
     /// the state bit-identical — that is the idempotence being proved.
     pub fn apply(&mut self, recovered: &DurableMap) -> u64 {
-        let mut newly = 0;
-        for (file, set) in recovered {
-            let target = self.files.entry(*file).or_default();
-            for r in set.iter() {
-                newly += target.insert(r);
-            }
-        }
-        newly
+        union_into(&mut self.files, recovered)
     }
 
     /// Total durable bytes.

@@ -25,7 +25,7 @@
 use nvfs_types::{ClientId, FileId, RangeSet, SimTime};
 
 use crate::judge::{CrashReport, Oracle, OracleSummary};
-use crate::shadow::{DrainExpectation, DurableMap, DurablePromise};
+use crate::shadow::{intersect, union_into, DrainExpectation, DurableMap, DurablePromise};
 
 /// One entry of a WAL run's chronological event stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,10 +81,7 @@ impl WalJudge {
         for e in events {
             match e {
                 WalEvent::Append { file, ranges, .. } => {
-                    let slot = self.promise.entry(*file).or_default();
-                    for r in ranges.iter() {
-                        slot.insert(r);
-                    }
+                    union_into(&mut self.promise, [(file, ranges)]);
                 }
                 WalEvent::Delete { file, .. } => {
                     self.promise.remove(file);
@@ -101,7 +98,7 @@ impl WalJudge {
         // already safe on disk (drained before the crash). Unpromised disk
         // data — ordinary un-fsynced segment writes — is legitimate and
         // must not read as resurrection, hence the intersection.
-        let mut observed = intersect(disk, &self.promise);
+        let mut observed = self.promised_on(disk);
         union_into(&mut observed, replayed);
         let promise = DurablePromise {
             client: self.client,
@@ -116,7 +113,7 @@ impl WalJudge {
     /// promised must be live on disk. Judged as one final incident at `at`
     /// (use a time strictly after the last crash).
     pub fn finish(&mut self, at: SimTime, final_disk: &DurableMap) {
-        let observed = intersect(final_disk, &self.promise);
+        let observed = self.promised_on(final_disk);
         let promise = DurablePromise {
             client: self.client,
             captured_at: at,
@@ -124,6 +121,15 @@ impl WalJudge {
         };
         self.oracle
             .judge(&promise, DrainExpectation::full(), &observed);
+    }
+
+    /// The promised bytes `disk` holds, per file.
+    fn promised_on(&self, disk: &DurableMap) -> DurableMap {
+        let mut out = DurableMap::new();
+        for (file, overlap) in intersect(disk, &self.promise) {
+            out.entry(file).or_default().insert(overlap);
+        }
+        out
     }
 
     /// Every judged incident, in judgement order.
@@ -134,38 +140,6 @@ impl WalJudge {
     /// Summarises every judged incident.
     pub fn summary(&self) -> OracleSummary {
         self.oracle.summary()
-    }
-}
-
-/// Per-file intersection of two maps.
-fn intersect(a: &DurableMap, b: &DurableMap) -> DurableMap {
-    let mut out = DurableMap::new();
-    for (file, set) in a {
-        let Some(other) = b.get(file) else { continue };
-        let mut kept = RangeSet::new();
-        for r in set.iter() {
-            for o in other.iter() {
-                if let Some(overlap) = r.intersection(o) {
-                    if !overlap.is_empty() {
-                        kept.insert(overlap);
-                    }
-                }
-            }
-        }
-        if !kept.is_empty() {
-            out.insert(*file, kept);
-        }
-    }
-    out
-}
-
-/// Unions `b` into `a`, per file.
-fn union_into(a: &mut DurableMap, b: &DurableMap) {
-    for (file, set) in b {
-        let slot = a.entry(*file).or_default();
-        for r in set.iter() {
-            slot.insert(r);
-        }
     }
 }
 

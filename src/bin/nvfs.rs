@@ -193,7 +193,7 @@ commands:
                [--oracle]
                reliability scorecard: bytes lost per cache model under one
                seeded fault schedule (client crashes, battery death, torn
-               writes, server crashes); --oracle re-judges every recovery
+               writes, server crashes); --oracle also judges every recovery
                of the selected model(s) against the shadow durability
                model and fails on violations
   verify-crash [--scale S] [--seed N] [--wal]
@@ -569,29 +569,33 @@ fn cmd_faults(mut args: VecDeque<String>) -> Result<(), String> {
     let oracle = take_switch(&mut args, "--oracle");
     let model = model.as_deref().unwrap_or("all");
     let (env, seed) = fault_study(&mut args, "faults", &[("model", model)])?;
-    if models.len() == 1 {
+    // With --oracle the one client sweep is also judged by the shadow
+    // durability model: any recovery that lost a promised byte,
+    // resurrected an unpromised one, or replayed a byte twice fails the
+    // run. Judging leaves the accounting, and so the tables, unchanged.
+    let rows = if models.len() == 1 {
         // One model: just that row of the client scorecard (the CI fault
         // matrix runs this once per model and diffs against a golden file).
         let rows = catching("faults", || {
-            exp::faults::client_reliability(&env, seed, &models, false).map_err(|e| e.to_string())
+            exp::faults::client_reliability(&env, seed, &models, oracle).map_err(|e| e.to_string())
         })?;
         outln!("{}", exp::faults::client_table(seed, &rows).render());
+        rows
     } else {
         let out = catching("faults", || {
-            exp::faults::run(&env, seed).map_err(|e| e.to_string())
+            exp::faults::run(&env, seed, oracle).map_err(|e| e.to_string())
         })?;
         outln!("{}", out.render());
         if let Some(reason) = out.failure() {
             return Err(reason);
         }
-    }
+        out.models
+    };
     if oracle {
-        // Re-judge the same schedules under the shadow durability model:
-        // any recovery that lost a promised byte, resurrected an
-        // unpromised one, or replayed a byte twice fails the run.
-        let summary = catching("faults --oracle", || {
-            exp::faults::oracle_summary(&env, seed, &models).map_err(|e| e.to_string())
-        })?;
+        let mut summary = nvfs::oracle::OracleSummary::default();
+        for (_, run) in &rows {
+            summary.merge(&run.oracle);
+        }
         outln!("{}", summary.verdict_json(seed));
         if summary.violations() > 0 {
             return Err(format!(

@@ -84,10 +84,10 @@ fn fault_schedule_accounting_is_identical_at_any_job_count() {
 
     let env = Env::tiny();
     nvfs::par::set_jobs(1);
-    let sequential = exp::faults::run(&env, 42).expect("valid fault plan");
+    let sequential = exp::faults::run(&env, 42, false).expect("valid fault plan");
     let wal_sequential = run_server_wal(&env.server, &WalConfig::sprite());
     nvfs::par::set_jobs(4);
-    let parallel = exp::faults::run(&env, 42).expect("valid fault plan");
+    let parallel = exp::faults::run(&env, 42, false).expect("valid fault plan");
     let wal_parallel = run_server_wal(&env.server, &WalConfig::sprite());
     nvfs::par::set_jobs(1);
 

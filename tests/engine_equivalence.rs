@@ -290,7 +290,7 @@ fn faults_golden_matrix_reproduces_in_process() {
         matrix.push_str(&exp::faults::client_table(seed, &rows).render());
         matrix.push('\n');
     }
-    matrix.push_str(&exp::faults::run(&env, seed).unwrap().render());
+    matrix.push_str(&exp::faults::run(&env, seed, false).unwrap().render());
     matrix.push('\n');
     assert_eq!(matrix, include_str!("golden/faults_tiny.txt"));
 }

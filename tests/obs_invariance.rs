@@ -96,10 +96,10 @@ fn jobs_do_not_change_metrics_or_events() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The scorecard is the widest fan-out in the pipeline (14 concurrent
-/// sub-experiments, each fanning out its own sessions): its stdout
-/// and its manifest `run` section must not move between `--jobs 1` and
-/// `--jobs 8`.
+/// The scorecard is the widest fan-out in the pipeline (14 parts in task
+/// frames, each fanning out its own sessions over the whole pool): its
+/// stdout and its manifest `run` section must not move between
+/// `--jobs 1` and `--jobs 8`.
 #[test]
 fn scorecard_is_jobs_invariant_end_to_end() {
     let dir = tempdir("scorecard");

@@ -32,8 +32,8 @@ fn artifacts_are_byte_identical_at_any_job_count() {
     );
 
     // Figures, tables, and the scorecard at the tiny scale: sweeps, the
-    // LFS server runs, and the scorecard's scoped fan-out all join in
-    // submission order.
+    // LFS server runs, and the sweeps nested in the scorecard's parts all
+    // join in submission order.
     nvfs::par::set_jobs(1);
     let env1 = Env::tiny();
     let f2_1 = exp::fig2::run(&env1).figure.render();
