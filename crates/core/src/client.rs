@@ -104,8 +104,7 @@ impl ClientCache {
             volatile: BlockStore::new(config.volatile_blocks()),
             nvram: policy.new_store(config.nvram_blocks()),
             policy,
-            device: NvramDevice::new(config.nvram_bytes)
-                .with_access_ratio(config.nvram_access_ratio),
+            device: NvramDevice::new(),
             log: Vec::new(),
             severed: false,
             shed_log: Vec::new(),

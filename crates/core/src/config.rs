@@ -73,8 +73,6 @@ pub struct SimConfig {
     pub nvram_bytes: u64,
     /// NVRAM block replacement policy.
     pub policy: PolicyKind,
-    /// NVRAM access time relative to DRAM (≥ 1.0).
-    pub nvram_access_ratio: f64,
     /// Volatile model only: prefer replacing clean blocks, as real Sprite
     /// does (the paper deliberately simplifies this away; kept as an
     /// ablation).
@@ -103,7 +101,6 @@ impl SimConfig {
             volatile_bytes,
             nvram_bytes: 0,
             policy: PolicyKind::Lru,
-            nvram_access_ratio: 1.0,
             dirty_preference: false,
             consistency: ConsistencyMode::WholeFile,
             write_back_delay: DELAYED_WRITE_BACK,

@@ -1,5 +1,5 @@
 //! NVRAM corruption injection, protection modes, and the background
-//! checksum scrub.
+//! scrub.
 //!
 //! The fault lattice so far (crashes, batteries, torn writes, partitions)
 //! never corrupts a byte the hardware claims is durable; this hook asks
@@ -11,8 +11,8 @@
 //! against a run under one of the three [`ProtectionMode`]s and an
 //! optional background scrub interval. Corruption is **pure metadata**:
 //! it never alters simulated traffic, write logs, or existing counters —
-//! the hook tracks which promised bytes hold wrong contents and follows
-//! them to one of five mutually exclusive fates:
+//! the hook keeps one byte ledger of which promised bytes hold wrong
+//! contents and follows them to one of five mutually exclusive fates:
 //!
 //! * **vacated** — the damaged bytes were overwritten, truncated,
 //!   deleted, invalidated, or lost to an independent fault (torn drain,
@@ -21,14 +21,18 @@
 //!   open protect window and never landed at all (not counted as
 //!   corruption).
 //! * **detected** — a checksum verification (`Verified` read-back/drain,
-//!   or any mode's scrub) caught the mismatch: honest, reported loss
-//!   ([`Verdict::Corrupted`]).
+//!   or any mode's scrub) caught the damage: honest, reported loss
+//!   ([`ScrubReport::bytes_detected`]).
 //! * **repaired** — the scrub found a damaged *clean* block whose good
 //!   copy exists on disk and restored it (charged as server read
 //!   traffic).
 //! * **silent** — the damaged bytes reached the server or survived to
 //!   the end of the run passing as good data
-//!   ([`Verdict::SilentCorruption`] — the worst outcome).
+//!   ([`ScrubReport::bytes_silent`] — the worst outcome).
+//!
+//! A checksum mismatch is modelled as the ledger itself: a block
+//! verifies clean exactly when the ledger holds no corrupt byte in it,
+//! so detection needs no separate checksum table.
 //!
 //! The conservation identity `detected + silent + vacated + repaired ==
 //! corrupted` holds for every mode, interval, and schedule
@@ -38,8 +42,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use nvfs_faults::corrupt::{CorruptionEvent, CorruptionKind, CorruptionSchedule};
-use nvfs_nvram::protect::{protect_window_micros, ChecksumStore, ProtectionMode};
-use nvfs_oracle::{DurableMap, Verdict};
+use nvfs_nvram::protect::{protect_window_micros, ProtectionMode};
+use nvfs_oracle::DurableMap;
 use nvfs_trace::op::{Op, OpKind};
 use nvfs_types::{ByteRange, ClientId, FileId, RangeSet, SimDuration, SimTime, BLOCK_SIZE};
 
@@ -47,8 +51,7 @@ use crate::config::CacheModelKind;
 use crate::session::{CrashEvent, DrainEvent, FlushEvent, OpAction, RunHook, SimEngine};
 
 /// Per-client corruption bookkeeping: which promised (dirty) bytes hold
-/// wrong contents, how many clean-region bytes are damaged, and the
-/// per-block checksum table that models how the damage is detectable.
+/// wrong contents, and how many clean-region bytes are damaged.
 #[derive(Debug, Clone, Default)]
 struct ClientLedger {
     /// Corrupt byte ranges within the client's NVRAM-dirty contents.
@@ -56,8 +59,33 @@ struct ClientLedger {
     /// Corrupt bytes in the board's clean region (unified model only —
     /// elsewhere the non-dirty region holds no data worth repairing).
     clean_bytes: u64,
-    /// Block checksums: mismatched exactly where `dirty` has bytes.
-    sums: ChecksumStore,
+}
+
+impl ClientLedger {
+    /// Corrupt dirty bytes across every file.
+    fn dirty_bytes(&self) -> u64 {
+        self.dirty.values().map(RangeSet::len_bytes).sum()
+    }
+
+    /// Cuts bytes out of `file`'s corrupt ranges with `cut` (which
+    /// returns the bytes it removed), dropping the file once empty.
+    fn cut(&mut self, file: FileId, cut: impl FnOnce(&mut RangeSet) -> u64) -> u64 {
+        let Some(set) = self.dirty.get_mut(&file) else {
+            return 0;
+        };
+        let removed = cut(set);
+        if set.is_empty() {
+            self.dirty.remove(&file);
+        }
+        removed
+    }
+}
+
+/// Removes from `set` every byte outside `live`; returns the bytes removed.
+fn keep_within(set: &mut RangeSet, live: &RangeSet) -> u64 {
+    let mut gone = set.clone();
+    gone.subtract(live);
+    set.subtract(&gone)
 }
 
 /// End-of-run accounting for one corruption-injected session.
@@ -87,9 +115,6 @@ pub struct ScrubReport {
     pub scrub_ticks: u64,
     /// Dirty blocks the scrub read across all sweeps (its cost driver).
     pub blocks_scanned: u64,
-    /// One verdict per detected/silent corrupt range, in discovery
-    /// order: [`Verdict::Corrupted`] or [`Verdict::SilentCorruption`].
-    pub verdicts: Vec<Verdict>,
 }
 
 impl ScrubReport {
@@ -106,16 +131,7 @@ impl ScrubReport {
             == self.bytes_corrupted_dirty + self.bytes_corrupted_clean
     }
 
-    /// Silent corruption findings among the verdicts.
-    pub fn silent_verdicts(&self) -> usize {
-        self.verdicts
-            .iter()
-            .filter(|v| matches!(v, Verdict::SilentCorruption { .. }))
-            .count()
-    }
-
-    /// Folds `other` into `self` (order matters only for `verdicts`,
-    /// which append; `mode` must match).
+    /// Folds `other` into `self` (`mode` must match).
     pub fn merge(&mut self, other: &ScrubReport) {
         debug_assert_eq!(self.mode, other.mode, "merging reports across modes");
         self.events += other.events;
@@ -128,7 +144,18 @@ impl ScrubReport {
         self.bytes_vacated += other.bytes_vacated;
         self.scrub_ticks += other.scrub_ticks;
         self.blocks_scanned += other.blocks_scanned;
-        self.verdicts.extend(other.verdicts.iter().copied());
+    }
+
+    /// Books corrupt bytes that left NVRAM for the server (a flush, a
+    /// recovery drain, or the end-of-run write-back): under `Verified`
+    /// the checksum read-back catches them (detected); every other mode
+    /// ships them as good data (silent).
+    fn propagate(&mut self, bytes: u64) {
+        if self.mode.verifies_reads() {
+            self.bytes_detected += bytes;
+        } else {
+            self.bytes_silent += bytes;
+        }
     }
 }
 
@@ -278,20 +305,11 @@ impl<'s> CorruptionInjector<'s> {
 
         let unified = engine.config.model == CacheModelKind::Unified;
         let ledger = self.ledgers.entry(ev.client).or_default();
+        // A byte hit twice stays corrupt once: two scribbles never
+        // restore the original.
         let mut added_dirty = 0;
-        let mut blocks: BTreeSet<(FileId, u64)> = BTreeSet::new();
         for &(file, r) in &hits {
             added_dirty += ledger.dirty.entry(file).or_default().insert(r);
-            for b in r.start / BLOCK_SIZE..r.end.div_ceil(BLOCK_SIZE) {
-                blocks.insert((file, b));
-            }
-        }
-        for (f, b) in blocks {
-            // Only damage a still-clean checksum: a block hit twice stays
-            // mismatched (two scribbles never restore the original).
-            if ledger.sums.verify(f, b) {
-                ledger.sums.corrupt(f, b, ev.seq);
-            }
         }
         // Clean-region damage matters only where the non-dirty region
         // holds real (re-readable) data: the unified model's read cache.
@@ -316,9 +334,10 @@ impl<'s> CorruptionInjector<'s> {
     }
 
     /// One background scrub sweep: reads every dirty block of every live
-    /// board (the scan cost), detects checksum mismatches, repairs clean
-    /// blocks from their disk copy, and reports dirty mismatches as
-    /// honest unrecoverable loss (dirty data has no copy anywhere else).
+    /// board (the scan cost), detects every corrupt byte on the ledger,
+    /// repairs clean blocks from their disk copy, and reports dirty
+    /// damage as honest unrecoverable loss (dirty data has no copy
+    /// anywhere else).
     fn scrub_tick(&mut self, engine: &mut SimEngine<'_>, at: SimTime) {
         self.report.scrub_ticks += 1;
         let mut blocks = 0u64;
@@ -334,23 +353,13 @@ impl<'s> CorruptionInjector<'s> {
         let clients: Vec<ClientId> = self.ledgers.keys().copied().collect();
         for cid in clients {
             self.resync(engine, cid);
-            let Some(ledger) = self.ledgers.get_mut(&cid) else {
+            let Some(ledger) = self.ledgers.remove(&cid) else {
                 continue;
             };
-            // Dirty mismatches: detected, but unrecoverable — the only
-            // copy of dirty data is the damaged one.
-            let mut detected = 0;
-            for (file, set) in std::mem::take(&mut ledger.dirty) {
-                detected += set.len_bytes();
-                for range in set.iter() {
-                    self.report
-                        .verdicts
-                        .push(Verdict::Corrupted { file, range });
-                }
-                ledger.sums.forget_file(file);
-            }
-            self.report.bytes_detected += detected;
-            // Clean mismatches: the good copy is on disk — repair it,
+            // Dirty damage: detected, but unrecoverable — the only copy
+            // of dirty data is the damaged one.
+            self.report.bytes_detected += ledger.dirty_bytes();
+            // Clean damage: the good copy is on disk — repair it,
             // charging the re-read as server read traffic.
             if ledger.clean_bytes > 0 {
                 engine.stats.server_read_bytes += ledger.clean_bytes;
@@ -359,10 +368,6 @@ impl<'s> CorruptionInjector<'s> {
                     .u64("client", cid.0 as u64)
                     .u64("bytes", ledger.clean_bytes)
                     .emit();
-                ledger.clean_bytes = 0;
-            }
-            if ledger.dirty.is_empty() && ledger.clean_bytes == 0 {
-                self.ledgers.remove(&cid);
             }
         }
         self.next_scrub += self
@@ -384,50 +389,23 @@ impl<'s> CorruptionInjector<'s> {
         for (file, set) in cache.nvram_dirty_contents() {
             current.entry(file).or_default().union_with(set);
         }
-        let mut vacated = 0;
-        ledger.dirty.retain(|file, set| match current.get(file) {
-            Some(cur) => {
-                let mut gone = set.clone();
-                gone.subtract(cur);
-                vacated += set.subtract(&gone);
-                !set.is_empty()
-            }
-            None => {
-                vacated += set.len_bytes();
-                false
-            }
-        });
-        if vacated > 0 {
-            self.report.bytes_vacated += vacated;
-            Self::prune_sums(ledger);
+        let empty = RangeSet::default();
+        let files: Vec<FileId> = ledger.dirty.keys().copied().collect();
+        for file in files {
+            let live = current.get(&file).unwrap_or(&empty);
+            self.report.bytes_vacated += ledger.cut(file, |set| keep_within(set, live));
         }
     }
 
-    /// Heals checksum entries whose blocks no longer overlap any corrupt
-    /// ledger range, keeping `sums.mismatched()` aligned with `dirty`.
-    fn prune_sums(ledger: &mut ClientLedger) {
-        for (file, block) in ledger.sums.mismatched() {
-            let span = ByteRange::new(block * BLOCK_SIZE, (block + 1) * BLOCK_SIZE);
-            let still_corrupt = ledger
-                .dirty
-                .get(&file)
-                .is_some_and(|set| set.overlap_bytes(span) > 0);
-            if !still_corrupt {
-                ledger.sums.forget(file, block);
-            }
-        }
-    }
-
-    /// Classifies corrupt ranges that left a live cache as propagated:
-    /// under `Verified` the flush's checksum read-back catches them
-    /// (detected); otherwise they reach the server silently.
+    /// Books corrupt ranges that left a live cache with a flush as
+    /// propagated ([`ScrubReport::propagate`]).
     fn classify_propagated(&mut self, engine: &SimEngine<'_>, client: ClientId, file: FileId) {
         let Some(ledger) = self.ledgers.get_mut(&client) else {
             return;
         };
-        let Some(set) = ledger.dirty.get_mut(&file) else {
+        if !ledger.dirty.contains_key(&file) {
             return;
-        };
+        }
         let mut still = RangeSet::default();
         if let Some(cache) = engine.clients.get(&client) {
             for (f, s) in cache.nvram_dirty_contents() {
@@ -436,32 +414,8 @@ impl<'s> CorruptionInjector<'s> {
                 }
             }
         }
-        let mut gone = set.clone();
-        gone.subtract(&still);
-        let bytes = gone.len_bytes();
-        if bytes == 0 {
-            return;
-        }
-        set.subtract(&gone);
-        if set.is_empty() {
-            ledger.dirty.remove(&file);
-        }
-        if self.mode.verifies_reads() {
-            self.report.bytes_detected += bytes;
-            for range in gone.iter() {
-                self.report
-                    .verdicts
-                    .push(Verdict::Corrupted { file, range });
-            }
-        } else {
-            self.report.bytes_silent += bytes;
-            for range in gone.iter() {
-                self.report
-                    .verdicts
-                    .push(Verdict::SilentCorruption { file, range });
-            }
-        }
-        Self::prune_sums(ledger);
+        let gone = ledger.cut(file, |set| keep_within(set, &still));
+        self.report.propagate(gone);
     }
 }
 
@@ -471,53 +425,34 @@ impl RunHook for CorruptionInjector<'_> {
 
     fn before_op(&mut self, engine: &mut SimEngine<'_>, _index: usize, op: &Op) -> OpAction {
         self.advance(engine, op.time);
-        match &op.kind {
+        // Overwritten, truncated or deleted damage is moot in every mode:
+        // write allocation replaces contents (and the checksum) without
+        // reading the old bytes back.
+        let vacated = match &op.kind {
             OpKind::Write { file, range } => {
                 if !self.crashed.contains(&op.client) {
                     self.last_write.insert(op.client, op.time);
                 }
-                // Overwritten damage is moot in every mode: write
-                // allocation replaces contents (and the checksum)
-                // without reading the old bytes back.
-                if engine.clients.contains_key(&op.client) {
-                    if let Some(ledger) = self.ledgers.get_mut(&op.client) {
-                        if let Some(set) = ledger.dirty.get_mut(file) {
-                            let removed = set.remove(*range);
-                            if removed > 0 {
-                                if set.is_empty() {
-                                    ledger.dirty.remove(file);
-                                }
-                                self.report.bytes_vacated += removed;
-                                Self::prune_sums(ledger);
-                            }
-                        }
+                match self.ledgers.get_mut(&op.client) {
+                    Some(ledger) if engine.clients.contains_key(&op.client) => {
+                        ledger.cut(*file, |set| set.remove(*range))
                     }
+                    _ => 0,
                 }
             }
-            OpKind::Truncate { file, new_len } => {
-                for ledger in self.ledgers.values_mut() {
-                    if let Some(set) = ledger.dirty.get_mut(file) {
-                        let removed = set.truncate(*new_len);
-                        if removed > 0 {
-                            if set.is_empty() {
-                                ledger.dirty.remove(file);
-                            }
-                            self.report.bytes_vacated += removed;
-                            Self::prune_sums(ledger);
-                        }
-                    }
-                }
-            }
-            OpKind::Delete { file } => {
-                for ledger in self.ledgers.values_mut() {
-                    if let Some(set) = ledger.dirty.remove(file) {
-                        self.report.bytes_vacated += set.len_bytes();
-                        ledger.sums.forget_file(*file);
-                    }
-                }
-            }
-            _ => {}
-        }
+            OpKind::Truncate { file, new_len } => self
+                .ledgers
+                .values_mut()
+                .map(|ledger| ledger.cut(*file, |set| set.truncate(*new_len)))
+                .sum(),
+            OpKind::Delete { file } => self
+                .ledgers
+                .values_mut()
+                .map(|ledger| ledger.cut(*file, |set| std::mem::take(set).len_bytes()))
+                .sum(),
+            _ => 0,
+        };
+        self.report.bytes_vacated += vacated;
         OpAction::Apply
     }
 
@@ -533,48 +468,24 @@ impl RunHook for CorruptionInjector<'_> {
     }
 
     fn on_drain(&mut self, _engine: &mut SimEngine<'_>, event: &DrainEvent) {
-        let Some(ledger) = self.in_transit.remove(&(event.client, event.crash_time)) else {
+        let Some(mut ledger) = self.in_transit.remove(&(event.client, event.crash_time)) else {
             return;
         };
         match &event.recovered {
             Some(recovered) => {
-                for (file, set) in &ledger.dirty {
-                    let empty = RangeSet::default();
+                // Drained corrupt bytes reached the server; the rest fell
+                // to the torn-drain cut (already honest loss).
+                let empty = RangeSet::default();
+                for (file, drained) in &mut ledger.dirty {
                     let rec = recovered.get(file).unwrap_or(&empty);
-                    // Drained corrupt bytes reached the server; the rest
-                    // fell to the torn-drain cut (already honest loss).
-                    let mut missing = set.clone();
-                    missing.subtract(rec);
-                    let mut drained = set.clone();
-                    drained.subtract(&missing);
-                    self.report.bytes_vacated += missing.len_bytes();
-                    let bytes = drained.len_bytes();
-                    if bytes == 0 {
-                        continue;
-                    }
-                    if self.mode.verifies_reads() {
-                        self.report.bytes_detected += bytes;
-                        for range in drained.iter() {
-                            self.report
-                                .verdicts
-                                .push(Verdict::Corrupted { file: *file, range });
-                        }
-                    } else {
-                        self.report.bytes_silent += bytes;
-                        for range in drained.iter() {
-                            self.report
-                                .verdicts
-                                .push(Verdict::SilentCorruption { file: *file, range });
-                        }
-                    }
+                    self.report.bytes_vacated += keep_within(drained, rec);
+                    self.report.propagate(drained.len_bytes());
                 }
             }
             None => {
                 // Dead board: everything on it — damaged or not — is
                 // already reported as battery loss; the corruption is moot.
-                for set in ledger.dirty.values() {
-                    self.report.bytes_vacated += set.len_bytes();
-                }
+                self.report.bytes_vacated += ledger.dirty_bytes();
             }
         }
         // The board's clean region dies with the board either way.
@@ -594,31 +505,13 @@ impl RunHook for CorruptionInjector<'_> {
 
         // Final audit. Dirty data still cached counts as eventual write
         // traffic (the engine's end-of-trace accounting), so corrupt
-        // ranges still present will propagate: Verified catches them at
-        // that future read-back, every other mode ships them silently.
+        // ranges still present will propagate.
         let clients: Vec<ClientId> = self.ledgers.keys().copied().collect();
         for cid in clients {
             self.resync(engine, cid);
         }
         for (_, ledger) in std::mem::take(&mut self.ledgers) {
-            for (file, set) in &ledger.dirty {
-                let bytes = set.len_bytes();
-                if self.mode.verifies_reads() {
-                    self.report.bytes_detected += bytes;
-                    for range in set.iter() {
-                        self.report
-                            .verdicts
-                            .push(Verdict::Corrupted { file: *file, range });
-                    }
-                } else {
-                    self.report.bytes_silent += bytes;
-                    for range in set.iter() {
-                        self.report
-                            .verdicts
-                            .push(Verdict::SilentCorruption { file: *file, range });
-                    }
-                }
-            }
+            self.report.propagate(ledger.dirty_bytes());
             // Clean blocks always have a good disk copy: the eventual
             // re-read repairs them (charged), scrub or no scrub.
             if ledger.clean_bytes > 0 {
@@ -629,10 +522,7 @@ impl RunHook for CorruptionInjector<'_> {
         // Boards still in transit (no drain ever ran — possible only
         // without a FaultInjector downstream): contents never consumed.
         for (_, ledger) in std::mem::take(&mut self.in_transit) {
-            for set in ledger.dirty.values() {
-                self.report.bytes_vacated += set.len_bytes();
-            }
-            self.report.bytes_vacated += ledger.clean_bytes;
+            self.report.bytes_vacated += ledger.dirty_bytes() + ledger.clean_bytes;
         }
     }
 
@@ -718,7 +608,6 @@ mod tests {
         for interval in [None, Some(SimDuration::from_secs(60))] {
             let (report, _) = run(42, ProtectionMode::Verified, interval);
             assert_eq!(report.bytes_silent, 0, "{interval:?}: {report:?}");
-            assert_eq!(report.silent_verdicts(), 0);
         }
     }
 

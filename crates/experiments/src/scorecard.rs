@@ -450,6 +450,8 @@ pub fn run(env: &Env) -> Scorecard {
 mod tests {
     use super::*;
 
+    /// One tiny run, several questions: every claim passes, the table
+    /// mirrors the checks, and the checks keep their ids and order.
     #[test]
     fn every_claim_passes_at_tiny_scale() {
         let card = run(&Env::tiny());
@@ -461,11 +463,6 @@ mod tests {
             card.checks.len()
         );
         assert!(card.checks.len() >= 20, "scorecard covers the paper");
-    }
-
-    #[test]
-    fn table_mirrors_checks() {
-        let card = run(&Env::tiny());
         assert_eq!(card.table.row_count(), card.checks.len());
         assert!(card.table.render().contains("PASS"));
         // The parts' checks concatenate in table order.

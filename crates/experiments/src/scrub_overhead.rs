@@ -32,9 +32,7 @@ use crate::env::Env;
 use crate::faults::BASE_BYTES;
 use crate::sweep::sweep;
 use crate::verify_crash::NVRAM_BLOCKS;
-
-/// Background scrub period charged in the defended modes.
-pub const SCRUB_INTERVAL: SimDuration = SimDuration::from_secs(60);
+use crate::verify_scrub::SCRUB_INTERVAL;
 
 /// The scrub each mode runs: the unprotected baseline has no checksums
 /// to scrub; both defended modes sweep every [`SCRUB_INTERVAL`].

@@ -14,9 +14,9 @@
 //! The defense claims the sweep proves:
 //!
 //! * `Verified` never lets a corrupt byte pass silently — every
-//!   propagation is caught by a checksum read-back
-//!   ([`Verdict::Corrupted`](nvfs_oracle::Verdict::Corrupted), honest
-//!   loss), so its silent column is all zeros;
+//!   propagation is caught by a checksum read-back and counted in
+//!   [`ScrubReport::bytes_detected`] (honest loss), so its silent column
+//!   is all zeros;
 //! * `Unprotected` does ship silent corruption under the same schedules
 //!   — the undetected-corruption number the paper's §2.3 defenses exist
 //!   to eliminate;
@@ -38,8 +38,9 @@ use crate::faults::BASE_BYTES;
 use crate::sweep::sweep;
 use crate::verify_crash::{FLUSH_TICK, NVRAM_BLOCKS};
 
-/// Background scrub period for the sweep: long against the 5-second
-/// flush tick, so propagation races the scrub realistically.
+/// Background scrub period for the sweep and for `scrub-overhead`'s
+/// defended modes: long against the 5-second flush tick, so propagation
+/// races the scrub realistically.
 pub const SCRUB_INTERVAL: SimDuration = SimDuration::from_secs(60);
 
 /// The crash points each (mode, kind) pair is swept through: a full
@@ -293,8 +294,14 @@ mod tests {
             .iter()
             .filter(|r| r.mode == ProtectionMode::WriteProtected)
             .any(|r| r.run.scrub.bytes_bounced > 0));
-        // The scrub actually repairs clean-region damage somewhere.
+        // The scrub actually repairs clean-region damage somewhere, and
+        // detects dirty damage where reads verify nothing.
         assert!(out.rows.iter().any(|r| r.run.scrub.bytes_repaired > 0));
+        assert!(out
+            .rows
+            .iter()
+            .filter(|r| r.mode == ProtectionMode::Unprotected)
+            .any(|r| r.run.scrub.bytes_detected > 0));
         assert!(out.verdict_json().starts_with("{\"scrub\":\"clean\""));
     }
 

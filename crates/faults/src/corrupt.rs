@@ -8,10 +8,10 @@
 //! whole-board decay events, placed on the sim clock as a pure function of
 //! `(seed, plan)`.
 //!
-//! The schedule says nothing about protection; defenses (write-protect
-//! windows, per-block checksums, the background scrub) live in
-//! `nvfs_nvram::protect` and the injection hook interprets events against
-//! them. Corruption never alters simulated traffic — it damages *contents*,
+//! The schedule says nothing about protection; the defenses
+//! (write-protect windows, checksum verification, the background scrub)
+//! are `nvfs_nvram::protect`'s modes, and the injection hook in
+//! `nvfs_core::scrub` interprets events against them. Corruption never alters simulated traffic — it damages *contents*,
 //! which the oracle and scrub accounting observe.
 //!
 //! # Determinism contract
@@ -189,9 +189,6 @@ pub struct CorruptionEvent {
     /// Bytes scribbled for a stray write; `1` for a bit flip; `0` for
     /// decay (meaning "the whole board").
     pub len_bytes: u64,
-    /// Schedule-unique sequence number (assigned after the chronological
-    /// sort), used to derive the event's damage mask.
-    pub seq: u64,
 }
 
 /// A compiled, chronologically sorted corruption schedule.
@@ -239,7 +236,6 @@ impl CorruptionSchedule {
                 offset_fraction: rng.gen::<f64>(),
                 len_bytes: rng
                     .gen_range(MIN_STRAY_BYTES..=plan.max_stray_bytes.max(MIN_STRAY_BYTES)),
-                seq: 0,
             });
         }
 
@@ -252,7 +248,6 @@ impl CorruptionSchedule {
                 kind: CorruptionKind::BitFlip,
                 offset_fraction: rng.gen::<f64>(),
                 len_bytes: 1,
-                seq: 0,
             });
         }
 
@@ -265,16 +260,11 @@ impl CorruptionSchedule {
                 kind: CorruptionKind::Decay,
                 offset_fraction: 0.0,
                 len_bytes: 0,
-                seq: 0,
             });
         }
 
-        // Chronological order, then schedule-unique sequence numbers so
-        // every event's damage mask is distinct and stable.
+        // Chronological order.
         events.sort_by_key(|e| (e.time, e.client, e.kind));
-        for (i, e) in events.iter_mut().enumerate() {
-            e.seq = i as u64;
-        }
 
         nvfs_obs::counter_add("faults.corruption_schedules_compiled", 1);
         nvfs_obs::counter_add("faults.corruption_events_scheduled", events.len() as u64);
@@ -284,11 +274,6 @@ impl CorruptionSchedule {
             plan: plan.clone(),
             events,
         })
-    }
-
-    /// Events targeting `client`, in time order.
-    pub fn events_for(&self, client: ClientId) -> impl Iterator<Item = &CorruptionEvent> {
-        self.events.iter().filter(move |e| e.client == client)
     }
 }
 
@@ -310,8 +295,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.events.len(), 9);
         assert!(a.events.windows(2).all(|w| w[0].time <= w[1].time));
-        let seqs: Vec<u64> = a.events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, (0..9).collect::<Vec<u64>>(), "dense post-sort seqs");
     }
 
     #[test]
@@ -416,16 +399,6 @@ mod tests {
             ),
             Err(FaultError::ZeroDuration)
         );
-    }
-
-    #[test]
-    fn events_for_filters_by_client() {
-        let s = CorruptionSchedule::compile(11, &plan()).unwrap();
-        let total: usize = (0..8).map(|c| s.events_for(ClientId(c)).count()).sum();
-        assert_eq!(total, s.events.len());
-        for c in 0..8 {
-            assert!(s.events_for(ClientId(c)).all(|e| e.client == ClientId(c)));
-        }
     }
 
     #[test]

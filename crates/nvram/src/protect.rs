@@ -1,35 +1,26 @@
-//! NVRAM write-protection modes and per-block FNV checksums.
+//! NVRAM write-protection modes and their access costs.
 //!
 //! The paper weighs write-protecting the NVRAM cache against its
 //! access-cost penalty (§2.3): battery-backed RAM survives power loss,
 //! but a stray kernel write or media decay corrupts it as easily as any
-//! other RAM. This module supplies the two defensive levers and their
-//! Table-1 cost arithmetic:
-//!
-//! * [`ProtectionMode`] — how aggressively the cache defends itself:
-//!   `Unprotected` (fast, blind), `WriteProtected` (the board is kept
-//!   read-only except inside a short window around each legitimate
-//!   write, shrinking the stray-write vulnerability to open windows
-//!   only), and `Verified` (per-block checksums are recomputed on every
-//!   read-back and recovery drain, so corrupt data is *detected* before
-//!   it can masquerade as good).
-//! * [`ChecksumStore`] — the per-block FNV-1a checksum table. The
-//!   checksum of a block is [`block_checksum`]`(file, block, generation)`
-//!   computed with the same [`Fnv64`] that frames the WAL; corruption is
-//!   modelled as an XOR mask on the *data* side ([`corruption_mask`]),
-//!   so a damaged block's recomputed checksum no longer matches the
-//!   stored one and [`ChecksumStore::mismatched`] finds it.
+//! other RAM. This module supplies the defensive lever,
+//! [`ProtectionMode`], and its Table-1 cost arithmetic. The three modes:
+//! `Unprotected` (fast, blind), `WriteProtected` (the board is kept
+//! read-only except inside a short window around each legitimate write,
+//! shrinking the stray-write vulnerability to open windows only), and
+//! `Verified` (per-block checksums are recomputed on every read-back and
+//! recovery drain, so corrupt data is *detected* before it can
+//! masquerade as good). The corruption hook models a checksum mismatch
+//! on its own corrupt-byte ledger; this module prices the hashing.
 //!
 //! Costs use the Table-1 arithmetic established for the WAL study:
 //! byte-counted NVRAM work at [`NVRAM_NS_PER_BYTE`]. Toggling the
 //! board's protection register costs [`PROTECT_TOGGLE_BYTES`] each way.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 
-use nvfs_types::framing::Fnv64;
-use nvfs_types::{FileId, BLOCK_SIZE};
+use nvfs_types::BLOCK_SIZE;
 
 /// NVRAM access cost per byte, Table-1 arithmetic (40 MB/s ⇒ 25 ns/B).
 pub const NVRAM_NS_PER_BYTE: u64 = 25;
@@ -129,147 +120,6 @@ pub const fn scrub_overhead_ns(blocks_scanned: u64) -> u64 {
     blocks_scanned * BLOCK_SIZE * NVRAM_NS_PER_BYTE
 }
 
-/// The checksum stored alongside a block: FNV-1a over the file id, the
-/// block number and the write generation (all little-endian), produced
-/// by the same hasher that frames the WAL.
-pub fn block_checksum(file: FileId, block: u64, generation: u64) -> u64 {
-    let mut h = Fnv64::new();
-    h.update_bytes(&u64::from(file.0).to_le_bytes());
-    h.update_bytes(&block.to_le_bytes());
-    h.update_bytes(&generation.to_le_bytes());
-    h.value()
-}
-
-/// The data-side damage mask of one corruption event: FNV-1a of the
-/// event sequence number, forced odd so no event masks to zero and two
-/// distinct events cannot cancel to a clean block by accident.
-pub fn corruption_mask(event_seq: u64) -> u64 {
-    let mut h = Fnv64::new();
-    h.update_bytes(&event_seq.to_le_bytes());
-    h.value() | 1
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BlockSum {
-    /// Write generation the stored checksum was computed at.
-    generation: u64,
-    /// Checksum written with the block.
-    stored: u64,
-    /// Checksum of the block's *current* contents; diverges from
-    /// `stored` when corruption lands.
-    current: u64,
-}
-
-/// Per-block FNV checksum table for one client's NVRAM-resident dirty
-/// blocks. A block is *mismatched* when the checksum of its current
-/// contents no longer equals the stored one — the condition the
-/// background scrub and the `Verified` read-back path test.
-///
-/// # Examples
-///
-/// ```
-/// use nvfs_nvram::protect::ChecksumStore;
-/// use nvfs_types::FileId;
-///
-/// let mut sums = ChecksumStore::new();
-/// sums.note_write(FileId(1), 0);
-/// assert!(sums.verify(FileId(1), 0));
-/// sums.corrupt(FileId(1), 0, 7);
-/// assert!(!sums.verify(FileId(1), 0));
-/// assert_eq!(sums.mismatched(), vec![(FileId(1), 0)]);
-/// sums.repair(FileId(1), 0);
-/// assert!(sums.verify(FileId(1), 0));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ChecksumStore {
-    blocks: BTreeMap<(FileId, u64), BlockSum>,
-}
-
-impl ChecksumStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        ChecksumStore::default()
-    }
-
-    /// Number of tracked blocks.
-    pub fn tracked(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Whether no blocks are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
-
-    /// Records a legitimate write of `(file, block)`: the generation
-    /// advances and the stored checksum is refreshed from the new
-    /// contents, so an overwrite heals any earlier damage.
-    pub fn note_write(&mut self, file: FileId, block: u64) {
-        let entry = self
-            .blocks
-            .entry((file, block))
-            .or_insert_with(|| BlockSum {
-                generation: 0,
-                stored: block_checksum(file, block, 0),
-                current: block_checksum(file, block, 0),
-            });
-        entry.generation += 1;
-        entry.stored = block_checksum(file, block, entry.generation);
-        entry.current = entry.stored;
-    }
-
-    /// Applies corruption event `event_seq` to `(file, block)`: the
-    /// block's contents change, so the checksum of its current data
-    /// diverges from the stored one. Untracked blocks are first
-    /// registered at generation zero.
-    pub fn corrupt(&mut self, file: FileId, block: u64, event_seq: u64) {
-        let entry = self
-            .blocks
-            .entry((file, block))
-            .or_insert_with(|| BlockSum {
-                generation: 0,
-                stored: block_checksum(file, block, 0),
-                current: block_checksum(file, block, 0),
-            });
-        entry.current ^= corruption_mask(event_seq);
-    }
-
-    /// Whether `(file, block)`'s current contents still match the
-    /// stored checksum. Untracked blocks verify clean.
-    pub fn verify(&self, file: FileId, block: u64) -> bool {
-        self.blocks
-            .get(&(file, block))
-            .is_none_or(|b| b.current == b.stored)
-    }
-
-    /// Every mismatched block, in `(file, block)` order.
-    pub fn mismatched(&self) -> Vec<(FileId, u64)> {
-        self.blocks
-            .iter()
-            .filter(|(_, b)| b.current != b.stored)
-            .map(|(&k, _)| k)
-            .collect()
-    }
-
-    /// Restores `(file, block)` to a matching checksum (a scrub repair
-    /// or an honest discard of detected-corrupt contents).
-    pub fn repair(&mut self, file: FileId, block: u64) {
-        if let Some(b) = self.blocks.get_mut(&(file, block)) {
-            b.current = b.stored;
-        }
-    }
-
-    /// Drops `(file, block)` (the block left NVRAM).
-    pub fn forget(&mut self, file: FileId, block: u64) {
-        self.blocks.remove(&(file, block));
-    }
-
-    /// Drops every block of `file` (delete, recall, or drain).
-    pub fn forget_file(&mut self, file: FileId) {
-        self.blocks.retain(|&(f, _), _| f != file);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,72 +152,5 @@ mod tests {
         assert_eq!(write_protect_overhead_ns(1), 400);
         assert_eq!(verify_overhead_ns(BLOCK_SIZE), 102_400);
         assert_eq!(scrub_overhead_ns(1), BLOCK_SIZE * NVRAM_NS_PER_BYTE);
-    }
-
-    #[test]
-    fn overwrite_heals_a_corrupt_block() {
-        let mut sums = ChecksumStore::new();
-        sums.note_write(FileId(3), 2);
-        sums.corrupt(FileId(3), 2, 1);
-        assert!(!sums.verify(FileId(3), 2));
-        sums.note_write(FileId(3), 2);
-        assert!(sums.verify(FileId(3), 2), "fresh data, fresh checksum");
-        assert!(sums.mismatched().is_empty());
-    }
-
-    #[test]
-    fn distinct_events_never_cancel_to_clean() {
-        let mut sums = ChecksumStore::new();
-        sums.note_write(FileId(0), 0);
-        sums.corrupt(FileId(0), 0, 10);
-        sums.corrupt(FileId(0), 0, 11);
-        assert!(
-            !sums.verify(FileId(0), 0),
-            "two different masks must not cancel"
-        );
-        // The same event twice *does* cancel — which is why event
-        // sequence numbers are unique per schedule.
-        sums.corrupt(FileId(0), 0, 11);
-        sums.corrupt(FileId(0), 0, 10);
-        assert!(sums.verify(FileId(0), 0));
-    }
-
-    #[test]
-    fn masks_are_odd_and_checksums_are_fnv() {
-        for seq in 0..64 {
-            assert_eq!(corruption_mask(seq) & 1, 1, "mask for {seq} is even");
-        }
-        // Pin the checksum to the shared FNV implementation.
-        let mut h = Fnv64::new();
-        h.update_bytes(&7u64.to_le_bytes());
-        h.update_bytes(&3u64.to_le_bytes());
-        h.update_bytes(&1u64.to_le_bytes());
-        assert_eq!(block_checksum(FileId(7), 3, 1), h.value());
-    }
-
-    #[test]
-    fn forget_drops_tracking() {
-        let mut sums = ChecksumStore::new();
-        sums.note_write(FileId(1), 0);
-        sums.note_write(FileId(1), 1);
-        sums.note_write(FileId(2), 0);
-        sums.corrupt(FileId(1), 1, 5);
-        sums.forget(FileId(1), 1);
-        assert!(sums.verify(FileId(1), 1), "untracked blocks verify clean");
-        sums.forget_file(FileId(1));
-        assert_eq!(sums.tracked(), 1);
-        assert!(!sums.is_empty());
-        sums.forget_file(FileId(2));
-        assert!(sums.is_empty());
-    }
-
-    #[test]
-    fn corrupting_an_untracked_block_registers_it() {
-        let mut sums = ChecksumStore::new();
-        sums.corrupt(FileId(9), 4, 2);
-        assert_eq!(sums.tracked(), 1);
-        assert!(!sums.verify(FileId(9), 4));
-        sums.repair(FileId(9), 4);
-        assert!(sums.verify(FileId(9), 4));
     }
 }

@@ -35,34 +35,6 @@ pub enum Verdict {
         /// crash.
         range: ByteRange,
     },
-    /// A promised byte range was corrupted in NVRAM and the damage was
-    /// *detected* (checksum mismatch on read-back, drain or scrub): the
-    /// data is lost, but honestly — the contract degrades to an
-    /// explicit error, never to wrong contents.
-    Corrupted {
-        /// File the corrupted range belongs to.
-        file: FileId,
-        /// The promised range whose contents were damaged.
-        range: ByteRange,
-    },
-    /// A promised byte range was corrupted and recovery returned the
-    /// wrong contents *as if they were good* — the new worst outcome,
-    /// strictly worse than [`Verdict::LostDurable`] because the caller
-    /// cannot even know to distrust the data.
-    SilentCorruption {
-        /// File the silently corrupted range belongs to.
-        file: FileId,
-        /// The promised range returned with wrong contents.
-        range: ByteRange,
-    },
-    /// A corrupted promised range was detected by the scrub and repaired
-    /// from the disk's clean copy before anyone read the damage.
-    Repaired {
-        /// File the repaired range belongs to.
-        file: FileId,
-        /// The range restored from disk.
-        range: ByteRange,
-    },
 }
 
 impl Verdict {
@@ -73,23 +45,16 @@ impl Verdict {
             Verdict::LostDurable { .. } => "lost_durable",
             Verdict::Resurrected { .. } => "resurrected",
             Verdict::DoubleReplay { .. } => "double_replay",
-            Verdict::Corrupted { .. } => "corrupted",
-            Verdict::SilentCorruption { .. } => "silent_corruption",
-            Verdict::Repaired { .. } => "repaired",
         }
     }
 
-    /// Whether this verdict is an invariant violation. Detected
-    /// corruption ([`Verdict::Corrupted`]) and scrub repair
-    /// ([`Verdict::Repaired`]) are honest outcomes — only *silent*
-    /// corruption joins the original three violations.
+    /// Whether this verdict is an invariant violation.
     pub fn is_violation(&self) -> bool {
         match self {
-            Verdict::Clean | Verdict::Corrupted { .. } | Verdict::Repaired { .. } => false,
+            Verdict::Clean => false,
             Verdict::LostDurable { .. }
             | Verdict::Resurrected { .. }
-            | Verdict::DoubleReplay { .. }
-            | Verdict::SilentCorruption { .. } => true,
+            | Verdict::DoubleReplay { .. } => true,
         }
     }
 }
@@ -118,23 +83,6 @@ impl fmt::Display for Verdict {
                     "DoubleReplay {{ {file}, [{}, {}) }}",
                     range.start, range.end
                 )
-            }
-            Verdict::Corrupted { file, range } => {
-                write!(
-                    f,
-                    "Corrupted {{ {file}, [{}, {}) }}",
-                    range.start, range.end
-                )
-            }
-            Verdict::SilentCorruption { file, range } => {
-                write!(
-                    f,
-                    "SilentCorruption {{ {file}, [{}, {}) }}",
-                    range.start, range.end
-                )
-            }
-            Verdict::Repaired { file, range } => {
-                write!(f, "Repaired {{ {file}, [{}, {}) }}", range.start, range.end)
             }
         }
     }
@@ -178,12 +126,15 @@ pub struct OracleSummary {
     pub resurrected: u64,
     /// `DoubleReplay` findings.
     pub double_replay: u64,
-    /// `Corrupted` findings (detected, honest loss — not violations).
+    /// Always zero, like `silent_corruption` and `repaired`: no judge
+    /// issues a corruption finding (the corruption hook books corrupt
+    /// bytes in `nvfs_core::ScrubReport`). The three stay so this
+    /// struct's `Debug` form, which recorded benchmark digests fold in,
+    /// does not change.
     pub corrupted: u64,
-    /// `SilentCorruption` findings (wrong contents passed as good — the
-    /// worst violation).
+    /// Always zero (see `corrupted`).
     pub silent_corruption: u64,
-    /// `Repaired` findings (scrub restored the bytes from disk).
+    /// Always zero (see `corrupted`).
     pub repaired: u64,
     /// Total bytes the shadow model expected to survive.
     pub bytes_expected: u64,
@@ -194,7 +145,7 @@ pub struct OracleSummary {
 impl OracleSummary {
     /// Total invariant violations.
     pub fn violations(&self) -> u64 {
-        self.lost_durable + self.resurrected + self.double_replay + self.silent_corruption
+        self.lost_durable + self.resurrected + self.double_replay
     }
 
     /// One-line machine-readable verdict (stable key order) — what
@@ -226,9 +177,6 @@ impl OracleSummary {
         self.lost_durable += other.lost_durable;
         self.resurrected += other.resurrected;
         self.double_replay += other.double_replay;
-        self.corrupted += other.corrupted;
-        self.silent_corruption += other.silent_corruption;
-        self.repaired += other.repaired;
         self.bytes_expected += other.bytes_expected;
         self.bytes_observed += other.bytes_observed;
     }
@@ -245,9 +193,6 @@ impl OracleSummary {
                 Verdict::LostDurable { .. } => self.lost_durable += 1,
                 Verdict::Resurrected { .. } => self.resurrected += 1,
                 Verdict::DoubleReplay { .. } => self.double_replay += 1,
-                Verdict::Corrupted { .. } => self.corrupted += 1,
-                Verdict::SilentCorruption { .. } => self.silent_corruption += 1,
-                Verdict::Repaired { .. } => self.repaired += 1,
             }
         }
         self.bytes_expected += report.expected_bytes;
@@ -349,11 +294,6 @@ fn emit_obs(report: &CrashReport) {
         Verdict::LostDurable { .. } => nvfs_obs::counter_add("oracle.verdicts_lost_durable", 1),
         Verdict::Resurrected { .. } => nvfs_obs::counter_add("oracle.verdicts_resurrected", 1),
         Verdict::DoubleReplay { .. } => nvfs_obs::counter_add("oracle.verdicts_double_replay", 1),
-        Verdict::Corrupted { .. } => nvfs_obs::counter_add("oracle.verdicts_corrupted", 1),
-        Verdict::SilentCorruption { .. } => {
-            nvfs_obs::counter_add("oracle.verdicts_silent_corruption", 1)
-        }
-        Verdict::Repaired { .. } => nvfs_obs::counter_add("oracle.verdicts_repaired", 1),
     }
     nvfs_obs::event("oracle_verdict", report.at.as_micros())
         .u64("client", report.client.0 as u64)
@@ -541,68 +481,20 @@ mod tests {
         assert_eq!(ab.crash_points, 2);
         assert_eq!(ab.clean, 1);
         assert_eq!(ab.lost_durable, 1);
-    }
-
-    #[test]
-    fn corruption_verdicts_partition_honest_and_silent() {
-        let range = ByteRange::new(0, BLOCK_SIZE);
-        let file = FileId(3);
-        // Detected loss and repair are honest outcomes; silent corruption
-        // is the worst violation.
-        assert!(!Verdict::Corrupted { file, range }.is_violation());
-        assert!(!Verdict::Repaired { file, range }.is_violation());
-        assert!(Verdict::SilentCorruption { file, range }.is_violation());
-        assert_eq!(Verdict::Corrupted { file, range }.label(), "corrupted");
-        assert_eq!(
-            Verdict::SilentCorruption { file, range }.label(),
-            "silent_corruption"
-        );
-        assert_eq!(Verdict::Repaired { file, range }.label(), "repaired");
-        let shown = Verdict::SilentCorruption { file, range }.to_string();
-        assert!(shown.contains("SilentCorruption"), "{shown}");
-        assert!(shown.contains("[0, 4096)"), "{shown}");
-    }
-
-    #[test]
-    fn summary_counts_corruption_verdicts() {
-        let range = ByteRange::new(0, BLOCK_SIZE);
-        let report = CrashReport {
-            client: ClientId(0),
-            at: SimTime::from_secs(1),
-            promised_bytes: 3 * BLOCK_SIZE,
-            expected_bytes: 3 * BLOCK_SIZE,
-            observed_bytes: 3 * BLOCK_SIZE,
-            verdicts: vec![
-                Verdict::Corrupted {
-                    file: FileId(1),
-                    range,
-                },
-                Verdict::SilentCorruption {
-                    file: FileId(2),
-                    range,
-                },
-                Verdict::Repaired {
-                    file: FileId(3),
-                    range,
-                },
-            ],
-        };
-        let mut s = OracleSummary::default();
-        s.absorb(&report);
-        assert_eq!(s.corrupted, 1);
-        assert_eq!(s.silent_corruption, 1);
-        assert_eq!(s.repaired, 1);
-        assert_eq!(s.violations(), 1, "only silent corruption violates");
-        let mut t = OracleSummary::default();
-        t.merge(&s);
-        assert_eq!(t, s);
-        // The pinned verdict line is unchanged for corruption-free runs
-        // and flips to violated when silent corruption appears.
-        assert!(s.verdict_json(42).starts_with("{\"oracle\":\"violated\""));
+        // The pinned verdict line: clean when nothing violates, violated
+        // once a finding does.
+        assert!(ab.verdict_json(42).starts_with("{\"oracle\":\"violated\""));
         assert_eq!(
             OracleSummary::default().verdict_json(42),
             "{\"oracle\":\"clean\",\"seed\":42,\"crash_points\":0,\"clean\":0,\
              \"lost_durable\":0,\"resurrected\":0,\"double_replay\":0}"
+        );
+        // Recorded benchmark digests fold in the summary's `Debug` form.
+        assert_eq!(
+            format!("{:?}", OracleSummary::default()),
+            "OracleSummary { crash_points: 0, clean: 0, lost_durable: 0, resurrected: 0, \
+             double_replay: 0, corrupted: 0, silent_corruption: 0, repaired: 0, \
+             bytes_expected: 0, bytes_observed: 0 }"
         );
     }
 
