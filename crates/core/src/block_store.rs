@@ -19,16 +19,29 @@
 //! a demoted or migrated block that keeps its original access time, or
 //! from a touch at an earlier time; it waits in a small ordered side map
 //! instead, and the LRU queries take the older of the two candidates.
-//! Block-order queries ([`BlockStore::file_blocks`], [`BlockStore::iter`],
-//! [`BlockStore::nth_block`]) read an ordered set of ids that changes only
-//! on insert and remove.
+//!
+//! Block-order queries read per-file rows: each cached file has one
+//! sorted `Vec` of its cached block indexes, found through a fixed-hasher
+//! map. Insert and remove change one row (an append when blocks arrive in
+//! order), so [`BlockStore::file_blocks`] reads one row. The row map is
+//! never walked in hash order: [`BlockStore::iter`] and
+//! [`BlockStore::nth_block`] sort its keys first, and `nth_block` skips
+//! whole rows by their length. Only crash snapshots, the scrub, invariant
+//! checks and Random evictions walk the rows.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
-use nvfs_types::{BlockId, BlockMap, ByteRange, FileId, RangeSet, SimTime};
+use nvfs_types::{
+    BlockHasher, BlockId, BlockIndex, BlockMap, ByteRange, FileId, RangeSet, SimTime,
+};
 
 use crate::omniscient::OmniscientSchedule;
+
+/// A lookup-only `HashMap` keyed by [`FileId`] under the fixed
+/// [`BlockHasher`]. Never walked in hash order.
+pub(crate) type FileMap<V> = HashMap<FileId, V, BuildHasherDefault<BlockHasher>>;
 
 /// One cached block.
 #[derive(Debug, Clone)]
@@ -126,8 +139,8 @@ pub struct BlockStore {
     free: Vec<u32>,
     /// Block → slot. Lookups only: never iterated.
     index: BlockMap<u32>,
-    /// Every cached block, in block order.
-    ids: BTreeSet<BlockId>,
+    /// File → its cached block indexes, sorted; no row is empty.
+    rows: FileMap<Vec<BlockIndex>>,
     /// LRU list ends: `head` is the least recent listed slot.
     head: u32,
     tail: u32,
@@ -146,7 +159,7 @@ impl Default for BlockStore {
             slots: Vec::new(),
             free: Vec::new(),
             index: BlockMap::default(),
-            ids: BTreeSet::new(),
+            rows: FileMap::default(),
             head: NIL,
             tail: NIL,
             older: BTreeMap::new(),
@@ -291,7 +304,8 @@ impl BlockStore {
             }
         };
         self.index.insert(id, s);
-        self.ids.insert(id);
+        let row = self.rows.entry(id.file).or_default();
+        row.insert(row.partition_point(|&i| i < id.index), id.index);
         self.link(s);
     }
 
@@ -366,7 +380,12 @@ impl BlockStore {
     /// Removes `id` entirely, returning its entry.
     pub fn remove(&mut self, id: BlockId) -> Option<BlockEntry> {
         let s = self.index.remove(&id)?;
-        self.ids.remove(&id);
+        let row = self.rows.get_mut(&id.file).expect("cached block has a row");
+        let at = row.binary_search(&id.index).expect("row holds its blocks");
+        row.remove(at);
+        if row.is_empty() {
+            self.rows.remove(&id.file);
+        }
         self.unlink(s);
         self.free.push(s);
         let entry = std::mem::replace(
@@ -447,10 +466,9 @@ impl BlockStore {
 
     /// All cached blocks of `file`, in index order.
     pub fn file_blocks(&self, file: FileId) -> Vec<BlockId> {
-        self.ids
-            .range(BlockId::new(file, 0)..BlockId::new(FileId(file.0 + 1), 0))
-            .copied()
-            .collect()
+        self.rows.get(&file).map_or_else(Vec::new, |row| {
+            row.iter().map(|&i| BlockId::new(file, i)).collect()
+        })
     }
 
     /// Blocks whose dirty data is older than `cutoff` (i.e. became dirty at
@@ -474,12 +492,31 @@ impl BlockStore {
 
     /// Iterates over `(BlockId, &BlockEntry)` in block order.
     pub fn iter(&self) -> impl Iterator<Item = (BlockId, &BlockEntry)> {
-        self.ids.iter().map(|&id| (id, self.entry(id)))
+        self.files().into_iter().flat_map(move |file| {
+            self.rows[&file].iter().map(move |&i| {
+                let id = BlockId::new(file, i);
+                (id, self.entry(id))
+            })
+        })
     }
 
     /// The `n`-th block in block order (for random replacement sampling).
-    pub fn nth_block(&self, n: usize) -> Option<BlockId> {
-        self.ids.iter().nth(n).copied()
+    pub fn nth_block(&self, mut n: usize) -> Option<BlockId> {
+        for file in self.files() {
+            let row = &self.rows[&file];
+            match row.get(n) {
+                Some(&i) => return Some(BlockId::new(file, i)),
+                None => n -= row.len(),
+            }
+        }
+        None
+    }
+
+    /// The files with cached blocks, in file order.
+    fn files(&self) -> Vec<FileId> {
+        let mut files: Vec<FileId> = self.rows.keys().copied().collect();
+        files.sort_unstable();
+        files
     }
 
     /// Sum of dirty bytes across all blocks.
@@ -497,19 +534,25 @@ impl BlockStore {
     }
 
     /// Verifies internal index consistency (for tests): the slab, hash
-    /// index and id set agree; the LRU list is linked both ways in strictly
+    /// index and file rows agree, and every row is non-empty and strictly
+    /// sorted; the LRU list is linked both ways in strictly
     /// increasing key order; every slot is either listed or keyed in the
     /// side map, exactly once; and the dirty-age and next-modify indexes
     /// match the entries.
     pub fn check_invariants(&self) -> bool {
         let n = self.index.len();
         if n > self.capacity
-            || self.ids.len() != n
+            || self.rows.values().map(Vec::len).sum::<usize>() != n
             || self.slots.len() != n + self.free.len()
-            || !self.ids.iter().all(|id| {
-                self.index
-                    .get(id)
-                    .is_some_and(|&s| self.slots[s as usize].id == *id)
+            || !self.rows.iter().all(|(&file, row)| {
+                !row.is_empty()
+                    && row.windows(2).all(|w| w[0] < w[1])
+                    && row.iter().all(|&i| {
+                        let id = BlockId::new(file, i);
+                        self.index
+                            .get(&id)
+                            .is_some_and(|&s| self.slots[s as usize].id == id)
+                    })
             })
         {
             return false;

@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 use nvfs_trace::event::OpenMode;
 use nvfs_types::{ClientId, FileId};
 
+use crate::block_store::FileMap;
 use crate::config::ConsistencyMode;
 
 /// What the server demands of the clients when a file is opened.
@@ -36,6 +37,8 @@ struct FileState {
     /// Per-client (total opens, writing opens).
     opens: BTreeMap<ClientId, (u32, u32)>,
     caching_disabled: bool,
+    /// Clients whose cache may hold blocks of the file, sorted.
+    holders: Vec<ClientId>,
 }
 
 impl FileState {
@@ -63,7 +66,9 @@ impl FileState {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ConsistencyServer {
-    files: BTreeMap<FileId, FileState>,
+    /// One row per file, from its first open or cached access to its
+    /// delete. Lookups only: never walked in hash order.
+    files: FileMap<FileState>,
     mode: ConsistencyMode,
 }
 
@@ -168,9 +173,30 @@ impl ConsistencyServer {
         self.files.get(&file).is_some_and(|s| s.caching_disabled)
     }
 
-    /// Drops all state for a deleted file.
-    pub fn on_delete(&mut self, file: FileId) {
-        self.files.remove(&file);
+    /// Records that `client`'s cache may now hold blocks of `file`.
+    ///
+    /// A cache gains a file's blocks only through its own client's reads
+    /// and writes, so truncate, delete and a caching-disabled open need
+    /// visit only these caches.
+    pub fn note_holder(&mut self, file: FileId, client: ClientId) {
+        let holders = &mut self.files.entry(file).or_default().holders;
+        if let Err(at) = holders.binary_search(&client) {
+            holders.insert(at, client);
+        }
+    }
+
+    /// The clients whose caches may hold blocks of `file`, in client
+    /// order.
+    pub fn holders(&self, file: FileId) -> &[ClientId] {
+        self.files.get(&file).map_or(&[], |s| &s.holders)
+    }
+
+    /// Drops all state for a deleted file and returns its holders, in
+    /// client order.
+    pub fn on_delete(&mut self, file: FileId) -> Vec<ClientId> {
+        self.files
+            .remove(&file)
+            .map_or_else(Vec::new, |s| s.holders)
     }
 
     /// Number of files with caching currently disabled (for tests).

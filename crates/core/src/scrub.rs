@@ -555,7 +555,12 @@ mod tests {
     }
 
     fn corruption(seed: u64) -> CorruptionSchedule {
-        let plan = CorruptionPlanConfig::new(8, SimDuration::from_hours(24))
+        corruption_over(seed, SimDuration::from_hours(24))
+    }
+
+    /// Twelve corruption events spread over `span`.
+    fn corruption_over(seed: u64, span: SimDuration) -> CorruptionSchedule {
+        let plan = CorruptionPlanConfig::new(8, span)
             .with_stray_writes(6)
             .with_bit_flips(4)
             .with_decay_events(2);
@@ -567,13 +572,21 @@ mod tests {
         mode: ProtectionMode,
         interval: Option<SimDuration>,
     ) -> (ScrubReport, nvfs_oracle::OracleSummary) {
+        run_with(seed, mode, interval, corruption(seed))
+    }
+
+    fn run_with(
+        seed: u64,
+        mode: ProtectionMode,
+        interval: Option<SimDuration>,
+        corruption: CorruptionSchedule,
+    ) -> (ScrubReport, nvfs_oracle::OracleSummary) {
         let traces = traces();
         let ops = traces.trace(6).ops();
         let config = SimConfig::unified(8 << 20, 16 * BLOCK_SIZE);
         let fault_plan =
             FaultPlanConfig::new(8, SimDuration::from_hours(24)).with_client_crashes(3);
         let schedule = FaultSchedule::compile(seed, &fault_plan).unwrap();
-        let corruption = corruption(seed);
         let report = ClusterSim::new(config)
             .session(ops)
             .faults(&schedule)
@@ -680,16 +693,22 @@ mod tests {
 
     #[test]
     fn scrub_converts_silent_to_detected() {
-        let (no_scrub, _) = run(42, ProtectionMode::Unprotected, None);
-        let (scrubbed, _) = run(
-            42,
-            ProtectionMode::Unprotected,
-            Some(SimDuration::from_secs(1)),
-        );
+        // Every event lands while the trace runs, so the scrub can reach
+        // it. Under seed 1, part of the damage reaches the server when
+        // nothing scrubs (under seed 42 none of it does).
+        let span = traces().trace(6).ops().end_time().since(SimTime::ZERO);
+        let run = |interval| {
+            let corruption = corruption_over(1, span);
+            run_with(1, ProtectionMode::Unprotected, interval, corruption).0
+        };
+        let no_scrub = run(None);
+        let scrubbed = run(Some(SimDuration::from_secs(1)));
+        assert_eq!(no_scrub.bytes_detected, 0, "{no_scrub:?}");
         assert!(scrubbed.scrub_ticks > 0);
+        assert!(scrubbed.bytes_detected > 0, "{scrubbed:?}");
         assert!(
-            scrubbed.bytes_silent <= no_scrub.bytes_silent,
-            "a tight scrub can only shrink the silent window: {} vs {}",
+            scrubbed.bytes_silent < no_scrub.bytes_silent,
+            "a tight scrub shrinks the silent window: {} vs {}",
             scrubbed.bytes_silent,
             no_scrub.bytes_silent
         );

@@ -208,11 +208,10 @@ pub struct SimEngine<'cfg> {
     pub(crate) config: &'cfg SimConfig,
     policy_schedule: Option<Arc<OmniscientSchedule>>,
     pub(crate) clients: BTreeMap<ClientId, ClientCache>,
-    /// `(file, client)` pairs whose cache may hold blocks of the file. A
-    /// cache gains a file's blocks only through its own client's reads
-    /// and writes, so truncate, delete and a caching-disabled open visit
-    /// these caches instead of every cache in the cluster.
-    holders: BTreeSet<(FileId, ClientId)>,
+    /// Its per-file rows also list the caches that may hold the file's
+    /// blocks ([`ConsistencyServer::holders`]): truncate, delete and a
+    /// caching-disabled open visit those caches, in client order, instead
+    /// of every cache in the cluster.
     server: ConsistencyServer,
     pub(crate) stats: TrafficStats,
     reliability: ReliabilityStats,
@@ -245,7 +244,6 @@ impl<'cfg> SimEngine<'cfg> {
             config,
             policy_schedule,
             clients: BTreeMap::new(),
-            holders: BTreeSet::new(),
             server: ConsistencyServer::with_mode(config.consistency),
             stats: TrafficStats::default(),
             reliability: ReliabilityStats::default(),
@@ -288,6 +286,13 @@ impl<'cfg> SimEngine<'cfg> {
     /// The time of the last op seen.
     pub fn sim_end(&self) -> SimTime {
         self.sim_end
+    }
+
+    /// The clients whose caches may hold blocks of `file`: the caches a
+    /// truncate, a delete or a caching-disabled open visits, in the
+    /// order it visits them (client order).
+    pub fn holders(&self, file: FileId) -> &[ClientId] {
+        self.server.holders(file)
     }
 
     /// Re-derives every client's severed flag from the installed network
@@ -516,14 +521,12 @@ impl<'cfg> SimEngine<'cfg> {
             config,
             policy_schedule,
             clients,
-            holders,
             server,
             stats,
             pending,
             flush_events,
             ..
         } = self;
-        let file_holders = |file: FileId| (file, ClientId(0))..=(file, ClientId(u32::MAX));
         macro_rules! client {
             ($id:expr) => {
                 clients.entry($id).or_insert_with(|| {
@@ -566,7 +569,7 @@ impl<'cfg> SimEngine<'cfg> {
                 }
                 if outcome.disable_caching {
                     // Only holders can have blocks to flush or drop.
-                    for (_, c) in holders.range(file_holders(*file)) {
+                    for c in server.holders(*file) {
                         if let Some(cache) = clients.get_mut(c) {
                             cache.invalidate_file(*file, FlushCause::Callback, op.time, stats);
                         }
@@ -612,7 +615,7 @@ impl<'cfg> SimEngine<'cfg> {
                         }
                     }
                     client!(op.client).read(*file, *range, op.time, stats);
-                    holders.insert((*file, op.client));
+                    server.note_holder(*file, op.client);
                 }
             }
             OpKind::Write { file, range } => {
@@ -621,25 +624,23 @@ impl<'cfg> SimEngine<'cfg> {
                     stats.concurrent_write_bytes += range.len();
                 } else {
                     client!(op.client).write(*file, *range, op.time, stats);
-                    holders.insert((*file, op.client));
+                    server.note_holder(*file, op.client);
                     server.note_write(*file, op.client);
                 }
             }
             OpKind::Truncate { file, new_len } => {
-                for (_, c) in holders.range(file_holders(*file)) {
+                for c in server.holders(*file) {
                     if let Some(cache) = clients.get_mut(c) {
                         cache.truncate_file(*file, *new_len, stats);
                     }
                 }
             }
             OpKind::Delete { file } => {
-                while let Some(&(_, c)) = holders.range(file_holders(*file)).next() {
-                    holders.remove(&(*file, c));
+                for c in server.on_delete(*file) {
                     if let Some(cache) = clients.get_mut(&c) {
                         cache.delete_file(*file, stats);
                     }
                 }
-                server.on_delete(*file);
             }
             OpKind::Fsync { file } => {
                 if let Some(cache) = clients.get_mut(&op.client) {

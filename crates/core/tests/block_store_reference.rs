@@ -6,19 +6,31 @@
 //! demotion and hybrid migration issue them), touches (some at times older
 //! than the most recent access), `mark_dirty`, `clean`, `kill_dirty` and
 //! removals, with evictions picked by `lru_block`, `lru_clean_block` or
-//! `nth_block` the way the client caches pick them. After every step the
-//! two must agree on every query, and the store's own index check must
-//! pass.
+//! `nth_block` the way the client caches pick them. File ids are sparse
+//! and include both ends of the `u32` range, and a file's last block
+//! often leaves and its id comes back. After every step the two must
+//! agree on every query (`nth_block` for every `n`), and the store's own
+//! index check must pass.
+//!
+//! A last case drives the cluster engine: caching-disable, truncate and
+//! delete each visit several caches holding a file, in client order.
 //!
 //! Driven by a seeded [`nvfs_rng::StdRng`] so failures reproduce exactly.
 
 use std::collections::BTreeSet;
 
 use nvfs_core::block_store::{BlockStore, DirtyOutcome};
+use nvfs_core::{ConsistencyMode, OpAction, RunHook, SimConfig, SimEngine, SimSession};
+use nvfs_obs::events::Val;
 use nvfs_rng::{Rng, SeedableRng, StdRng};
-use nvfs_types::{BlockId, ByteRange, FileId, RangeSet, SimTime, BLOCK_SIZE};
+use nvfs_trace::event::OpenMode;
+use nvfs_trace::op::{Op, OpKind, OpStream};
+use nvfs_types::{BlockId, ByteRange, ClientId, FileId, RangeSet, SimTime, BLOCK_SIZE};
 
-const FILES: u32 = 4;
+/// Sparse file ids, both ends of the `u32` range included.
+const FILE_IDS: [u32; 5] = [0, 1, 1 << 31, u32::MAX - 1, u32::MAX];
+/// An id the store never caches.
+const ABSENT: FileId = FileId(2);
 const BLOCKS_PER_FILE: u64 = 8;
 const CASES: u64 = 400;
 
@@ -179,20 +191,17 @@ impl RefStore {
         aged.into_iter().map(|(_, id)| id).collect()
     }
 
-    fn nth_block(&self, n: usize) -> Option<BlockId> {
-        self.sorted_ids().get(n).copied()
-    }
-
     fn entry(&self, id: BlockId) -> &RefEntry {
         self.blocks.iter().find(|e| e.id == id).expect("cached")
     }
 }
 
+fn rand_file(rng: &mut StdRng) -> FileId {
+    FileId(FILE_IDS[rng.gen_range(0..FILE_IDS.len())])
+}
+
 fn rand_block(rng: &mut StdRng) -> BlockId {
-    BlockId::new(
-        FileId(rng.gen_range(0..FILES)),
-        rng.gen_range(0..BLOCKS_PER_FILE),
-    )
+    BlockId::new(rand_file(rng), rng.gen_range(0..BLOCKS_PER_FILE))
 }
 
 fn rand_range(rng: &mut StdRng) -> ByteRange {
@@ -249,26 +258,29 @@ fn assert_same(store: &BlockStore, reference: &RefStore, step: usize, seed: u64,
         reference.lru_clean_block(),
         "{at}: lru_clean_block"
     );
-    let file = FileId(rng.gen_range(0..FILES + 1));
-    assert_eq!(
-        store.file_blocks(file),
-        reference.file_blocks(file),
-        "{at}: file_blocks({file:?})"
-    );
+    for file in [rand_file(rng), ABSENT] {
+        assert_eq!(
+            store.file_blocks(file),
+            reference.file_blocks(file),
+            "{at}: file_blocks({file:?})"
+        );
+    }
     let cutoff = SimTime::from_secs(rng.gen_range(0..200u64));
     assert_eq!(
         store.dirty_older_than(cutoff),
         reference.dirty_older_than(cutoff),
         "{at}: dirty_older_than({cutoff:?})"
     );
-    let n = rng.gen_range(0..store.len() + 2);
-    assert_eq!(
-        store.nth_block(n),
-        reference.nth_block(n),
-        "{at}: nth_block({n})"
-    );
+    let sorted = reference.sorted_ids();
+    for n in 0..store.len() + 2 {
+        assert_eq!(
+            store.nth_block(n),
+            sorted.get(n).copied(),
+            "{at}: nth_block({n})"
+        );
+    }
     let order: Vec<BlockId> = store.iter().map(|(id, _)| id).collect();
-    assert_eq!(order, reference.sorted_ids(), "{at}: iter order");
+    assert_eq!(order, sorted, "{at}: iter order");
     for (id, e) in store.iter() {
         let r = reference.entry(id);
         assert_eq!(e.dirty, r.dirty, "{at}: dirty of {id}");
@@ -293,6 +305,8 @@ fn assert_same(store: &BlockStore, reference: &RefStore, step: usize, seed: u64,
 #[test]
 fn block_store_matches_the_vec_scan_reference() {
     let (mut older_keyed, mut stale_touches, mut stale_victims) = (0u64, 0u64, 0u64);
+    // Inserts into a file whose every block had left the store.
+    let mut reborn_rows = 0u64;
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
         let capacity = rng.gen_range(1..16usize);
@@ -302,6 +316,8 @@ fn block_store_matches_the_vec_scan_reference() {
         let mut newest = SimTime::ZERO;
         // Blocks last keyed older than the newest access at the time.
         let mut stale = BTreeSet::new();
+        // Files that ever held a block.
+        let mut seen = BTreeSet::new();
         for step in 0..rng.gen_range(1..250usize) {
             if rng.gen_bool(0.4) {
                 now = SimTime::from_secs(now.as_secs() + rng.gen_range(0..3u64));
@@ -355,6 +371,9 @@ fn block_store_matches_the_vec_scan_reference() {
                         let victim = evict(&mut store, &mut reference, &mut rng, seed);
                         stale.remove(&victim);
                     }
+                    reborn_rows += u64::from(
+                        !seen.insert(id.file) && reference.file_blocks(id.file).is_empty(),
+                    );
                     match rng.gen_range(0..4u32) {
                         0 | 1 => {
                             stale.remove(&id);
@@ -403,4 +422,121 @@ fn block_store_matches_the_vec_scan_reference() {
         stale_victims > 5_000,
         "only {stale_victims} evictions with an older-keyed LRU block"
     );
+    assert!(reborn_rows > 1_000, "only {reborn_rows} reborn file rows");
+}
+
+/// Records, before each open, truncate and delete of [`SHARED`], the
+/// caches the engine would visit for it, in its visiting order.
+#[derive(Default)]
+struct HolderProbe {
+    seen: Vec<(SimTime, Vec<ClientId>)>,
+}
+
+const SHARED: FileId = FileId(u32::MAX);
+
+impl RunHook for HolderProbe {
+    fn before_op(&mut self, engine: &mut SimEngine<'_>, _index: usize, op: &Op) -> OpAction {
+        if let OpKind::Open { file, .. } | OpKind::Truncate { file, .. } | OpKind::Delete { file } =
+            op.kind
+        {
+            if file == SHARED {
+                self.seen.push((op.time, engine.holders(file).to_vec()));
+            }
+        }
+        OpAction::Apply
+    }
+
+    fn wants_flush_events(&self) -> bool {
+        false
+    }
+}
+
+#[test]
+fn disable_truncate_and_delete_visit_holders_in_client_order() {
+    let mut ops = OpStream::new();
+    let mut at = 0;
+    let mut push = |client: u32, kind: OpKind| {
+        at += 1;
+        ops.push(Op {
+            time: SimTime::from_secs(at),
+            client: ClientId(client),
+            kind,
+        });
+        SimTime::from_secs(at)
+    };
+    let open = |mode| OpKind::Open { file: SHARED, mode };
+    let close = || OpKind::Close { file: SHARED };
+    // Clients take the file in an order other than client order, each
+    // leaving one dirty block of its own.
+    let write_round = |push: &mut dyn FnMut(u32, OpKind) -> SimTime, order: [u32; 3]| {
+        for c in order {
+            push(c, open(OpenMode::Write));
+            let block = BlockId::new(SHARED, u64::from(c));
+            push(
+                c,
+                OpKind::Write {
+                    file: SHARED,
+                    range: block.byte_range(),
+                },
+            );
+            push(c, close());
+        }
+    };
+    write_round(&mut push, [3, 1, 2]);
+    push(4, open(OpenMode::Read));
+    // A concurrent writer disables caching: every holder flushes.
+    let disabled = push(0, open(OpenMode::Write));
+    push(4, close());
+    push(0, close());
+    write_round(&mut push, [2, 3, 1]);
+    let truncated = push(
+        0,
+        OpKind::Truncate {
+            file: SHARED,
+            new_len: 0,
+        },
+    );
+    write_round(&mut push, [1, 3, 2]);
+    let deleted = push(0, OpKind::Delete { file: SHARED });
+    let after = push(0, open(OpenMode::Read));
+
+    // Block-on-demand consistency: opens recall nothing, so each writer
+    // keeps its dirty block until the path under test visits it.
+    let config = SimConfig::volatile(1 << 20).with_consistency(ConsistencyMode::BlockOnDemand);
+    let mut probe = HolderProbe::default();
+    // The event trace is process-global; the other test here emits none.
+    nvfs_obs::set_trace_enabled(true);
+    let out = SimSession::new(&config).run(&ops, &mut [&mut probe]);
+    let events = nvfs_obs::events::sorted();
+    nvfs_obs::set_trace_enabled(false);
+
+    let holders = vec![ClientId(1), ClientId(2), ClientId(3)];
+    let at = |t: SimTime| {
+        probe
+            .seen
+            .iter()
+            .find(|(seen, _)| *seen == t)
+            .map(|(_, h)| h.clone())
+    };
+    assert_eq!(at(disabled), Some(holders.clone()), "caching-disable");
+    assert_eq!(at(truncated), Some(holders.clone()), "truncate");
+    assert_eq!(at(deleted), Some(holders), "delete");
+    assert_eq!(at(after), Some(vec![]), "the delete drops the row");
+
+    // The caching-disable flushes land in client order.
+    let field = |e: &nvfs_obs::events::Event, key| {
+        e.fields.iter().find_map(|(k, v)| match v {
+            Val::U64(n) if *k == key => Some(*n),
+            _ => None,
+        })
+    };
+    let flushed: Vec<u64> = events
+        .iter()
+        .filter(|e| e.kind == "write_back" && e.t_us == disabled.as_micros())
+        .filter_map(|e| field(e, "client"))
+        .collect();
+    assert_eq!(flushed, [1, 2, 3]);
+    assert_eq!(out.stats.callback_bytes, 3 * BLOCK_SIZE);
+    // Truncate and delete each killed every holder's dirty block.
+    assert_eq!(out.stats.deleted_dead_bytes, 6 * BLOCK_SIZE);
 }

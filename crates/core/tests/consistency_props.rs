@@ -149,7 +149,9 @@ fn block_mode_never_recalls_at_open() {
                 }
                 Step::Write(c, f) => server.note_write(FileId(f), ClientId(c)),
                 Step::Flush(c, f) => server.note_flush(FileId(f), ClientId(c)),
-                Step::Delete(f) => server.on_delete(FileId(f)),
+                Step::Delete(f) => {
+                    server.on_delete(FileId(f));
+                }
             }
         }
     }

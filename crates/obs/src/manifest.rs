@@ -19,6 +19,8 @@
 //! [`RunManifest::collect`] snapshots everything.
 
 use std::fmt::Write as _;
+use std::path::Path;
+use std::process::{Command, Stdio};
 use std::sync::Mutex;
 
 use crate::json::{self, Json};
@@ -178,21 +180,48 @@ fn count_field(span: &SpanRecord) -> String {
     }
 }
 
-/// Best-effort git revision of the current working tree: follows
-/// `.git/HEAD` one level without shelling out. Returns `"unknown"` when
-/// not in a repository.
+/// Best-effort git revision of the current working tree: `git rev-parse
+/// HEAD`, suffixed `+dirty` when `git status --porcelain` lists any
+/// change, so a run on an uncommitted tree is not stamped with its
+/// parent's revision. When git cannot run, falls back to reading
+/// `.git/HEAD` (no dirty mark). Returns `"unknown"` when not in a
+/// repository.
 pub fn git_rev() -> String {
-    let head = match std::fs::read_to_string(".git/HEAD") {
+    git_cli_rev().unwrap_or_else(|| head_rev(Path::new(".git")))
+}
+
+/// The revision and dirty mark from the git command line, or `None` when
+/// git cannot run here.
+fn git_cli_rev() -> Option<String> {
+    let git = |args: &[&str]| {
+        let out = Command::new("git")
+            .args(args)
+            .stderr(Stdio::null())
+            .output()
+            .ok()?;
+        out.status
+            .success()
+            .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    let rev = git(&["rev-parse", "HEAD"])?;
+    let dirty = !git(&["status", "--porcelain"])?.is_empty();
+    Some(if dirty { format!("{rev}+dirty") } else { rev })
+}
+
+/// The revision `git_dir/HEAD` names, following a ref one level (loose or
+/// packed) without shelling out; `"unknown"` when it cannot be read.
+fn head_rev(git_dir: &Path) -> String {
+    let head = match std::fs::read_to_string(git_dir.join("HEAD")) {
         Ok(h) => h,
         Err(_) => return "unknown".to_string(),
     };
     let head = head.trim();
     if let Some(reference) = head.strip_prefix("ref: ") {
-        if let Ok(rev) = std::fs::read_to_string(format!(".git/{reference}")) {
+        if let Ok(rev) = std::fs::read_to_string(git_dir.join(reference)) {
             return rev.trim().to_string();
         }
-        // Packed refs: scan .git/packed-refs for the ref name.
-        if let Ok(packed) = std::fs::read_to_string(".git/packed-refs") {
+        // Packed refs: scan packed-refs for the ref name.
+        if let Ok(packed) = std::fs::read_to_string(git_dir.join("packed-refs")) {
             for line in packed.lines() {
                 if let Some(rev) = line.strip_suffix(reference) {
                     return rev.trim().to_string();
@@ -421,6 +450,32 @@ pub fn render_summary(text: &str) -> Result<String, String> {
 mod tests {
     use super::*;
     use crate::sink::{reset, test_lock};
+
+    #[test]
+    fn head_rev_reads_loose_and_packed_refs() {
+        let dir = std::env::temp_dir().join(format!("nvfs-head-rev-{}", std::process::id()));
+        let git = dir.join(".git");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(head_rev(&git), "unknown", "no repository");
+        std::fs::create_dir_all(git.join("refs/heads")).unwrap();
+        std::fs::write(git.join("HEAD"), "ref: refs/heads/main\n").unwrap();
+        assert_eq!(head_rev(&git), "unknown", "a ref that names nothing");
+        std::fs::write(
+            git.join("packed-refs"),
+            "# pack-refs\nabc123 refs/heads/main\n",
+        )
+        .unwrap();
+        assert_eq!(head_rev(&git), "abc123");
+        std::fs::write(git.join("refs/heads/main"), "def456\n").unwrap();
+        assert_eq!(
+            head_rev(&git),
+            "def456",
+            "a loose ref wins over a packed one"
+        );
+        std::fs::write(git.join("HEAD"), "0123abcd\n").unwrap();
+        assert_eq!(head_rev(&git), "0123abcd", "a detached head");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     fn sample(seed: u64, extra_counter: u64) -> String {
         reset();

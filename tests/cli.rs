@@ -188,6 +188,34 @@ fn client_sim_rejects_overflowing_inputs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The largest file id replays like any other: a second client's open of
+/// file 4294967295 recalls and invalidates its blocks under every model
+/// (the block-order range end for that file once wrapped and panicked).
+#[test]
+fn client_sim_replays_the_largest_file_id() {
+    let dir = tempdir("maxfile");
+    let path = dir.join("t.ops");
+    std::fs::write(
+        &path,
+        "5 0 O 4294967295 W\n\
+         6 0 w 4294967295 0 4096\n\
+         7 0 F 4294967295\n\
+         8 0 C 4294967295\n\
+         9 1 O 4294967295 R\n",
+    )
+    .unwrap();
+    for model in ["volatile", "write-aside", "hybrid", "unified"] {
+        let out = nvfs(&["client-sim", "--model", model, path.to_str().unwrap()]);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{model}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn experiments_subset_runs() {
     let out = nvfs(&["experiments", "--scale", "tiny", "tab1", "disk-sort"]);
