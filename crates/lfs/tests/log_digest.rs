@@ -1,26 +1,23 @@
-//! A byte contract for the LFS layer: every segment record, cleaner,
-//! reliability and WAL counter, and every on-disk view the durability
-//! oracle reads, folded into one FNV value over the `small` server
-//! workloads.
+//! A byte contract for the LFS layer: every segment record, reliability
+//! and WAL counter, and every on-disk view the durability oracle reads,
+//! folded into one FNV value over the `small` server workloads.
 //!
 //! nvbench's `server-log` digest covers only the crash-free direct, buffered
-//! and WAL runs; this one also drives the cleaner, torn replay writes with
-//! roll-forward, `live_ranges` at every WAL crash point, and the final disk
-//! image. A change to the segment writer or usage table that alters any
-//! output byte changes [`EXPECTED`].
+//! and WAL runs; this one also drives torn replay writes with roll-forward,
+//! `live_ranges` at every WAL crash point, and the final disk image. A
+//! change to the segment writer or usage table that alters any output byte
+//! changes [`EXPECTED`].
 //!
 //! [`EXPECTED_FAULTS`] covers the branches of the drive loop that
 //! `EXPECTED` leaves dark: direct and staging runs under torn and untorn
 //! server crashes, crashes scheduled after every workload's last op (for
-//! both the paging buffer and the log), the cleaner's turn after a
-//! full-segment flush that wrote nothing, a log small enough to overflow
+//! both the paging buffer and the log), a log small enough to overflow
 //! under every WAL crash point, and shutdowns that find both buffered and
 //! plain dirty data. A paging sweep that finds no dirty file is skipped
 //! even when NVRAM holds data; not skipping it gives the same bytes (such
 //! a sweep takes nothing), so no digest can pin that choice.
 
 use nvfs_faults::{ReliabilityStats, ServerCrashFault, WalCrashFault, WalCrashPoint};
-use nvfs_lfs::cleaner::CleanerConfig;
 use nvfs_lfs::fs::{run_server, run_server_faulted, FsReport, LfsConfig};
 use nvfs_lfs::wal_fs::{
     run_filesystem_wal_faulted, run_server_wal, run_server_wal_faulted, WalConfig, WalFsReport,
@@ -32,13 +29,13 @@ use nvfs_trace::synth::lfs_workload::{
 };
 use nvfs_types::{Fnv64, RangeSet, SimDuration, SimTime};
 
-/// The digest of every run below, recorded before the segment writer's
-/// usage table and packing loop were rewritten.
-const EXPECTED: u64 = 0x2fc7_af1c_edec_51e1;
+/// The digest of every run below, recorded before the segment cleaner and
+/// the usage table's per-segment counts were removed.
+const EXPECTED: u64 = 0xd6b7_5ae7_ea47_feb2;
 
 /// The digest of the crash, trailing-crash and overflow runs below,
-/// recorded before the paging and logging drive loops were merged.
-const EXPECTED_FAULTS: u64 = 0xe64f_3738_015a_4bca;
+/// recorded before the segment cleaner was removed.
+const EXPECTED_FAULTS: u64 = 0xdcd8_1254_1973_47d6;
 
 struct Fold(Fnv64);
 
@@ -84,9 +81,6 @@ impl Fold {
         self.u64(report.fsyncs_absorbed);
         self.u64(report.fsync_absorbed_page_bytes);
         self.u64(report.app_write_bytes);
-        self.u64(report.cleaner.runs);
-        self.u64(report.cleaner.segments_cleaned);
-        self.u64(report.cleaner.bytes_copied);
     }
 
     fn reliability(&mut self, s: &ReliabilityStats) {
@@ -170,22 +164,6 @@ fn lfs_layer_output_matches_the_recorded_digest() {
         for report in run_server(&workloads, &config) {
             d.fs(&report);
         }
-    }
-
-    let cleaned = LfsConfig {
-        cleaner: Some(CleanerConfig {
-            trigger_segments: 12,
-            batch: 4,
-        }),
-        ..LfsConfig::direct()
-    };
-    let reports = run_server(&workloads, &cleaned);
-    let runs: u64 = reports.iter().map(|r| r.cleaner.runs).sum();
-    let copied: u64 = reports.iter().map(|r| r.cleaner.bytes_copied).sum();
-    assert!(runs > 0, "the cleaner must run");
-    assert!(copied > 0, "the cleaner must copy live blocks");
-    for report in &reports {
-        d.fs(report);
     }
 
     let crashes = [
@@ -294,20 +272,10 @@ fn crash_and_overflow_paths_match_the_recorded_digest() {
             torn_segment: None,
         },
     ];
-    // Staging again with a busy cleaner: some of its full-segment drains
-    // write no segment, and the cleaner still gets its turn after them.
-    let cleaned = LfsConfig {
-        cleaner: Some(CleanerConfig {
-            trigger_segments: 12,
-            batch: 4,
-        }),
-        ..LfsConfig::with_staging_buffer(1 << 20)
-    };
     for config in [
         LfsConfig::direct(),
         LfsConfig::with_fsync_buffer(512 << 10),
         LfsConfig::with_staging_buffer(1 << 20),
-        cleaned,
     ] {
         let (reports, reliability) = run_server_faulted(&workloads, &config, &crashes);
         assert_eq!(
