@@ -42,10 +42,7 @@ impl Tab4 {
 }
 
 fn partial_overhead_fraction(records: &[SegmentRecord]) -> f64 {
-    let partials: Vec<&SegmentRecord> = records
-        .iter()
-        .filter(|r| r.is_partial() && r.cause != nvfs_lfs::SegmentCause::Cleaner)
-        .collect();
+    let partials: Vec<&SegmentRecord> = records.iter().filter(|r| r.is_partial()).collect();
     let total: u64 = partials.iter().map(|r| r.on_disk_bytes()).sum();
     let data: u64 = partials.iter().map(|r| r.data_bytes).sum();
     if total == 0 {

@@ -88,9 +88,7 @@ pub fn run_with_capacity(env: &Env, capacity: u64) -> WriteBuffer {
         staged_partials += s
             .records
             .iter()
-            .filter(|r| {
-                r.is_partial() && !matches!(r.cause, SegmentCause::Shutdown | SegmentCause::Cleaner)
-            })
+            .filter(|r| r.is_partial() && r.cause != SegmentCause::Shutdown)
             .count();
         reductions.push(Reduction {
             name: d.name.clone(),

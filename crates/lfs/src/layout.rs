@@ -29,8 +29,6 @@ pub enum SegmentCause {
     Timeout,
     /// The NVRAM write buffer reached capacity.
     NvramFull,
-    /// The garbage collector rewrote live data.
-    Cleaner,
     /// End-of-trace flush.
     Shutdown,
     /// Restart replay of the NVRAM write buffer after a server crash.
@@ -40,16 +38,6 @@ pub enum SegmentCause {
 }
 
 impl SegmentCause {
-    /// Whether segments written for this cause count as "partial" in the
-    /// paper's Table 3 (anything that isn't a naturally full segment or
-    /// cleaner traffic).
-    pub const fn is_forced(self) -> bool {
-        matches!(
-            self,
-            SegmentCause::Fsync | SegmentCause::Timeout | SegmentCause::Shutdown
-        )
-    }
-
     /// Stable lowercase label (trace events, reports).
     pub const fn label(self) -> &'static str {
         match self {
@@ -57,7 +45,6 @@ impl SegmentCause {
             SegmentCause::Fsync => "fsync",
             SegmentCause::Timeout => "timeout",
             SegmentCause::NvramFull => "nvram-full",
-            SegmentCause::Cleaner => "cleaner",
             SegmentCause::Shutdown => "shutdown",
             SegmentCause::Recovery => "recovery",
             SegmentCause::WalDrain => "wal-drain",
@@ -177,15 +164,6 @@ mod tests {
         };
         assert!(!r.is_partial());
         assert!(r.overhead_fraction() < 0.01);
-    }
-
-    #[test]
-    fn forced_causes() {
-        assert!(SegmentCause::Fsync.is_forced());
-        assert!(SegmentCause::Timeout.is_forced());
-        assert!(!SegmentCause::Full.is_forced());
-        assert!(!SegmentCause::Cleaner.is_forced());
-        assert!(!SegmentCause::NvramFull.is_forced());
     }
 
     #[test]

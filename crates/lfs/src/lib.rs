@@ -7,8 +7,7 @@
 //!   the partial-segment space-overhead arithmetic;
 //! * [`dirty`] — the server's in-memory dirty-data cache with the 30-second
 //!   age rule;
-//! * [`log`] — the segment packer/writer and the per-segment liveness table;
-//! * [`cleaner`] — the garbage collector that compacts live data;
+//! * [`log`] — the segment packer/writer and the live-block table;
 //! * [`fs`] — the trace-driven file-system simulator: one drive loop
 //!   (sweep clock, crash cursor, full-segment and shutdown flushes) with a
 //!   non-volatile buffer in front of the segment log. This module holds the
@@ -38,17 +37,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cleaner;
 pub mod dirty;
 pub mod ffs_baseline;
 pub mod fs;
 pub mod layout;
 pub mod log;
 pub mod read_latency;
-pub mod sampling;
 pub mod wal_fs;
 
-pub use cleaner::{Cleaner, CleanerConfig, CleanerStats};
 pub use dirty::DirtyCache;
 pub use ffs_baseline::{run_update_in_place, FfsConfig, FfsReport};
 pub use fs::{
@@ -58,7 +54,6 @@ pub use fs::{
 pub use layout::{SegmentCause, SegmentRecord, SEGMENT_BYTES};
 pub use log::{Chunks, RollForward, SegmentUsage, SegmentWriter};
 pub use read_latency::ReadLatencyModel;
-pub use sampling::{sample_counters, CounterSample};
 pub use wal_fs::{
     run_filesystem_wal, run_filesystem_wal_faulted, run_server_wal, run_server_wal_faulted,
     FsyncSample, WalConfig, WalCrashIncident, WalFsReport, WalStats, WalTrace, WalTraceEvent,

@@ -158,7 +158,7 @@ pub enum WalTraceEvent {
 /// Results of one WAL-mode simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalFsReport {
-    /// The segment-level report (records, cleaner stats, disk time).
+    /// The segment-level report (records, counters, disk time).
     pub fs: FsReport,
     /// WAL-specific accounting.
     pub wal: WalStats,
@@ -208,7 +208,6 @@ pub fn run_filesystem_wal_faulted(
         sweep_period: config.sweep_period,
         writeback_age: config.writeback_age,
         buffer: WriteBufferMode::None,
-        cleaner: None,
     };
     drive(workload, &lfs, logging, crashes)
 }
