@@ -472,14 +472,7 @@ impl BlockStore {
     }
 
     /// Blocks whose dirty data is older than `cutoff` (i.e. became dirty at
-    /// or before it), oldest first.
-    pub fn dirty_older_than(&self, cutoff: SimTime) -> Vec<BlockId> {
-        let mut out = Vec::new();
-        self.dirty_older_than_into(cutoff, &mut out);
-        out
-    }
-
-    /// [`Self::dirty_older_than`] into a caller-owned buffer (cleared
+    /// or before it), oldest first, into a caller-owned buffer (cleared
     /// first), so tick-frequency callers can reuse one allocation.
     pub fn dirty_older_than_into(&self, cutoff: SimTime, out: &mut Vec<BlockId>) {
         out.clear();
@@ -758,10 +751,12 @@ mod tests {
             s.insert(b, SimTime::ZERO);
             s.mark_dirty(b, b.byte_range(), SimTime::from_secs(10 * (i + 1)));
         }
-        let old = s.dirty_older_than(SimTime::from_secs(20));
+        let mut old = Vec::new();
+        s.dirty_older_than_into(SimTime::from_secs(20), &mut old);
         assert_eq!(old, vec![bid(0, 0), bid(0, 1)]);
         s.clean(bid(0, 0));
-        assert_eq!(s.dirty_older_than(SimTime::from_secs(20)), vec![bid(0, 1)]);
+        s.dirty_older_than_into(SimTime::from_secs(20), &mut old);
+        assert_eq!(old, vec![bid(0, 1)]);
     }
 
     #[test]
@@ -812,7 +807,9 @@ mod tests {
             Some(SimTime::from_secs(5)),
         );
         assert_eq!(s.total_dirty_bytes(), 100);
-        assert_eq!(s.dirty_older_than(SimTime::from_secs(5)), vec![id]);
+        let mut old = Vec::new();
+        s.dirty_older_than_into(SimTime::from_secs(5), &mut old);
+        assert_eq!(old, vec![id]);
         assert!(s.check_invariants());
     }
 

@@ -1,7 +1,7 @@
 //! Per-client cache behaviour for the three cache models of §2.1/Figure 1.
 //!
 //! * **Volatile** — one LRU cache; dirty data is flushed by the 30-second
-//!   delayed write-back (driven by [`ClientCache::writeback_older_than`])
+//!   delayed write-back (driven by [`ClientCache::writeback_older_than_into`])
 //!   and by `fsync`; replacement is strict LRU with no preference for
 //!   dirty blocks.
 //! * **Write-aside** — the NVRAM shadows every dirty block of the volatile
@@ -789,20 +789,9 @@ impl ClientCache {
 
     /// The 30-second delayed write-back (volatile model only): flushes
     /// every block whose dirty data became dirty at or before `cutoff`.
-    pub fn writeback_older_than(
-        &mut self,
-        cutoff: SimTime,
-        now: SimTime,
-        stats: &mut TrafficStats,
-    ) -> Vec<FileId> {
-        let mut files = Vec::new();
-        self.writeback_older_than_into(cutoff, now, stats, &mut files);
-        files
-    }
-
-    /// [`Self::writeback_older_than`] into a caller-owned buffer, so the
-    /// per-tick cleaner loop allocates nothing. `files` is cleared first
-    /// and left holding the flushed file ids, deduplicated.
+    /// `files` is a caller-owned buffer, so the per-tick cleaner loop
+    /// allocates nothing: it is cleared first and left holding the flushed
+    /// file ids, deduplicated.
     pub fn writeback_older_than_into(
         &mut self,
         cutoff: SimTime,
@@ -1000,7 +989,13 @@ mod tests {
         let mut s = TrafficStats::default();
         c.write(FileId(0), block_range(0), SimTime::from_secs(1), &mut s);
         c.write(FileId(1), block_range(0), SimTime::from_secs(20), &mut s);
-        let files = c.writeback_older_than(SimTime::from_secs(5), SimTime::from_secs(35), &mut s);
+        let mut files = Vec::new();
+        c.writeback_older_than_into(
+            SimTime::from_secs(5),
+            SimTime::from_secs(35),
+            &mut s,
+            &mut files,
+        );
         assert_eq!(files, vec![FileId(0)]);
         assert_eq!(s.writeback_bytes, BLOCK_SIZE);
         assert_eq!(
@@ -1192,7 +1187,12 @@ mod tests {
         c.write(FileId(0), block_range(0), SimTime::from_secs(1), &mut s);
         assert_eq!(c.remaining_dirty_bytes(), BLOCK_SIZE);
         // The 30-second write-back migrates it to NVRAM — no server write.
-        c.writeback_older_than(SimTime::from_secs(5), SimTime::from_secs(35), &mut s);
+        c.writeback_older_than_into(
+            SimTime::from_secs(5),
+            SimTime::from_secs(35),
+            &mut s,
+            &mut Vec::new(),
+        );
         assert_eq!(s.server_write_bytes, 0);
         assert_eq!(s.aged_into_nvram_bytes, BLOCK_SIZE);
         assert_eq!(
@@ -1226,7 +1226,12 @@ mod tests {
         let mut c = cache(CacheModelKind::Hybrid, 4, 2);
         let mut s = TrafficStats::default();
         c.write(FileId(0), block_range(0), SimTime::from_secs(1), &mut s);
-        c.writeback_older_than(SimTime::from_secs(5), SimTime::from_secs(35), &mut s);
+        c.writeback_older_than_into(
+            SimTime::from_secs(5),
+            SimTime::from_secs(35),
+            &mut s,
+            &mut Vec::new(),
+        );
         c.read(FileId(0), block_range(0), SimTime::from_secs(40), &mut s);
         assert_eq!(s.read_hit_blocks, 1);
         assert!(c.device().reads() >= 1);

@@ -198,11 +198,6 @@ impl ConsistencyServer {
             .remove(&file)
             .map_or_else(Vec::new, |s| s.holders)
     }
-
-    /// Number of files with caching currently disabled (for tests).
-    pub fn disabled_count(&self) -> usize {
-        self.files.values().filter(|s| s.caching_disabled).count()
-    }
 }
 
 #[cfg(test)]
@@ -289,9 +284,8 @@ mod tests {
         let mut s = ConsistencyServer::new();
         s.on_open(F, A, OpenMode::Write);
         s.on_open(F, B, OpenMode::Write);
-        assert_eq!(s.disabled_count(), 1);
+        assert!(s.is_disabled(F));
         s.on_delete(F);
-        assert_eq!(s.disabled_count(), 0);
         assert!(!s.is_disabled(F));
     }
 

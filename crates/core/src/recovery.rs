@@ -212,7 +212,12 @@ mod tests {
         let mut stats = TrafficStats::default();
         write_block(&mut c, 1, 0, 1);
         // Age the first block into NVRAM; the second stays volatile.
-        c.writeback_older_than(SimTime::from_secs(5), SimTime::from_secs(35), &mut stats);
+        c.writeback_older_than_into(
+            SimTime::from_secs(5),
+            SimTime::from_secs(35),
+            &mut stats,
+            &mut Vec::new(),
+        );
         write_block(&mut c, 2, 0, 40);
         let board = snapshot_nvram(&c, ClientId(0), 1 << 20);
         assert_eq!(

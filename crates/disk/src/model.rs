@@ -64,35 +64,6 @@ impl DiskParams {
     pub fn service_time_ms(&self, bytes: u64) -> f64 {
         self.avg_seek_ms + self.avg_rotation_ms() + self.transfer_ms(bytes)
     }
-
-    /// Service time of a near-sequential access: after sorting, successive
-    /// requests usually land in the same or an adjacent cylinder, so only
-    /// rotational positioning remains.
-    pub fn sorted_service_time_ms(&self, bytes: u64) -> f64 {
-        self.avg_rotation_ms() / 2.0 + self.transfer_ms(bytes)
-    }
-
-    /// Fraction of the disk's raw bandwidth achieved by issuing `count`
-    /// random accesses of `bytes` each.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use nvfs_disk::model::DiskParams;
-    ///
-    /// // Random 4 KB writes achieve only single-digit utilization (\[20\]).
-    /// let u = DiskParams::sprite_era().random_utilization(4096);
-    /// assert!(u > 0.03 && u < 0.12, "utilization was {u}");
-    /// ```
-    pub fn random_utilization(&self, bytes: u64) -> f64 {
-        self.transfer_ms(bytes) / self.service_time_ms(bytes)
-    }
-
-    /// Fraction of raw bandwidth achieved by sorted (elevator-order)
-    /// accesses of `bytes` each.
-    pub fn sorted_utilization(&self, bytes: u64) -> f64 {
-        self.transfer_ms(bytes) / self.sorted_service_time_ms(bytes)
-    }
 }
 
 impl Default for DiskParams {
@@ -119,27 +90,5 @@ mod tests {
         let t = d.service_time_ms(0);
         assert!((t - (16.0 + d.avg_rotation_ms())).abs() < 1e-9);
         assert!(d.service_time_ms(1 << 20) > t);
-    }
-
-    #[test]
-    fn random_4k_utilization_is_single_digit() {
-        // The paper's cited figure: ~7% of bandwidth for random dirty-block
-        // writes.
-        let u = DiskParams::sprite_era().random_utilization(4096);
-        assert!((0.04..0.12).contains(&u), "utilization {u}");
-    }
-
-    #[test]
-    fn sorting_multiplies_utilization() {
-        let d = DiskParams::sprite_era();
-        let random = d.random_utilization(4096);
-        let sorted = d.sorted_utilization(4096);
-        assert!(sorted > 3.0 * random, "random {random} sorted {sorted}");
-    }
-
-    #[test]
-    fn big_sequential_writes_approach_full_bandwidth() {
-        let d = DiskParams::sprite_era();
-        assert!(d.sorted_utilization(512 << 10) > 0.95);
     }
 }

@@ -49,14 +49,6 @@ impl BatchOutcome {
         }
         self.transfer_ms / self.total_ms
     }
-
-    /// Achieved throughput in bytes per second.
-    pub fn throughput(&self) -> f64 {
-        if self.total_ms == 0.0 {
-            return 0.0;
-        }
-        self.bytes as f64 * 1000.0 / self.total_ms
-    }
 }
 
 /// A disk with a head position, servicing batches of requests.
@@ -218,7 +210,6 @@ mod tests {
             DiskQueue::new(DiskParams::sprite_era()).service_batch(&batch, Discipline::Elevator);
         assert_eq!(fifo.bytes, sorted.bytes);
         assert!(sorted.total_ms < fifo.total_ms / 2.5);
-        assert!(sorted.throughput() > 2.5 * fifo.throughput());
     }
 
     #[test]
@@ -227,6 +218,5 @@ mod tests {
         let out = q.service_batch(&[], Discipline::Fifo);
         assert_eq!(out.requests, 0);
         assert_eq!(out.utilization(), 0.0);
-        assert_eq!(out.throughput(), 0.0);
     }
 }

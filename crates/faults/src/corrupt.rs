@@ -141,13 +141,6 @@ impl CorruptionPlanConfig {
         self
     }
 
-    /// Sets the stray-write length cap (clamped up to
-    /// [`MIN_STRAY_BYTES`]).
-    pub fn with_max_stray_bytes(mut self, bytes: u64) -> Self {
-        self.max_stray_bytes = bytes.max(MIN_STRAY_BYTES);
-        self
-    }
-
     /// Total events the plan schedules.
     pub fn total_events(&self) -> u32 {
         self.stray_writes + self.bit_flips + self.decay_events
@@ -409,11 +402,5 @@ mod tests {
         assert!(CorruptionKind::StrayWrite.respects_write_protect());
         assert!(!CorruptionKind::BitFlip.respects_write_protect());
         assert!(!CorruptionKind::Decay.respects_write_protect());
-    }
-
-    #[test]
-    fn stray_length_cap_is_clamped() {
-        let p = CorruptionPlanConfig::new(2, SimDuration::from_secs(1)).with_max_stray_bytes(8);
-        assert_eq!(p.max_stray_bytes, MIN_STRAY_BYTES);
     }
 }

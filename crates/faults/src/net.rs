@@ -362,30 +362,6 @@ impl NetFaultPlan {
             .any(|w| w.severs(client) && w.covers(at))
     }
 
-    /// Whether the server is unreachable from *every* client at `at`.
-    pub fn server_severed(&self, at: SimTime) -> bool {
-        self.windows
-            .iter()
-            .any(|w| w.scope == PartitionScope::Server && w.covers(at))
-    }
-
-    /// First instant at or after `at` when `client` can reach the server
-    /// (chained overlapping windows are followed to their joint end).
-    pub fn heal_time(&self, client: ClientId, at: SimTime) -> SimTime {
-        let mut t = at;
-        loop {
-            let Some(w) = self
-                .windows
-                .iter()
-                .filter(|w| w.severs(client) && w.covers(t))
-                .max_by_key(|w| w.end)
-            else {
-                return t;
-            };
-            t = w.end;
-        }
-    }
-
     /// First instant at or after `at` when the server is reachable again.
     pub fn server_heal_time(&self, at: SimTime) -> SimTime {
         let mut t = at;
@@ -547,19 +523,13 @@ mod tests {
             plan.client_severed(c, SimTime::from_secs(26)),
             "server window severs all"
         );
-        assert!(!plan.server_severed(SimTime::from_secs(12)));
-        // Client window chains into the server window: heal at 40.
         assert_eq!(
-            plan.heal_time(c, SimTime::from_secs(12)),
-            SimTime::from_secs(40)
+            plan.server_heal_time(SimTime::from_secs(12)),
+            SimTime::from_secs(12)
         );
         assert_eq!(
             plan.server_heal_time(SimTime::from_secs(26)),
             SimTime::from_secs(40)
-        );
-        assert_eq!(
-            plan.heal_time(c, SimTime::from_secs(50)),
-            SimTime::from_secs(50)
         );
     }
 

@@ -3,7 +3,7 @@
 //! Table 1's components carry one to three lithium batteries; "most of the
 //! components have at least one extra battery in case the first battery
 //! fails", and the boards use "triply redundant batteries". Data is safe as
-//! long as at least one battery (or bus power) survives.
+//! long as at least one battery survives.
 
 use std::fmt;
 
@@ -53,7 +53,6 @@ impl fmt::Display for BatteryState {
 pub struct BatteryBank {
     total: u8,
     alive: u8,
-    bus_powered: bool,
 }
 
 impl BatteryBank {
@@ -67,7 +66,6 @@ impl BatteryBank {
         BatteryBank {
             total: count,
             alive: count,
-            bus_powered: false,
         }
     }
 
@@ -90,24 +88,10 @@ impl BatteryBank {
         }
     }
 
-    /// Whether the component currently draws bus power from a running host.
-    pub fn bus_powered(&self) -> bool {
-        self.bus_powered
-    }
-
-    /// Sets whether the component draws bus power. While the host machine
-    /// runs, the memory is refreshed from the bus and data is safe even
-    /// with every battery dead; batteries only matter once the host loses
-    /// power (the Table 1 parts trickle-charge from the bus for exactly
-    /// this reason).
-    pub fn set_bus_power(&mut self, powered: bool) {
-        self.bus_powered = powered;
-    }
-
     /// Whether stored data would survive right now: at least one battery
-    /// alive, or the host's bus still powering the part.
+    /// alive.
     pub fn preserves_data(&self) -> bool {
-        self.alive > 0 || self.bus_powered
+        self.alive > 0
     }
 
     /// Fails one battery (no-op once the bank is dead). Returns the new
@@ -139,41 +123,6 @@ impl BatteryBank {
         self.alive = self.alive.min(self.total - expired);
         self.state()
     }
-}
-
-/// Probability that at least one of `batteries` independent cells is still
-/// working after `years`, given a per-cell annual failure probability.
-///
-/// This is the arithmetic behind Table 1's redundancy choices: lithium
-/// cells with a ~10-year life (annual failure ≈ 0.1) give a single-battery
-/// SIMM ≈ 59% five-year survival, while a triply redundant board exceeds
-/// 93%.
-///
-/// # Examples
-///
-/// ```
-/// use nvfs_nvram::battery::survival_probability;
-///
-/// let single = survival_probability(1, 0.1, 5.0);
-/// let triple = survival_probability(3, 0.1, 5.0);
-/// assert!(triple > single);
-/// assert!(triple > 0.9);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `batteries` is zero, or if `annual_failure` is outside
-/// `[0, 1]`, or if `years` is negative.
-pub fn survival_probability(batteries: u8, annual_failure: f64, years: f64) -> f64 {
-    assert!(batteries > 0, "need at least one battery");
-    assert!(
-        (0.0..=1.0).contains(&annual_failure),
-        "failure probability out of range"
-    );
-    assert!(years >= 0.0, "years must be non-negative");
-    // Exponential cell lifetime with the given annual failure probability.
-    let cell_survives = (1.0 - annual_failure).powf(years);
-    1.0 - (1.0 - cell_survives).powi(batteries as i32)
 }
 
 impl Default for BatteryBank {
@@ -220,27 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn survival_probability_math() {
-        // No time elapsed: certain survival.
-        assert_eq!(survival_probability(1, 0.1, 0.0), 1.0);
-        // Monotone in redundancy…
-        let s1 = survival_probability(1, 0.1, 5.0);
-        let s2 = survival_probability(2, 0.1, 5.0);
-        let s3 = survival_probability(3, 0.1, 5.0);
-        assert!(s1 < s2 && s2 < s3);
-        // …and decreasing in time.
-        assert!(survival_probability(2, 0.1, 10.0) < s2);
-        // A perfectly reliable cell never fails.
-        assert_eq!(survival_probability(1, 0.0, 100.0), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_failure_probability_rejected() {
-        let _ = survival_probability(1, 1.5, 1.0);
-    }
-
-    #[test]
     fn state_transitions_are_ordered_healthy_degraded_dead() {
         let mut bank = BatteryBank::new(3);
         let mut seen = vec![bank.state()];
@@ -271,22 +199,6 @@ mod tests {
             "a single surviving cell must keep contents non-volatile"
         );
         bank.fail_one();
-        assert!(!bank.preserves_data());
-    }
-
-    #[test]
-    fn bus_power_overrides_dead_batteries() {
-        let mut bank = BatteryBank::new(2);
-        bank.set_bus_power(true);
-        bank.fail_one();
-        bank.fail_one();
-        assert_eq!(bank.state(), BatteryState::Dead);
-        assert!(
-            bank.preserves_data(),
-            "a running host refreshes the part from the bus"
-        );
-        // The host loses power: now only batteries matter, and they're gone.
-        bank.set_bus_power(false);
         assert!(!bank.preserves_data());
     }
 

@@ -104,11 +104,6 @@ impl NvramBoard {
         }
     }
 
-    /// Drops every dirty byte of `file` (the file was deleted).
-    pub fn forget_file(&mut self, file: FileId) -> u64 {
-        self.contents.remove(&file).map_or(0, |s| s.len_bytes())
-    }
-
     /// Simulates physically moving the board into `new_host`. Contents are
     /// untouched: this is the whole point of battery-backed boards.
     pub fn move_to(&mut self, new_host: ClientId) {
@@ -284,14 +279,5 @@ mod tests {
         let (recovered, lost) = b.drain_up_to(u64::MAX);
         assert!(recovered.is_empty());
         assert_eq!(lost, 4096);
-    }
-
-    #[test]
-    fn forget_file_drops_all_ranges() {
-        let mut b = NvramBoard::new(ClientId(0), 1 << 20);
-        b.store(FileId(3), ByteRange::new(0, 100));
-        b.store(FileId(3), ByteRange::new(200, 300));
-        assert_eq!(b.forget_file(FileId(3)), 200);
-        assert_eq!(b.forget_file(FileId(3)), 0);
     }
 }

@@ -28,7 +28,7 @@ pub mod cost;
 pub mod device;
 pub mod protect;
 
-pub use battery::{survival_probability, BatteryBank, BatteryState};
+pub use battery::{BatteryBank, BatteryState};
 pub use board::{NvramBoard, RecoveredData};
 pub use cost::{dram, nvram_catalogue, MemoryKind, MemoryProduct};
 pub use device::NvramDevice;

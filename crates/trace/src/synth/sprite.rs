@@ -194,15 +194,6 @@ impl Trace {
     pub fn manifest(&self) -> &BTreeMap<&'static str, u64> {
         &self.manifest
     }
-
-    /// Fraction of written bytes attributed to `class` (0 if absent).
-    pub fn class_fraction(&self, class: &str) -> f64 {
-        let total: u64 = self.manifest.values().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        self.manifest.get(class).copied().unwrap_or(0) as f64 / total as f64
-    }
 }
 
 /// The full set of eight traces.
@@ -1022,19 +1013,27 @@ mod tests {
         }
     }
 
+    /// Fraction of `t`'s written bytes attributed to `class` (0 if absent).
+    fn class_fraction(t: &Trace, class: &str) -> f64 {
+        let total: u64 = t.manifest().values().sum();
+        t.manifest()
+            .get(class)
+            .map_or(0.0, |&b| b as f64 / total as f64)
+    }
+
     #[test]
     fn class_mix_matches_the_calibration_targets() {
         let set = SpriteTraceSet::generate(&TraceSetConfig::tiny());
         for t in set.typical() {
             // Short-lived compiler temporaries drive the ≤30 s deaths.
-            let temps = t.class_fraction("compile-temp");
+            let temps = class_fraction(t, "compile-temp");
             assert!(
                 (0.10..=0.45).contains(&temps),
                 "trace {}: temps {temps:.2}",
                 t.number()
             );
             // Shared handoffs drive consistency callbacks.
-            let shared = t.class_fraction("shared-handoff");
+            let shared = class_fraction(t, "shared-handoff");
             assert!(
                 (0.03..=0.35).contains(&shared),
                 "trace {}: shared {shared:.2}",
@@ -1042,23 +1041,23 @@ mod tests {
             );
             // Slow churn gives additional NVRAM megabytes something to do.
             assert!(
-                t.class_fraction("slow-churn") > 0.05,
+                class_fraction(t, "slow-churn") > 0.05,
                 "trace {}",
                 t.number()
             );
             // Concurrent write-sharing stays minuscule.
             assert!(
-                t.class_fraction("concurrent-share") < 0.02,
+                class_fraction(t, "concurrent-share") < 0.02,
                 "trace {}",
                 t.number()
             );
             // No simulation output on typical days.
-            assert_eq!(t.class_fraction("sim-checkpoint"), 0.0);
+            assert_eq!(class_fraction(t, "sim-checkpoint"), 0.0);
         }
         for t in [set.trace(2), set.trace(3)] {
             // The large-file traces are dominated by checkpoint passes.
             assert!(
-                t.class_fraction("sim-checkpoint") > 0.5,
+                class_fraction(t, "sim-checkpoint") > 0.5,
                 "trace {}: {:?}",
                 t.number(),
                 t.manifest()

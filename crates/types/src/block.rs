@@ -46,35 +46,6 @@ pub fn blocks_of_range(file: FileId, r: ByteRange) -> impl Iterator<Item = Block
     (lo..hi).map(move |index| BlockId { file, index })
 }
 
-/// Rounds `len` up to a whole number of blocks, in bytes.
-///
-/// # Examples
-///
-/// ```
-/// use nvfs_types::block::round_up_to_block;
-///
-/// assert_eq!(round_up_to_block(0), 0);
-/// assert_eq!(round_up_to_block(1), 4096);
-/// assert_eq!(round_up_to_block(4096), 4096);
-/// ```
-pub const fn round_up_to_block(len: u64) -> u64 {
-    len.div_ceil(BLOCK_SIZE) * BLOCK_SIZE
-}
-
-/// Number of whole blocks needed to hold `len` bytes.
-///
-/// # Examples
-///
-/// ```
-/// use nvfs_types::block::blocks_for_len;
-///
-/// assert_eq!(blocks_for_len(0), 0);
-/// assert_eq!(blocks_for_len(4097), 2);
-/// ```
-pub const fn blocks_for_len(len: u64) -> u64 {
-    len.div_ceil(BLOCK_SIZE)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,13 +75,5 @@ mod tests {
                 BlockId::new(FileId(7), 2)
             ]
         );
-    }
-
-    #[test]
-    fn rounding_helpers() {
-        assert_eq!(round_up_to_block(4095), 4096);
-        assert_eq!(round_up_to_block(8192), 8192);
-        assert_eq!(blocks_for_len(BLOCK_SIZE * 3), 3);
-        assert_eq!(blocks_for_len(BLOCK_SIZE * 3 + 1), 4);
     }
 }

@@ -97,13 +97,6 @@ pub struct DecodedStream {
     pub valid_bytes: usize,
 }
 
-impl DecodedStream {
-    /// Whether the whole input decoded (no torn tail).
-    pub fn is_complete(&self, input_len: usize) -> bool {
-        self.valid_bytes == input_len
-    }
-}
-
 /// The checksum stored in a record's frame: FNV-1a over the sequence
 /// number (little-endian) followed by the payload, so neither can be
 /// swapped or truncated undetected.
@@ -197,7 +190,7 @@ mod tests {
             encode_record(i as u64, p, &mut buf);
         }
         let out = decode_stream(&buf);
-        assert!(out.is_complete(buf.len()));
+        assert_eq!(out.valid_bytes, buf.len());
         assert_eq!(out.records.len(), payloads.len());
         for (i, r) in out.records.iter().enumerate() {
             assert_eq!(r.seq, i as u64);

@@ -13,7 +13,7 @@
 //!
 //! 1. `fsync` encodes the file's dirty byte ranges into one record and
 //!    appends it. The ack is returned as soon as the NVRAM copy finishes —
-//!    a latency of [`append_latency`], *not* a disk write.
+//!    a latency of [`append_latency_ns`], *not* a disk write.
 //! 2. Segments are written back lazily by a background drain; the log is
 //!    truncated through a record's sequence number only once the segment
 //!    write carrying its bytes has completed ([`NvLog::truncate_through`]).
@@ -44,7 +44,7 @@
 #![warn(missing_docs)]
 
 use nvfs_types::framing::{decode_stream, encode_record, RECORD_HEADER_BYTES};
-use nvfs_types::{ByteRange, FileId, RangeSet, SimDuration, SimTime};
+use nvfs_types::{ByteRange, FileId, RangeSet, SimTime};
 
 /// NVRAM copy cost in nanoseconds per byte: a 100 ns Table 1 board access
 /// moving one 4-byte word.
@@ -54,11 +54,6 @@ pub const NVRAM_NS_PER_BYTE: u64 = 25;
 /// `payload_bytes` of record payload (framing header included) into NVRAM.
 pub fn append_latency_ns(payload_bytes: u64) -> u64 {
     (RECORD_HEADER_BYTES + payload_bytes) * NVRAM_NS_PER_BYTE
-}
-
-/// [`append_latency_ns`] as a (microsecond-resolution) [`SimDuration`].
-pub fn append_latency(payload_bytes: u64) -> SimDuration {
-    SimDuration::from_micros(append_latency_ns(payload_bytes) / 1000)
 }
 
 /// One acknowledged record in the log: the unit of the durability promise.
@@ -393,9 +388,9 @@ mod tests {
     #[test]
     fn append_latency_scales_with_bytes() {
         assert_eq!(
-            append_latency(4096),
-            SimDuration::from_micros((RECORD_HEADER_BYTES + 4096) * NVRAM_NS_PER_BYTE / 1000)
+            append_latency_ns(4096),
+            (RECORD_HEADER_BYTES + 4096) * NVRAM_NS_PER_BYTE
         );
-        assert!(append_latency(0) < append_latency(1 << 20));
+        assert!(append_latency_ns(0) < append_latency_ns(1 << 20));
     }
 }
