@@ -308,9 +308,19 @@ fn note_config(parts: &[(&str, &str)]) {
     nvfs::obs::manifest::set_config_digest(d.hex());
 }
 
+/// Reads and parses the trace at `path`, rejecting one that breaks session
+/// discipline (files left open at the end are allowed).
 fn load_ops(path: &str) -> Result<OpStream, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse_ops(&text).map_err(|e| format!("{path}: {e}"))
+    let ops = parse_ops(&text).map_err(|e| format!("{path}: {e}"))?;
+    let violations = validate_ignoring_leaks(&ops);
+    match violations.first() {
+        None => Ok(ops),
+        Some(first) => Err(format!(
+            "{path}: {} lint violation(s), first: {first}",
+            violations.len()
+        )),
+    }
 }
 
 fn cmd_gen_traces(mut args: VecDeque<String>) -> Result<(), String> {
@@ -357,15 +367,8 @@ fn cmd_trace_stats(mut args: VecDeque<String>) -> Result<(), String> {
     outln!("opens:        {}", s.opens);
     outln!("deletes:      {}", s.deletes);
     outln!("fsyncs:       {}", s.fsyncs);
-    let violations = validate_ignoring_leaks(&ops);
-    if violations.is_empty() {
-        outln!("lint:         clean");
-    } else {
-        outln!("lint:         {} violation(s)", violations.len());
-        for v in violations.iter().take(10) {
-            outln!("  {v}");
-        }
-    }
+    // `load_ops` rejects a trace with lint violations.
+    outln!("lint:         clean");
     Ok(())
 }
 
