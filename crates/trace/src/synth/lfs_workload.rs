@@ -51,7 +51,7 @@ pub enum LfsOpKind {
         /// File fsync'd.
         file: FileId,
     },
-    /// The file was deleted (its blocks die in the log; cleaner work).
+    /// The file was deleted (its blocks die in the log).
     Delete {
         /// File deleted.
         file: FileId,
@@ -470,8 +470,8 @@ impl FsGen {
     }
 
     /// Background trickle: isolated small writes, each typically aging out
-    /// as its own timeout partial. Occasionally deletes its file to give
-    /// the cleaner dead blocks.
+    /// as its own timeout partial. Occasionally deletes its file, leaving
+    /// dead blocks in the log.
     fn trickle(&mut self, from: f64, to: f64, mean_gap: f64, median: f64, sigma: f64) {
         let start = scale_time(self.end, from);
         let stop = scale_time(self.end, to);

@@ -16,7 +16,7 @@
 //!   unified cache models, LRU/random/omniscient replacement, the Sprite
 //!   consistency protocol, byte-lifetime analysis, and cost-effectiveness.
 //! * [`disk`] — parametric disk model with FIFO/elevator scheduling.
-//! * [`lfs`] — the log-structured file system study (§3): segments, cleaner,
+//! * [`lfs`] — the log-structured file system study (§3): segments,
 //!   fsync-forced partial segments, and the NVRAM segment write buffer.
 //! * [`wal`] — the NVRAM write-ahead log: an append-only log of checksummed,
 //!   sequence-numbered records where `fsync` acks as soon as its record is
