@@ -62,12 +62,12 @@ pub struct BlockEntry {
 
 impl BlockEntry {
     /// Whether the block holds any dirty bytes.
-    pub fn is_dirty(&self) -> bool {
+    pub(crate) fn is_dirty(&self) -> bool {
         !self.dirty.is_empty()
     }
 
     /// Number of dirty bytes.
-    pub fn dirty_bytes(&self) -> u64 {
+    pub(crate) fn dirty_bytes(&self) -> u64 {
         self.dirty.len_bytes()
     }
 }
@@ -194,11 +194,6 @@ impl BlockStore {
         }
     }
 
-    /// Maximum number of blocks.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current number of blocks.
     pub fn len(&self) -> usize {
         self.index.len()
@@ -220,7 +215,7 @@ impl BlockStore {
     }
 
     /// Borrows the entry for `id`.
-    pub fn get(&self, id: BlockId) -> Option<&BlockEntry> {
+    pub(crate) fn get(&self, id: BlockId) -> Option<&BlockEntry> {
         self.index.get(&id).map(|&s| &self.slots[s as usize].entry)
     }
 

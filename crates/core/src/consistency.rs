@@ -27,7 +27,7 @@ pub struct OpenOutcome {
     pub invalidate_opener: bool,
     /// Caching was just disabled (concurrent write-sharing): every client
     /// must flush dirty data for the file and stop caching it.
-    pub disable_caching: bool,
+    pub(crate) disable_caching: bool,
 }
 
 /// Per-file server state.
@@ -84,11 +84,6 @@ impl ConsistencyServer {
             mode,
             ..ConsistencyServer::default()
         }
-    }
-
-    /// The protocol granularity in use.
-    pub fn mode(&self) -> ConsistencyMode {
-        self.mode
     }
 
     /// Registers an open and returns the required client actions.
@@ -164,7 +159,7 @@ impl ConsistencyServer {
     }
 
     /// The client currently recorded as the last writer of `file`, if any.
-    pub fn last_writer(&self, file: FileId) -> Option<ClientId> {
+    pub(crate) fn last_writer(&self, file: FileId) -> Option<ClientId> {
         self.files.get(&file).and_then(|s| s.last_writer)
     }
 
@@ -178,7 +173,7 @@ impl ConsistencyServer {
     /// A cache gains a file's blocks only through its own client's reads
     /// and writes, so truncate, delete and a caching-disabled open need
     /// visit only these caches.
-    pub fn note_holder(&mut self, file: FileId, client: ClientId) {
+    pub(crate) fn note_holder(&mut self, file: FileId, client: ClientId) {
         let holders = &mut self.files.entry(file).or_default().holders;
         if let Err(at) = holders.binary_search(&client) {
             holders.insert(at, client);
@@ -187,7 +182,7 @@ impl ConsistencyServer {
 
     /// The clients whose caches may hold blocks of `file`, in client
     /// order.
-    pub fn holders(&self, file: FileId) -> &[ClientId] {
+    pub(crate) fn holders(&self, file: FileId) -> &[ClientId] {
         self.files.get(&file).map_or(&[], |s| &s.holders)
     }
 
@@ -292,7 +287,7 @@ mod tests {
     #[test]
     fn block_on_demand_defers_recall_to_reads() {
         let mut s = ConsistencyServer::with_mode(ConsistencyMode::BlockOnDemand);
-        assert_eq!(s.mode(), ConsistencyMode::BlockOnDemand);
+        assert_eq!(s.mode, ConsistencyMode::BlockOnDemand);
         s.on_open(F, A, OpenMode::Write);
         s.note_write(F, A);
         s.on_close(F, A);

@@ -37,7 +37,7 @@ pub struct TrafficStats {
     /// disabled by concurrent write-sharing.
     pub concurrent_write_bytes: u64,
     /// Bytes read straight from the server while caching was disabled.
-    pub concurrent_read_bytes: u64,
+    pub(crate) concurrent_read_bytes: u64,
     /// Dirty bytes still cached when the trace ended (the paper counts
     /// these as eventual write traffic, making its figures pessimistic).
     pub remaining_dirty_bytes: u64,
@@ -115,7 +115,7 @@ impl TrafficStats {
     /// Folds this run's totals into the `core.*` counters of the
     /// `nvfs-obs` metrics registry. Called once per completed run (not per
     /// op) so instrumentation stays off the simulator's hot path.
-    pub fn fold_into_obs(&self) {
+    pub(crate) fn fold_into_obs(&self) {
         use nvfs_obs::counter_add;
         counter_add("core.app_read_bytes", self.app_read_bytes);
         counter_add("core.app_write_bytes", self.app_write_bytes);

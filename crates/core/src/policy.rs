@@ -18,7 +18,7 @@ use crate::omniscient::OmniscientSchedule;
 
 /// A stateful replacement policy instance.
 #[derive(Debug, Clone)]
-pub enum Policy {
+pub(crate) enum Policy {
     /// Least-recently used.
     Lru,
     /// Uniformly random, with deterministic seeded state (boxed: the
@@ -35,7 +35,7 @@ impl Policy {
     ///
     /// Panics if `kind` is [`PolicyKind::Omniscient`] but `schedule` is
     /// `None` — the omniscient policy cannot run without its pre-pass.
-    pub fn from_kind(kind: PolicyKind, schedule: Option<Arc<OmniscientSchedule>>) -> Self {
+    pub(crate) fn from_kind(kind: PolicyKind, schedule: Option<Arc<OmniscientSchedule>>) -> Self {
         match kind {
             PolicyKind::Lru => Policy::Lru,
             PolicyKind::Random { seed } => Policy::Random(Box::new(StdRng::seed_from_u64(seed))),
@@ -47,7 +47,7 @@ impl Policy {
 
     /// An empty store of `capacity` blocks for this policy to pick from:
     /// the omniscient policy's store carries its next-modify index.
-    pub fn new_store(&self, capacity: usize) -> BlockStore {
+    pub(crate) fn new_store(&self, capacity: usize) -> BlockStore {
         match self {
             Policy::Omniscient(schedule) => {
                 BlockStore::with_schedule(capacity, Arc::clone(schedule))
@@ -65,7 +65,7 @@ impl Policy {
     ///
     /// Panics if the policy is omniscient and `store` was not made by
     /// [`Self::new_store`].
-    pub fn pick_victim(&mut self, store: &mut BlockStore, now: SimTime) -> Option<BlockId> {
+    pub(crate) fn pick_victim(&mut self, store: &mut BlockStore, now: SimTime) -> Option<BlockId> {
         if store.is_empty() {
             return None;
         }

@@ -19,9 +19,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod model;
-pub mod sched;
+mod model;
+mod sched;
 
 pub use model::DiskParams;
-pub use sched::{BatchOutcome, Discipline, DiskQueue, DiskRequest};
+pub use sched::{Discipline, DiskQueue, DiskRequest};

@@ -56,8 +56,8 @@ impl BatchOutcome {
 /// # Examples
 ///
 /// ```
-/// use nvfs_disk::model::DiskParams;
-/// use nvfs_disk::sched::{Discipline, DiskQueue, DiskRequest};
+/// use nvfs_disk::DiskParams;
+/// use nvfs_disk::{Discipline, DiskQueue, DiskRequest};
 ///
 /// let mut q = DiskQueue::new(DiskParams::sprite_era());
 /// let reqs = vec![
@@ -78,11 +78,6 @@ impl DiskQueue {
     /// Creates a disk with its head parked at address zero.
     pub fn new(params: DiskParams) -> Self {
         DiskQueue { params, head: 0 }
-    }
-
-    /// The disk parameters.
-    pub fn params(&self) -> &DiskParams {
-        &self.params
     }
 
     /// Seek time as a function of the distance travelled, using the usual
@@ -180,7 +175,7 @@ mod tests {
             len: 4096,
         });
         assert!(t2 < t1 || (t1 - t2).abs() < 1e-9);
-        assert_eq!(t2, q.params().transfer_ms(4096));
+        assert_eq!(t2, q.params.transfer_ms(4096));
     }
 
     #[test]

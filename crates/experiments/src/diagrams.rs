@@ -15,7 +15,7 @@ use nvfs_types::{ByteRange, FileId, RangeSet, SimTime};
 ///
 /// The annotations are live numbers from a tiny simulation, so the diagram
 /// always reflects actual model behaviour.
-pub fn figure1() -> String {
+pub(crate) fn figure1() -> String {
     let traces = SpriteTraceSet::generate(&TraceSetConfig::tiny());
     let ops = traces.trace(0).ops();
     let replay = |cfg: SimConfig| ClusterSim::new(cfg).session(ops).run().stats;
@@ -63,7 +63,7 @@ pub fn figure1() -> String {
 /// Renders Figure 7: LFS segment layout, built by actually writing files
 /// through the segment writer (as the paper's figure narrates: file1 and
 /// file2, then a block of file2 modified, file3 created, file1 extended).
-pub fn figure7() -> String {
+pub(crate) fn figure7() -> String {
     let mut w = SegmentWriter::new(SEGMENT_BYTES);
     let chunk = |f: u32, bytes: u64| (FileId(f), RangeSet::from_range(ByteRange::new(0, bytes)));
     // (a) file1 and file2 written.

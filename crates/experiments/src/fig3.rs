@@ -7,10 +7,10 @@ use nvfs_report::{Figure, Series};
 use crate::env::Env;
 
 /// NVRAM sizes swept, in megabytes (log-ish scale as in the paper).
-pub const NVRAM_MB: [f64; 7] = [0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0];
+pub(crate) const NVRAM_MB: [f64; 7] = [0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0];
 
 /// Volatile cache size behind the NVRAM (the Sprite average was ~7 MB).
-pub const VOLATILE_BYTES: u64 = 8 << 20;
+pub(crate) const VOLATILE_BYTES: u64 = 8 << 20;
 
 /// Output of the Figure 3 reproduction.
 #[derive(Debug, Clone)]

@@ -13,46 +13,8 @@ use nvfs_report::{Cell, Table};
 
 use crate::env::Env;
 
-/// Per-filesystem comparison row.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// File system name.
-    pub name: String,
-    /// LFS disk busy time in ms.
-    pub lfs_ms: f64,
-    /// FFS disk busy time in ms.
-    pub ffs_ms: f64,
-    /// LFS disk write accesses (segments).
-    pub lfs_accesses: usize,
-    /// FFS disk write accesses (blocks + inodes).
-    pub ffs_accesses: usize,
-}
-
-impl Row {
-    /// FFS time divided by LFS time (the amortization factor).
-    pub fn speedup(&self) -> f64 {
-        self.ffs_ms / self.lfs_ms.max(1e-9)
-    }
-}
-
-/// Output of the comparison.
-#[derive(Debug, Clone)]
-pub struct LfsVsFfs {
-    /// The rendered table.
-    pub table: Table,
-    /// Per-filesystem rows, paper order.
-    pub rows: Vec<Row>,
-}
-
-impl LfsVsFfs {
-    /// The row for a named file system.
-    pub fn of(&self, name: &str) -> Option<&Row> {
-        self.rows.iter().find(|r| r.name == name)
-    }
-}
-
 /// Runs both file systems over all eight workloads.
-pub fn run(env: &Env) -> LfsVsFfs {
+pub(crate) fn run(env: &Env) -> Table {
     let disk = DiskParams::sprite_era();
     let lfs = run_server(&env.server, &LfsConfig::direct());
     let mut table = Table::new(
@@ -66,46 +28,48 @@ pub fn run(env: &Env) -> LfsVsFfs {
             "FFS ops",
         ],
     );
-    let mut rows = Vec::new();
     for (workload, lfs_report) in env.server.iter().zip(&lfs) {
         let ffs = run_update_in_place(workload, &FfsConfig::default());
-        let lfs_time = lfs_report.disk_time(&disk);
-        let row = Row {
-            name: workload.name.to_string(),
-            lfs_ms: lfs_time.total_ms,
-            ffs_ms: ffs.disk_busy_ms,
-            lfs_accesses: lfs_report.disk_write_accesses(),
-            ffs_accesses: ffs.disk_write_accesses,
-        };
+        let lfs_ms = lfs_report.disk_time(&disk).total_ms;
         table.push_row(vec![
-            Cell::from(row.name.clone()),
-            Cell::f1(row.lfs_ms),
-            Cell::f1(row.ffs_ms),
-            Cell::f2(row.speedup()),
-            Cell::from(row.lfs_accesses),
-            Cell::from(row.ffs_accesses),
+            Cell::from(workload.name.to_string()),
+            Cell::f1(lfs_ms),
+            Cell::f1(ffs.disk_busy_ms),
+            // FFS time divided by LFS time (the amortization factor).
+            Cell::f2(ffs.disk_busy_ms / lfs_ms.max(1e-9)),
+            Cell::from(lfs_report.disk_write_accesses()),
+            Cell::from(ffs.disk_write_accesses),
         ]);
-        rows.push(row);
     }
-    LfsVsFfs { table, rows }
+    table
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The speedup printed for a named file system.
+    fn speedup(table: &Table, name: &str) -> f64 {
+        let row = table.rows().iter().position(|r| r[0] == Cell::from(name));
+        crate::cell_value(table, row.unwrap(), 3)
+    }
+
     #[test]
     fn lfs_wins_on_write_heavy_filesystems() {
         let out = run(&Env::tiny());
         // The bulk-write file systems show clear amortization.
         for name in ["/swap1", "/local"] {
-            let r = out.of(name).unwrap();
-            assert!(r.speedup() > 1.2, "{name}: speedup {:.2}", r.speedup());
+            let s = speedup(&out, name);
+            assert!(s > 1.2, "{name}: speedup {s:.2}");
         }
         // LFS always issues far fewer disk operations.
-        for r in &out.rows {
-            if r.ffs_accesses > 0 {
-                assert!(r.lfs_accesses <= r.ffs_accesses, "{}", r.name);
+        for (row, cells) in out.rows().iter().enumerate() {
+            let (lfs_ops, ffs_ops) = (
+                crate::cell_value(&out, row, 4),
+                crate::cell_value(&out, row, 5),
+            );
+            if ffs_ops > 0.0 {
+                assert!(lfs_ops <= ffs_ops, "{}", cells[0]);
             }
         }
     }
@@ -115,8 +79,8 @@ mod tests {
         // /user6's tiny fsync-forced writes defeat amortization — exactly
         // why §3 adds the NVRAM buffer on top of LFS.
         let out = run(&Env::tiny());
-        let u6 = out.of("/user6").unwrap().speedup();
-        let swap = out.of("/swap1").unwrap().speedup();
+        let u6 = speedup(&out, "/user6");
+        let swap = speedup(&out, "/swap1");
         assert!(u6 < swap, "user6 {u6:.2} vs swap {swap:.2}");
     }
 }

@@ -13,9 +13,9 @@ use nvfs_report::{Cell, Figure, Series, Table};
 #[derive(Debug, Clone)]
 pub struct ReadLatency {
     /// Mean read response vs write size, one series per load level.
-    pub figure: Figure,
+    pub(crate) figure: Figure,
     /// The summary table.
-    pub table: Table,
+    pub(crate) table: Table,
     /// Optimal write size under the typical load, in bytes.
     pub optimal_bytes: u64,
     /// Full-segment penalty under the typical load, percent.

@@ -12,7 +12,7 @@ pub struct Tab3 {
     /// The rendered table, one row per file system in paper order.
     pub table: Table,
     /// The underlying per-filesystem reports (reused by Table 4).
-    pub reports: Vec<FsReport>,
+    pub(crate) reports: Vec<FsReport>,
     /// Share of all segment writes per file system.
     pub shares: Vec<(String, f64)>,
 }

@@ -13,20 +13,9 @@ use nvfs_trace::op::OpStream;
 
 use crate::env::Env;
 
-/// Output of the warm-up comparison.
-#[derive(Debug, Clone)]
-pub struct Warmup {
-    /// The rendered comparison.
-    pub table: Table,
-    /// Steady-state stats from cold caches.
-    pub cold: TrafficStats,
-    /// Steady-state stats from warmed caches.
-    pub warm: TrafficStats,
-}
-
-/// Runs the comparison on Trace 7 with the unified model (8 MB + 1 MB),
-/// warming with the first 30% of the trace.
-pub fn run(env: &Env) -> Warmup {
+/// Steady-state `(cold, warm)` stats on Trace 7 with the unified model
+/// (8 MB + 1 MB), warming with the first 30% of the trace.
+fn replay(env: &Env) -> (TrafficStats, TrafficStats) {
     let ops = env.trace7().ops();
     let sim = ClusterSim::new(SimConfig::unified(8 << 20, 1 << 20));
     let warm = sim.session(ops).warmup(0.3).run().stats;
@@ -35,7 +24,12 @@ pub fn run(env: &Env) -> Warmup {
     let cut = warmup_cut(ops.len(), 0.3);
     let suffix: OpStream = ops.as_slice()[cut..].iter().cloned().collect();
     let cold = sim.session(&suffix).run().stats;
+    (cold, warm)
+}
 
+/// Renders the cold-vs-warm comparison.
+pub(crate) fn run(env: &Env) -> Table {
+    let (cold, warm) = replay(env);
     let mut table = Table::new(
         "Cold-start bias: the same steady-state suffix, empty vs warmed caches",
         &[
@@ -56,7 +50,7 @@ pub fn run(env: &Env) -> Warmup {
             Cell::Pct(100.0 * s.read_hit_ratio()),
         ]);
     }
-    Warmup { table, cold, warm }
+    table
 }
 
 #[cfg(test)]
@@ -65,18 +59,21 @@ mod tests {
 
     #[test]
     fn cold_start_understates_absorption() {
-        let out = run(&Env::tiny());
+        let (cold, warm) = replay(&Env::tiny());
         // The paper's predicted direction: warm caches absorb at least as
         // much (overwrites of warm-up-era data are classified correctly)
         // and hit at least as often.
-        assert!(out.warm.absorbed_bytes() >= out.cold.absorbed_bytes());
+        assert!(warm.absorbed_bytes() >= cold.absorbed_bytes());
         // Net-traffic percentages are not compared: dirty blocks inherited
         // from the warm-up window are flushed during the measured suffix
         // and would be charged against it without a matching write in the
         // denominator.
-        let (warm, cold) = (out.warm.read_hit_ratio(), out.cold.read_hit_ratio());
-        assert!(warm >= cold, "warm {warm:.4} cold {cold:.4}");
+        let (warm_hits, cold_hits) = (warm.read_hit_ratio(), cold.read_hit_ratio());
+        assert!(
+            warm_hits >= cold_hits,
+            "warm {warm_hits:.4} cold {cold_hits:.4}"
+        );
         // Identical inputs on both sides.
-        assert_eq!(out.warm.app_write_bytes, out.cold.app_write_bytes);
+        assert_eq!(warm.app_write_bytes, cold.app_write_bytes);
     }
 }

@@ -20,7 +20,7 @@ struct FileDirty {
 /// # Examples
 ///
 /// ```
-/// use nvfs_lfs::dirty::DirtyCache;
+/// use nvfs_lfs::DirtyCache;
 /// use nvfs_types::{ByteRange, FileId, SimTime};
 ///
 /// let mut d = DirtyCache::new();
@@ -47,13 +47,8 @@ impl DirtyCache {
         self.total
     }
 
-    /// Whether nothing is dirty.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
     /// Number of files with dirty data.
-    pub fn file_count(&self) -> usize {
+    pub(crate) fn file_count(&self) -> usize {
         self.files.len()
     }
 
@@ -70,7 +65,7 @@ impl DirtyCache {
     }
 
     /// Whether `file` has dirty data.
-    pub fn has_file(&self, file: FileId) -> bool {
+    pub(crate) fn has_file(&self, file: FileId) -> bool {
         self.files.contains_key(&file)
     }
 
@@ -83,12 +78,12 @@ impl DirtyCache {
 
     /// Discards dirty data of `file` (it was deleted before reaching disk).
     /// Returns the discarded byte count.
-    pub fn discard_file(&mut self, file: FileId) -> u64 {
+    pub(crate) fn discard_file(&mut self, file: FileId) -> u64 {
         self.take_file(file).map_or(0, |r| r.len_bytes())
     }
 
     /// Removes and returns every file's dirty data.
-    pub fn take_all(&mut self) -> Vec<(FileId, RangeSet)> {
+    pub(crate) fn take_all(&mut self) -> Vec<(FileId, RangeSet)> {
         self.total = 0;
         std::mem::take(&mut self.files)
             .into_iter()
@@ -98,7 +93,7 @@ impl DirtyCache {
 
     /// Removes and returns the dirty data of files whose data first became
     /// dirty at or before `cutoff` (the 30-second flush).
-    pub fn take_older_than(&mut self, cutoff: SimTime) -> Vec<(FileId, RangeSet)> {
+    pub(crate) fn take_older_than(&mut self, cutoff: SimTime) -> Vec<(FileId, RangeSet)> {
         let old: Vec<FileId> = self
             .files
             .iter()
@@ -160,6 +155,6 @@ mod tests {
         assert_eq!(d.discard_file(FileId(0)), 100);
         let all = d.take_all();
         assert_eq!(all.len(), 1);
-        assert!(d.is_empty());
+        assert_eq!(d.total_bytes(), 0);
     }
 }

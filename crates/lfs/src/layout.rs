@@ -16,7 +16,7 @@ pub const SEGMENT_BYTES: u64 = 512 * 1024;
 pub const SUMMARY_BYTES: u64 = 512;
 
 /// Size of one metadata block (one per file with blocks in the segment).
-pub const METADATA_BLOCK_BYTES: u64 = 4096;
+pub(crate) const METADATA_BLOCK_BYTES: u64 = 4096;
 
 /// Why a segment was written to disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,7 +80,7 @@ impl SegmentRecord {
     /// Whether the on-disk content matches the summary checksum. Recovery
     /// replays the log only up to the last valid segment; anything after
     /// fails this check and is truncated
-    /// ([`SegmentWriter::roll_forward`](crate::log::SegmentWriter::roll_forward)).
+    /// (`SegmentWriter::roll_forward`).
     pub fn is_valid(&self) -> bool {
         self.stored_checksum == self.content_checksum
     }
@@ -102,21 +102,17 @@ impl SegmentRecord {
     pub fn is_partial(&self) -> bool {
         self.cause != SegmentCause::Full
     }
-
-    /// Fraction of the segment's on-disk bytes that is metadata + summary
-    /// overhead rather than file data.
-    pub fn overhead_fraction(&self) -> f64 {
-        let total = self.on_disk_bytes();
-        if total == 0 {
-            return 0.0;
-        }
-        (self.metadata_bytes() + SUMMARY_BYTES) as f64 / total as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fraction of the segment's on-disk bytes that is metadata + summary
+    /// overhead rather than file data.
+    fn overhead_fraction(r: &SegmentRecord) -> f64 {
+        (r.metadata_bytes() + SUMMARY_BYTES) as f64 / r.on_disk_bytes() as f64
+    }
 
     fn record(data_blocks: u64, files: usize, cause: SegmentCause) -> SegmentRecord {
         SegmentRecord {
@@ -137,7 +133,7 @@ mod tests {
         // for ~8 KB partials.
         let r = record(2, 1, SegmentCause::Fsync);
         assert!(r.is_partial());
-        let f = r.overhead_fraction();
+        let f = overhead_fraction(&r);
         assert!((0.3..0.4).contains(&f), "overhead {f}");
     }
 
@@ -146,7 +142,7 @@ mod tests {
         // §3: "On /sprite/src/kernel the overhead is only about 8% of each
         // partial segment" at ~55 KB.
         let r = record(13, 1, SegmentCause::Timeout); // 52 KB data
-        let f = r.overhead_fraction();
+        let f = overhead_fraction(&r);
         assert!((0.06..0.10).contains(&f), "overhead {f}");
     }
 
@@ -163,7 +159,7 @@ mod tests {
             content_checksum: 0,
         };
         assert!(!r.is_partial());
-        assert!(r.overhead_fraction() < 0.01);
+        assert!(overhead_fraction(&r) < 0.01);
     }
 
     #[test]

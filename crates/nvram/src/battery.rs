@@ -69,16 +69,6 @@ impl BatteryBank {
         }
     }
 
-    /// Number of batteries installed.
-    pub fn total(&self) -> u8 {
-        self.total
-    }
-
-    /// Number of batteries still working.
-    pub fn alive(&self) -> u8 {
-        self.alive
-    }
-
     /// Current health.
     pub fn state(&self) -> BatteryState {
         match self.alive {
@@ -150,7 +140,7 @@ mod tests {
         assert_eq!(bank.state(), BatteryState::Degraded);
         bank.service();
         assert_eq!(bank.state(), BatteryState::Healthy);
-        assert_eq!(bank.alive(), 2);
+        assert_eq!(bank.alive, 2);
     }
 
     #[test]
@@ -158,7 +148,7 @@ mod tests {
         let mut bank = BatteryBank::new(1);
         bank.fail_one();
         bank.fail_one();
-        assert_eq!(bank.alive(), 0);
+        assert_eq!(bank.alive, 0);
         assert_eq!(bank.state(), BatteryState::Dead);
     }
 
@@ -192,7 +182,7 @@ mod tests {
         let mut bank = BatteryBank::new(3);
         bank.fail_one();
         bank.fail_one();
-        assert_eq!(bank.alive(), 1);
+        assert_eq!(bank.alive, 1);
         assert_eq!(bank.state(), BatteryState::Degraded);
         assert!(
             bank.preserves_data(),
@@ -218,7 +208,7 @@ mod tests {
             bank.age_to(SimTime::from_secs(25), &clock),
             BatteryState::Degraded
         );
-        assert_eq!(bank.alive(), 1);
+        assert_eq!(bank.alive, 1);
         // Idempotent: re-aging to the same instant changes nothing.
         assert_eq!(
             bank.age_to(SimTime::from_secs(25), &clock),
@@ -242,7 +232,7 @@ mod tests {
         let mut bank = BatteryBank::new(3);
         bank.fail_one();
         bank.age_to(SimTime::from_secs(1), &clock);
-        assert_eq!(bank.alive(), 2, "aging must not undo an injected failure");
+        assert_eq!(bank.alive, 2, "aging must not undo an injected failure");
     }
 
     #[test]

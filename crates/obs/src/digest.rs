@@ -13,10 +13,12 @@
 /// ```
 /// use nvfs_obs::digest::Digest;
 ///
-/// let mut d = Digest::new();
-/// d.update("model=unified");
-/// d.update(" nvram=1048576");
-/// assert_eq!(d.clone().hex(), Digest::of_str("model=unified nvram=1048576").hex());
+/// let mut split = Digest::new();
+/// split.update("model=unified");
+/// split.update(" nvram=1048576");
+/// let mut whole = Digest::new();
+/// whole.update("model=unified nvram=1048576");
+/// assert_eq!(split.hex(), whole.hex());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Digest {
@@ -30,13 +32,6 @@ impl Digest {
     /// A fresh hasher.
     pub fn new() -> Self {
         Digest { state: FNV_OFFSET }
-    }
-
-    /// Hashes one string in a single call.
-    pub fn of_str(s: &str) -> Self {
-        let mut d = Digest::new();
-        d.update(s);
-        d
     }
 
     /// Feeds `s` into the hash.
@@ -69,20 +64,23 @@ impl Default for Digest {
 mod tests {
     use super::*;
 
+    fn of(s: &str) -> Digest {
+        let mut d = Digest::new();
+        d.update(s);
+        d
+    }
+
     #[test]
     fn known_vectors() {
         // Standard FNV-1a test vectors.
-        assert_eq!(Digest::of_str("").hex(), "cbf29ce484222325");
-        assert_eq!(Digest::of_str("a").hex(), "af63dc4c8601ec8c");
-        assert_eq!(Digest::of_str("foobar").hex(), "85944171f73967e8");
+        assert_eq!(of("").hex(), "cbf29ce484222325");
+        assert_eq!(of("a").hex(), "af63dc4c8601ec8c");
+        assert_eq!(of("foobar").hex(), "85944171f73967e8");
     }
 
     #[test]
     fn sensitive_to_any_change() {
-        assert_ne!(
-            Digest::of_str("seed=42").hex(),
-            Digest::of_str("seed=43").hex()
-        );
+        assert_ne!(of("seed=42").hex(), of("seed=43").hex());
     }
 
     #[test]
@@ -90,6 +88,6 @@ mod tests {
         let mut d = Digest::new();
         d.update("abc");
         d.update("def");
-        assert_eq!(d.hex(), Digest::of_str("abcdef").hex());
+        assert_eq!(d.hex(), of("abcdef").hex());
     }
 }

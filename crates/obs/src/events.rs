@@ -96,7 +96,7 @@ impl EventBuilder {
 
     /// Attaches an owned string field (allocates only when enabled).
     #[inline]
-    pub fn owned(mut self, key: &'static str, v: &str) -> Self {
+    pub(crate) fn owned(mut self, key: &'static str, v: &str) -> Self {
         if let Some(ev) = &mut self.ev {
             ev.fields.push((key, Val::Owned(v.to_string())));
         }
@@ -165,7 +165,7 @@ pub fn render_jsonl() -> String {
 }
 
 /// Number of events recorded so far.
-pub fn count() -> u64 {
+pub(crate) fn count() -> u64 {
     sink::merged_shards()
         .iter()
         .map(|s| s.events.len() as u64)

@@ -36,7 +36,7 @@ impl Json {
     }
 
     /// The value as a string, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
             _ => None,
@@ -44,7 +44,7 @@ impl Json {
     }
 
     /// The value as an f64, if it is a number.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
             _ => None,
@@ -60,7 +60,7 @@ impl Json {
     }
 
     /// Object members, if the value is an object.
-    pub fn members(&self) -> Option<&[(String, Json)]> {
+    pub(crate) fn members(&self) -> Option<&[(String, Json)]> {
         match self {
             Json::Obj(m) => Some(m),
             _ => None,

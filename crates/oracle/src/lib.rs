@@ -32,13 +32,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod judge;
 mod netjudge;
 mod shadow;
 mod wal;
 
-pub use judge::{CrashReport, Oracle, OracleSummary, Verdict};
+pub use judge::{Oracle, OracleSummary, Verdict};
 pub use netjudge::{NetJudge, NetSummary, NetVerdict, WireEvent};
 pub use shadow::{
     torn_prefix, union_into, DrainExpectation, DurableMap, DurablePromise, ServerState,

@@ -24,12 +24,12 @@ pub type DurableMap = BTreeMap<FileId, RangeSet>;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurablePromise {
     /// The client whose cache made the promise.
-    pub client: ClientId,
+    pub(crate) client: ClientId,
     /// When the crash fired (also the promise's identity: one client
     /// cannot crash twice at the same instant).
-    pub captured_at: SimTime,
+    pub(crate) captured_at: SimTime,
     /// The promised durable ranges, merged per file.
-    pub ranges: DurableMap,
+    pub(crate) ranges: DurableMap,
 }
 
 impl DurablePromise {
@@ -51,7 +51,7 @@ impl DurablePromise {
     }
 
     /// Total promised bytes.
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.ranges.values().map(RangeSet::len_bytes).sum()
     }
 }
@@ -77,14 +77,6 @@ impl DrainExpectation {
         }
     }
 
-    /// A torn drain cut short after `max_bytes` on a healthy board.
-    pub fn torn(max_bytes: u64) -> Self {
-        DrainExpectation {
-            board_dead: false,
-            max_bytes,
-        }
-    }
-
     /// A board whose batteries all died before the drain.
     pub fn dead() -> Self {
         DrainExpectation {
@@ -95,7 +87,7 @@ impl DrainExpectation {
 
     /// The exact durable map a correct recovery must produce for
     /// `promise` under these conditions.
-    pub fn expected(&self, promise: &DurablePromise) -> DurableMap {
+    pub(crate) fn expected(&self, promise: &DurablePromise) -> DurableMap {
         if self.board_dead {
             DurableMap::new()
         } else {
@@ -195,11 +187,6 @@ impl ServerState {
     /// Total durable bytes.
     pub fn durable_bytes(&self) -> u64 {
         self.files.values().map(RangeSet::len_bytes).sum()
-    }
-
-    /// The durable ranges per file (read-only).
-    pub fn files(&self) -> &DurableMap {
-        &self.files
     }
 }
 

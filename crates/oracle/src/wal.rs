@@ -24,7 +24,7 @@
 
 use nvfs_types::{ClientId, FileId, RangeSet, SimTime};
 
-use crate::judge::{CrashReport, Oracle, OracleSummary};
+use crate::judge::{Oracle, OracleSummary};
 use crate::shadow::{intersect, union_into, DrainExpectation, DurableMap, DurablePromise};
 
 /// One entry of a WAL run's chronological event stream.
@@ -132,11 +132,6 @@ impl WalJudge {
         out
     }
 
-    /// Every judged incident, in judgement order.
-    pub fn reports(&self) -> &[CrashReport] {
-        self.oracle.reports()
-    }
-
     /// Summarises every judged incident.
     pub fn summary(&self) -> OracleSummary {
         self.oracle.summary()
@@ -216,7 +211,7 @@ mod tests {
         ]);
         assert_eq!(j.summary().lost_durable, 1);
         assert!(matches!(
-            j.reports()[0].verdicts[0],
+            j.oracle.reports()[0].verdicts[0],
             Verdict::LostDurable { file, .. } if file == FileId(1)
         ));
     }

@@ -37,7 +37,7 @@ impl Series {
 /// # Examples
 ///
 /// ```
-/// use nvfs_report::figure::{Figure, Series};
+/// use nvfs_report::{Figure, Series};
 ///
 /// let mut f = Figure::new("Fig 3", "Megabytes NVRAM", "Net write traffic (%)");
 /// f.push(Series::new("Trace 7", vec![(0.125, 70.0), (1.0, 35.0)]));
@@ -47,11 +47,11 @@ impl Series {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Figure {
     /// Figure title.
-    pub title: String,
+    pub(crate) title: String,
     /// X-axis label.
-    pub x_label: String,
+    pub(crate) x_label: String,
     /// Y-axis label.
-    pub y_label: String,
+    pub(crate) y_label: String,
     series: Vec<Series>,
 }
 

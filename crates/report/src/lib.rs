@@ -20,11 +20,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod figure;
-pub mod plot;
-pub mod run;
-pub mod table;
+mod figure;
+mod plot;
+mod run;
+mod table;
 
 pub use figure::{Figure, Series};
 pub use plot::{render_plot, PlotOptions};

@@ -38,8 +38,8 @@ const MARKERS: [char; 8] = ['*', 'o', '+', 'x', '#', '@', '%', '~'];
 /// # Examples
 ///
 /// ```
-/// use nvfs_report::figure::{Figure, Series};
-/// use nvfs_report::plot::{render_plot, PlotOptions};
+/// use nvfs_report::{Figure, Series};
+/// use nvfs_report::{render_plot, PlotOptions};
 ///
 /// let mut f = Figure::new("Demo", "x", "y");
 /// f.push(Series::new("a", vec![(1.0, 0.0), (2.0, 10.0)]));

@@ -13,7 +13,7 @@
 /// # Examples
 ///
 /// ```
-/// use nvfs_report::run::catching;
+/// use nvfs_report::catching;
 ///
 /// let ok: Result<u32, String> = catching("demo", || Ok(7));
 /// assert_eq!(ok, Ok(7));

@@ -81,7 +81,7 @@ impl From<usize> for Cell {
 /// # Examples
 ///
 /// ```
-/// use nvfs_report::table::{Cell, Table};
+/// use nvfs_report::{Cell, Table};
 ///
 /// let mut t = Table::new("Demo", &["fs", "segments"]);
 /// t.push_row(vec![Cell::from("/user6"), Cell::from(42usize)]);
@@ -104,11 +104,6 @@ impl Table {
             columns: columns.iter().map(|c| c.to_string()).collect(),
             rows: Vec::new(),
         }
-    }
-
-    /// The table title.
-    pub fn title(&self) -> &str {
-        &self.title
     }
 
     /// Number of data rows.

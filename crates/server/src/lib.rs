@@ -13,11 +13,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod e2e;
 pub mod presto;
-
-pub use e2e::{client_server_pipeline, server_workload_from_writes, PipelineReport};
-pub use presto::{
-    nfs_synchronous, prestoserve, sprite_delayed, PrestoConfig, WriteOutcome, WriteRequest,
-};

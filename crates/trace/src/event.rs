@@ -103,23 +103,6 @@ pub enum EventKind {
     },
 }
 
-impl TraceEvent {
-    /// The file this event refers to, if any.
-    pub fn file(&self) -> Option<FileId> {
-        match self.kind {
-            EventKind::Open { file, .. }
-            | EventKind::Close { file }
-            | EventKind::Seek { file, .. }
-            | EventKind::Read { file, .. }
-            | EventKind::Write { file, .. }
-            | EventKind::Truncate { file, .. }
-            | EventKind::Delete { file }
-            | EventKind::Fsync { file } => Some(file),
-            EventKind::Migrate { .. } => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,24 +112,5 @@ mod tests {
         assert!(!OpenMode::Read.is_write());
         assert!(OpenMode::Write.is_write());
         assert!(OpenMode::ReadWrite.is_write());
-    }
-
-    #[test]
-    fn event_file_extraction() {
-        let e = TraceEvent {
-            time: SimTime::ZERO,
-            client: ClientId(0),
-            pid: ProcessId(0),
-            kind: EventKind::Read {
-                file: FileId(3),
-                len: 100,
-            },
-        };
-        assert_eq!(e.file(), Some(FileId(3)));
-        let m = TraceEvent {
-            kind: EventKind::Migrate { to: ClientId(1) },
-            ..e
-        };
-        assert_eq!(m.file(), None);
     }
 }

@@ -32,6 +32,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod convert;
 pub mod event;
@@ -41,5 +42,4 @@ pub mod stats;
 pub mod synth;
 pub mod validate;
 
-pub use event::{EventKind, OpenMode, TraceEvent};
-pub use op::{Op, OpKind, OpStream};
+pub use op::OpStream;

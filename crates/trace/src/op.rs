@@ -81,16 +81,8 @@ pub enum OpKind {
 }
 
 impl Op {
-    /// Number of application-payload bytes moved by this op (reads+writes).
-    pub fn payload_bytes(&self) -> u64 {
-        match &self.kind {
-            OpKind::Read { range, .. } | OpKind::Write { range, .. } => range.len(),
-            _ => 0,
-        }
-    }
-
     /// The file this op refers to, if exactly one.
-    pub fn file(&self) -> Option<FileId> {
+    pub(crate) fn file(&self) -> Option<FileId> {
         match &self.kind {
             OpKind::Open { file, .. }
             | OpKind::Close { file }
@@ -193,20 +185,6 @@ impl OpStream {
     pub fn end_time(&self) -> SimTime {
         self.ops.last().map_or(SimTime::ZERO, |o| o.time)
     }
-
-    /// Merges several streams into one, preserving global time order.
-    /// Ties are broken by input stream order, keeping merges deterministic.
-    pub fn merge<I: IntoIterator<Item = OpStream>>(streams: I) -> OpStream {
-        let mut all: Vec<(usize, Op)> = streams
-            .into_iter()
-            .enumerate()
-            .flat_map(|(i, s)| s.ops.into_iter().map(move |op| (i, op)))
-            .collect();
-        all.sort_by_key(|(i, op)| (op.time, *i));
-        OpStream {
-            ops: all.into_iter().map(|(_, op)| op).collect(),
-        }
-    }
 }
 
 impl FromIterator<Op> for OpStream {
@@ -281,34 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_keeps_time_order() {
-        let a: OpStream = vec![
-            op(
-                0,
-                OpKind::Open {
-                    file: FileId(0),
-                    mode: OpenMode::Write,
-                },
-            ),
-            op(5, OpKind::Close { file: FileId(0) }),
-        ]
-        .into_iter()
-        .collect();
-        let b: OpStream = vec![op(
-            3,
-            OpKind::Open {
-                file: FileId(1),
-                mode: OpenMode::Read,
-            },
-        )]
-        .into_iter()
-        .collect();
-        let merged = OpStream::merge([a, b]);
-        let times: Vec<u64> = merged.iter().map(|o| o.time.as_secs()).collect();
-        assert_eq!(times, vec![0, 3, 5]);
-    }
-
-    #[test]
     fn op_metadata() {
         let w = op(
             0,
@@ -317,7 +267,6 @@ mod tests {
                 range: ByteRange::new(0, 10),
             },
         );
-        assert_eq!(w.payload_bytes(), 10);
         assert_eq!(w.file(), Some(FileId(2)));
         let m = op(
             0,
@@ -327,7 +276,6 @@ mod tests {
                 files: vec![FileId(0)],
             },
         );
-        assert_eq!(m.payload_bytes(), 0);
         assert_eq!(m.file(), None);
     }
 

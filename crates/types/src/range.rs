@@ -46,9 +46,6 @@ impl ByteRange {
         }
     }
 
-    /// The empty range at offset zero.
-    pub const EMPTY: ByteRange = ByteRange { start: 0, end: 0 };
-
     /// Number of bytes covered.
     pub const fn len(self) -> u64 {
         self.end - self.start
@@ -284,17 +281,6 @@ impl RangeSet {
         self.overlapping(r).map(|o| o.len()).sum()
     }
 
-    /// Whether every byte of `r` is present.
-    pub fn contains_range(&self, r: ByteRange) -> bool {
-        if r.is_empty() {
-            return true;
-        }
-        match self.ranges.range(..=r.start).next_back() {
-            Some((&s, &e)) => s <= r.start && r.end <= e,
-            None => false,
-        }
-    }
-
     /// Whether the byte at `offset` is present.
     pub fn contains(&self, offset: u64) -> bool {
         match self.ranges.range(..=offset).next_back() {
@@ -460,7 +446,7 @@ mod tests {
     #[test]
     fn insert_empty_is_noop() {
         let mut s = RangeSet::new();
-        assert_eq!(s.insert(ByteRange::EMPTY), 0);
+        assert_eq!(s.insert(ByteRange::new(0, 0)), 0);
         assert!(s.is_empty());
     }
 
@@ -508,14 +494,11 @@ mod tests {
     }
 
     #[test]
-    fn overlap_and_contains_queries() {
+    fn overlap_queries() {
         let s: RangeSet = [ByteRange::new(0, 10), ByteRange::new(20, 30)]
             .into_iter()
             .collect();
         assert_eq!(s.overlap_bytes(ByteRange::new(5, 25)), 10);
-        assert!(s.contains_range(ByteRange::new(2, 8)));
-        assert!(!s.contains_range(ByteRange::new(8, 12)));
-        assert!(s.contains_range(ByteRange::EMPTY));
         let parts: Vec<_> = s.overlapping(ByteRange::new(5, 25)).collect();
         assert_eq!(parts, vec![ByteRange::new(5, 10), ByteRange::new(20, 25)]);
     }
