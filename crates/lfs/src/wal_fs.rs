@@ -13,7 +13,7 @@
 //!   acknowledges as soon as the NVRAM copy completes — exact bytes plus a
 //!   20-byte frame, not block-rounded pages, and no disk write.
 //! * Segments are written back lazily: the 5-second sweep drains log
-//!   records older than [`WalConfig::drain_age`] as
+//!   records one sweep old as
 //!   [`SegmentCause::WalDrain`] segments, inside a `wal_drain` timing span.
 //!   The drains of one run fold into one span record, so the manifest
 //!   counts them without keeping a record per drain. Sweeps with nothing
@@ -26,26 +26,24 @@
 //!   (necessarily un-acked) is truncated.
 
 use nvfs_faults::{ReliabilityStats, WalCrashFault, WalCrashPoint};
-use nvfs_types::{FileId, RangeSet, SimDuration, SimTime};
+use nvfs_types::{FileId, RangeSet, SimDuration, SimTime, BLOCK_CLEANER_PERIOD};
 use nvfs_wal::{NvLog, WalEntry};
 
 use nvfs_trace::synth::lfs_workload::FsWorkload;
 
-use crate::fs::{drive, fan_out, Buffer, FsReport, Lfs, LfsConfig, WriteBufferMode};
-use crate::layout::{SegmentCause, SEGMENT_BYTES};
+use crate::fs::{drive, fan_out, Buffer, FsReport, Lfs};
+use crate::layout::SegmentCause;
 use crate::log::Chunks;
 
-/// Configuration for one WAL-mode file-system simulation.
+/// Age at which an appended log record is drained to disk: one sweep
+/// period, so each sweep drains what the previous one left.
+const DRAIN_AGE: SimDuration = BLOCK_CLEANER_PERIOD;
+
+/// Configuration for one WAL-mode file-system simulation. The segment
+/// log around it runs exactly as under [`LfsConfig`](crate::fs::LfsConfig),
+/// and log records drain once they are one 5-second sweep old.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WalConfig {
-    /// Segment size in bytes (512 KB in Sprite).
-    pub segment_bytes: u64,
-    /// Sweep period of the background drain (5 s, the Sprite sweep).
-    pub sweep_period: SimDuration,
-    /// Age at which un-fsynced volatile dirty data is flushed (30 s).
-    pub writeback_age: SimDuration,
-    /// Age at which an appended log record is drained to disk.
-    pub drain_age: SimDuration,
     /// NVRAM log capacity in bytes (½ MB, matching the paper's write
     /// buffer so the logging-vs-paging comparison is like for like).
     pub log_capacity: u64,
@@ -55,10 +53,6 @@ impl WalConfig {
     /// Sprite defaults: ½ MB of log NVRAM, drained on the next sweep.
     pub fn sprite() -> Self {
         WalConfig {
-            segment_bytes: SEGMENT_BYTES,
-            sweep_period: SimDuration::from_secs(5),
-            writeback_age: SimDuration::from_secs(30),
-            drain_age: SimDuration::from_secs(5),
             log_capacity: 512 << 10,
         }
     }
@@ -198,18 +192,11 @@ pub fn run_filesystem_wal_faulted(
 ) -> (WalFsReport, ReliabilityStats) {
     let logging = Logging {
         log: NvLog::new(config.log_capacity),
-        drain_age: config.drain_age,
         stats: WalStats::default(),
         fsync_samples: Vec::new(),
         events: Vec::new(),
     };
-    let lfs = LfsConfig {
-        segment_bytes: config.segment_bytes,
-        sweep_period: config.sweep_period,
-        writeback_age: config.writeback_age,
-        buffer: WriteBufferMode::None,
-    };
-    drive(workload, &lfs, logging, crashes)
+    drive(workload, logging, crashes)
 }
 
 /// Runs all eight Sprite file systems in WAL mode (deterministic at any
@@ -235,7 +222,6 @@ pub fn run_server_wal_faulted(
 /// trace the durability oracle reads.
 struct Logging {
     log: NvLog,
-    drain_age: SimDuration,
     stats: WalStats,
     fsync_samples: Vec<FsyncSample>,
     events: Vec<WalTraceEvent>,
@@ -311,7 +297,7 @@ impl Buffer for Logging {
     /// Background drain: log records old enough leave for disk, and only
     /// then does the log let them go.
     fn sweep(&mut self, lfs: &mut Lfs, t: SimTime) {
-        self.drain(lfs, t, self.drain_age);
+        self.drain(lfs, t, DRAIN_AGE);
     }
 
     fn fsync(&mut self, lfs: &mut Lfs, t: SimTime, file: FileId) {
@@ -505,7 +491,6 @@ mod tests {
         let w = FsWorkload { name: "/test", ops };
         let cfg = WalConfig {
             log_capacity: 210 << 10,
-            ..WalConfig::sprite()
         };
         let r = run_filesystem_wal(&w, &cfg);
         assert_eq!(r.wal.overflow_drains, 1);

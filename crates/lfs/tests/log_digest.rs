@@ -299,7 +299,6 @@ fn crash_and_overflow_paths_match_the_recorded_digest() {
     // A log an eighth of the default size overflows under fsync storms.
     let small_log = WalConfig {
         log_capacity: 64 << 10,
-        ..WalConfig::sprite()
     };
     for point in WalCrashPoint::ALL {
         let crashes = [
