@@ -1,14 +1,52 @@
 //! End-to-end tests of the `nvfs` command-line tool: generate traces to
 //! disk, lint them, replay them through the simulator, and export CSVs.
 
+use std::io::Read;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// The longest one command may run: past it, the test fails as a hang
+/// instead of stalling the suite.
+const CHILD_TIMEOUT: Duration = Duration::from_secs(60);
 
 fn nvfs(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_nvfs"))
+    let mut child = Command::new(env!("CARGO_BIN_EXE_nvfs"))
         .args(args)
-        .output()
-        .expect("binary runs")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let stdout = read_all(child.stdout.take().expect("piped stdout"));
+    let stderr = read_all(child.stderr.take().expect("piped stderr"));
+    let deadline = Instant::now() + CHILD_TIMEOUT;
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("child status") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("nvfs {args:?} still running after {CHILD_TIMEOUT:?}");
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    Output {
+        status,
+        stdout: stdout.join().expect("stdout reader"),
+        stderr: stderr.join().expect("stderr reader"),
+    }
+}
+
+/// Drains a child's pipe on its own thread, so a chatty child never
+/// blocks on a full pipe while the caller waits for it to exit.
+fn read_all(mut pipe: impl Read + Send + 'static) -> JoinHandle<Vec<u8>> {
+    std::thread::spawn(move || {
+        let mut bytes = Vec::new();
+        pipe.read_to_end(&mut bytes).expect("read child pipe");
+        bytes
+    })
 }
 
 fn tempdir(name: &str) -> PathBuf {
@@ -164,6 +202,11 @@ fn client_sim_rejects_overflowing_inputs() {
             "5 4294967295 w 4294967295 18446744073709551000 18446744073709551615\n",
             &[][..],
             "line 1: end past the last addressable block",
+        ),
+        (
+            "0 0 O 1 W\n1000000 0 w 1 0 18446744073709547520\n2000000 0 C 1\n",
+            &[][..],
+            "line 2: reads and writes span more than 16777216 blocks of 4 KB",
         ),
         (
             "1000 0 D 3\n",
@@ -456,11 +499,15 @@ fn mutated_traces_exit_zero_or_with_one_error_line() {
                         11000 0 w 2 100 5000\n\
                         12000 0 C 2\n\
                         13000 0 D 2\n";
-    const EXTREMES: [&str; 6] = [
+    const EXTREMES: [&str; 8] = [
         "0",
         "-1",
         "4294967295",
         "4294967296",
+        // An end at 2^40 bytes and the last whole-block end: lint-clean
+        // ranges the block cache could walk for hours.
+        "1099511627776",
+        "18446744073709547520",
         "18446744073709551615",
         "-9223372036854775808",
     ];
