@@ -22,7 +22,7 @@ fn main() {
     );
 
     let pref = ablations::dirty_preference(&env);
-    println!("{}", pref.table.render());
+    println!("{}", pref.render());
     println!(
         "Sprite's real replacement policy spares dirty blocks, cutting\n\
          replacement write-backs sharply once cache residency drops below the\n\
