@@ -11,7 +11,7 @@ use nvfs::types::{ByteRange, ClientId, FileId, RangeSet};
 
 fn main() {
     // Client 3 has been writing with a 1 MB NVRAM board installed.
-    let mut board = NvramBoard::new(ClientId(3), 1 << 20);
+    let mut board = NvramBoard::new(ClientId(3));
     board.store(FileId(100), ByteRange::new(0, 64 << 10));
     board.store(FileId(101), ByteRange::new(0, 12 << 10));
     board.store(FileId(101), ByteRange::new(32 << 10, 48 << 10));
@@ -43,7 +43,7 @@ fn main() {
     assert_eq!(total, (64 << 10) + (12 << 10) + (16 << 10));
 
     // Contrast: a board whose batteries all die loses everything.
-    let mut doomed = NvramBoard::new(ClientId(0), 1 << 20);
+    let mut doomed = NvramBoard::new(ClientId(0));
     doomed.store(FileId(1), ByteRange::new(0, 4096));
     for _ in 0..3 {
         doomed.batteries_mut().fail_one();

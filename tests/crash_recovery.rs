@@ -26,7 +26,7 @@ fn simulated_remaining_data_survives_a_crash() {
 
     // Model the client's NVRAM contents at crash time: its remaining dirty
     // bytes, laid out in board-sized runs.
-    let mut board = NvramBoard::new(ClientId(0), 1 << 20);
+    let mut board = NvramBoard::new(ClientId(0));
     let mut loaded = 0;
     let mut file = 0u32;
     while loaded < stats.remaining_dirty_bytes {
@@ -47,7 +47,7 @@ fn simulated_remaining_data_survives_a_crash() {
 
 #[test]
 fn battery_redundancy_protects_until_the_last_cell() {
-    let mut board = NvramBoard::new(ClientId(1), 1 << 20);
+    let mut board = NvramBoard::new(ClientId(1));
     board.store(FileId(0), ByteRange::new(0, 8192));
     // Two of three batteries fail: degraded but safe.
     assert_eq!(board.batteries_mut().fail_one(), BatteryState::Degraded);
@@ -62,7 +62,7 @@ fn battery_redundancy_protects_until_the_last_cell() {
 
 #[test]
 fn dead_board_loses_data_but_fails_loudly() {
-    let mut board = NvramBoard::new(ClientId(2), 1 << 20);
+    let mut board = NvramBoard::new(ClientId(2));
     board.store(FileId(0), ByteRange::new(0, 4096));
     for _ in 0..3 {
         board.batteries_mut().fail_one();
@@ -149,7 +149,7 @@ fn random_wal_crash_schedules_recover_every_acked_byte() {
 
 #[test]
 fn recovery_is_idempotent() {
-    let mut board = NvramBoard::new(ClientId(3), 1 << 20);
+    let mut board = NvramBoard::new(ClientId(3));
     board.store(FileId(7), ByteRange::new(0, 1024));
     let first = board.drain();
     assert_eq!(first.len(), 1);

@@ -131,7 +131,7 @@ fn server_replay_is_idempotent() {
 fn torn_drain_accounting_holds_for_all_caps() {
     let mut rng = StdRng::seed_from_u64(0xD0C5);
     for round in 0..200u32 {
-        let mut board = NvramBoard::new(ClientId(0), 1 << 20);
+        let mut board = NvramBoard::new(ClientId(0));
         let files = rng.gen_range(1..5u32);
         for f in 0..files {
             let runs = rng.gen_range(1..4u32);
@@ -168,7 +168,7 @@ fn torn_drain_accounting_holds_for_all_caps() {
 #[test]
 fn torn_drain_is_deterministic() {
     let build = || {
-        let mut b = NvramBoard::new(ClientId(2), 1 << 20);
+        let mut b = NvramBoard::new(ClientId(2));
         b.store(FileId(0), ByteRange::new(100, 9000));
         b.store(FileId(1), ByteRange::new(0, 5000));
         b.store(FileId(0), ByteRange::new(20000, 30000));
