@@ -9,19 +9,50 @@
 //! [`SegmentUsage`] tracks which blocks have a live copy on disk, so a
 //! crash or shutdown view of the log (`live_ranges`) omits deleted files.
 //!
-//! Placing a block costs one array index: each file keeps a dense vector
-//! of live bits by block index. A segment is placed one file run at a
-//! time, so the file map is searched once per run, not per block. Packing
-//! sorts one flat block list, so a flush builds no tree.
+//! Packing never walks single blocks. A flush becomes one sorted list of
+//! per-file runs of consecutive blocks; a segment takes a run's blocks up
+//! to a closed-form count of what still fits, places them with one slice
+//! fill of the file's dense live bits, and folds them into the summary
+//! checksum by counting the block index up in decimal.
 
 use std::collections::BTreeMap;
 
-use nvfs_types::{blocks_of_range, BlockId, ByteRange, FileId, RangeSet, SimTime};
+use nvfs_types::block::block_span;
+use nvfs_types::{BlockId, ByteRange, FileId, RangeSet, SimTime};
 
 use crate::layout::{SegmentCause, SegmentRecord, METADATA_BLOCK_BYTES, SUMMARY_BYTES};
 
 /// Chunks of dirty data handed to the writer: per-file byte ranges.
 pub type Chunks = Vec<(FileId, RangeSet)>;
+
+/// Blocks `first..=last` of one file. The end is inclusive, so a run that
+/// reaches block index `u64::MAX` needs no index past it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Run {
+    file: FileId,
+    first: u64,
+    last: u64,
+}
+
+impl Run {
+    /// Blocks in the run.
+    fn len(self) -> u64 {
+        self.last - self.first + 1
+    }
+
+    /// The run's first `n` blocks, `1 <= n <= len`.
+    fn head(self, n: u64) -> Run {
+        Run {
+            last: self.first + (n - 1),
+            ..self
+        }
+    }
+
+    /// The bytes the run's blocks cover.
+    fn bytes(self) -> ByteRange {
+        ByteRange::new(self.first * 4096, (self.last + 1) * 4096)
+    }
+}
 
 /// Which blocks of each file have a live copy on disk.
 ///
@@ -43,20 +74,22 @@ impl SegmentUsage {
 
     /// Records that `block` now has a live copy on disk.
     pub fn place(&mut self, block: BlockId) {
-        self.place_run(block.file, [block.index]);
+        self.place_run(Run {
+            file: block.file,
+            first: block.index,
+            last: block.index,
+        });
     }
 
-    /// Records that blocks `indices` of `file` now have a live copy on
-    /// disk, with one file lookup for the whole run.
-    fn place_run(&mut self, file: FileId, indices: impl IntoIterator<Item = u64>) {
-        let live = self.files.entry(file).or_default();
-        for index in indices {
-            let i = usize::try_from(index).expect("block index fits in memory");
-            if i >= live.len() {
-                live.resize(i + 1, false);
-            }
-            live[i] = true;
+    /// Records that every block of `run` now has a live copy on disk.
+    fn place_run(&mut self, run: Run) {
+        let index = |i: u64| usize::try_from(i).expect("block index fits in memory");
+        let (first, last) = (index(run.first), index(run.last));
+        let live = self.files.entry(run.file).or_default();
+        if last >= live.len() {
+            live.resize(last + 1, false);
         }
+        live[first..=last].fill(true);
     }
 
     /// Kills every live block of `file` (the file was deleted).
@@ -75,65 +108,77 @@ impl SegmentUsage {
         self.files
             .iter()
             .map(|(&file, live)| {
-                let indices = (0u64..).zip(live).filter(|&(_, &l)| l);
-                (file, block_ranges(indices.map(|(index, _)| index)))
+                // One insert per run of live blocks.
+                let mut end = 0u64;
+                let ranges = live.chunk_by(|a, b| a == b).filter_map(|same| {
+                    let start = end;
+                    end += same.len() as u64;
+                    same[0].then(|| ByteRange::new(start * 4096, end * 4096))
+                });
+                (file, ranges.collect())
             })
             .collect()
     }
 }
 
-/// The byte ranges of ascending, distinct block `indices`, one insert per
-/// run of consecutive blocks.
-fn block_ranges(indices: impl Iterator<Item = u64>) -> RangeSet {
-    let mut set = RangeSet::new();
-    let mut run: Option<(u64, u64)> = None;
-    for index in indices {
-        run = match run {
-            Some((lo, hi)) if hi == index => Some((lo, index + 1)),
-            Some((lo, hi)) => {
-                set.insert(ByteRange::new(lo * 4096, hi * 4096));
-                Some((index, index + 1))
-            }
-            None => Some((index, index + 1)),
-        };
-    }
-    if let Some((lo, hi)) = run {
-        set.insert(ByteRange::new(lo * 4096, hi * 4096));
-    }
-    set
-}
-
-/// `blocks` (sorted by block id) handed back as per-file chunks.
-fn block_chunks(blocks: &[BlockId]) -> Chunks {
-    blocks
-        .chunk_by(|a, b| a.file == b.file)
-        .map(|run| (run[0].file, block_ranges(run.iter().map(|b| b.index))))
+/// `runs` (sorted, one file's runs adjacent) handed back as per-file
+/// chunks.
+fn run_chunks(runs: &[Run]) -> Chunks {
+    runs.chunk_by(|a, b| a.file == b.file)
+        .map(|same| (same[0].file, same.iter().map(|r| r.bytes()).collect()))
         .collect()
 }
 
-/// Every distinct 4 KB block of `chunks`, sorted by block id — the order
-/// the segments lay them out in.
-fn sorted_blocks(chunks: &Chunks) -> Vec<BlockId> {
-    let mut blocks = Vec::new();
-    for (file, ranges) in chunks {
-        for r in ranges.iter() {
-            blocks.extend(blocks_of_range(*file, r));
+/// Every 4 KB block of `chunks` as runs sorted by (file, first block), the
+/// order the segments lay them out in. Runs of one file that overlap or
+/// touch are merged, so each block appears once even when two chunks name
+/// the same file.
+fn sorted_runs(chunks: &Chunks) -> Vec<Run> {
+    let mut runs: Vec<Run> = chunks
+        .iter()
+        .flat_map(|(file, ranges)| {
+            ranges.iter().filter_map(move |r| {
+                let (first, end) = block_span(r);
+                (first < end).then(|| Run {
+                    file: *file,
+                    first,
+                    last: end - 1,
+                })
+            })
+        })
+        .collect();
+    runs.sort_unstable();
+    runs.dedup_by(|run, kept| {
+        let joins = run.file == kept.file && run.first <= kept.last.saturating_add(1);
+        if joins {
+            kept.last = kept.last.max(run.last);
         }
-    }
-    blocks.sort_unstable();
-    blocks.dedup();
-    blocks
-}
-
-/// Distinct files among `blocks`, which are sorted by block id.
-fn file_count(blocks: &[BlockId]) -> usize {
-    blocks.chunk_by(|a, b| a.file == b.file).count()
+        joins
+    });
+    runs
 }
 
 /// On-disk bytes of a segment of `blocks` data blocks from `files` files,
 /// budgeting one more incoming data block.
-fn on_disk_with(blocks: usize, files: usize) -> u64 {
-    blocks as u64 * 4096 + 4096 + files.max(1) as u64 * METADATA_BLOCK_BYTES + SUMMARY_BYTES
+fn on_disk_with(blocks: u64, files: usize) -> u64 {
+    blocks * 4096 + 4096 + files.max(1) as u64 * METADATA_BLOCK_BYTES + SUMMARY_BYTES
+}
+
+/// The segment being filled: its runs in segment order, their block
+/// count and the distinct files among them.
+#[derive(Debug, Default)]
+struct OpenSegment {
+    runs: Vec<Run>,
+    blocks: u64,
+    files: usize,
+}
+
+impl OpenSegment {
+    fn clear(&mut self) {
+        self.runs.clear();
+        self.blocks = 0;
+        self.files = 0;
+    }
 }
 
 /// Packs dirty chunks into segments and appends them to the log.
@@ -189,10 +234,9 @@ impl SegmentWriter {
     /// [`SegmentCause::Full`]; the final, usually partial, segment gets
     /// `cause`.
     pub fn write_all(&mut self, t: SimTime, chunks: &Chunks, cause: SegmentCause) {
-        let blocks = sorted_blocks(chunks);
-        let tail = self.pack_full(t, &blocks);
-        if tail < blocks.len() {
-            self.emit_final(t, &blocks[tail..], cause);
+        let tail = self.pack_full(t, &sorted_runs(chunks));
+        if tail.blocks > 0 {
+            self.emit_final(t, &tail, cause);
         }
     }
 
@@ -200,59 +244,75 @@ impl SegmentWriter {
     /// returning the remainder (less than one segment's worth) to the
     /// caller.
     pub fn write_full_only(&mut self, t: SimTime, chunks: &Chunks) -> Chunks {
-        let blocks = sorted_blocks(chunks);
-        let tail = self.pack_full(t, &blocks);
-        block_chunks(&blocks[tail..])
+        let tail = self.pack_full(t, &sorted_runs(chunks));
+        run_chunks(&tail.runs)
     }
 
-    /// Core packing loop over `blocks`, sorted and distinct. Emits every
-    /// segment that fills and returns where the unwritten tail starts.
-    fn pack_full(&mut self, t: SimTime, blocks: &[BlockId]) -> usize {
-        let mut start = 0;
-        let mut files = 0;
-        for i in 0..blocks.len() {
-            // Blocks arrive sorted, so a file is new to the open segment
-            // exactly when it differs from the previous block's.
-            let adds_file = i == start || blocks[i - 1].file != blocks[i].file;
-            if i > start
-                && on_disk_with(i - start, files + usize::from(adds_file)) > self.segment_bytes
-            {
-                self.emit(t, &blocks[start..i], files, SegmentCause::Full);
-                start = i;
-                files = 0;
+    /// Blocks a segment already holding `blocks` blocks from `files` files
+    /// (the incoming run's file counted) still takes: a block fits while
+    /// [`on_disk_with`] stays within the segment, and the first block of a
+    /// segment always fits.
+    fn room(&self, blocks: u64, files: usize) -> u64 {
+        let capacity = self
+            .segment_bytes
+            .checked_sub(on_disk_with(0, files))
+            .map_or(1, |spare| spare / 4096 + 1);
+        capacity.saturating_sub(blocks)
+    }
+
+    /// Core packing loop over `runs`, sorted and merged. Emits every
+    /// segment that fills and returns the unwritten tail.
+    fn pack_full(&mut self, t: SimTime, runs: &[Run]) -> OpenSegment {
+        let mut seg = OpenSegment::default();
+        for &run in runs {
+            let mut rest = run;
+            loop {
+                // Runs arrive sorted, so a file is new to the open segment
+                // exactly when it differs from the previous run's.
+                let adds_file = seg.runs.last().is_none_or(|prev| prev.file != rest.file);
+                let files = seg.files + usize::from(adds_file);
+                let take = self.room(seg.blocks, files).min(rest.len());
+                if take > 0 {
+                    seg.runs.push(rest.head(take));
+                    seg.blocks += take;
+                    seg.files = files;
+                }
+                if take == rest.len() {
+                    break;
+                }
+                self.emit(t, &seg, SegmentCause::Full);
+                seg.clear();
+                rest.first += take;
             }
-            files += usize::from(i == start || adds_file);
         }
-        start
+        seg
     }
 
     /// Emits the final segment of a flush. A final chunk that leaves no
     /// room for another block is Full; `on_disk_with` already budgets one
     /// incoming block.
-    fn emit_final(&mut self, t: SimTime, blocks: &[BlockId], cause: SegmentCause) {
-        let files = file_count(blocks);
-        let cause = if on_disk_with(blocks.len(), files) > self.segment_bytes {
+    fn emit_final(&mut self, t: SimTime, seg: &OpenSegment, cause: SegmentCause) {
+        let cause = if on_disk_with(seg.blocks, seg.files) > self.segment_bytes {
             SegmentCause::Full
         } else {
             cause
         };
-        self.emit(t, blocks, files, cause);
+        self.emit(t, seg, cause);
     }
 
-    fn emit(&mut self, t: SimTime, blocks: &[BlockId], files: usize, cause: SegmentCause) {
+    fn emit(&mut self, t: SimTime, seg: &OpenSegment, cause: SegmentCause) {
         let id = self.next_id;
         self.next_id += 1;
-        for run in blocks.chunk_by(|a, b| a.file == b.file) {
-            self.usage
-                .place_run(run[0].file, run.iter().map(|b| b.index));
+        for &run in &seg.runs {
+            self.usage.place_run(run);
         }
-        let checksum = segment_checksum(blocks);
+        let checksum = segment_checksum(seg.runs.iter().copied());
         let record = SegmentRecord {
             id,
             time: t,
             cause,
-            data_bytes: blocks.len() as u64 * 4096,
-            file_count: files,
+            data_bytes: seg.blocks * 4096,
+            file_count: seg.files,
             stored_checksum: checksum,
             content_checksum: checksum,
         };
@@ -279,33 +339,30 @@ impl SegmentWriter {
     /// segment write is torn after `fraction` of its blocks: its summary
     /// checksum no longer matches the on-disk content, its blocks are not
     /// placed in the usage table, and the segment's intended chunks are
-    /// returned so the caller can rewrite them after
-    /// [`roll_forward`](SegmentWriter::roll_forward) truncates the tear.
+    /// returned so the caller can rewrite them after recovery truncates
+    /// the tear.
     ///
     /// Naturally full prefix segments are written (and checksummed) intact.
     /// A fraction of 1.0 or more tears nothing: the write completes
     /// normally and an empty chunk list is returned.
-    pub(crate) fn write_all_torn(
+    pub fn write_all_torn(
         &mut self,
         t: SimTime,
         chunks: &Chunks,
         cause: SegmentCause,
         fraction: f64,
     ) -> Chunks {
-        let blocks = sorted_blocks(chunks);
-        let tail = self.pack_full(t, &blocks);
         // The tail is the final segment exactly as `write_all` would pack it.
-        let seg = &blocks[tail..];
-        if seg.is_empty() {
+        let seg = self.pack_full(t, &sorted_runs(chunks));
+        if seg.blocks == 0 {
             return Chunks::new();
         }
-        let intended = seg.len();
-        let written = (intended as f64 * fraction) as usize;
+        let intended = seg.blocks;
+        let written = (intended as f64 * fraction) as u64;
         if written >= intended {
-            self.emit_final(t, seg, cause);
+            self.emit_final(t, &seg, cause);
             return Chunks::new();
         }
-        let files = file_count(seg);
 
         let id = self.next_id;
         self.next_id += 1;
@@ -313,10 +370,10 @@ impl SegmentWriter {
             id,
             time: t,
             cause,
-            data_bytes: intended as u64 * 4096,
-            file_count: files,
-            stored_checksum: segment_checksum(seg),
-            content_checksum: segment_checksum(&seg[..written]),
+            data_bytes: intended * 4096,
+            file_count: seg.files,
+            stored_checksum: segment_checksum(seg.runs.iter().copied()),
+            content_checksum: segment_checksum(first_blocks(&seg.runs, written)),
         };
         debug_assert!(!record.is_valid(), "a torn segment must fail its checksum");
         nvfs_obs::counter_add("lfs.segments_torn", 1);
@@ -329,7 +386,7 @@ impl SegmentWriter {
             .u64("torn", 1)
             .emit();
         self.records.push(record);
-        block_chunks(seg)
+        run_chunks(&seg.runs)
     }
 
     /// Roll-forward recovery over the log tail: scans back from the end,
@@ -377,22 +434,38 @@ pub(crate) struct RollForward {
     pub(crate) truncated_data_bytes: u64,
 }
 
+/// The first `n` blocks of `runs`, as runs.
+fn first_blocks(runs: &[Run], mut n: u64) -> impl Iterator<Item = Run> + '_ {
+    runs.iter().map_while(move |&run| {
+        let take = run.len().min(n);
+        n -= take;
+        (take > 0).then(|| run.head(take))
+    })
+}
+
 /// The summary-block checksum: 64-bit FNV-1a over the segment's (file,
 /// block-index) content list, in segment order. The simulation carries no
 /// payload bytes, so the block list *is* the content identity; any torn
 /// prefix of it hashes differently, which is all a checksum must provide.
 /// The hasher is the shared [`nvfs_types::framing`] implementation, so the
 /// segment summaries and the WAL records use one checksum definition.
-fn segment_checksum(blocks: &[BlockId]) -> u64 {
+///
+/// Each block hashes as the text `"{file}:{index};"`. Within a run the
+/// index text is counted up in place rather than formatted again.
+fn segment_checksum(runs: impl IntoIterator<Item = Run>) -> u64 {
     let mut d = nvfs_types::framing::Fnv64::new();
     // "{file}:{index};" at most: 10 + 1 + 20 + 1 bytes.
     let mut buf = [0u8; 32];
-    for b in blocks {
-        let mut n = put_decimal(&mut buf, 0, u64::from(b.file.0));
-        buf[n] = b':';
-        n = put_decimal(&mut buf, n + 1, b.index);
-        buf[n] = b';';
-        d.update_bytes(&buf[..=n]);
+    for run in runs {
+        let digits = put_decimal(&mut buf, 0, u64::from(run.file.0)) + 1;
+        buf[digits - 1] = b':';
+        let mut end = put_decimal(&mut buf, digits, run.first);
+        buf[end] = b';';
+        d.update_bytes(&buf[..=end]);
+        for _ in run.first..run.last {
+            end = increment_decimal(&mut buf, digits, end);
+            d.update_bytes(&buf[..=end]);
+        }
     }
     d.value()
 }
@@ -414,6 +487,23 @@ fn put_decimal(buf: &mut [u8], at: usize, mut v: u64) -> usize {
     at + len
 }
 
+/// Adds one to the decimal number in `buf[from..end]`, which is followed
+/// by the `;` at `end`, and returns where the `;` now sits.
+fn increment_decimal(buf: &mut [u8], from: usize, end: usize) -> usize {
+    for digit in buf[from..end].iter_mut().rev() {
+        if *digit < b'9' {
+            *digit += 1;
+            return end;
+        }
+        *digit = b'0';
+    }
+    // Every digit was a 9: the number grows by one digit, a 1 and zeros.
+    buf[from] = b'1';
+    buf[end] = b'0';
+    buf[end + 1] = b';';
+    end + 1
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,35 +514,92 @@ mod tests {
         (FileId(file), RangeSet::from_range(ByteRange::new(0, bytes)))
     }
 
+    fn run(file: u32, first: u64, last: u64) -> Run {
+        Run {
+            file: FileId(file),
+            first,
+            last,
+        }
+    }
+
+    /// FNV-1a over `"{file}:{index};"` for every block of `runs`, each
+    /// index formatted by `format!`.
+    fn formatted_checksum(runs: &[Run]) -> u64 {
+        let mut d = nvfs_types::framing::Fnv64::new();
+        for r in runs {
+            for index in r.first..=r.last {
+                d.update(&format!("{}:{};", r.file.0, index));
+            }
+        }
+        d.value()
+    }
+
     #[test]
     fn summary_checksum_matches_the_obs_digest() {
         // The shared nvfs-types hasher must stay bit-identical to the obs
         // digest the summaries were originally computed with, or every
         // golden checksum in the repo silently changes.
-        let blocks = vec![
-            BlockId::new(FileId(3), 0),
-            BlockId::new(FileId(3), 1),
-            BlockId::new(FileId(7), 2),
-        ];
+        let runs = [run(3, 0, 1), run(7, 2, 2)];
         let mut d = nvfs_obs::digest::Digest::new();
-        for b in &blocks {
-            d.update(&format!("{}:{};", b.file.0, b.index));
+        for b in ["3:0;", "3:1;", "7:2;"] {
+            d.update(b);
         }
-        assert_eq!(segment_checksum(&blocks), d.value());
+        assert_eq!(segment_checksum(runs), d.value());
     }
 
     #[test]
     fn summary_checksum_formats_extreme_ids_like_format() {
-        let blocks = vec![
-            BlockId::new(FileId(0), 0),
-            BlockId::new(FileId(u32::MAX), u64::MAX),
-            BlockId::new(FileId(10), 1_000_000_007),
+        let runs = [
+            run(0, 0, 0),
+            run(u32::MAX, u64::MAX, u64::MAX),
+            run(10, 1_000_000_007, 1_000_000_007),
         ];
-        let mut d = nvfs_types::framing::Fnv64::new();
-        for b in &blocks {
-            d.update(&format!("{}:{};", b.file.0, b.index));
-        }
-        assert_eq!(segment_checksum(&blocks), d.value());
+        assert_eq!(segment_checksum(runs), formatted_checksum(&runs));
+    }
+
+    #[test]
+    fn counting_up_carries_like_format() {
+        // Runs crossing a carry into a new digit, a carry inside the
+        // number, and the last indices a u64 holds.
+        let runs = [
+            run(1, 0, 12),
+            run(2, 95, 101),
+            run(4_294_967_295, 999_998, 1_000_001),
+            run(5, 1_099, 1_101),
+            run(6, u64::MAX - 2, u64::MAX),
+        ];
+        assert_eq!(segment_checksum(runs), formatted_checksum(&runs));
+    }
+
+    #[test]
+    fn first_blocks_cuts_inside_a_run() {
+        let runs = [run(1, 0, 3), run(2, 10, 11)];
+        let cut: Vec<Run> = first_blocks(&runs, 5).collect();
+        assert_eq!(cut, vec![run(1, 0, 3), run(2, 10, 10)]);
+        assert_eq!(first_blocks(&runs, 0).count(), 0);
+        assert_eq!(first_blocks(&runs, 9).count(), 2);
+    }
+
+    #[test]
+    fn overlapping_and_touching_runs_merge() {
+        let chunks = vec![
+            (
+                FileId(2),
+                [ByteRange::new(0, 100), ByteRange::new(200, 5000)]
+                    .into_iter()
+                    .collect(),
+            ),
+            chunk(1, 4096),
+            (FileId(2), RangeSet::from_range(ByteRange::new(8192, 9000))),
+            (
+                FileId(2),
+                RangeSet::from_range(ByteRange::new(20000, 20001)),
+            ),
+        ];
+        assert_eq!(
+            sorted_runs(&chunks),
+            vec![run(1, 0, 0), run(2, 0, 2), run(2, 4, 4)]
+        );
     }
 
     #[test]
