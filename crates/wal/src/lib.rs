@@ -9,7 +9,9 @@
 //!
 //! [`NvLog`] is an append-only region of NVRAM holding checksummed,
 //! sequence-numbered records in the shared [`nvfs_types::framing`] format.
-//! The commit protocol:
+//! Only recovery reads that byte image, so the log keeps its records as
+//! entries and encodes the image when [`NvLog::recover`] decodes it; a torn
+//! append is the one part kept as raw bytes. The commit protocol:
 //!
 //! 1. `fsync` encodes the file's dirty byte ranges into one record and
 //!    appends it. The ack is returned as soon as the NVRAM copy finishes —
@@ -43,6 +45,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+
+#[cfg(test)]
+mod eager_reference;
 
 use nvfs_types::framing::{decode_stream, encode_record, RECORD_HEADER_BYTES};
 use nvfs_types::{ByteRange, FileId, RangeSet, SimTime};
@@ -90,15 +95,22 @@ pub struct WalRecovery {
 
 /// The append-only NVRAM log.
 ///
-/// `buf` models the NVRAM contents byte-for-byte in the shared framing
-/// format; `entries` mirrors the acknowledged records for cheap policy
-/// decisions (drain age, truncation offsets). A torn append writes bytes
-/// without a mirror entry — exactly the state [`NvLog::recover`] must
-/// repair.
+/// `entries` are the acknowledged records, which also drive policy
+/// decisions (drain age, truncation offsets). The NVRAM contents are those
+/// records in the shared framing format, byte for byte, plus the bytes of
+/// any torn append: written without an entry, they are exactly the state
+/// [`NvLog::recover`] must repair. Recovery is the only reader of that
+/// image, so it is encoded there and nowhere else.
 #[derive(Debug, Clone)]
 pub struct NvLog {
-    buf: Vec<u8>,
     entries: Vec<WalEntry>,
+    /// Torn appends not yet repaired, oldest first: the bytes of each and
+    /// how many of `entries` precede it in NVRAM. Records appended after a
+    /// tear lie behind it. Entries only grow while a tear is kept, since
+    /// truncating or deleting re-encodes the log without it.
+    torn: Vec<(usize, Vec<u8>)>,
+    /// Logical bytes the entries occupy (see [`NvLog::would_overflow`]).
+    used: u64,
     next_seq: u64,
     capacity: u64,
 }
@@ -145,27 +157,17 @@ impl NvLog {
     /// An empty log over `capacity` bytes of NVRAM.
     pub fn new(capacity: u64) -> Self {
         NvLog {
-            buf: Vec::new(),
             entries: Vec::new(),
+            torn: Vec::new(),
+            used: 0,
             next_seq: 0,
             capacity,
         }
     }
 
-    /// Logical bytes of NVRAM the log occupies: each record holds its
-    /// file's promised data bytes plus the framing header. (The simulation
-    /// frames range *descriptors* rather than payload data, so this is
-    /// computed from the promised ranges, not from the descriptor stream.)
-    fn used_bytes(&self) -> u64 {
-        self.entries
-            .iter()
-            .map(|e| framed_bytes(e.data_bytes()))
-            .sum()
-    }
-
     /// Whether the log holds no bytes at all.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty() && self.entries.is_empty()
+        self.entries.is_empty() && self.torn.is_empty()
     }
 
     /// The acknowledged records still in the log, oldest first.
@@ -176,15 +178,22 @@ impl NvLog {
     /// Whether appending a record for `ranges` would exceed capacity — the
     /// caller must drain and truncate first (a synchronous drain, the WAL
     /// analogue of the write buffer's `NvramFull` flush).
+    ///
+    /// Each record counts its file's promised data bytes plus the framing
+    /// header. (The simulation frames range *descriptors* rather than
+    /// payload data, so the count comes from the promised ranges, not from
+    /// the descriptor stream.)
     pub fn would_overflow(&self, ranges: &RangeSet) -> bool {
-        self.used_bytes() + framed_bytes(ranges.len_bytes()) > self.capacity
+        self.used + framed_bytes(ranges.len_bytes()) > self.capacity
     }
 
     /// Durably appends one record and acknowledges it: from this moment
     /// every byte in `ranges` is promised to survive any crash. Returns the
     /// record's sequence number.
     pub fn append(&mut self, t: SimTime, file: FileId, ranges: &RangeSet) -> u64 {
-        let seq = self.append_bytes(file, ranges);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.used += framed_bytes(ranges.len_bytes());
         self.entries.push(WalEntry {
             seq,
             time: t,
@@ -205,32 +214,46 @@ impl NvLog {
     /// reached NVRAM. The fsync is never acknowledged — nothing is promised
     /// — and the torn bytes await [`NvLog::recover`].
     pub fn append_torn(&mut self, file: FileId, ranges: &RangeSet, fraction: f64) {
-        let before = self.buf.len();
-        self.append_bytes(file, ranges);
-        let written = ((self.buf.len() - before) as f64 * fraction.clamp(0.0, 1.0)) as usize;
-        self.buf.truncate(before + written);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let mut bytes = Vec::new();
+        encode_record(seq, &encode_payload(file, ranges), &mut bytes);
+        let written = (bytes.len() as f64 * fraction.clamp(0.0, 1.0)) as usize;
         // The tear must actually tear: keep at least one byte missing so the
         // tail record can never pass its checksum.
-        if self.buf.len() - before > 0 && written > 0 {
-            self.buf.pop();
+        bytes.truncate(written.saturating_sub(1));
+        if !bytes.is_empty() {
+            self.torn.push((self.entries.len(), bytes));
         }
     }
 
-    fn append_bytes(&mut self, file: FileId, ranges: &RangeSet) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        encode_record(seq, &encode_payload(file, ranges), &mut self.buf);
-        seq
+    /// The NVRAM contents: every entry framed in sequence order, each torn
+    /// append's bytes where that append began.
+    fn image(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut torn = self.torn.iter().peekable();
+        for (i, e) in self.entries.iter().enumerate() {
+            while let Some((_, bytes)) = torn.next_if(|(at, _)| *at == i) {
+                buf.extend_from_slice(bytes);
+            }
+            encode_record(e.seq, &encode_payload(e.file, &e.ranges), &mut buf);
+        }
+        for (_, bytes) in torn {
+            buf.extend_from_slice(bytes);
+        }
+        buf
     }
 
     /// Rolls the log forward after a crash: decodes the valid record
-    /// prefix, truncates the torn or corrupt tail, and rebuilds the mirror
-    /// so every surviving record is ready to replay (their append times are
-    /// reset to `t`; replay happens now regardless of age).
+    /// prefix of the NVRAM image, truncates the torn or corrupt tail, and
+    /// rebuilds the entries so every surviving record is ready to replay
+    /// (their append times are reset to `t`; replay happens now regardless
+    /// of age).
     pub fn recover(&mut self, t: SimTime) -> WalRecovery {
-        let decoded = decode_stream(&self.buf);
-        let truncated = self.buf.len() - decoded.valid_bytes;
-        self.buf.truncate(decoded.valid_bytes);
+        let image = self.image();
+        let decoded = decode_stream(&image);
+        let truncated = image.len() - decoded.valid_bytes;
+        self.torn.clear();
         self.entries = decoded
             .records
             .iter()
@@ -250,6 +273,7 @@ impl NvLog {
             replayed_bytes: self.entries.iter().map(WalEntry::data_bytes).sum(),
             truncated_bytes: truncated as u64,
         };
+        self.used = out.replayed_records * RECORD_HEADER_BYTES + out.replayed_bytes;
         nvfs_obs::counter_add("wal.recoveries", 1);
         if out.truncated_bytes > 0 {
             nvfs_obs::counter_add("wal.recovered_torn_bytes", out.truncated_bytes);
@@ -262,24 +286,24 @@ impl NvLog {
     /// completed, which is the truncation invariant that makes the ack at
     /// append time safe.
     pub fn truncate_through(&mut self, t: SimTime, seq: u64) {
-        let keep = self.entries.iter().position(|e| e.seq > seq);
-        let dropped: Vec<WalEntry> = match keep {
-            Some(i) => {
-                let tail = self.entries.split_off(i);
-                std::mem::replace(&mut self.entries, tail)
-            }
-            None => std::mem::take(&mut self.entries),
-        };
-        if dropped.is_empty() {
+        let dropped = self
+            .entries
+            .iter()
+            .position(|e| e.seq > seq)
+            .unwrap_or(self.entries.len());
+        if dropped == 0 {
             return;
         }
-        let bytes: u64 = dropped.iter().map(WalEntry::data_bytes).sum();
-        self.rebuild_buf();
-        nvfs_obs::counter_add("wal.truncated_records", dropped.len() as u64);
+        let bytes: u64 = self.entries.drain(..dropped).map(|e| e.data_bytes()).sum();
+        let records = dropped as u64;
+        self.used -= records * RECORD_HEADER_BYTES + bytes;
+        // NVRAM is rewritten from the surviving records: a tear goes too.
+        self.torn.clear();
+        nvfs_obs::counter_add("wal.truncated_records", records);
         nvfs_obs::counter_add("wal.truncated_bytes", bytes);
         nvfs_obs::event("wal_truncate", t.as_micros())
             .u64("through_seq", seq)
-            .u64("records", dropped.len() as u64)
+            .u64("records", records)
             .u64("bytes", bytes)
             .emit();
     }
@@ -293,19 +317,12 @@ impl NvLog {
         }
         for e in &mut self.entries {
             if e.file == file {
+                self.used -= e.data_bytes();
                 e.ranges.clear();
             }
         }
-        self.rebuild_buf();
-    }
-
-    /// Re-encodes NVRAM from the mirror (after truncation or a delete),
-    /// preserving each surviving record's sequence number.
-    fn rebuild_buf(&mut self) {
-        self.buf.clear();
-        for e in &self.entries {
-            encode_record(e.seq, &encode_payload(e.file, &e.ranges), &mut self.buf);
-        }
+        // NVRAM is rewritten from the surviving records: a tear goes too.
+        self.torn.clear();
     }
 }
 
@@ -345,7 +362,7 @@ mod tests {
         assert!(out.truncated_bytes > 0);
         assert_eq!(log.entries().len(), 1);
         assert_eq!(log.entries()[0].file, FileId(1));
-        assert_eq!(log.used_bytes(), framed_bytes(4096));
+        assert_eq!(log.used, framed_bytes(4096));
     }
 
     #[test]
@@ -377,7 +394,7 @@ mod tests {
         let mut log = NvLog::new(framed_bytes(100));
         assert!(!log.would_overflow(&ranges));
         log.append(SimTime::ZERO, FileId(1), &ranges);
-        assert_eq!(log.used_bytes(), framed_bytes(100));
+        assert_eq!(log.used, framed_bytes(100));
         assert!(log.would_overflow(&ranges));
     }
 
