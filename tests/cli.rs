@@ -478,9 +478,14 @@ fn trace_commands_reject_lint_violations() {
 
 /// A seeded mutation fuzzer over trace lines: fields swapped, replaced by
 /// extreme or negative values (in one line or down a whole column), times
-/// reordered, lines cut short. Every
-/// command that reads a trace either runs it (exit 0) or rejects it with
-/// exactly one `error:` line (exit 1); a panic (exit 101) never passes.
+/// reordered, lines cut short. Every command that reads a trace either
+/// runs it (exit 0) or rejects it with exactly one `error:` line (exit 1);
+/// a panic (exit 101) or a hang never passes.
+///
+/// Each mutated trace that every command runs is lint-clean, so it is
+/// mutated once more: one read or write is stretched past the 2^24-block
+/// cap, which every command must then reject at the cap. Without the cap
+/// the block cache would walk that range for hours.
 #[test]
 fn mutated_traces_exit_zero_or_with_one_error_line() {
     use nvfs::rng::{Rng, SeedableRng, StdRng};
@@ -516,6 +521,38 @@ fn mutated_traces_exit_zero_or_with_one_error_line() {
     let path_str = path.to_str().unwrap();
     let mut rng = StdRng::seed_from_u64(0x7ACE_0008);
     let mut exits = [0u32; 2];
+    let mut stretched = 0u32;
+    // Runs every trace command on `trace`; returns how many exited 0 and
+    // how many rejected it at the block cap.
+    let run_all = |trace: &str, case: u32| {
+        std::fs::write(&path, trace).unwrap();
+        let mut runs = vec![vec!["trace-stats", path_str], vec!["lifetime", path_str]];
+        for model in ["volatile", "write-aside", "hybrid", "unified"] {
+            runs.push(vec!["client-sim", "--model", model, path_str]);
+        }
+        let mut outcome = [0u32; 2];
+        for args in runs {
+            let out = nvfs(&args);
+            let err = String::from_utf8_lossy(&out.stderr);
+            match out.status.code() {
+                Some(0) => outcome[0] += 1,
+                Some(1) => {
+                    outcome[1] += u32::from(err.contains("blocks of 4 KB"));
+                    assert_eq!(
+                        err.lines().count(),
+                        1,
+                        "case {case} {args:?}:\n{trace}{err}"
+                    );
+                    assert!(
+                        err.starts_with("error: "),
+                        "case {case} {args:?}:\n{trace}{err}"
+                    );
+                }
+                code => panic!("case {case} {args:?} exited {code:?}:\n{trace}{err}"),
+            }
+        }
+        outcome
+    };
     for case in 0..64 {
         let mut lines: Vec<String> = BASE.lines().map(str::to_string).collect();
         for _ in 0..rng.gen_range(1..4u32) {
@@ -566,33 +603,31 @@ fn mutated_traces_exit_zero_or_with_one_error_line() {
             }
         }
         let trace = lines.join("\n") + "\n";
-        std::fs::write(&path, &trace).unwrap();
-        let mut runs = vec![vec!["trace-stats", path_str], vec!["lifetime", path_str]];
-        for model in ["volatile", "write-aside", "hybrid", "unified"] {
-            runs.push(vec!["client-sim", "--model", model, path_str]);
+        let [ran, _] = run_all(&trace, case);
+        exits[0] += ran;
+        exits[1] += 6 - ran;
+        if ran < 6 {
+            continue;
         }
-        for args in runs {
-            let out = nvfs(&args);
-            let err = String::from_utf8_lossy(&out.stderr);
-            match out.status.code() {
-                Some(0) => exits[0] += 1,
-                Some(1) => {
-                    exits[1] += 1;
-                    assert_eq!(
-                        err.lines().count(),
-                        1,
-                        "case {case} {args:?}:\n{trace}{err}"
-                    );
-                    assert!(
-                        err.starts_with("error: "),
-                        "case {case} {args:?}:\n{trace}{err}"
-                    );
-                }
-                code => panic!("case {case} {args:?} exited {code:?}:\n{trace}{err}"),
-            }
+        // Stretch one read or write to cover bytes 0 to 2^40, or 0 to the
+        // last whole block: 2^28 blocks or more, one range alone.
+        let rw: Vec<usize> = (0..lines.len())
+            .filter(|&j| matches!(lines[j].split_whitespace().nth(2), Some("r" | "w")))
+            .collect();
+        if rw.is_empty() {
+            continue;
         }
+        let j = rw[case as usize % rw.len()];
+        let mut fields: Vec<&str> = lines[j].split_whitespace().collect();
+        fields[4] = "0";
+        fields[5] = ["1099511627776", "18446744073709547520"][case as usize % 2];
+        lines[j] = fields.join(" ");
+        let trace = lines.join("\n") + "\n";
+        assert_eq!(run_all(&trace, case), [0, 6], "case {case}:\n{trace}");
+        stretched += 1;
     }
-    // The mutations must reach both outcomes.
+    // The mutations must reach both outcomes, and the block cap.
     assert!(exits.iter().all(|&n| n > 20), "{exits:?}");
+    assert!(stretched > 2, "{stretched} traces stretched past the cap");
     let _ = std::fs::remove_dir_all(&dir);
 }

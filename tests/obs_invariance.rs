@@ -246,6 +246,70 @@ fn experiments_are_jobs_invariant_and_match_golden() {
     );
 }
 
+/// The LFS server drive loop at small scale, both buffers: Tables 3 and 4,
+/// the write buffer and logging vs paging.
+#[test]
+fn lfs_tables_are_jobs_invariant_and_match_golden() {
+    check_report(
+        &[
+            &["lfs", "--scale", "small"],
+            &[
+                "experiments",
+                "--only",
+                "lfs-wal-vs-buffer",
+                "--scale",
+                "small",
+            ],
+        ],
+        "2",
+        "lfs_small.txt",
+        None,
+    );
+}
+
+/// The LFS experiments outside `nvfs lfs`: client NVRAM vs the server log,
+/// LFS vs update-in-place, the Figure 1 and 7 diagrams, read latency.
+#[test]
+fn lfs_extras_are_jobs_invariant_and_match_golden() {
+    check_report(
+        &[
+            &["experiments", "--only", "pipeline", "--scale", "tiny"],
+            &["experiments", "--only", "lfs-vs-ffs", "--scale", "tiny"],
+            &["experiments", "--only", "diagrams", "--scale", "tiny"],
+            &["experiments", "--only", "read-latency", "--scale", "tiny"],
+        ],
+        "2",
+        "lfs_extras_tiny.txt",
+        None,
+    );
+}
+
+/// Figures 3 and 4: the omniscient, LRU and Random policies through the
+/// client caches.
+#[test]
+fn client_cache_figures_are_jobs_invariant_and_match_golden() {
+    check_report(
+        &[
+            &["experiments", "--only", "fig3", "--scale", "tiny"],
+            &["experiments", "--only", "fig4", "--scale", "tiny"],
+        ],
+        "2",
+        "client_cache_tiny.txt",
+        None,
+    );
+}
+
+/// Each NVRAM protection mode's cost against its byte fates.
+#[test]
+fn scrub_overhead_is_jobs_invariant_and_matches_golden() {
+    check_report(
+        &[&["experiments", "--only", "scrub-overhead", "--scale", "tiny"]],
+        "2",
+        "scrub_overhead_tiny.txt",
+        None,
+    );
+}
+
 #[test]
 fn manifest_matches_golden() {
     let dir = tempdir("golden");
