@@ -1,23 +1,32 @@
-//! Per-client cache behaviour for the three cache models of §2.1/Figure 1.
+//! Per-client cache behaviour for the cache models of §2.1/Figure 1 and
+//! the §2.6 hybrid. The models differ only in where they keep dirty data
+//! (a `Placement`); every operation has one code path.
 //!
-//! * **Volatile** — one LRU cache; dirty data is flushed by the 30-second
-//!   delayed write-back (driven by `ClientCache::writeback_older_than_into`)
-//!   and by `fsync`; replacement is strict LRU with no preference for
-//!   dirty blocks.
-//! * **Write-aside** — the NVRAM shadows every dirty block of the volatile
-//!   cache. It is written, never read (except after a crash). There is no
-//!   30-second write-back and `fsync` is a no-op: NVRAM contents are as
-//!   permanent as disk. When the NVRAM fills, the replacement policy picks
-//!   a dirty block to send to the server; the copy in the volatile cache
-//!   becomes clean.
+//! * **Volatile** — dirty data lives in the volatile cache until the
+//!   30-second delayed write-back (driven by
+//!   `ClientCache::writeback_older_than_into`) or an `fsync` sends it to
+//!   the server; replacement is strict LRU with no preference for dirty
+//!   blocks.
+//! * **Write-aside** — dirty data lives in the volatile cache, and the
+//!   NVRAM mirrors it. The mirror is written, never read (except after a
+//!   crash) and never counted. There is no 30-second write-back and
+//!   `fsync` is a no-op: NVRAM contents are as permanent as disk. When the
+//!   NVRAM fills, the replacement policy picks a dirty block to send to
+//!   the server; the copy in the volatile cache becomes clean.
 //! * **Unified** — dirty blocks live *only* in the NVRAM; clean blocks may
 //!   live in either memory. Writes go to the NVRAM, reads are served from
 //!   either. When a write replaces an NVRAM block, the victim is flushed
 //!   (if dirty) and demoted to the volatile cache as a clean copy when it
 //!   is younger than the volatile LRU block.
+//! * **Hybrid** — writes land in the volatile cache as in the volatile
+//!   model, and the 30-second sweep moves aged dirty blocks into the NVRAM
+//!   instead of sending them to the server; reads are served from either
+//!   memory as in the unified model.
 
 use nvfs_nvram::NvramDevice;
-use nvfs_types::{blocks_of_range, BlockId, ByteRange, ClientId, FileId, SimTime, BLOCK_SIZE};
+use nvfs_types::{
+    blocks_of_range, BlockId, ByteRange, ClientId, FileId, RangeSet, SimTime, BLOCK_SIZE,
+};
 
 use crate::block_store::{BlockEntry, BlockStore};
 use crate::config::{CacheModelKind, SimConfig};
@@ -74,10 +83,70 @@ pub struct ServerWrite {
     pub cause: FlushCause,
 }
 
+/// What the block cleaner's sweep does with volatile dirty blocks older
+/// than the 30-second write-back delay.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Sweep {
+    /// Nothing: dirty data already lives in the NVRAM.
+    Idle,
+    /// Writes them back to the server (volatile).
+    WriteBack,
+    /// Moves them into the NVRAM with no server traffic (hybrid, §2.6).
+    Migrate,
+}
+
+/// Where a cache model keeps dirty data (§2.1, Figure 1): the facts the
+/// [`ClientCache`] paths consult instead of the model itself.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Placement {
+    /// The NVRAM mirrors the volatile cache's dirty blocks (write-aside).
+    /// It is never read, its dirty bytes are never counted (the volatile
+    /// copy counts them), and a block that turns clean leaves it.
+    mirror: bool,
+    /// The NVRAM is part of the read cache (unified, hybrid).
+    nvram_reads: bool,
+    /// What the sweep does.
+    sweep: Sweep,
+}
+
+impl Placement {
+    /// Where `model` keeps dirty data.
+    pub(crate) const fn of(model: CacheModelKind) -> Self {
+        let (mirror, nvram_reads, sweep) = match model {
+            CacheModelKind::Volatile => (false, false, Sweep::WriteBack),
+            CacheModelKind::WriteAside => (true, false, Sweep::Idle),
+            CacheModelKind::Unified => (false, true, Sweep::Idle),
+            CacheModelKind::Hybrid => (false, true, Sweep::Migrate),
+        };
+        Placement {
+            mirror,
+            nvram_reads,
+            sweep,
+        }
+    }
+
+    /// Whether the sweep ever acts (volatile, hybrid).
+    pub(crate) fn sweeps(self) -> bool {
+        self.sweep != Sweep::Idle
+    }
+}
+
+/// One of a client's two memories.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Store {
+    Volatile,
+    Nvram,
+}
+
+/// Both memories, in the order every per-file path visits them.
+const STORES: [Store; 2] = [Store::Volatile, Store::Nvram];
+
 /// One client workstation's cache state.
 #[derive(Debug, Clone)]
 pub struct ClientCache {
+    /// Consulted only by the write dispatch and the invariant check.
     model: CacheModelKind,
+    placement: Placement,
     dirty_preference: bool,
     client: ClientId,
     volatile: BlockStore,
@@ -99,6 +168,7 @@ impl ClientCache {
     pub(crate) fn new(config: &SimConfig, policy: Policy, client: ClientId) -> Self {
         ClientCache {
             model: config.model,
+            placement: Placement::of(config.model),
             dirty_preference: config.dirty_preference,
             client,
             volatile: BlockStore::new(config.volatile_blocks()),
@@ -137,15 +207,16 @@ impl ClientCache {
         self.device.reset_counters();
     }
 
-    /// Dirty ranges currently resident in the NVRAM store, in block order
-    /// (crash-survivable state; see [`crate::recovery`]).
+    /// The dirty byte ranges currently in the NVRAM, in block order — what
+    /// a crash preserves (see [`crate::recovery`]). Volatile-model caches
+    /// yield nothing; the hybrid model loses data still inside its
+    /// 30-second volatile window.
     ///
-    /// Yields borrows of the per-block range sets rather than cloning and
-    /// merging them — consumers (the recovery board) already merge ranges
-    /// on insert, so grouping here would only allocate.
-    pub(crate) fn nvram_dirty_by_file(
-        &self,
-    ) -> impl Iterator<Item = (FileId, &nvfs_types::RangeSet)> {
+    /// Borrows the cache's own range sets rather than cloning and merging
+    /// them, so ranges for the same file may appear more than once (one
+    /// entry per cached block); consumers (the recovery board) already
+    /// merge ranges on insert.
+    pub(crate) fn nvram_dirty_contents(&self) -> impl Iterator<Item = (FileId, &RangeSet)> {
         self.nvram
             .iter()
             .filter(|(_, entry)| entry.is_dirty())
@@ -157,18 +228,29 @@ impl ClientCache {
         &self.device
     }
 
-    /// Dirty bytes still cached (counted once, even for write-aside where
-    /// the NVRAM mirrors the volatile cache).
-    pub(crate) fn remaining_dirty_bytes(&self) -> u64 {
-        match self.model {
-            CacheModelKind::Volatile | CacheModelKind::WriteAside => {
-                self.volatile.total_dirty_bytes()
-            }
-            CacheModelKind::Unified => self.nvram.total_dirty_bytes(),
-            CacheModelKind::Hybrid => {
-                self.volatile.total_dirty_bytes() + self.nvram.total_dirty_bytes()
-            }
+    /// The volatile cache or the NVRAM.
+    fn store(&mut self, store: Store) -> &mut BlockStore {
+        match store {
+            Store::Volatile => &mut self.volatile,
+            Store::Nvram => &mut self.nvram,
         }
+    }
+
+    /// Whether `store` is a mirror, whose dirty bytes do not count and
+    /// whose blocks leave once clean.
+    fn is_mirror(&self, store: Store) -> bool {
+        store == Store::Nvram && self.placement.mirror
+    }
+
+    /// Dirty bytes still cached, counted once: in the volatile cache, and
+    /// in the NVRAM unless it mirrors.
+    pub(crate) fn remaining_dirty_bytes(&self) -> u64 {
+        let nvram = if self.placement.mirror {
+            0
+        } else {
+            self.nvram.total_dirty_bytes()
+        };
+        self.volatile.total_dirty_bytes() + nvram
     }
 
     /// Application read of `range`. Accounts hits, misses and fetches.
@@ -180,36 +262,21 @@ impl ClientCache {
         stats: &mut TrafficStats,
     ) {
         for block in blocks_of_range(file, range) {
-            match self.model {
-                CacheModelKind::Volatile | CacheModelKind::WriteAside => {
-                    if self.volatile.contains(block) {
-                        self.volatile.touch(block, t);
-                        stats.read_hit_blocks += 1;
-                    } else {
-                        stats.read_miss_blocks += 1;
-                        stats.server_read_bytes += BLOCK_SIZE;
-                        self.make_room_volatile(t, stats);
-                        self.volatile.insert(block, t);
-                    }
-                }
-                CacheModelKind::Unified | CacheModelKind::Hybrid => {
-                    if self.nvram.contains(block) {
-                        self.nvram.touch(block, t);
-                        let span = block
-                            .byte_range()
-                            .intersection(range)
-                            .map_or(0, ByteRange::len);
-                        self.device.record_read(span);
-                        stats.read_hit_blocks += 1;
-                    } else if self.volatile.contains(block) {
-                        self.volatile.touch(block, t);
-                        stats.read_hit_blocks += 1;
-                    } else {
-                        stats.read_miss_blocks += 1;
-                        stats.server_read_bytes += BLOCK_SIZE;
-                        self.place_clean_block(block, t, stats);
-                    }
-                }
+            if self.placement.nvram_reads && self.nvram.contains(block) {
+                self.nvram.touch(block, t);
+                let span = block
+                    .byte_range()
+                    .intersection(range)
+                    .map_or(0, ByteRange::len);
+                self.device.record_read(span);
+                stats.read_hit_blocks += 1;
+            } else if self.volatile.contains(block) {
+                self.volatile.touch(block, t);
+                stats.read_hit_blocks += 1;
+            } else {
+                stats.read_miss_blocks += 1;
+                stats.server_read_bytes += BLOCK_SIZE;
+                self.place_clean_block(block, t, stats);
             }
         }
     }
@@ -257,19 +324,15 @@ impl ClientCache {
         t: SimTime,
         stats: &mut TrafficStats,
     ) {
-        self.ensure_volatile_block(block, sub, t, stats);
-        let out = self.volatile.mark_dirty(block, sub, t);
-        stats.overwritten_dead_bytes += out.overwritten;
-        // Duplicate the write into the NVRAM.
+        self.write_volatile(block, sub, t, stats);
+        // Duplicate the write into the NVRAM: the bus carries it twice.
         if !self.nvram.contains(block) {
-            if self.nvram.is_full() {
-                self.replace_nvram_write_aside(t, stats);
-            }
+            self.ensure_nvram_space(t, stats);
             self.nvram.insert(block, t);
         }
         self.nvram.mark_dirty(block, sub, t);
         self.device.record_write(sub.len());
-        stats.bus_bytes += 2 * sub.len();
+        stats.bus_bytes += sub.len();
     }
 
     fn write_unified(
@@ -279,40 +342,32 @@ impl ClientCache {
         t: SimTime,
         stats: &mut TrafficStats,
     ) {
-        let whole = sub == block.byte_range();
-        if self.nvram.contains(block) {
-            // Fast path: block already in NVRAM.
-        } else if self.volatile.contains(block) {
-            // Rare path (§2.6, "less than one percent of write events"):
-            // promote the clean copy into the NVRAM and update it there.
-            self.volatile.remove(block);
-            self.ensure_nvram_space(t, stats);
-            self.nvram.insert(block, t);
-            if !whole {
-                // The block's existing contents travel over the bus.
-                stats.bus_bytes += BLOCK_SIZE;
-                self.device.record_write(BLOCK_SIZE);
-            }
-        } else {
-            if !whole {
-                // Partial write to an uncached block: read-modify-write.
-                stats.server_read_bytes += BLOCK_SIZE;
+        if !self.nvram.contains(block) {
+            // A clean volatile copy is promoted into the NVRAM and updated
+            // there (§2.6: "less than one percent of write events").
+            let promoted = self.volatile.remove(block).is_some();
+            if sub != block.byte_range() {
+                // The block's other bytes enter the NVRAM too: over the bus
+                // from the promoted copy, else fetched from the server
+                // (read-modify-write).
+                if promoted {
+                    stats.bus_bytes += BLOCK_SIZE;
+                } else {
+                    stats.server_read_bytes += BLOCK_SIZE;
+                }
                 self.device.record_write(BLOCK_SIZE);
             }
             self.ensure_nvram_space(t, stats);
             self.nvram.insert(block, t);
         }
-        let out = self.nvram.mark_dirty(block, sub, t);
-        stats.overwritten_dead_bytes += out.overwritten;
-        self.device.record_write(sub.len());
-        stats.bus_bytes += sub.len();
+        self.write_nvram(block, sub, t, stats);
     }
 
     /// Hybrid write (§2.6 sketch): if the block already migrated to NVRAM
     /// it is updated there (still permanent); otherwise it is written into
     /// the volatile cache exactly like the volatile model — the whole cache
     /// absorbs write bursts, at the cost of a 30-second vulnerability
-    /// window before the write-back migrates the data to NVRAM.
+    /// window before the sweep migrates the data to NVRAM.
     fn write_hybrid(
         &mut self,
         block: BlockId,
@@ -321,36 +376,43 @@ impl ClientCache {
         stats: &mut TrafficStats,
     ) {
         if self.nvram.contains(block) {
-            let out = self.nvram.mark_dirty(block, sub, t);
-            stats.overwritten_dead_bytes += out.overwritten;
-            self.device.record_write(sub.len());
-            stats.bus_bytes += sub.len();
-            return;
+            self.write_nvram(block, sub, t, stats);
+        } else {
+            self.write_volatile(block, sub, t, stats);
         }
-        self.write_volatile(block, sub, t, stats);
     }
 
-    /// Hybrid 30-second write-back: aged dirty blocks migrate from the
-    /// volatile cache into the NVRAM (becoming permanent with no server
-    /// traffic) instead of being flushed to the server.
-    fn age_into_nvram(&mut self, cutoff: SimTime, t: SimTime, stats: &mut TrafficStats) {
-        let mut blocks = std::mem::take(&mut self.scratch_blocks);
-        self.volatile.dirty_older_than_into(cutoff, &mut blocks);
-        for &b in &blocks {
-            let entry = self.volatile.remove(b).expect("dirty block is cached");
-            stats.aged_into_nvram_bytes += entry.dirty_bytes();
-            self.ensure_nvram_space(t, stats);
-            self.nvram.insert_with_state(
-                b,
-                entry.last_access,
-                entry.last_modify,
-                entry.dirty,
-                entry.dirty_since,
-            );
-            self.device.record_write(BLOCK_SIZE);
-            stats.bus_bytes += BLOCK_SIZE;
-        }
-        self.scratch_blocks = blocks;
+    /// Writes `sub` into `block`'s NVRAM copy.
+    fn write_nvram(
+        &mut self,
+        block: BlockId,
+        sub: ByteRange,
+        t: SimTime,
+        stats: &mut TrafficStats,
+    ) {
+        let out = self.nvram.mark_dirty(block, sub, t);
+        stats.overwritten_dead_bytes += out.overwritten;
+        self.device.record_write(sub.len());
+        stats.bus_bytes += sub.len();
+    }
+
+    /// Moves the dirty volatile block `b` into the NVRAM with its history
+    /// and no server traffic (the hybrid sweep and fsync). Returns its
+    /// dirty bytes.
+    fn migrate(&mut self, b: BlockId, t: SimTime, stats: &mut TrafficStats) -> u64 {
+        let entry = self.volatile.remove(b).expect("dirty block is cached");
+        let bytes = entry.dirty_bytes();
+        self.ensure_nvram_space(t, stats);
+        self.nvram.insert_with_state(
+            b,
+            entry.last_access,
+            entry.last_modify,
+            entry.dirty,
+            entry.dirty_since,
+        );
+        self.device.record_write(BLOCK_SIZE);
+        stats.bus_bytes += BLOCK_SIZE;
+        bytes
     }
 
     /// Makes sure `block` is resident in the volatile cache, fetching it
@@ -369,32 +431,46 @@ impl ClientCache {
         if sub != block.byte_range() {
             stats.server_read_bytes += BLOCK_SIZE;
         }
-        self.make_room_volatile(t, stats);
+        if self.volatile.is_full() {
+            self.evict_volatile_lru(t, stats);
+        }
         self.volatile.insert(block, t);
     }
 
-    /// Evicts the volatile LRU block if the cache is full. Dirty victims
-    /// are flushed to the server; in the write-aside model they are also
-    /// invalidated in the NVRAM (§2.1).
-    fn make_room_volatile(&mut self, t: SimTime, stats: &mut TrafficStats) {
-        if !self.volatile.is_full() {
-            return;
-        }
+    /// Evicts the volatile LRU block from the full volatile cache.
+    fn evict_volatile_lru(&mut self, t: SimTime, stats: &mut TrafficStats) {
         // Sprite's real policy prefers clean victims; the paper's simplified
         // models replace strict LRU regardless of dirtiness.
-        let victim = if self.dirty_preference {
-            self.volatile
-                .lru_clean_block()
-                .or_else(|| self.volatile.lru_block())
-                .expect("full cache is non-empty")
-                .0
-        } else {
-            self.volatile
-                .lru_block()
-                .expect("full cache is non-empty")
-                .0
-        };
-        let entry = self.volatile.remove(victim).expect("victim is cached");
+        let (victim, _) = self
+            .dirty_preference
+            .then(|| self.volatile.lru_clean_block())
+            .flatten()
+            .or_else(|| self.volatile.lru_block())
+            .expect("full cache is non-empty");
+        self.evict(Store::Volatile, victim, false, t, stats);
+    }
+
+    /// Removes `victim` from `from` and writes its dirty bytes to the
+    /// server as a replacement, after a `cache_evict` event when
+    /// `announce` is set. The flushed block is clean, so in a mirror its
+    /// other copy is too: a volatile copy is cleaned, an NVRAM copy
+    /// leaves (§2.1).
+    fn evict(
+        &mut self,
+        from: Store,
+        victim: BlockId,
+        announce: bool,
+        t: SimTime,
+        stats: &mut TrafficStats,
+    ) -> BlockEntry {
+        let entry = self.store(from).remove(victim).expect("victim is cached");
+        if announce {
+            nvfs_obs::event("cache_evict", t.as_micros())
+                .u64("client", self.client.0 as u64)
+                .u64("file", victim.file.0 as u64)
+                .u64("dirty", entry.is_dirty() as u64)
+                .emit();
+        }
         if entry.is_dirty() {
             self.flush_bytes(
                 victim.file,
@@ -403,33 +479,24 @@ impl ClientCache {
                 t,
                 stats,
             );
-            if self.model == CacheModelKind::WriteAside {
-                self.nvram.remove(victim);
+            if self.placement.mirror {
+                match from {
+                    Store::Volatile => {
+                        self.nvram.remove(victim);
+                    }
+                    Store::Nvram => {
+                        self.volatile.clean(victim);
+                    }
+                }
             }
         }
+        entry
     }
 
-    /// Write-aside NVRAM replacement: the policy picks a dirty block, it is
-    /// written to the server, and the volatile copy becomes clean.
-    fn replace_nvram_write_aside(&mut self, t: SimTime, stats: &mut TrafficStats) {
-        let victim = self
-            .policy
-            .pick_victim(&mut self.nvram, t)
-            .expect("full NVRAM is non-empty");
-        let entry = self.nvram.remove(victim).expect("victim is cached");
-        self.flush_bytes(
-            victim.file,
-            entry.dirty_bytes(),
-            FlushCause::Replacement,
-            t,
-            stats,
-        );
-        self.volatile.clean(victim);
-    }
-
-    /// Unified NVRAM replacement with demotion: flush the victim if dirty,
-    /// then keep a clean copy in the volatile cache when the victim is
-    /// younger than the volatile LRU block.
+    /// Makes room for one block in a full NVRAM: the policy picks a victim
+    /// to evict. Unless the NVRAM mirrors, the victim is then demoted to a
+    /// clean volatile copy if it is younger than the volatile LRU block
+    /// (which is evicted for it) or the volatile cache has room.
     fn ensure_nvram_space(&mut self, t: SimTime, stats: &mut TrafficStats) {
         if !self.nvram.is_full() {
             return;
@@ -438,17 +505,9 @@ impl ClientCache {
             .policy
             .pick_victim(&mut self.nvram, t)
             .expect("full NVRAM is non-empty");
-        let entry = self.nvram.remove(victim).expect("victim is cached");
-        if entry.is_dirty() {
-            self.flush_bytes(
-                victim.file,
-                entry.dirty_bytes(),
-                FlushCause::Replacement,
-                t,
-                stats,
-            );
-        }
-        if self.volatile.contains(victim) {
+        let entry = self.evict(Store::Nvram, victim, false, t, stats);
+        // A mirror's victim keeps its volatile copy.
+        if self.placement.mirror || self.volatile.contains(victim) {
             return;
         }
         let demote = if !self.volatile.is_full() {
@@ -461,18 +520,9 @@ impl ClientCache {
         if demote {
             if self.volatile.is_full() {
                 let (lru, _) = self.volatile.lru_block().expect("full cache is non-empty");
-                // Clean by the unified invariant; in the hybrid model the
-                // volatile victim may still be dirty and must be flushed.
-                let evicted = self.volatile.remove(lru).expect("victim is cached");
-                if evicted.is_dirty() {
-                    self.flush_bytes(
-                        lru.file,
-                        evicted.dirty_bytes(),
-                        FlushCause::Replacement,
-                        t,
-                        stats,
-                    );
-                }
+                // Clean in the unified model; in the hybrid model a dirty
+                // volatile victim is flushed.
+                self.evict(Store::Volatile, lru, false, t, stats);
             }
             self.volatile
                 .insert_with_access(victim, entry.last_access, entry.last_modify);
@@ -481,69 +531,58 @@ impl ClientCache {
         }
     }
 
-    /// Unified read-miss placement (§2.1): prefer free volatile space, then
-    /// free NVRAM space, else replace the globally least-recently-used of
-    /// the two LRU candidates.
+    /// Read-miss placement (§2.1): the volatile cache if it has room.
+    /// Where the NVRAM is part of the read cache, next free NVRAM space,
+    /// else the place of the globally least-recently-used of the two LRU
+    /// candidates; elsewhere, the place of the volatile LRU block.
     ///
     /// Read-fetch traffic is deliberately *not* counted in `bus_bytes`: the
     /// §2.6 bus comparison concerns the write path (write-aside writes every
     /// block twice), and fetch traffic is common to all models.
     fn place_clean_block(&mut self, block: BlockId, t: SimTime, stats: &mut TrafficStats) {
-        if !self.volatile.is_full() {
-            self.volatile.insert(block, t);
-            return;
-        }
-        if !self.nvram.is_full() {
-            self.nvram.insert(block, t);
-            self.device.record_write(BLOCK_SIZE);
-            return;
-        }
-        let vol_lru = self.volatile.lru_block().expect("full cache is non-empty");
-        let nv_lru = self.nvram.lru_block().expect("full NVRAM is non-empty");
-        if nv_lru.1 < vol_lru.1 {
-            // The overall LRU block is in the NVRAM: replace it there. This
-            // is how read traffic can evict dirty blocks (§2.5).
-            let entry = self.nvram.remove(nv_lru.0).expect("victim is cached");
-            nvfs_obs::event("cache_evict", t.as_micros())
-                .u64("client", self.client.0 as u64)
-                .u64("file", nv_lru.0.file.0 as u64)
-                .u64("dirty", entry.is_dirty() as u64)
-                .emit();
-            if entry.is_dirty() {
-                self.flush_bytes(
-                    nv_lru.0.file,
-                    entry.dirty_bytes(),
-                    FlushCause::Replacement,
-                    t,
-                    stats,
-                );
+        if self.volatile.is_full() {
+            if !self.placement.nvram_reads {
+                self.evict_volatile_lru(t, stats);
+            } else {
+                if self.nvram.is_full() {
+                    let (vol_lru, vol_access) =
+                        self.volatile.lru_block().expect("full cache is non-empty");
+                    let (nv_lru, nv_access) =
+                        self.nvram.lru_block().expect("full NVRAM is non-empty");
+                    if nv_access >= vol_access {
+                        self.evict(Store::Volatile, vol_lru, true, t, stats);
+                        self.volatile.insert(block, t);
+                        return;
+                    }
+                    // The overall LRU block is in the NVRAM: replace it
+                    // there. This is how read traffic can evict dirty
+                    // blocks (§2.5).
+                    self.evict(Store::Nvram, nv_lru, true, t, stats);
+                }
+                self.nvram.insert(block, t);
+                self.device.record_write(BLOCK_SIZE);
+                return;
             }
-            self.nvram.insert(block, t);
-            self.device.record_write(BLOCK_SIZE);
-        } else {
-            let evicted = self.volatile.remove(vol_lru.0).expect("victim is cached");
-            nvfs_obs::event("cache_evict", t.as_micros())
-                .u64("client", self.client.0 as u64)
-                .u64("file", vol_lru.0.file.0 as u64)
-                .u64("dirty", evicted.is_dirty() as u64)
-                .emit();
-            if evicted.is_dirty() {
-                // Hybrid only: volatile blocks can be dirty.
-                self.flush_bytes(
-                    vol_lru.0.file,
-                    evicted.dirty_bytes(),
-                    FlushCause::Replacement,
-                    t,
-                    stats,
-                );
-            }
-            self.volatile.insert(block, t);
         }
+        self.volatile.insert(block, t);
+    }
+
+    /// Cleans `block` in `store`, returning the dirty bytes that count
+    /// there; a mirror's copy leaves once clean.
+    fn clean(&mut self, store: Store, block: BlockId) -> u64 {
+        let bytes = self.store(store).clean(block);
+        if !self.is_mirror(store) {
+            return bytes;
+        }
+        if bytes > 0 {
+            self.nvram.remove(block);
+        }
+        0
     }
 
     /// Flushes all dirty bytes of `file` to the server (consistency recall,
-    /// migration, fsync, …). Blocks stay cached; in the write-aside model
-    /// the now-clean blocks leave the NVRAM.
+    /// migration, fsync, …). Blocks stay cached, except that a mirror's
+    /// now-clean blocks leave it.
     pub(crate) fn flush_file(
         &mut self,
         file: FileId,
@@ -552,31 +591,9 @@ impl ClientCache {
         stats: &mut TrafficStats,
     ) -> u64 {
         let mut flushed = 0;
-        match self.model {
-            CacheModelKind::Volatile => {
-                for b in self.volatile.file_blocks(file) {
-                    flushed += self.volatile.clean(b);
-                }
-            }
-            CacheModelKind::WriteAside => {
-                for b in self.nvram.file_blocks(file) {
-                    flushed += self.nvram.clean(b);
-                    self.nvram.remove(b);
-                    self.volatile.clean(b);
-                }
-            }
-            CacheModelKind::Unified => {
-                for b in self.nvram.file_blocks(file) {
-                    flushed += self.nvram.clean(b);
-                }
-            }
-            CacheModelKind::Hybrid => {
-                for b in self.volatile.file_blocks(file) {
-                    flushed += self.volatile.clean(b);
-                }
-                for b in self.nvram.file_blocks(file) {
-                    flushed += self.nvram.clean(b);
-                }
+        for store in STORES {
+            for b in self.store(store).file_blocks(file) {
+                flushed += self.clean(store, b);
             }
         }
         self.flush_bytes(file, flushed, cause, t, stats);
@@ -596,21 +613,8 @@ impl ClientCache {
     ) -> u64 {
         let mut flushed = 0;
         for block in blocks_of_range(file, range) {
-            match self.model {
-                CacheModelKind::Volatile => flushed += self.volatile.clean(block),
-                CacheModelKind::WriteAside => {
-                    let n = self.nvram.clean(block);
-                    if n > 0 {
-                        self.nvram.remove(block);
-                        self.volatile.clean(block);
-                        flushed += n;
-                    }
-                }
-                CacheModelKind::Unified => flushed += self.nvram.clean(block),
-                CacheModelKind::Hybrid => {
-                    flushed += self.volatile.clean(block);
-                    flushed += self.nvram.clean(block);
-                }
+            for store in STORES {
+                flushed += self.clean(store, block);
             }
         }
         self.flush_bytes(file, flushed, cause, t, stats);
@@ -656,44 +660,12 @@ impl ClientCache {
     /// The file was deleted: every cached byte dies, dirty bytes count as
     /// absorbed deletions, and nothing is written to the server.
     pub(crate) fn delete_file(&mut self, file: FileId, stats: &mut TrafficStats) {
-        match self.model {
-            CacheModelKind::Volatile | CacheModelKind::WriteAside => {
-                for b in self.volatile.file_blocks(file) {
-                    let entry = self
-                        .volatile
-                        .remove(b)
-                        .expect("file_blocks yields cached blocks");
-                    stats.deleted_dead_bytes += entry.dirty_bytes();
-                }
-                for b in self.nvram.file_blocks(file) {
-                    self.nvram.remove(b); // mirror copies: not double counted
-                }
-            }
-            CacheModelKind::Unified => {
-                for b in self.nvram.file_blocks(file) {
-                    let entry = self
-                        .nvram
-                        .remove(b)
-                        .expect("file_blocks yields cached blocks");
-                    stats.deleted_dead_bytes += entry.dirty_bytes();
-                }
-                for b in self.volatile.file_blocks(file) {
-                    self.volatile.remove(b);
-                }
-            }
-            CacheModelKind::Hybrid => {
-                for b in self.volatile.file_blocks(file) {
-                    let entry = self
-                        .volatile
-                        .remove(b)
-                        .expect("file_blocks yields cached blocks");
-                    stats.deleted_dead_bytes += entry.dirty_bytes();
-                }
-                for b in self.nvram.file_blocks(file) {
-                    let entry = self
-                        .nvram
-                        .remove(b)
-                        .expect("file_blocks yields cached blocks");
+        for store in STORES {
+            let counted = !self.is_mirror(store);
+            let blocks = self.store(store);
+            for b in blocks.file_blocks(file) {
+                let entry = blocks.remove(b).expect("file_blocks yields cached blocks");
+                if counted {
                     stats.deleted_dead_bytes += entry.dirty_bytes();
                 }
             }
@@ -704,101 +676,57 @@ impl ClientCache {
     /// cut are dropped, the boundary block loses its dirty tail.
     pub(crate) fn truncate_file(&mut self, file: FileId, new_len: u64, stats: &mut TrafficStats) {
         let kill = ByteRange::new(new_len, u64::MAX);
-        // In the hybrid model a block lives in exactly one store, so dirty
-        // deaths are counted in both loops; in write-aside the NVRAM is a
-        // mirror and must not be double counted.
-        let count_in_volatile = matches!(
-            self.model,
-            CacheModelKind::Volatile | CacheModelKind::WriteAside | CacheModelKind::Hybrid
-        );
-        let count_in_nvram = matches!(self.model, CacheModelKind::Unified | CacheModelKind::Hybrid);
-        for b in self.volatile.file_blocks(file) {
-            if b.byte_range().start >= new_len {
-                let entry = self
-                    .volatile
-                    .remove(b)
-                    .expect("file_blocks yields cached blocks");
-                if count_in_volatile {
-                    stats.deleted_dead_bytes += entry.dirty_bytes();
-                }
-            } else {
-                let killed = self.volatile.kill_dirty(b, kill);
-                if count_in_volatile {
-                    stats.deleted_dead_bytes += killed;
-                }
-            }
-        }
-        for b in self.nvram.file_blocks(file) {
-            if b.byte_range().start >= new_len {
-                let entry = self
-                    .nvram
-                    .remove(b)
-                    .expect("file_blocks yields cached blocks");
-                if count_in_nvram {
-                    stats.deleted_dead_bytes += entry.dirty_bytes();
-                }
-            } else {
-                let killed = self.nvram.kill_dirty(b, kill);
-                if count_in_nvram {
-                    stats.deleted_dead_bytes += killed;
-                }
-                // Write-aside mirror: clean blocks leave the NVRAM.
-                if self.model == CacheModelKind::WriteAside
-                    && self.nvram.get(b).is_some_and(|e| !e.is_dirty())
-                {
-                    self.nvram.remove(b);
-                }
-            }
-        }
-    }
-
-    /// Application fsync: in the volatile model this synchronously flushes
-    /// the file's dirty data; in the NVRAM models it is a no-op because
-    /// NVRAM contents are already permanent (§2.1). Returns whether the
-    /// file's dirty data reached the *server* (so the caller knows whether
-    /// the server's last-writer record can be cleared).
-    pub(crate) fn fsync(&mut self, file: FileId, t: SimTime, stats: &mut TrafficStats) -> bool {
-        match self.model {
-            CacheModelKind::Volatile => {
-                self.flush_file(file, FlushCause::Fsync, t, stats);
-                return true;
-            }
-            CacheModelKind::Hybrid => {
-                // The data must become permanent now, but NVRAM suffices:
-                // migrate the file's dirty volatile blocks without any
-                // server traffic.
-                for b in self.volatile.file_blocks(file) {
-                    let is_dirty = self.volatile.get(b).is_some_and(BlockEntry::is_dirty);
-                    if !is_dirty {
-                        continue;
+        for store in STORES {
+            let mirror = self.is_mirror(store);
+            let blocks = self.store(store);
+            for b in blocks.file_blocks(file) {
+                let killed = if b.byte_range().start >= new_len {
+                    let entry = blocks.remove(b).expect("file_blocks yields cached blocks");
+                    entry.dirty_bytes()
+                } else {
+                    let killed = blocks.kill_dirty(b, kill);
+                    if mirror && blocks.get(b).is_some_and(|e| !e.is_dirty()) {
+                        blocks.remove(b);
                     }
-                    let entry = self
-                        .volatile
-                        .remove(b)
-                        .expect("file_blocks yields cached blocks");
-                    self.ensure_nvram_space(t, stats);
-                    self.nvram.insert_with_state(
-                        b,
-                        entry.last_access,
-                        entry.last_modify,
-                        entry.dirty,
-                        entry.dirty_since,
-                    );
-                    self.device.record_write(BLOCK_SIZE);
-                    stats.bus_bytes += BLOCK_SIZE;
+                    killed
+                };
+                if !mirror {
+                    stats.deleted_dead_bytes += killed;
                 }
             }
-            // Write-aside and unified: dirty data already lives in NVRAM.
-            CacheModelKind::WriteAside | CacheModelKind::Unified => {}
         }
-        false
     }
 
-    /// The 30-second delayed write-back (volatile model only): flushes
-    /// every block whose dirty data became dirty at or before `cutoff`.
-    /// `files` is a caller-owned buffer, so the per-tick cleaner loop
-    /// allocates nothing: it is cleared first and left holding the flushed
-    /// file ids, deduplicated.
+    /// Application fsync: does now what the sweep would do later. The
+    /// volatile model flushes the file's dirty data to the server, the
+    /// hybrid model moves it into the NVRAM, and in the other models it is
+    /// already permanent in NVRAM (§2.1). Returns whether the file's dirty
+    /// data reached the *server* (so the caller knows whether the server's
+    /// last-writer record can be cleared).
+    pub(crate) fn fsync(&mut self, file: FileId, t: SimTime, stats: &mut TrafficStats) -> bool {
+        match self.placement.sweep {
+            Sweep::WriteBack => {
+                self.flush_file(file, FlushCause::Fsync, t, stats);
+                true
+            }
+            Sweep::Migrate => {
+                for b in self.volatile.file_blocks(file) {
+                    if self.volatile.get(b).is_some_and(BlockEntry::is_dirty) {
+                        self.migrate(b, t, stats);
+                    }
+                }
+                false
+            }
+            Sweep::Idle => false,
+        }
+    }
+
+    /// The block cleaner's sweep: every volatile block whose dirty data
+    /// became dirty at or before `cutoff` is written back to the server
+    /// (volatile) or moved into the NVRAM (hybrid). `files` is a
+    /// caller-owned buffer, so the per-tick cleaner loop allocates
+    /// nothing: it is cleared first and left holding the written-back file
+    /// ids, deduplicated.
     pub(crate) fn writeback_older_than_into(
         &mut self,
         cutoff: SimTime,
@@ -807,34 +735,31 @@ impl ClientCache {
         files: &mut Vec<FileId>,
     ) {
         files.clear();
-        if self.model == CacheModelKind::Hybrid {
-            self.age_into_nvram(cutoff, now, stats);
-            return;
-        }
-        if self.model != CacheModelKind::Volatile {
+        if !self.placement.sweeps() {
             return;
         }
         let mut blocks = std::mem::take(&mut self.scratch_blocks);
         self.volatile.dirty_older_than_into(cutoff, &mut blocks);
         for &b in &blocks {
-            let bytes = self.volatile.clean(b);
-            self.flush_bytes(b.file, bytes, FlushCause::WriteBack, now, stats);
-            files.push(b.file);
+            if self.placement.sweep == Sweep::Migrate {
+                let bytes = self.migrate(b, now, stats);
+                stats.aged_into_nvram_bytes += bytes;
+            } else {
+                let bytes = self.volatile.clean(b);
+                self.flush_bytes(b.file, bytes, FlushCause::WriteBack, now, stats);
+                files.push(b.file);
+            }
         }
         self.scratch_blocks = blocks;
         files.dedup();
     }
 
-    /// Whether the next cleaner tick could possibly do work: only the
-    /// models with a volatile dirty set (volatile write-back, hybrid
-    /// aging) ever act on a tick, and only when dirty blocks exist. The
-    /// drive loops use this to fast-forward tick arithmetic over idle
-    /// gaps instead of iterating empty ticks.
+    /// Whether the next cleaner tick could possibly do work: only when the
+    /// sweep acts and volatile dirty blocks exist. The drive loops use
+    /// this to fast-forward tick arithmetic over idle gaps instead of
+    /// iterating empty ticks.
     pub(crate) fn cleaner_pending(&self) -> bool {
-        matches!(
-            self.model,
-            CacheModelKind::Volatile | CacheModelKind::Hybrid
-        ) && self.volatile.dirty_block_count() > 0
+        self.placement.sweeps() && self.volatile.dirty_block_count() > 0
     }
 
     fn flush_bytes(
@@ -893,19 +818,26 @@ impl ClientCache {
             .emit();
     }
 
-    /// Checks internal invariants (for tests): bounded stores, and for the
-    /// unified model, no dirty blocks in the volatile cache and no block in
-    /// both memories.
+    /// Checks internal invariants (for tests): bounded stores; no NVRAM
+    /// blocks in the volatile model; in the write-aside model, exactly the
+    /// volatile cache's dirty blocks in the NVRAM, with the same dirty
+    /// ranges (so counting dirty bytes once is exact); in the unified
+    /// model, no dirty blocks in the volatile cache; and in the unified
+    /// and hybrid models, no block in both memories.
     pub(crate) fn check_invariants(&self) -> bool {
         if !self.volatile.check_invariants() || !self.nvram.check_invariants() {
             return false;
         }
         match self.model {
             CacheModelKind::Volatile => self.nvram.is_empty(),
-            CacheModelKind::WriteAside => self
-                .nvram
-                .iter()
-                .all(|(id, e)| e.is_dirty() && self.volatile.get(id).is_some_and(|v| v.is_dirty())),
+            CacheModelKind::WriteAside => {
+                self.nvram.iter().all(|(id, e)| {
+                    e.is_dirty() && self.volatile.get(id).is_some_and(|v| v.dirty == e.dirty)
+                }) && self
+                    .volatile
+                    .iter()
+                    .all(|(id, v)| !v.is_dirty() || self.nvram.contains(id))
+            }
             CacheModelKind::Unified => self
                 .volatile
                 .iter()
@@ -1124,18 +1056,51 @@ mod tests {
         assert_eq!(c.remaining_dirty_bytes(), 100);
     }
 
+    const MODELS: [CacheModelKind; 4] = [
+        CacheModelKind::Volatile,
+        CacheModelKind::WriteAside,
+        CacheModelKind::Unified,
+        CacheModelKind::Hybrid,
+    ];
+
+    /// Dirties blocks `0..n - 1` of file 0 at second 1 and block `n - 1`
+    /// at second 40. In the hybrid model the sweep in between moves the
+    /// first ones into the NVRAM, so its dirty bytes span both stores.
+    fn dirty_blocks(model: CacheModelKind, n: u64) -> (ClientCache, TrafficStats) {
+        let mut c = cache(model, 8, 4);
+        let mut s = TrafficStats::default();
+        let early = ByteRange::new(0, (n - 1) * BLOCK_SIZE);
+        c.write(FileId(0), early, SimTime::from_secs(1), &mut s);
+        if model == CacheModelKind::Hybrid {
+            c.writeback_older_than_into(
+                SimTime::from_secs(5),
+                SimTime::from_secs(35),
+                &mut s,
+                &mut Vec::new(),
+            );
+        }
+        c.write(
+            FileId(0),
+            block_range(n - 1),
+            SimTime::from_secs(40),
+            &mut s,
+        );
+        if model == CacheModelKind::Hybrid {
+            assert_eq!(c.nvram.total_dirty_bytes(), (n - 1) * BLOCK_SIZE);
+            assert_eq!(c.volatile.total_dirty_bytes(), BLOCK_SIZE);
+        }
+        assert_eq!(s.server_write_bytes, 0, "{model:?}");
+        assert_eq!(c.remaining_dirty_bytes(), n * BLOCK_SIZE, "{model:?}");
+        assert!(c.check_invariants(), "{model:?}");
+        (c, s)
+    }
+
     #[test]
     fn delete_absorbs_dirty_bytes() {
-        for model in [
-            CacheModelKind::Volatile,
-            CacheModelKind::WriteAside,
-            CacheModelKind::Unified,
-        ] {
-            let mut c = cache(model, 4, 2);
-            let mut s = TrafficStats::default();
-            c.write(FileId(0), block_range(0), SimTime::from_secs(1), &mut s);
+        for model in MODELS {
+            let (mut c, mut s) = dirty_blocks(model, 2);
             c.delete_file(FileId(0), &mut s);
-            assert_eq!(s.deleted_dead_bytes, BLOCK_SIZE, "{model:?}");
+            assert_eq!(s.deleted_dead_bytes, 2 * BLOCK_SIZE, "{model:?}");
             assert_eq!(s.server_write_bytes, 0, "{model:?}");
             assert_eq!(c.remaining_dirty_bytes(), 0, "{model:?}");
             assert!(c.check_invariants(), "{model:?}");
@@ -1144,19 +1109,9 @@ mod tests {
 
     #[test]
     fn truncate_kills_tail_dirty_bytes() {
-        for model in [
-            CacheModelKind::Volatile,
-            CacheModelKind::WriteAside,
-            CacheModelKind::Unified,
-        ] {
-            let mut c = cache(model, 8, 4);
-            let mut s = TrafficStats::default();
-            c.write(
-                FileId(0),
-                ByteRange::new(0, 3 * BLOCK_SIZE),
-                SimTime::from_secs(1),
-                &mut s,
-            );
+        for model in MODELS {
+            // Hybrid: blocks 0 and 1 in NVRAM, block 2 volatile.
+            let (mut c, mut s) = dirty_blocks(model, 3);
             c.truncate_file(FileId(0), BLOCK_SIZE + 100, &mut s);
             assert_eq!(s.deleted_dead_bytes, 2 * BLOCK_SIZE - 100, "{model:?}");
             assert_eq!(c.remaining_dirty_bytes(), BLOCK_SIZE + 100, "{model:?}");
@@ -1166,24 +1121,40 @@ mod tests {
 
     #[test]
     fn flush_file_callback_accounting() {
-        for model in [
-            CacheModelKind::Volatile,
-            CacheModelKind::WriteAside,
-            CacheModelKind::Unified,
-        ] {
-            let mut c = cache(model, 4, 2);
-            let mut s = TrafficStats::default();
-            c.write(FileId(0), block_range(0), SimTime::from_secs(1), &mut s);
+        for model in MODELS {
+            let (mut c, mut s) = dirty_blocks(model, 2);
             let flushed = c.flush_file(
                 FileId(0),
                 FlushCause::Callback,
-                SimTime::from_secs(2),
+                SimTime::from_secs(41),
                 &mut s,
             );
-            assert_eq!(flushed, BLOCK_SIZE, "{model:?}");
-            assert_eq!(s.callback_bytes, BLOCK_SIZE, "{model:?}");
+            assert_eq!(flushed, 2 * BLOCK_SIZE, "{model:?}");
+            assert_eq!(s.callback_bytes, 2 * BLOCK_SIZE, "{model:?}");
             assert_eq!(c.remaining_dirty_bytes(), 0, "{model:?}");
             assert!(c.check_invariants(), "{model:?}");
+        }
+    }
+
+    #[test]
+    fn flush_range_recalls_only_the_touched_blocks() {
+        for model in MODELS {
+            // Hybrid: blocks 0 and 1 in NVRAM, block 2 volatile; the range
+            // touches blocks 1 and 2, one in each store.
+            let (mut c, mut s) = dirty_blocks(model, 3);
+            let range = ByteRange::new(BLOCK_SIZE + 10, 2 * BLOCK_SIZE + 10);
+            let t = SimTime::from_secs(41);
+            let flushed = c.flush_range(FileId(0), range, FlushCause::Callback, t, &mut s);
+            assert_eq!(flushed, 2 * BLOCK_SIZE, "{model:?}");
+            assert_eq!(s.callback_bytes, 2 * BLOCK_SIZE, "{model:?}");
+            assert_eq!(c.remaining_dirty_bytes(), BLOCK_SIZE, "{model:?}");
+            assert!(c.check_invariants(), "{model:?}");
+            // The recalled blocks stay cached, now clean.
+            let again = c.flush_range(FileId(0), range, FlushCause::Callback, t, &mut s);
+            assert_eq!(again, 0, "{model:?}");
+            let mut reads = TrafficStats::default();
+            c.read(FileId(0), ByteRange::new(0, 3 * BLOCK_SIZE), t, &mut reads);
+            assert_eq!(reads.read_hit_blocks, 3, "{model:?}");
         }
     }
 

@@ -4,11 +4,12 @@
 //! et al., *Non-Volatile Memory for Fast, Reliable File Systems* (ASPLOS
 //! 1992), §2:
 //!
-//! * `config` — the three cache models ([`CacheModelKind`]) and NVRAM
+//! * `config` — the cache models ([`CacheModelKind`]) and NVRAM
 //!   replacement policies ([`PolicyKind`]);
 //! * [`block_store`] — the 4 KB block cache with LRU and dirty-age indexes;
 //! * [`client`] — per-client model semantics (volatile / write-aside /
-//!   unified, Figure 1);
+//!   unified, Figure 1, and the §2.6 hybrid), told apart by where each
+//!   keeps dirty data;
 //! * [`consistency`] — Sprite's server-side consistency protocol
 //!   (last-writer recall, concurrent write-sharing);
 //! * `policy` / [`omniscient`] — LRU, random, and omniscient replacement;

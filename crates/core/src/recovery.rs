@@ -16,7 +16,7 @@ use std::error::Error;
 use std::fmt;
 
 use nvfs_nvram::{NvramBoard, RecoveredData};
-use nvfs_types::{ClientId, FileId, RangeSet, SimTime};
+use nvfs_types::{ClientId, SimTime};
 
 use crate::client::{ClientCache, FlushCause, ServerWrite};
 
@@ -76,8 +76,6 @@ pub struct RecoveryOutcome {
     /// Bytes the drain failed to apply (torn drains; zero on full
     /// recovery).
     pub bytes_lost: u64,
-    /// Whether the board's batteries had preserved the data at all.
-    data_survived: bool,
 }
 
 /// Drains `board` on the client it has been moved to, producing the write
@@ -91,9 +89,7 @@ pub struct RecoveryOutcome {
 /// A board whose batteries all died before the drain returns
 /// `RecoveryError::DeadBoard` carrying the byte count that was lost —
 /// `bytes == 0`, no writes are fabricated, and the caller decides how to
-/// report the loss. (An earlier version drained the board regardless and
-/// counted the drained bytes as recovered even when `preserves_data()`
-/// was false.)
+/// report the loss.
 pub fn recover_up_to(
     board: &mut NvramBoard,
     at: SimTime,
@@ -123,20 +119,7 @@ pub fn recover_up_to(
         recovered: contents,
         bytes,
         bytes_lost,
-        data_survived: true,
     })
-}
-
-impl ClientCache {
-    /// The dirty byte ranges currently guaranteed to reside in NVRAM —
-    /// what a crash preserves. Volatile-model caches yield nothing; the
-    /// hybrid model loses data still inside its 30-second volatile window.
-    ///
-    /// Borrows the cache's own range sets; ranges for the same file may
-    /// appear more than once (one entry per cached block).
-    pub(crate) fn nvram_dirty_contents(&self) -> impl Iterator<Item = (FileId, &RangeSet)> {
-        self.nvram_dirty_by_file()
-    }
 }
 
 #[cfg(test)]
@@ -145,7 +128,7 @@ mod tests {
     use crate::config::{CacheModelKind, PolicyKind, SimConfig};
     use crate::metrics::TrafficStats;
     use crate::policy::Policy;
-    use nvfs_types::{ByteRange, BLOCK_SIZE};
+    use nvfs_types::{ByteRange, FileId, RangeSet, BLOCK_SIZE};
 
     fn cache(model: CacheModelKind) -> ClientCache {
         let mut cfg = SimConfig::volatile(8 * BLOCK_SIZE);
@@ -178,7 +161,6 @@ mod tests {
             assert_eq!(outcome.bytes, 2 * BLOCK_SIZE, "{model:?}");
             assert_eq!(outcome.writes.len(), 2);
             assert_eq!(outcome.bytes_lost, 0);
-            assert!(outcome.data_survived);
             assert!(outcome.writes.iter().all(|w| w.client == ClientId(5)));
             assert!(outcome
                 .writes
@@ -268,7 +250,6 @@ mod tests {
             .expect("batteries held");
         assert_eq!(outcome.bytes, BLOCK_SIZE);
         assert_eq!(outcome.bytes_lost, BLOCK_SIZE);
-        assert!(outcome.data_survived);
         let recovered: u64 = outcome.recovered.values().map(RangeSet::len_bytes).sum();
         assert_eq!(recovered, outcome.bytes);
     }

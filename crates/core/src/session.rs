@@ -51,8 +51,8 @@ use nvfs_oracle::{DrainExpectation, DurableMap, DurablePromise, Oracle};
 use nvfs_trace::op::{Op, OpKind, OpStream};
 use nvfs_types::{ClientId, FileId, SimTime, BLOCK_CLEANER_PERIOD, BLOCK_SIZE, DELAYED_WRITE_BACK};
 
-use crate::client::{ClientCache, FlushCause, ServerWrite};
-use crate::config::{CacheModelKind, ConsistencyMode, PolicyKind, SimConfig};
+use crate::client::{ClientCache, FlushCause, Placement, ServerWrite};
+use crate::config::{ConsistencyMode, PolicyKind, SimConfig};
 use crate::consistency::ConsistencyServer;
 use crate::metrics::TrafficStats;
 use crate::omniscient::OmniscientSchedule;
@@ -248,10 +248,7 @@ impl<'cfg> SimEngine<'cfg> {
             stats: TrafficStats::default(),
             reliability: ReliabilityStats::default(),
             next_tick: SimTime::ZERO + BLOCK_CLEANER_PERIOD,
-            run_cleaner: matches!(
-                config.model,
-                CacheModelKind::Volatile | CacheModelKind::Hybrid
-            ),
+            run_cleaner: Placement::of(config.model).sweeps(),
             recovery_writes: Vec::new(),
             pending: Vec::new(),
             ops_replayed: 0,

@@ -2,8 +2,8 @@
 //!
 //! Each CLI-visible experiment is an [`Entry`] — a name, the paper
 //! artifact it reproduces, whether it belongs to the default `nvfs
-//! experiments` run, the CSV files it exports, and a run function
-//! producing [`Artifacts`]. The `nvfs` binary routes
+//! experiments` run, the name of the CSV file it exports (if any), and a
+//! run function producing [`Artifacts`]. The `nvfs` binary routes
 //! `experiments`, `export-csv`, the scorecard, and its usage text through
 //! this one registry, so adding an experiment is a single new row here —
 //! no per-module match arms anywhere else.
@@ -21,15 +21,15 @@ use crate::env::Env;
 use crate::faults::DEFAULT_SEED;
 
 /// Everything one experiment run produces: the rendered text artifact,
-/// zero or more named CSV exports, and an optional failure verdict (an
-/// experiment can render successfully yet still fail its acceptance
-/// check — the scorecard does exactly that).
+/// the body of its CSV export (its [`Entry`] row names the file), and an
+/// optional failure verdict (an experiment can render successfully yet
+/// still fail its acceptance check — the scorecard does exactly that).
 #[derive(Debug, Clone, Default)]
 pub struct Artifacts {
     /// Rendered tables/figures, printed verbatim to stdout.
     pub text: String,
-    /// `(file name, CSV body)` pairs exported by `nvfs export-csv`.
-    pub csv: Vec<(&'static str, String)>,
+    /// The CSV body `nvfs export-csv` writes, for entries that export one.
+    pub csv: Option<String>,
     /// `Some(reason)` when the experiment ran but its verdict is a fail.
     pub failure: Option<String>,
 }
@@ -43,9 +43,9 @@ impl Artifacts {
         }
     }
 
-    /// Attaches one named CSV export.
-    fn with_csv(mut self, name: &'static str, body: String) -> Self {
-        self.csv.push((name, body));
+    /// Attaches the CSV export's body.
+    fn with_csv(mut self, body: String) -> Self {
+        self.csv = Some(body);
         self
     }
 
@@ -61,7 +61,7 @@ pub struct Entry {
     name: &'static str,
     artifact: &'static str,
     default_run: bool,
-    csv: &'static [&'static str],
+    csv: Option<&'static str>,
     run_fn: fn(&Env) -> Result<Artifacts, String>,
 }
 
@@ -70,7 +70,7 @@ impl Entry {
         name: &'static str,
         artifact: &'static str,
         default_run: bool,
-        csv: &'static [&'static str],
+        csv: Option<&'static str>,
         run_fn: fn(&Env) -> Result<Artifacts, String>,
     ) -> Self {
         Entry {
@@ -113,196 +113,196 @@ static REGISTRY: [Entry; 28] = [
         "tab1",
         "Table 1 — NVRAM costs",
         true,
-        &["tab1_costs.csv"],
+        Some("tab1_costs.csv"),
         run_tab1,
     ),
     Entry::new(
         "fig2",
         "Figure 2 — byte lifetimes",
         true,
-        &["fig2_byte_lifetimes.csv"],
+        Some("fig2_byte_lifetimes.csv"),
         run_fig2,
     ),
     Entry::new(
         "tab2",
         "Table 2 — fate of written bytes",
         true,
-        &["tab2_write_fates.csv"],
+        Some("tab2_write_fates.csv"),
         run_tab2,
     ),
     Entry::new(
         "fig3",
         "Figure 3 — omniscient policy vs NVRAM size",
         true,
-        &["fig3_omniscient.csv"],
+        Some("fig3_omniscient.csv"),
         run_fig3,
     ),
     Entry::new(
         "fig4",
         "Figure 4 — replacement policies",
         true,
-        &["fig4_policies.csv"],
+        Some("fig4_policies.csv"),
         run_fig4,
     ),
     Entry::new(
         "fig5",
         "Figure 5 — cache models, total traffic",
         true,
-        &["fig5_models.csv"],
+        Some("fig5_models.csv"),
         run_fig5,
     ),
     Entry::new(
         "fig6",
         "Figure 6 — NVRAM vs volatile cost-effectiveness",
         true,
-        &["fig6_cost_effectiveness.csv"],
+        Some("fig6_cost_effectiveness.csv"),
         run_fig6,
     ),
     Entry::new(
         "tab3",
         "Table 3 — forced partial segments",
         true,
-        &["tab3_partial_segments.csv"],
+        Some("tab3_partial_segments.csv"),
         run_tab3,
     ),
     Entry::new(
         "tab4",
         "Table 4 — partial segment sizes & space cost",
         true,
-        &["tab4_partial_sizes.csv"],
+        Some("tab4_partial_sizes.csv"),
         run_tab4,
     ),
     Entry::new(
         "write-buffer",
         "§3 — ½ MB write buffer reductions",
         true,
-        &["write_buffer.csv"],
+        Some("write_buffer.csv"),
         run_write_buffer,
     ),
     Entry::new(
         "disk-sort",
         "§3 — random vs sorted disk writes",
         true,
-        &["disk_sort.csv"],
+        Some("disk_sort.csv"),
         run_disk_sort,
     ),
     Entry::new(
         "bus-nvram",
         "§2.6 — bus traffic & NVRAM access counts",
         true,
-        &["bus_nvram.csv"],
+        Some("bus_nvram.csv"),
         run_bus_nvram,
     ),
     Entry::new(
         "presto",
         "§3 — NFS synchronous writes vs server NVRAM",
         true,
-        &["presto.csv"],
+        Some("presto.csv"),
         run_presto,
     ),
     Entry::new(
         "pipeline",
         "extension — client NVRAM's effect on the server's LFS",
         true,
-        &["pipeline.csv"],
+        Some("pipeline.csv"),
         run_pipeline,
     ),
     Entry::new(
         "ablations",
         "extensions — §2.6 hybrid model, dirty-block preference",
         true,
-        &[],
+        None,
         run_ablations,
     ),
     Entry::new(
         "consistency",
         "extension — block-by-block consistency",
         true,
-        &[],
+        None,
         run_consistency,
     ),
     Entry::new(
         "read-latency",
         "§3 closing analysis — optimal write size, read penalty",
         true,
-        &[],
+        None,
         run_read_latency,
     ),
     Entry::new(
         "lfs-vs-ffs",
         "§3 framing — LFS amortization vs update-in-place",
         true,
-        &[],
+        None,
         run_lfs_vs_ffs,
     ),
     Entry::new(
         "server-cache",
         "§3 opening — server NVRAM cache absorbs client writes",
         true,
-        &[],
+        None,
         run_server_cache,
     ),
     Entry::new(
         "diagrams",
         "Figures 1 and 7 rendered from live simulator state",
         true,
-        &[],
+        None,
         run_diagrams,
     ),
     Entry::new(
         "warmup",
         "methodology — quantifying the cold-start caveat",
         true,
-        &[],
+        None,
         run_warmup,
     ),
     Entry::new(
         "nvram-speed",
         "extension — §2.6 NVRAM access-time sensitivity",
         false,
-        &["nvram_speed.csv"],
+        Some("nvram_speed.csv"),
         run_nvram_speed,
     ),
     Entry::new(
         "faults",
         "§2.3/§4 — bytes lost under a seeded fault schedule",
         false,
-        &[],
+        None,
         run_faults,
     ),
     Entry::new(
         "verify-net",
         "robustness — network judge: partitions, retries, degraded modes",
         false,
-        &[],
+        None,
         run_verify_net,
     ),
     Entry::new(
         "lfs-wal-vs-buffer",
         "extension — logging vs paging: NVRAM WAL vs write buffer",
         false,
-        &[],
+        None,
         run_lfs_wal_vs_buffer,
     ),
     Entry::new(
         "scorecard",
         "every paper claim evaluated with PASS/FAIL verdicts",
         false,
-        &[],
+        None,
         run_scorecard,
     ),
     Entry::new(
         "verify-scrub",
         "robustness — corruption sweep: protection modes under fire",
         false,
-        &[],
+        None,
         run_verify_scrub,
     ),
     Entry::new(
         "scrub-overhead",
         "robustness — protection overhead vs undetected corruption",
         false,
-        &[],
+        None,
         run_scrub_overhead,
     ),
 ];
@@ -334,10 +334,10 @@ pub fn default_entries() -> impl Iterator<Item = &'static Entry> {
     REGISTRY.iter().filter(|e| e.default_run)
 }
 
-/// The entries `nvfs export-csv` runs (those exporting at least one CSV
-/// file), in output order.
-pub fn csv_entries() -> impl Iterator<Item = &'static Entry> {
-    REGISTRY.iter().filter(|e| !e.csv.is_empty())
+/// The entries `nvfs export-csv` runs (those exporting a CSV file), each
+/// with its file name, in output order.
+pub fn csv_entries() -> impl Iterator<Item = (&'static str, &'static Entry)> {
+    REGISTRY.iter().filter_map(|e| Some((e.csv?, e)))
 }
 
 /// One line per entry — `id  artifact` — for `nvfs experiments --list`
@@ -361,11 +361,7 @@ pub fn readme_table() -> String {
             e.name,
             e.artifact,
             if e.default_run { "yes" } else { "—" },
-            if e.csv.is_empty() {
-                "—".to_string()
-            } else {
-                e.csv.join(", ")
-            },
+            e.csv.unwrap_or("—"),
         ));
     }
     s
@@ -388,77 +384,72 @@ fn fig_text(figure: &Figure, log_x: bool) -> String {
 
 fn run_tab1(_env: &Env) -> Result<Artifacts, String> {
     let table = crate::tab1::run().table;
-    Ok(Artifacts::new(table.render()).with_csv("tab1_costs.csv", table.to_csv()))
+    Ok(Artifacts::new(table.render()).with_csv(table.to_csv()))
 }
 
 fn run_fig2(env: &Env) -> Result<Artifacts, String> {
     let out = crate::fig2::run(env);
-    Ok(Artifacts::new(fig_text(&out.figure, true))
-        .with_csv("fig2_byte_lifetimes.csv", out.figure.to_csv()))
+    Ok(Artifacts::new(fig_text(&out.figure, true)).with_csv(out.figure.to_csv()))
 }
 
 fn run_tab2(env: &Env) -> Result<Artifacts, String> {
     let table = crate::tab2::run(env).table;
-    Ok(Artifacts::new(table.render()).with_csv("tab2_write_fates.csv", table.to_csv()))
+    Ok(Artifacts::new(table.render()).with_csv(table.to_csv()))
 }
 
 fn run_fig3(env: &Env) -> Result<Artifacts, String> {
     let out = crate::fig3::run(env);
-    Ok(Artifacts::new(fig_text(&out.figure, true))
-        .with_csv("fig3_omniscient.csv", out.figure.to_csv()))
+    Ok(Artifacts::new(fig_text(&out.figure, true)).with_csv(out.figure.to_csv()))
 }
 
 fn run_fig4(env: &Env) -> Result<Artifacts, String> {
     let out = crate::fig4::run(env);
-    Ok(Artifacts::new(fig_text(&out.figure, true))
-        .with_csv("fig4_policies.csv", out.figure.to_csv()))
+    Ok(Artifacts::new(fig_text(&out.figure, true)).with_csv(out.figure.to_csv()))
 }
 
 fn run_fig5(env: &Env) -> Result<Artifacts, String> {
     let out = crate::fig5::run(env);
-    Ok(Artifacts::new(fig_text(&out.figure, false))
-        .with_csv("fig5_models.csv", out.figure.to_csv()))
+    Ok(Artifacts::new(fig_text(&out.figure, false)).with_csv(out.figure.to_csv()))
 }
 
 fn run_fig6(env: &Env) -> Result<Artifacts, String> {
     let out = crate::fig6::run(env);
-    Ok(Artifacts::new(fig_text(&out.figure, false))
-        .with_csv("fig6_cost_effectiveness.csv", out.figure.to_csv()))
+    Ok(Artifacts::new(fig_text(&out.figure, false)).with_csv(out.figure.to_csv()))
 }
 
 fn run_tab3(env: &Env) -> Result<Artifacts, String> {
     let table = crate::tab3::run(env).table;
-    Ok(Artifacts::new(table.render()).with_csv("tab3_partial_segments.csv", table.to_csv()))
+    Ok(Artifacts::new(table.render()).with_csv(table.to_csv()))
 }
 
 fn run_tab4(env: &Env) -> Result<Artifacts, String> {
     let table = crate::tab4::run(env).table;
-    Ok(Artifacts::new(table.render()).with_csv("tab4_partial_sizes.csv", table.to_csv()))
+    Ok(Artifacts::new(table.render()).with_csv(table.to_csv()))
 }
 
 fn run_write_buffer(env: &Env) -> Result<Artifacts, String> {
     let table = crate::write_buffer::run(env).table;
-    Ok(Artifacts::new(table.render()).with_csv("write_buffer.csv", table.to_csv()))
+    Ok(Artifacts::new(table.render()).with_csv(table.to_csv()))
 }
 
 fn run_disk_sort(_env: &Env) -> Result<Artifacts, String> {
     let table = crate::disk_sort::run().table;
-    Ok(Artifacts::new(table.render()).with_csv("disk_sort.csv", table.to_csv()))
+    Ok(Artifacts::new(table.render()).with_csv(table.to_csv()))
 }
 
 fn run_bus_nvram(env: &Env) -> Result<Artifacts, String> {
     let table = crate::bus_nvram::run(env).table;
-    Ok(Artifacts::new(table.render()).with_csv("bus_nvram.csv", table.to_csv()))
+    Ok(Artifacts::new(table.render()).with_csv(table.to_csv()))
 }
 
 fn run_presto(_env: &Env) -> Result<Artifacts, String> {
     let table = crate::presto::run().table;
-    Ok(Artifacts::new(table.render()).with_csv("presto.csv", table.to_csv()))
+    Ok(Artifacts::new(table.render()).with_csv(table.to_csv()))
 }
 
 fn run_pipeline(env: &Env) -> Result<Artifacts, String> {
     let table = crate::pipeline::run(env).table;
-    Ok(Artifacts::new(table.render()).with_csv("pipeline.csv", table.to_csv()))
+    Ok(Artifacts::new(table.render()).with_csv(table.to_csv()))
 }
 
 fn run_ablations(env: &Env) -> Result<Artifacts, String> {
@@ -508,7 +499,7 @@ fn run_warmup(env: &Env) -> Result<Artifacts, String> {
 
 fn run_nvram_speed(env: &Env) -> Result<Artifacts, String> {
     let table = crate::nvram_speed::run(env);
-    Ok(Artifacts::new(table.render()).with_csv("nvram_speed.csv", table.to_csv()))
+    Ok(Artifacts::new(table.render()).with_csv(table.to_csv()))
 }
 
 fn run_faults(env: &Env) -> Result<Artifacts, String> {
@@ -599,7 +590,7 @@ mod tests {
 
     #[test]
     fn csv_entries_preserve_the_historic_export_order() {
-        let names: Vec<&str> = csv_entries().flat_map(|e| e.csv).copied().collect();
+        let names: Vec<&str> = csv_entries().map(|(name, _)| name).collect();
         assert_eq!(
             names,
             [
@@ -637,8 +628,7 @@ mod tests {
         for id in ["tab1", "disk-sort", "diagrams"] {
             let e = find(id).unwrap();
             let art = e.run(&env).unwrap();
-            let names: Vec<&str> = art.csv.iter().map(|(n, _)| *n).collect();
-            assert_eq!(names, e.csv, "{id}");
+            assert_eq!(art.csv.is_some(), e.csv.is_some(), "{id}");
             assert!(!art.text.is_empty(), "{id}");
             assert!(art.failure.is_none(), "{id}");
         }

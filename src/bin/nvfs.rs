@@ -729,14 +729,16 @@ fn cmd_export_csv(mut args: VecDeque<String>) -> Result<(), String> {
     // CSV-bearing entries are independent; compute all in parallel, then
     // write in the registry's fixed order so both the files and the log
     // lines match a sequential run byte for byte.
-    let entries: Vec<&registry::Entry> = registry::csv_entries().collect();
-    let rendered = nvfs::par::par_map(entries, jobs, |entry| entry.run(&env).map(|a| a.csv));
+    let entries: Vec<(&str, &registry::Entry)> = registry::csv_entries().collect();
+    let rendered = nvfs::par::par_map(entries, jobs, |(name, entry)| {
+        entry.run(&env).map(|a| (name, a.csv))
+    });
     for result in rendered {
-        for (name, csv) in result? {
-            let path: &Path = &out.join(name);
-            fs::write(path, csv).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            outln!("wrote {}", path.display());
-        }
+        let (name, csv) = result?;
+        let csv = csv.expect("an entry that names a CSV file exports one");
+        let path: &Path = &out.join(name);
+        fs::write(path, csv).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        outln!("wrote {}", path.display());
     }
     Ok(())
 }
