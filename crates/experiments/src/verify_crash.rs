@@ -19,11 +19,12 @@
 //!
 //! The WAL half sweeps the write-ahead-log server mode through its four
 //! crash points (mid-append, post-append, mid-truncation, torn record) at
-//! a seed-chosen quartile of every workload, replaying each run's event
-//! stream through [`nvfs_oracle::WalJudge`] — a byte is promised the
-//! instant its record is durably appended, so a lost acked record, a
-//! resurrected torn record, or a truncation that outran writeback all
-//! surface as typed verdicts.
+//! a seed-chosen quartile of every workload, judging each run's crash and
+//! shutdown records through [`nvfs_oracle::WalJudge`] — a byte is promised
+//! the instant its record is durably appended, and each record carries
+//! the promise at its instant, so a lost acked record, a resurrected torn
+//! record, or a truncation that outran writeback all surface as typed
+//! verdicts.
 //!
 //! Everything is a pure function of `(seed, scale)` and byte-identical at
 //! any `--jobs` count; CI diffs the rendered report against a golden copy.
@@ -40,11 +41,11 @@ use nvfs_faults::{
     CrashPointKind, FaultError, FaultPlanConfig, FaultSchedule, ServerCrashFault, WalCrashFault,
     WalCrashPoint,
 };
-use nvfs_lfs::wal_fs::{run_filesystem_wal_faulted, WalFsReport, WalTraceEvent};
+use nvfs_lfs::wal_fs::{run_filesystem_wal_faulted, WalFsReport};
 use nvfs_lfs::{run_filesystem_faulted, Chunks, LfsConfig, WalConfig, SEGMENT_BYTES};
-use nvfs_oracle::{union_into, DurableMap, OracleSummary, WalEvent, WalJudge};
+use nvfs_oracle::{OracleSummary, WalJudge};
 use nvfs_report::{Cell, Table};
-use nvfs_types::{ClientId, SimDuration, SimTime, BLOCK_SIZE};
+use nvfs_types::{ClientId, FileId, RangeSet, SimDuration, SimTime, BLOCK_SIZE};
 
 use crate::env::Env;
 use crate::faults::{batteries_for, model_name, BASE_BYTES, MODELS};
@@ -336,41 +337,25 @@ fn server_sweep(env: &Env) -> Vec<ServerCheckRow> {
     rows.into_iter().flatten().collect()
 }
 
-fn chunks_to_map(chunks: &Chunks) -> DurableMap {
-    let mut m = DurableMap::new();
-    union_into(&mut m, chunks.iter().map(|(f, s)| (f, s)));
-    m
+/// `chunks` as the `(file, ranges)` pairs the judge reads.
+fn pairs(chunks: &Chunks) -> impl Iterator<Item = (&FileId, &RangeSet)> {
+    chunks.iter().map(|(f, s)| (f, s))
 }
 
-/// Replays a WAL run's event stream through [`WalJudge`], including the
-/// shutdown truncation-invariant check at `finish_at` (which must lie
-/// strictly after the last crash).
+/// Judges a WAL run through [`WalJudge`]: each crash against the promise
+/// recorded at it, then the shutdown truncation-invariant check at
+/// `finish_at` (which must lie strictly after the last crash).
 pub fn judge_wal_report(
     client: ClientId,
     report: &WalFsReport,
     finish_at: SimTime,
 ) -> OracleSummary {
-    let events: Vec<WalEvent> = report
-        .trace
-        .events
-        .iter()
-        .map(|e| match e {
-            WalTraceEvent::Append { t, file, ranges } => WalEvent::Append {
-                t: *t,
-                file: *file,
-                ranges: ranges.clone(),
-            },
-            WalTraceEvent::Delete { t, file } => WalEvent::Delete { t: *t, file: *file },
-            WalTraceEvent::Crash(incident) => WalEvent::Crash {
-                at: incident.at,
-                replayed: chunks_to_map(&incident.replayed),
-                disk: chunks_to_map(&incident.disk),
-            },
-        })
-        .collect();
+    let trace = &report.trace;
     let mut judge = WalJudge::new(client);
-    judge.run(&events);
-    judge.finish(finish_at, &chunks_to_map(&report.trace.final_disk));
+    for c in &trace.crashes {
+        judge.crash(c.at, &c.promise, pairs(&c.replayed), pairs(&c.disk));
+    }
+    judge.finish(finish_at, &trace.final_promise, pairs(&trace.final_disk));
     judge.summary()
 }
 

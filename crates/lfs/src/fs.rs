@@ -392,8 +392,8 @@ pub(crate) trait Buffer {
     /// An application fsync of `file` at `t`.
     fn fsync(&mut self, lfs: &mut Lfs, t: SimTime, file: FileId);
 
-    /// `file` was deleted at `t`.
-    fn delete(&mut self, t: SimTime, file: FileId);
+    /// `file` was deleted.
+    fn delete(&mut self, file: FileId);
 
     /// The server dies and restarts. `lost` holds the volatile dirty cache;
     /// whatever the buffer leaves in it counts as lost.
@@ -472,7 +472,7 @@ pub(crate) fn drive<B: Buffer>(
             }
             LfsOpKind::Delete { file } => {
                 lfs.dirty.discard_file(file);
-                buffer.delete(op.time, file);
+                buffer.delete(file);
                 lfs.writer.usage_mut().kill_file(file);
             }
         }
@@ -608,7 +608,7 @@ impl Buffer for Paging {
         }
     }
 
-    fn delete(&mut self, _t: SimTime, file: FileId) {
+    fn delete(&mut self, file: FileId) {
         self.nvram.retain(|(f, _)| *f != file);
         self.nvram_bytes = self.nvram.iter().map(|(_, r)| r.len_bytes()).sum();
     }

@@ -25,6 +25,8 @@
 //!   replayed as [`SegmentCause::Recovery`] segments and the torn tail
 //!   (necessarily un-acked) is truncated.
 
+use std::collections::BTreeMap;
+
 use nvfs_faults::{ReliabilityStats, WalCrashFault, WalCrashPoint};
 use nvfs_types::{FileId, RangeSet, SimDuration, SimTime, BLOCK_CLEANER_PERIOD};
 use nvfs_wal::{NvLog, WalEntry};
@@ -99,6 +101,10 @@ pub struct WalStats {
     pub replayed_bytes: u64,
 }
 
+/// The bytes a WAL run has promised to keep, per file: every range of
+/// every acknowledged append, less the files deleted since.
+pub type Promise = BTreeMap<FileId, RangeSet>;
+
 /// One crash incident as the durability oracle needs to see it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalCrashIncident {
@@ -106,6 +112,8 @@ pub struct WalCrashIncident {
     pub at: SimTime,
     /// Where in the commit protocol the crash landed.
     pub point: WalCrashPoint,
+    /// The promise at the crash, a `PostAppend` record included.
+    pub promise: Promise,
     /// Byte ranges recovery replayed from the log.
     pub replayed: Chunks,
     /// Live on-disk byte ranges at the moment of the crash.
@@ -114,39 +122,17 @@ pub struct WalCrashIncident {
     pub truncated_log_bytes: u64,
 }
 
-/// The chronological event record a WAL run leaves behind: everything the
-/// oracle needs to reconstruct the durability promise and judge each
-/// crash, in exact occurrence order (no same-timestamp ambiguity).
+/// What a WAL run leaves for the durability oracle: the promise at each
+/// crash beside what recovery found, and the promise and disk at
+/// shutdown. Its size grows with crashes and files, not with appends.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WalTrace {
-    /// Events in occurrence order.
-    pub events: Vec<WalTraceEvent>,
+    /// Crash incidents in occurrence order.
+    pub crashes: Vec<WalCrashIncident>,
+    /// The promise at shutdown.
+    pub final_promise: Promise,
     /// Live on-disk byte ranges at shutdown.
     pub final_disk: Chunks,
-}
-
-/// One entry of a [`WalTrace`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum WalTraceEvent {
-    /// A record was durably appended and acknowledged: its ranges are
-    /// promised from this moment.
-    Append {
-        /// Ack time.
-        t: SimTime,
-        /// The file the record covers.
-        file: FileId,
-        /// The promised byte ranges.
-        ranges: RangeSet,
-    },
-    /// The file was deleted: its promise is withdrawn.
-    Delete {
-        /// Delete time.
-        t: SimTime,
-        /// The deleted file.
-        file: FileId,
-    },
-    /// The server crashed and recovered.
-    Crash(WalCrashIncident),
 }
 
 /// Results of one WAL-mode simulation.
@@ -158,7 +144,7 @@ pub struct WalFsReport {
     pub wal: WalStats,
     /// One sample per acknowledged fsync.
     pub fsync_samples: Vec<FsyncSample>,
-    /// The chronological event record for the durability oracle.
+    /// The promise and crash record for the durability oracle.
     pub trace: WalTrace,
 }
 
@@ -194,7 +180,7 @@ pub fn run_filesystem_wal_faulted(
         log: NvLog::new(config.log_capacity),
         stats: WalStats::default(),
         fsync_samples: Vec::new(),
-        events: Vec::new(),
+        trace: WalTrace::default(),
     };
     drive(workload, logging, crashes)
 }
@@ -218,13 +204,13 @@ pub fn run_server_wal_faulted(
     })
 }
 
-/// The *logging* buffer: the NVRAM log, its accounting and the event
-/// trace the durability oracle reads.
+/// The *logging* buffer: the NVRAM log, its accounting and the trace the
+/// durability oracle reads, whose `final_promise` is kept current.
 struct Logging {
     log: NvLog,
     stats: WalStats,
     fsync_samples: Vec<FsyncSample>,
-    events: Vec<WalTraceEvent>,
+    trace: WalTrace,
 }
 
 impl Logging {
@@ -234,7 +220,11 @@ impl Logging {
         self.log.append(t, file, &ranges);
         self.stats.appends += 1;
         self.stats.append_bytes += ranges.len_bytes();
-        self.events.push(WalTraceEvent::Append { t, file, ranges });
+        self.trace
+            .final_promise
+            .entry(file)
+            .or_default()
+            .union_with(&ranges);
     }
 
     /// Writes the first `n` log records as `cause` segments, then truncates
@@ -325,9 +315,9 @@ impl Buffer for Logging {
         self.fsync_samples.push(sample);
     }
 
-    fn delete(&mut self, t: SimTime, file: FileId) {
+    fn delete(&mut self, file: FileId) {
         self.log.kill_file(file);
-        self.events.push(WalTraceEvent::Delete { t, file });
+        self.trace.final_promise.remove(&file);
     }
 
     /// The log survives the crash. Point-specific behaviour exercises each
@@ -377,13 +367,14 @@ impl Buffer for Logging {
             lfs.reliability.bytes_replayed += recovery.replayed_bytes;
             self.stats.replayed_bytes += recovery.replayed_bytes;
         }
-        self.events.push(WalTraceEvent::Crash(WalCrashIncident {
+        self.trace.crashes.push(WalCrashIncident {
             at: t,
             point: crash.point,
+            promise: self.trace.final_promise.clone(),
             replayed,
             disk,
             truncated_log_bytes: recovery.truncated_bytes,
-        }));
+        });
     }
 
     /// The log drains first; the dirty remainder then goes out on its own.
@@ -391,8 +382,8 @@ impl Buffer for Logging {
         self.drain(lfs, t, SimDuration::ZERO);
     }
 
-    fn report(self, lfs: Lfs, name: &str) -> WalFsReport {
-        let final_disk = lfs.writer.usage().live_ranges();
+    fn report(mut self, lfs: Lfs, name: &str) -> WalFsReport {
+        self.trace.final_disk = lfs.writer.usage().live_ranges();
         WalFsReport {
             fs: FsReport {
                 fsyncs_absorbed: self.stats.appends,
@@ -400,10 +391,7 @@ impl Buffer for Logging {
             },
             wal: self.stats,
             fsync_samples: self.fsync_samples,
-            trace: WalTrace {
-                events: self.events,
-                final_disk,
-            },
+            trace: self.trace,
         }
     }
 }
@@ -454,6 +442,42 @@ mod tests {
         assert_eq!(r.wal.drained_bytes, 8192);
         assert_eq!(r.wal.truncated_records, 1);
         assert_eq!(r.fs.data_bytes(), 8192);
+    }
+
+    #[test]
+    fn a_crash_free_run_promises_exactly_its_fsynced_ranges() {
+        let op = |secs, kind| LfsOp {
+            time: SimTime::from_secs(secs),
+            kind,
+        };
+        let write = |file, start, end| LfsOpKind::Write {
+            file: FileId(file),
+            range: ByteRange::new(start, end),
+        };
+        let fsync = |file| LfsOpKind::Fsync { file: FileId(file) };
+        let w = FsWorkload {
+            name: "/test",
+            ops: vec![
+                op(1, write(0, 0, 8192)),
+                op(1, write(1, 0, 4096)),
+                op(2, fsync(0)),
+                op(3, write(0, 16384, 20480)),
+                op(3, fsync(0)),
+                op(4, fsync(1)),
+                // Dirty but never fsynced: written back, not promised.
+                op(5, write(2, 0, 4096)),
+                op(60, fsync(3)),
+            ],
+        };
+        let r = run_filesystem_wal(&w, &WalConfig::sprite());
+        assert!(r.trace.crashes.is_empty());
+        let mut file0 = RangeSet::from_range(ByteRange::new(0, 8192));
+        file0.insert(ByteRange::new(16384, 20480));
+        let file1 = RangeSet::from_range(ByteRange::new(0, 4096));
+        assert_eq!(
+            r.trace.final_promise,
+            Promise::from([(FileId(0), file0), (FileId(1), file1)])
+        );
     }
 
     #[test]
@@ -527,7 +551,9 @@ mod tests {
             ],
         };
         let r = run_filesystem_wal(&w, &WalConfig::sprite());
-        // The deleted file's bytes never reach the disk live.
+        // The delete withdraws the promise, and the deleted file's bytes
+        // never reach the disk live.
+        assert!(r.trace.final_promise.is_empty());
         assert!(r.trace.final_disk.is_empty());
         assert_eq!(r.fs.data_bytes(), 0);
     }
@@ -562,6 +588,12 @@ mod tests {
         assert_eq!(rel2.bytes_lost_buffer, 0, "the one dirty file was acked");
         assert_eq!(rel2.bytes_replayed, 8192);
         assert!(r2.fs.count(SegmentCause::Recovery) >= 1);
+        // The record appended at the crash is in the crash's promise.
+        let promised = RangeSet::from_range(ByteRange::new(0, 8192));
+        assert_eq!(
+            r2.trace.crashes[0].promise,
+            Promise::from([(FileId(0), promised)])
+        );
         let _ = (r, rel);
     }
 
@@ -579,15 +611,10 @@ mod tests {
         assert_eq!(rel.bytes_lost_buffer, 8192);
         assert_eq!(rel.bytes_replayed, 0);
         assert!(r.wal.torn_log_bytes > 0);
-        let incident = r
-            .trace
-            .events
-            .iter()
-            .find_map(|e| match e {
-                WalTraceEvent::Crash(i) => Some(i),
-                _ => None,
-            })
-            .expect("one crash");
+        let [incident] = &r.trace.crashes[..] else {
+            panic!("one crash, got {:?}", r.trace.crashes);
+        };
+        assert!(incident.promise.is_empty(), "nothing was acked");
         assert!(incident.replayed.is_empty());
         assert!(incident.truncated_log_bytes > 0);
     }

@@ -18,12 +18,11 @@
 //!   (fabricated data, e.g. from a dead board).
 //! * [`Verdict::DoubleReplay`] — one crash's drain was applied twice.
 //!
-//! [`ServerState`] additionally proves replay idempotence: applying the
-//! same recovered drain twice must change nothing the second time.
-//!
 //! [`WalJudge`] extends the same verdict vocabulary to the write-ahead-log
 //! server mode, where a byte is promised the instant its record is durably
-//! appended (the fsync ack), not when a crash captures it.
+//! appended (the fsync ack), not when a crash captures it. The server run
+//! records that promise at each crash and at shutdown, and the judge reads
+//! it from there beside what recovery replayed and what the disk held.
 //!
 //! The oracle depends only on `nvfs-types` (plus `nvfs-obs` for the
 //! `oracle_verdict` event and `oracle.*` counters), so its prediction of
@@ -41,7 +40,5 @@ mod wal;
 
 pub use judge::{Oracle, OracleSummary, Verdict};
 pub use netjudge::{NetJudge, NetSummary, NetVerdict, WireEvent};
-pub use shadow::{
-    torn_prefix, union_into, DrainExpectation, DurableMap, DurablePromise, ServerState,
-};
-pub use wal::{WalEvent, WalJudge};
+pub use shadow::{torn_prefix, union_into, DrainExpectation, DurableMap, DurablePromise};
+pub use wal::WalJudge;

@@ -152,42 +152,19 @@ pub fn union_into<'a, F: Borrow<FileId>>(
 
 /// Every overlap of `a` with `b`: one `(file, range)` per pair of
 /// overlapping ranges, in `a`'s file and offset order.
-pub(crate) fn intersect(a: &DurableMap, b: &DurableMap) -> Vec<(FileId, ByteRange)> {
+pub(crate) fn intersect<'a, F: Borrow<FileId>>(
+    a: impl IntoIterator<Item = (F, &'a RangeSet)>,
+    b: &DurableMap,
+) -> Vec<(FileId, ByteRange)> {
     let mut out = Vec::new();
     for (file, set) in a {
-        let Some(other) = b.get(file) else { continue };
+        let file = *file.borrow();
+        let Some(other) = b.get(&file) else { continue };
         for r in set.iter() {
-            out.extend(other.overlapping(r).map(|overlap| (*file, overlap)));
+            out.extend(other.overlapping(r).map(|overlap| (file, overlap)));
         }
     }
     out
-}
-
-/// A shadow of the server's durable state, used to prove replay
-/// idempotence: applying the same recovered drain twice must be a no-op
-/// the second time.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ServerState {
-    files: DurableMap,
-}
-
-impl ServerState {
-    /// An empty server.
-    pub fn new() -> Self {
-        ServerState::default()
-    }
-
-    /// Applies a recovered drain, returning the number of *newly* durable
-    /// bytes. A second application of the same map returns 0 and leaves
-    /// the state bit-identical — that is the idempotence being proved.
-    pub fn apply(&mut self, recovered: &DurableMap) -> u64 {
-        union_into(&mut self.files, recovered)
-    }
-
-    /// Total durable bytes.
-    pub fn durable_bytes(&self) -> u64 {
-        self.files.values().map(RangeSet::len_bytes).sum()
-    }
 }
 
 #[cfg(test)]
@@ -252,11 +229,11 @@ mod tests {
     #[test]
     fn server_replay_is_idempotent() {
         let m = map(&[(1, 0, 4096), (2, 4096, 8192)]);
-        let mut s = ServerState::new();
-        assert_eq!(s.apply(&m), 8192);
+        let mut s = DurableMap::new();
+        assert_eq!(union_into(&mut s, &m), 8192);
         let first = s.clone();
-        assert_eq!(s.apply(&m), 0, "second replay adds nothing");
+        assert_eq!(union_into(&mut s, &m), 0, "second replay adds nothing");
         assert_eq!(s, first, "…and changes nothing");
-        assert_eq!(s.durable_bytes(), 8192);
+        assert_eq!(s.values().map(RangeSet::len_bytes).sum::<u64>(), 8192);
     }
 }

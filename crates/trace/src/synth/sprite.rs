@@ -146,6 +146,8 @@ pub struct Trace {
     large_file_workload: bool,
     clients: usize,
     duration: SimDuration,
+    /// The raw events the ops were lowered from. Kept in test builds only.
+    #[cfg(test)]
     events: Vec<TraceEvent>,
     ops: OpStream,
     /// Bytes written per file class — the generation manifest that makes
@@ -177,7 +179,8 @@ impl Trace {
     }
 
     /// The raw trace events, in time order.
-    pub fn events(&self) -> &[TraceEvent] {
+    #[cfg(test)]
+    pub(crate) fn events(&self) -> &[TraceEvent] {
         &self.events
     }
 
@@ -363,6 +366,7 @@ impl<'a> TraceGen<'a> {
             large_file_workload: self.large,
             clients,
             duration: self.cfg.duration(),
+            #[cfg(test)]
             events: self.events,
             ops,
             #[cfg(test)]
