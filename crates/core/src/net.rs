@@ -144,6 +144,9 @@ pub struct NetFaultInjector<'p> {
     /// Clients whose crash events we have seen: dead machines issue no
     /// further RPCs.
     crashed: BTreeSet<ClientId>,
+    /// Message fates drawn (`net.fate_draws`): the RPC layer's work count.
+    /// Kept out of [`NetStats`], whose `Debug` text benchmarks digest.
+    fate_draws: u64,
 }
 
 impl<'p> NetFaultInjector<'p> {
@@ -168,6 +171,7 @@ impl<'p> NetFaultInjector<'p> {
             acks: BTreeMap::new(),
             applied: BTreeSet::new(),
             crashed: BTreeSet::new(),
+            fate_draws: 0,
         }
     }
 
@@ -206,6 +210,7 @@ impl<'p> NetFaultInjector<'p> {
                 self.stats.retries += 1;
             }
             let fate = self.plan.message_fate(client, req_id, attempt);
+            self.fate_draws += 1;
             let deliver = send.saturating_add(fate.delay);
             let severed =
                 self.plan.client_severed(client, send) || self.plan.client_severed(client, deliver);
@@ -326,6 +331,7 @@ impl RunHook for NetFaultInjector<'_> {
         counter_add("net.dup_suppressed", self.stats.dup_suppressed);
         counter_add("net.gave_up", self.stats.gave_up);
         counter_add("net.shed_bytes", self.stats.shed_bytes);
+        counter_add("net.fate_draws", self.fate_draws);
         for w in self.plan.windows() {
             nvfs_obs::histogram_record("net.partition_us", (w.end - w.start).as_micros());
         }

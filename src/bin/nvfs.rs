@@ -744,13 +744,14 @@ fn cmd_export_csv(mut args: VecDeque<String>) -> Result<(), String> {
 }
 
 /// Stages timed by `nvfs bench`, in pass order.
-const BENCH_STAGES: [&str; 7] = [
+const BENCH_STAGES: [&str; 8] = [
     "gen-traces",
     "fig2",
     "fig3",
     "tab3",
     "wal",
     "scrub",
+    "verify-net",
     "scorecard",
 ];
 
@@ -806,7 +807,10 @@ fn cmd_bench(mut args: VecDeque<String>) -> Result<(), String> {
                 exp::scrub_overhead::run(&env, exp::faults::DEFAULT_SEED)
             })
             .map_err(|e| e.to_string())?;
-            let card = bench::timed(&mut pass, BENCH_STAGES[6], jobs, || {
+            let net = bench::timed(&mut pass, BENCH_STAGES[6], jobs, || {
+                exp::verify_net::run(&env, exp::faults::DEFAULT_SEED)
+            })?;
+            let card = bench::timed(&mut pass, BENCH_STAGES[7], jobs, || {
                 exp::scorecard::run(&env)
             });
             bench::annotate(&mut pass, scale.name(), &rev, iter);
@@ -822,6 +826,7 @@ fn cmd_bench(mut args: VecDeque<String>) -> Result<(), String> {
             digest.update(&t3.table.render());
             digest.update(&wal.table.render());
             digest.update(&scrub.table().render());
+            digest.update(&net.render());
             digest.update(&card.table.render());
             let digest = digest.hex();
             match &reference {

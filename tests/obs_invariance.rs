@@ -327,6 +327,41 @@ fn manifest_matches_golden() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The RPC layer's work counts (`net.*`, `oracle.net_*`) under the tiny
+/// verify-net sweep, pinned so a change to the retry state machine shows
+/// which counters moved.
+#[test]
+fn net_manifest_matches_golden() {
+    let dir = tempdir("net-golden");
+    let manifest = dir.join("manifest.json");
+    let out = nvfs(&[
+        "--jobs",
+        "2",
+        "--manifest-out",
+        manifest.to_str().unwrap(),
+        "verify-net",
+        "--scale",
+        "tiny",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let manifest = std::fs::read_to_string(&manifest).expect("manifest written");
+    let golden = std::fs::read_to_string(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/manifest_net_tiny.json"),
+    )
+    .expect("golden manifest present");
+    assert_eq!(
+        run_section(&manifest),
+        run_section(&golden),
+        "run section drifted from tests/golden/manifest_net_tiny.json; \
+         regenerate it if the change is intentional"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn obs_show_and_diff_detect_drift() {
     let dir = tempdir("cli");
