@@ -1,9 +1,8 @@
 //! The deterministic network layer between clients and the server.
 //!
-//! Until PR 7, every client→server interaction in the simulator was an
-//! instant, infallible function call — the paper's claim that NVRAM lets
-//! a client ride out an unreachable server (§2.3–§2.5) was never actually
-//! exercised. This module puts a wire in the middle:
+//! The paper claims NVRAM lets a client ride out an unreachable server
+//! (§2.3–§2.5). To test that claim, every client→server interaction goes
+//! over a simulated wire instead of an instant, infallible call:
 //!
 //! * every server-interacting op, and every flush notification, becomes
 //!   an explicit RPC `(client id, request id, payload kind)`;
@@ -17,6 +16,21 @@
 //! * the whole exchange is written to a [`WireEvent`] transcript that the
 //!   [`NetJudge`] replays against the wire contract (no acked request
 //!   lost, no request double-applied, no delivery inside a partition).
+//!
+//! # Cost per request
+//!
+//! Each RPC costs O(1) in the state machine, outages included:
+//!
+//! * An attempt sent into a cut is dropped whatever its message fate
+//!   says, so no fate is drawn for it.
+//! * When an attempt is sent into a cut that outlasts the worst-case
+//!   ladder of the remaining attempts ([`NetFaultPlan::worst_ladder`]),
+//!   every remaining attempt is sent into the same cut. The request then
+//!   gives up at once, with the counts the attempts would have added.
+//! * Request ids run 0, 1, 2, … per client, so the server's dedup set is
+//!   a table indexed by request id, kept in one record per client.
+//! * A run of dropped attempts is one [`WireEvent::Dropped`] carrying its
+//!   length.
 //!
 //! # Control plane vs data plane
 //!
@@ -43,14 +57,17 @@
 //!
 //! [`ClientCache::take_shed_writes`]: crate::client::ClientCache::take_shed_writes
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use nvfs_faults::net::{NetFaultPlan, PartitionScope};
+use nvfs_faults::net::{MessageFate, NetFaultPlan, PartitionScope};
 use nvfs_oracle::{NetJudge, NetSummary, NetVerdict, WireEvent};
 use nvfs_trace::op::{Op, OpKind};
-use nvfs_types::{ClientId, SimTime};
+use nvfs_types::{ClientId, SimDuration, SimTime};
 
 use crate::session::{FlushEvent, OpAction, RunHook, SimEngine};
+
+#[cfg(test)]
+mod reference;
 
 /// Retry budget per request. With the default capped exponential backoff
 /// this spans hours of simulated time, so only a partition outlasting the
@@ -134,19 +151,27 @@ pub struct NetFaultInjector<'p> {
     plan: &'p NetFaultPlan,
     judge: NetJudge,
     stats: NetStats,
-    next_req: BTreeMap<ClientId, u64>,
-    /// Ack times of the last `max_in_flight` requests per client: the
-    /// bounded in-flight window (request `r` cannot be transmitted before
-    /// request `r - W` was acked).
-    acks: BTreeMap<ClientId, Vec<SimTime>>,
-    /// Server-side request-id dedup: `(client, req_id)` pairs applied.
-    applied: BTreeSet<(u32, u64)>,
-    /// Clients whose crash events we have seen: dead machines issue no
-    /// further RPCs.
-    crashed: BTreeSet<ClientId>,
+    /// `ladder[k]` bounds the time from attempt `k`'s send to the last
+    /// attempt's send ([`NetFaultPlan::worst_ladder`]).
+    ladder: Vec<SimDuration>,
+    clients: BTreeMap<ClientId, ClientWire>,
     /// Message fates drawn (`net.fate_draws`): the RPC layer's work count.
     /// Kept out of [`NetStats`], whose `Debug` text benchmarks digest.
     fate_draws: u64,
+}
+
+/// One client's end of the wire, and the server's dedup table for it.
+#[derive(Debug)]
+struct ClientWire {
+    /// Ack times of the last `max_in_flight` requests: the bounded
+    /// in-flight window (request `r` cannot be transmitted before request
+    /// `r - W` was acked). Zero until a slot's first ack.
+    acks: Vec<SimTime>,
+    /// Server-side request-id dedup, indexed by request id: whether the
+    /// request was applied. Its length is the next request id.
+    applied: Vec<bool>,
+    /// The client crashed: dead machines issue no further RPCs.
+    crashed: bool,
 }
 
 impl<'p> NetFaultInjector<'p> {
@@ -167,10 +192,8 @@ impl<'p> NetFaultInjector<'p> {
             plan,
             judge: NetJudge::new(windows),
             stats: NetStats::default(),
-            next_req: BTreeMap::new(),
-            acks: BTreeMap::new(),
-            applied: BTreeSet::new(),
-            crashed: BTreeSet::new(),
+            ladder: plan.worst_ladder(MAX_ATTEMPTS),
+            clients: BTreeMap::new(),
             fate_draws: 0,
         }
     }
@@ -185,93 +208,135 @@ impl<'p> NetFaultInjector<'p> {
         }
     }
 
+    fn wire(&mut self, client: ClientId) -> &mut ClientWire {
+        let window = self.plan.config().max_in_flight as usize;
+        self.clients.entry(client).or_insert_with(|| ClientWire {
+            acks: vec![SimTime::ZERO; window],
+            applied: Vec::new(),
+            crashed: false,
+        })
+    }
+
+    fn crashed(&self, client: ClientId) -> bool {
+        self.clients.get(&client).is_some_and(|w| w.crashed)
+    }
+
     /// Resolves one request end to end: transmit, time out and back off
     /// through drops and partitions, deliver, dedup, ack. Analytic rather
     /// than event-driven — each attempt's fate is a pure function of the
     /// message identity — so resolution order cannot perturb other
     /// requests' outcomes.
     fn rpc(&mut self, client: ClientId, at: SimTime) {
-        let req_id = {
-            let n = self.next_req.entry(client).or_insert(0);
-            let id = *n;
-            *n += 1;
-            id
-        };
+        let wire = self.wire(client);
+        let req_id = wire.applied.len() as u64;
+        wire.applied.push(false);
+        let mut send = at.max(wire.acks[req_id as usize % wire.acks.len()]);
         self.stats.requests += 1;
-        let window = self.plan.config().max_in_flight as usize;
-        let slot = (req_id as usize) % window;
-        let gate = self
-            .acks
-            .get(&client)
-            .map_or(SimTime::ZERO, |ring| ring[slot]);
-        let mut send = at.max(gate);
-        for attempt in 0..MAX_ATTEMPTS {
+        // Attempts dropped since the last transcript event.
+        let mut dropped = 0u32;
+        // The end of the outage the last severed send fell into.
+        let mut heal = SimTime::ZERO;
+        let mut attempt = 0;
+        while attempt < MAX_ATTEMPTS {
             if attempt > 0 {
                 self.stats.retries += 1;
             }
-            let fate = self.plan.message_fate(client, req_id, attempt);
-            self.fate_draws += 1;
-            let deliver = send.saturating_add(fate.delay);
-            let severed =
-                self.plan.client_severed(client, send) || self.plan.client_severed(client, deliver);
-            if severed || fate.dropped {
-                // The transmission vanished (dropped on the wire or lost
-                // in the cut): wait out the timeout, back off, retry.
-                self.judge.observe(&WireEvent::Dropped {
-                    client,
-                    req_id,
-                    attempt,
-                    at: send,
-                });
-                self.stats.timeouts += 1;
-                send = send
-                    .saturating_add(self.plan.config().rpc_timeout)
-                    .saturating_add(self.plan.backoff(client, req_id, attempt));
-                continue;
+            if send < heal || self.plan.client_severed(client, send) {
+                // Sent into the cut: lost whatever its fate. If even the
+                // slowest ladder sends its last attempt before the heal,
+                // every remaining attempt is lost too.
+                if send >= heal {
+                    heal = self.plan.client_heal_time(client, send);
+                }
+                if send.saturating_add(self.ladder[attempt as usize]) < heal {
+                    let left = MAX_ATTEMPTS - attempt;
+                    self.stats.retries += u64::from(left - 1);
+                    self.stats.timeouts += u64::from(left);
+                    dropped += left;
+                    break;
+                }
+            } else {
+                let fate = self.plan.message_fate(client, req_id, attempt);
+                self.fate_draws += 1;
+                let deliver = send.saturating_add(fate.delay);
+                if !fate.dropped && !self.plan.client_severed(client, deliver) {
+                    self.deliver(client, req_id, send, deliver, fate, dropped);
+                    return;
+                }
             }
-            self.judge.observe(&WireEvent::Delivered {
+            // The transmission vanished (dropped on the wire or lost in
+            // the cut): wait out the timeout, back off, retry.
+            dropped += 1;
+            self.stats.timeouts += 1;
+            send = send
+                .saturating_add(self.plan.config().rpc_timeout)
+                .saturating_add(self.plan.backoff(client, req_id, attempt));
+            attempt += 1;
+        }
+        self.judge.observe(&WireEvent::Dropped {
+            client,
+            req_id,
+            attempts: dropped,
+        });
+        self.stats.gave_up += 1;
+        self.judge.observe(&WireEvent::GaveUp { client, req_id });
+    }
+
+    /// The server receives request `req_id`, sent at `send`, at
+    /// `deliver` after `dropped` lost attempts: dedup, apply, deliver any
+    /// wire duplicate, ack.
+    fn deliver(
+        &mut self,
+        client: ClientId,
+        req_id: u64,
+        send: SimTime,
+        deliver: SimTime,
+        fate: MessageFate,
+        dropped: u32,
+    ) {
+        let ack_at = deliver.saturating_add(fate.delay);
+        let wire = self.wire(client);
+        let first = !std::mem::replace(&mut wire.applied[req_id as usize], true);
+        let slot = req_id as usize % wire.acks.len();
+        wire.acks[slot] = ack_at;
+        if dropped > 0 {
+            self.judge.observe(&WireEvent::Dropped {
+                client,
+                req_id,
+                attempts: dropped,
+            });
+        }
+        self.judge.observe(&WireEvent::Delivered {
+            client,
+            req_id,
+            at: deliver,
+            duplicate: false,
+        });
+        if first {
+            self.judge.observe(&WireEvent::Applied {
                 client,
                 req_id,
                 at: deliver,
-                duplicate: false,
             });
-            if self.applied.insert((client.0, req_id)) {
-                self.judge.observe(&WireEvent::Applied {
+        } else {
+            self.stats.dup_suppressed += 1;
+        }
+        if fate.duplicated {
+            let dup_at = send.saturating_add(fate.dup_delay);
+            if !self.plan.client_severed(client, dup_at) {
+                self.judge.observe(&WireEvent::Delivered {
                     client,
                     req_id,
-                    at: deliver,
+                    at: dup_at,
+                    duplicate: true,
                 });
-            } else {
                 self.stats.dup_suppressed += 1;
             }
-            if fate.duplicated {
-                let dup_at = send.saturating_add(fate.dup_delay);
-                if !self.plan.client_severed(client, dup_at) {
-                    self.judge.observe(&WireEvent::Delivered {
-                        client,
-                        req_id,
-                        at: dup_at,
-                        duplicate: true,
-                    });
-                    self.stats.dup_suppressed += 1;
-                }
-            }
-            let ack_at = deliver.saturating_add(fate.delay);
-            self.judge.observe(&WireEvent::Acked {
-                client,
-                req_id,
-                at: ack_at,
-            });
-            self.acks
-                .entry(client)
-                .or_insert_with(|| vec![SimTime::ZERO; window])[slot] = ack_at;
-            return;
         }
-        self.stats.gave_up += 1;
-        self.judge.observe(&WireEvent::GaveUp {
+        self.judge.observe(&WireEvent::Acked {
             client,
             req_id,
-            at: send,
+            at: ack_at,
         });
     }
 }
@@ -291,7 +356,7 @@ impl RunHook for NetFaultInjector<'_> {
             });
         }
         engine.sync_net_severed(op.time);
-        if op_is_rpc(&op.kind) && !self.crashed.contains(&op.client) {
+        if op_is_rpc(&op.kind) && !self.crashed(op.client) {
             if self.plan.client_severed(op.client, op.time) {
                 self.stats.degraded_ops += 1;
             }
@@ -303,13 +368,13 @@ impl RunHook for NetFaultInjector<'_> {
     fn on_flush(&mut self, _engine: &mut SimEngine<'_>, event: &FlushEvent) {
         // Every flush carries a notification RPC to the server, dead
         // clients excepted (their boards speak for them in recovery).
-        if !self.crashed.contains(&event.client) {
+        if !self.crashed(event.client) {
             self.rpc(event.client, event.at);
         }
     }
 
     fn on_crash(&mut self, _engine: &mut SimEngine<'_>, event: &crate::session::CrashEvent) {
-        self.crashed.insert(event.client);
+        self.wire(event.client).crashed = true;
     }
 
     /// Shed-byte harvesting and `net.*` counters. Runs before
@@ -342,7 +407,6 @@ impl RunHook for NetFaultInjector<'_> {
 mod tests {
     use super::*;
     use nvfs_faults::net::NetFaultPlanConfig;
-    use nvfs_types::SimDuration;
 
     fn plan(drop_p: f64) -> NetFaultPlan {
         let config = NetFaultPlanConfig::new(2, SimDuration::from_secs(600))
@@ -418,7 +482,7 @@ mod tests {
         for _ in 0..6 {
             inj.rpc(ClientId(0), SimTime::ZERO);
         }
-        let ring = &inj.acks[&ClientId(0)];
+        let ring = &inj.clients[&ClientId(0)].acks;
         assert!(ring.iter().all(|&t| t >= SimTime::from_secs(4)));
         let report = inj.into_report();
         assert_eq!(report.summary.acked, 6);

@@ -362,14 +362,47 @@ impl NetFaultPlan {
             .any(|w| w.severs(client) && w.covers(at))
     }
 
+    /// A plan with hand-placed partition windows instead of seeded ones:
+    /// regression cases and boundary tests (windows that abut, outages
+    /// that end at an exact instant). Windows on the same edge are merged
+    /// as [`compile`](NetFaultPlan::compile) merges them; message fates
+    /// still come from `seed`.
+    pub fn from_windows(
+        seed: u64,
+        config: &NetFaultPlanConfig,
+        windows: Vec<PartitionWindow>,
+    ) -> Result<Self, NetFaultError> {
+        config.validate()?;
+        Ok(NetFaultPlan {
+            seed,
+            config: *config,
+            windows: merge_windows(windows),
+        })
+    }
+
     /// First instant at or after `at` when the server is reachable again.
     pub fn server_heal_time(&self, at: SimTime) -> SimTime {
+        self.heal_time(at, |w| w.scope == PartitionScope::Server)
+    }
+
+    /// First instant at or after `at` when the edge between `client` and
+    /// the server is up again: the client-edge twin of
+    /// [`server_heal_time`](NetFaultPlan::server_heal_time). Every instant
+    /// in `[at, heal)` is severed, through chains of client and server
+    /// windows that abut or overlap.
+    pub fn client_heal_time(&self, client: ClientId, at: SimTime) -> SimTime {
+        self.heal_time(at, |w| w.severs(client))
+    }
+
+    /// Follows chained windows that `edge` selects from `at` to the first
+    /// instant none of them covers.
+    fn heal_time(&self, at: SimTime, edge: impl Fn(&PartitionWindow) -> bool) -> SimTime {
         let mut t = at;
         loop {
             let Some(w) = self
                 .windows
                 .iter()
-                .filter(|w| w.scope == PartitionScope::Server && w.covers(t))
+                .filter(|w| edge(w) && w.covers(t))
                 .max_by_key(|w| w.end)
             else {
                 return t;
@@ -403,13 +436,43 @@ impl NetFaultPlan {
     /// Capped exponential backoff before retransmission `attempt + 1`,
     /// including deterministic jitter keyed by the message identity.
     pub fn backoff(&self, client: ClientId, req_id: u64, attempt: u32) -> SimDuration {
+        let key = mix3(u64::from(client.0), req_id, u64::from(attempt) | (1 << 32));
+        let mut rng = StdRng::seed_from_u64(self.seed ^ STREAM_NET_MSG ^ key);
+        let jitter = rng.gen_range(0..=self.jitter_max());
+        SimDuration::from_micros(self.backoff_floor(attempt).saturating_add(jitter))
+    }
+
+    /// Worst-case retry ladders for a request with `attempts`
+    /// transmissions: entry `k` bounds the time from attempt `k`'s send
+    /// to the last attempt's send, the sum over attempts `k` to
+    /// `attempts - 2` of the retransmit timeout plus the largest backoff
+    /// [`backoff`](NetFaultPlan::backoff) can return. A request whose
+    /// attempt `k` is sent at `t` with `t + ladder[k]` before the edge
+    /// heals therefore sends every remaining attempt into the outage.
+    pub fn worst_ladder(&self, attempts: u32) -> Vec<SimDuration> {
+        let timeout = self.config.rpc_timeout.as_micros();
+        let mut ladder = vec![SimDuration::ZERO; attempts as usize];
+        for k in (0..attempts.saturating_sub(1)).rev() {
+            let step = timeout
+                .saturating_add(self.backoff_floor(k))
+                .saturating_add(self.jitter_max());
+            ladder[k as usize] =
+                SimDuration::from_micros(ladder[k as usize + 1].as_micros().saturating_add(step));
+        }
+        ladder
+    }
+
+    /// The exponential part of the backoff after `attempt`, capped.
+    fn backoff_floor(&self, attempt: u32) -> u64 {
         let base = self.config.backoff_base.as_micros().max(1);
         let cap = self.config.backoff_cap.as_micros().max(base);
         let exp = base.saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX));
-        let key = mix3(u64::from(client.0), req_id, u64::from(attempt) | (1 << 32));
-        let mut rng = StdRng::seed_from_u64(self.seed ^ STREAM_NET_MSG ^ key);
-        let jitter = rng.gen_range(0..=base);
-        SimDuration::from_micros(exp.min(cap).saturating_add(jitter))
+        exp.min(cap)
+    }
+
+    /// The largest jitter a backoff adds: one base step.
+    fn jitter_max(&self) -> u64 {
+        self.config.backoff_base.as_micros().max(1)
     }
 }
 
@@ -531,6 +594,101 @@ mod tests {
             plan.server_heal_time(SimTime::from_secs(26)),
             SimTime::from_secs(40)
         );
+    }
+
+    #[test]
+    fn client_heal_chains_through_client_and_server_windows() {
+        let (c, other) = (ClientId(0), ClientId(1));
+        let w = |scope, s, e| PartitionWindow {
+            scope,
+            start: SimTime::from_secs(s),
+            end: SimTime::from_secs(e),
+        };
+        let config = NetFaultPlanConfig::new(2, SimDuration::from_secs(200));
+        // Client window [10, 20) abuts server window [20, 30), which
+        // overlaps client window [25, 40); [50, 60) stands apart, and
+        // the other client's [40, 45) is not this edge's outage.
+        let plan = NetFaultPlan::from_windows(
+            0,
+            &config,
+            vec![
+                w(PartitionScope::Client(c), 10, 20),
+                w(PartitionScope::Server, 20, 30),
+                w(PartitionScope::Client(c), 25, 40),
+                w(PartitionScope::Client(other), 40, 45),
+                w(PartitionScope::Client(c), 50, 60),
+            ],
+        )
+        .unwrap();
+        let heal = |client, at| plan.client_heal_time(client, SimTime::from_secs(at));
+        assert_eq!(heal(c, 5), SimTime::from_secs(5), "up already");
+        assert_eq!(heal(c, 10), SimTime::from_secs(40));
+        assert_eq!(heal(c, 19), SimTime::from_secs(40));
+        assert_eq!(heal(c, 20), SimTime::from_secs(40), "abutting chain");
+        assert_eq!(heal(c, 40), SimTime::from_secs(40), "half-open end");
+        assert_eq!(heal(c, 55), SimTime::from_secs(60));
+        assert_eq!(heal(other, 15), SimTime::from_secs(15));
+        assert_eq!(heal(other, 25), SimTime::from_secs(30), "server only");
+        assert_eq!(heal(other, 42), SimTime::from_secs(45));
+        assert_eq!(
+            plan.server_heal_time(SimTime::from_secs(15)),
+            SimTime::from_secs(15)
+        );
+        assert_eq!(
+            plan.server_heal_time(SimTime::from_secs(22)),
+            SimTime::from_secs(30)
+        );
+        // Every instant before the heal is severed, the heal itself is not.
+        for at in (0..=70).map(SimTime::from_secs) {
+            let healed = plan.client_heal_time(c, at);
+            assert!(
+                !plan.client_severed(c, healed),
+                "{at}: heal {healed} severed"
+            );
+            let mut t = at;
+            while t < healed {
+                assert!(plan.client_severed(c, t), "{t} in [{at}, {healed}) is up");
+                t = t.saturating_add(SimDuration::from_millis(500));
+            }
+        }
+    }
+
+    #[test]
+    fn worst_ladder_bounds_every_realised_ladder() {
+        let mut rng = StdRng::seed_from_u64(0x6c61_6464);
+        for case in 0..24 {
+            let base = SimDuration::from_micros(rng.gen_range(1..=2_000_000));
+            let cap = SimDuration::from_micros(rng.gen_range(1..=60_000_000));
+            let timeout = SimDuration::from_micros(rng.gen_range(1..=3_000_000));
+            let config = NetFaultPlanConfig::new(3, SimDuration::from_secs(600))
+                .with_rpc_timeout(timeout)
+                .with_backoff(base, cap);
+            let plan = NetFaultPlan::compile(case, &config).unwrap();
+            let attempts = rng.gen_range(1..=64);
+            let ladder = plan.worst_ladder(attempts);
+            assert_eq!(ladder.len(), attempts as usize);
+            assert_eq!(ladder[attempts as usize - 1], SimDuration::ZERO);
+            for req_id in 0..16 {
+                let client = ClientId(rng.gen_range(0..3));
+                let mut realised = 0u64;
+                for k in (0..attempts).rev() {
+                    if k + 1 < attempts {
+                        let step =
+                            timeout.as_micros() + plan.backoff(client, req_id, k).as_micros();
+                        realised = realised.saturating_add(step);
+                    }
+                    let bound = ladder[k as usize].as_micros();
+                    assert!(
+                        realised <= bound,
+                        "case {case} req {req_id} attempt {k}: realised {realised} > bound {bound}"
+                    );
+                    // The bound is tight to within one jitter step per
+                    // remaining retransmission.
+                    let slack = u64::from(attempts - 1 - k) * base.as_micros();
+                    assert!(bound - realised <= slack, "case {case}: bound loose");
+                }
+            }
+        }
     }
 
     #[test]

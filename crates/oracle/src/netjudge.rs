@@ -1,11 +1,11 @@
 //! Network-layer judge: at-most-once delivery and no-acked-loss.
 //!
 //! The crash oracle (`judge.rs`) checks the *durability* contract; this
-//! module checks the *wire* contract the PR 7 RPC layer claims to
-//! implement. The network layer emits a [`WireEvent`] transcript as it
-//! resolves each request — transmissions, deliveries, server applies,
-//! acknowledgements — and the [`NetJudge`] replays that transcript against
-//! three invariants:
+//! module checks the *wire* contract the RPC layer in `nvfs-core` claims
+//! to implement. The network layer emits a [`WireEvent`] transcript as it
+//! resolves each request — runs of lost transmissions, deliveries, server
+//! applies, acknowledgements, give-ups — and the [`NetJudge`] replays that
+//! transcript against three invariants:
 //!
 //! * **No acknowledged request is lost** — an ack the client acted on must
 //!   correspond to a server apply ([`NetVerdict::AckedLost`]).
@@ -19,25 +19,33 @@
 //! knows only the partition windows (as plain tuples, so this crate does
 //! not depend on `nvfs-faults`) and the transcript, never the RPC state
 //! machine's internals.
+//!
+//! Request ids run 0, 1, 2, … per client, so the judge keeps one byte of
+//! flags per request in a table per client, indexed by request id, rather
+//! than ordered sets of `(client, request id)` pairs. Each event costs
+//! O(1) after the client lookup; a sparse id grows its client's table up
+//! to that id.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use nvfs_types::{ClientId, SimTime};
 
+#[cfg(test)]
+mod reference;
+
 /// One observable action of the network layer, in transcript order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireEvent {
-    /// A transmission attempt vanished on the wire.
+    /// A run of consecutive transmission attempts vanished on the wire
+    /// or in a cut.
     Dropped {
         /// Sending client.
         client: ClientId,
         /// Request id (unique per client).
         req_id: u64,
-        /// Zero-based transmission attempt.
-        attempt: u32,
-        /// Send instant.
-        at: SimTime,
+        /// Attempts in the run.
+        attempts: u32,
     },
     /// A transmission reached the server.
     Delivered {
@@ -75,8 +83,6 @@ pub enum WireEvent {
         client: ClientId,
         /// Request id (unique per client).
         req_id: u64,
-        /// Final instant.
-        at: SimTime,
     },
 }
 
@@ -178,10 +184,22 @@ impl NetSummary {
 #[derive(Debug, Clone, Default)]
 pub struct NetJudge {
     windows: Vec<(Option<ClientId>, SimTime, SimTime)>,
-    applied: BTreeMap<(u32, u64), u64>,
-    acked: BTreeSet<(u32, u64)>,
+    /// Per client, one [`ReqState`] byte per request id.
+    requests: BTreeMap<ClientId, Vec<u8>>,
     summary: NetSummary,
     verdicts: Vec<NetVerdict>,
+}
+
+/// Flags of one request in [`NetJudge`]'s tables.
+struct ReqState;
+
+impl ReqState {
+    /// The server applied the request at least once.
+    const APPLIED: u8 = 1;
+    /// The server applied it again: reported as [`NetVerdict::DoubleApply`].
+    const REAPPLIED: u8 = 2;
+    /// The client received an ack.
+    const ACKED: u8 = 4;
 }
 
 impl NetJudge {
@@ -199,10 +217,21 @@ impl NetJudge {
             .any(|&(edge, start, end)| start <= at && at < end && edge.is_none_or(|c| c == client))
     }
 
+    /// The state byte of `(client, req_id)`. Request ids run densely from
+    /// 0 per client, so the table grows to the largest id seen.
+    fn state(&mut self, client: ClientId, req_id: u64) -> &mut u8 {
+        let table = self.requests.entry(client).or_default();
+        let i = usize::try_from(req_id).expect("request id fits in memory");
+        if i >= table.len() {
+            table.resize(i + 1, 0);
+        }
+        &mut table[i]
+    }
+
     /// Feeds one transcript event to the judge.
     pub fn observe(&mut self, event: &WireEvent) {
         match *event {
-            WireEvent::Dropped { .. } => self.summary.dropped += 1,
+            WireEvent::Dropped { attempts, .. } => self.summary.dropped += u64::from(attempts),
             WireEvent::Delivered {
                 client,
                 req_id,
@@ -221,16 +250,25 @@ impl NetJudge {
             }
             WireEvent::Applied { client, req_id, .. } => {
                 self.summary.applied += 1;
-                let n = self.applied.entry((client.0, req_id)).or_insert(0);
-                *n += 1;
-                if *n == 2 {
-                    self.summary.double_apply += 1;
-                    self.verdicts
-                        .push(NetVerdict::DoubleApply { client, req_id });
+                let state = self.state(client, req_id);
+                let fresh = if *state & ReqState::APPLIED == 0 {
+                    ReqState::APPLIED
+                } else {
+                    ReqState::REAPPLIED
+                };
+                if *state & fresh == 0 {
+                    *state |= fresh;
+                    if fresh == ReqState::REAPPLIED {
+                        self.summary.double_apply += 1;
+                        self.verdicts
+                            .push(NetVerdict::DoubleApply { client, req_id });
+                    }
                 }
             }
             WireEvent::Acked { client, req_id, .. } => {
-                if self.acked.insert((client.0, req_id)) {
+                let state = self.state(client, req_id);
+                if *state & ReqState::ACKED == 0 {
+                    *state |= ReqState::ACKED;
                     self.summary.acked += 1;
                 }
             }
@@ -239,15 +277,15 @@ impl NetJudge {
     }
 
     /// Finishes the transcript: every acked request must have been
-    /// applied. Returns the summary and all violation verdicts.
+    /// applied. Returns the summary and all violation verdicts, the
+    /// acked-lost ones in `(client, request id)` order.
     pub fn finish(mut self) -> (NetSummary, Vec<NetVerdict>) {
-        for &(client, req_id) in &self.acked {
-            if !self.applied.contains_key(&(client, req_id)) {
-                self.summary.acked_lost += 1;
-                self.verdicts.push(NetVerdict::AckedLost {
-                    client: ClientId(client),
-                    req_id,
-                });
+        for (&client, table) in &self.requests {
+            for (req_id, &state) in (0u64..).zip(table) {
+                if state & (ReqState::ACKED | ReqState::APPLIED) == ReqState::ACKED {
+                    self.summary.acked_lost += 1;
+                    self.verdicts.push(NetVerdict::AckedLost { client, req_id });
+                }
             }
         }
         emit_obs(&self.summary);
@@ -339,6 +377,60 @@ mod tests {
         assert_eq!(summary.applied, 3);
         assert_eq!(verdicts.len(), 1);
         assert!(matches!(verdicts[0], NetVerdict::DoubleApply { .. }));
+    }
+
+    #[test]
+    fn sparse_ids_grow_the_tables_and_acked_lost_is_ordered() {
+        let mut judge = NetJudge::new(vec![]);
+        let ack = |judge: &mut NetJudge, client, req_id| {
+            judge.observe(&WireEvent::Acked {
+                client,
+                req_id,
+                at: t(1),
+            });
+        };
+        let apply = |judge: &mut NetJudge, client, req_id| {
+            judge.observe(&WireEvent::Applied {
+                client,
+                req_id,
+                at: t(1),
+            });
+        };
+        // Clients and request ids arrive out of order and far apart.
+        ack(&mut judge, c(9), 5_000);
+        ack(&mut judge, c(2), 40);
+        apply(&mut judge, c(2), 3);
+        ack(&mut judge, c(2), 3);
+        ack(&mut judge, c(2), 7);
+        apply(&mut judge, c(9), 4_999);
+        apply(&mut judge, c(9), 4_999);
+        ack(&mut judge, c(0), 0);
+        apply(&mut judge, c(0), 0);
+        ack(&mut judge, c(0), 0);
+        let (summary, verdicts) = judge.finish();
+        assert_eq!(summary.acked, 5, "a repeated ack counts once");
+        assert_eq!(summary.applied, 4);
+        assert_eq!(
+            verdicts,
+            vec![
+                NetVerdict::DoubleApply {
+                    client: c(9),
+                    req_id: 4_999
+                },
+                NetVerdict::AckedLost {
+                    client: c(2),
+                    req_id: 7
+                },
+                NetVerdict::AckedLost {
+                    client: c(2),
+                    req_id: 40
+                },
+                NetVerdict::AckedLost {
+                    client: c(9),
+                    req_id: 5_000
+                },
+            ]
+        );
     }
 
     #[test]
