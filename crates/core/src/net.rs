@@ -236,8 +236,7 @@ impl<'p> NetFaultInjector<'p> {
         let mut dropped = 0u32;
         // The end of the outage the last severed send fell into.
         let mut heal = SimTime::ZERO;
-        let mut attempt = 0;
-        while attempt < MAX_ATTEMPTS {
+        for attempt in 0..MAX_ATTEMPTS {
             if attempt > 0 {
                 self.stats.retries += 1;
             }
@@ -271,7 +270,6 @@ impl<'p> NetFaultInjector<'p> {
             send = send
                 .saturating_add(self.plan.config().rpc_timeout)
                 .saturating_add(self.plan.backoff(client, req_id, attempt));
-            attempt += 1;
         }
         self.judge.observe(&WireEvent::Dropped {
             client,

@@ -184,22 +184,29 @@ impl NetSummary {
 #[derive(Debug, Clone, Default)]
 pub struct NetJudge {
     windows: Vec<(Option<ClientId>, SimTime, SimTime)>,
-    /// Per client, one [`ReqState`] byte per request id.
+    /// Per client, one byte of flags (`APPLIED`, `REAPPLIED`, `ACKED`)
+    /// per request id.
     requests: BTreeMap<ClientId, Vec<u8>>,
     summary: NetSummary,
     verdicts: Vec<NetVerdict>,
 }
 
-/// Flags of one request in [`NetJudge`]'s tables.
-struct ReqState;
+/// The server applied the request at least once.
+const APPLIED: u8 = 1;
+/// The server applied it again: reported as [`NetVerdict::DoubleApply`].
+const REAPPLIED: u8 = 2;
+/// The client received an ack.
+const ACKED: u8 = 4;
 
-impl ReqState {
-    /// The server applied the request at least once.
-    const APPLIED: u8 = 1;
-    /// The server applied it again: reported as [`NetVerdict::DoubleApply`].
-    const REAPPLIED: u8 = 2;
-    /// The client received an ack.
-    const ACKED: u8 = 4;
+/// The flags of `(client, req_id)`. Request ids run densely from 0 per
+/// client, so a client's table grows to the largest id seen.
+fn flags(requests: &mut BTreeMap<ClientId, Vec<u8>>, client: ClientId, req_id: u64) -> &mut u8 {
+    let table = requests.entry(client).or_default();
+    let i = usize::try_from(req_id).expect("request id fits in memory");
+    if i >= table.len() {
+        table.resize(i + 1, 0);
+    }
+    &mut table[i]
 }
 
 impl NetJudge {
@@ -215,17 +222,6 @@ impl NetJudge {
         self.windows
             .iter()
             .any(|&(edge, start, end)| start <= at && at < end && edge.is_none_or(|c| c == client))
-    }
-
-    /// The state byte of `(client, req_id)`. Request ids run densely from
-    /// 0 per client, so the table grows to the largest id seen.
-    fn state(&mut self, client: ClientId, req_id: u64) -> &mut u8 {
-        let table = self.requests.entry(client).or_default();
-        let i = usize::try_from(req_id).expect("request id fits in memory");
-        if i >= table.len() {
-            table.resize(i + 1, 0);
-        }
-        &mut table[i]
     }
 
     /// Feeds one transcript event to the judge.
@@ -250,25 +246,20 @@ impl NetJudge {
             }
             WireEvent::Applied { client, req_id, .. } => {
                 self.summary.applied += 1;
-                let state = self.state(client, req_id);
-                let fresh = if *state & ReqState::APPLIED == 0 {
-                    ReqState::APPLIED
-                } else {
-                    ReqState::REAPPLIED
-                };
-                if *state & fresh == 0 {
-                    *state |= fresh;
-                    if fresh == ReqState::REAPPLIED {
-                        self.summary.double_apply += 1;
-                        self.verdicts
-                            .push(NetVerdict::DoubleApply { client, req_id });
-                    }
+                let f = flags(&mut self.requests, client, req_id);
+                if *f & APPLIED == 0 {
+                    *f |= APPLIED;
+                } else if *f & REAPPLIED == 0 {
+                    *f |= REAPPLIED;
+                    self.summary.double_apply += 1;
+                    self.verdicts
+                        .push(NetVerdict::DoubleApply { client, req_id });
                 }
             }
             WireEvent::Acked { client, req_id, .. } => {
-                let state = self.state(client, req_id);
-                if *state & ReqState::ACKED == 0 {
-                    *state |= ReqState::ACKED;
+                let f = flags(&mut self.requests, client, req_id);
+                if *f & ACKED == 0 {
+                    *f |= ACKED;
                     self.summary.acked += 1;
                 }
             }
@@ -281,8 +272,8 @@ impl NetJudge {
     /// acked-lost ones in `(client, request id)` order.
     pub fn finish(mut self) -> (NetSummary, Vec<NetVerdict>) {
         for (&client, table) in &self.requests {
-            for (req_id, &state) in (0u64..).zip(table) {
-                if state & (ReqState::ACKED | ReqState::APPLIED) == ReqState::ACKED {
+            for (req_id, &f) in (0u64..).zip(table) {
+                if f & (ACKED | APPLIED) == ACKED {
                     self.summary.acked_lost += 1;
                     self.verdicts.push(NetVerdict::AckedLost { client, req_id });
                 }
