@@ -8,11 +8,15 @@
 //!   an explicit RPC `(client id, request id, payload kind)`;
 //! * a [`NetFaultInjector`] hook resolves each RPC through the seeded
 //!   [`NetFaultPlan`]: per-message drop/duplication/delay draws, timed
-//!   partitions, and a client-side state machine with retransmit
-//!   timeouts, capped exponential backoff with deterministic jitter, and
-//!   a bounded in-flight window;
-//! * the server side deduplicates by request id, so retransmissions and
-//!   wire duplicates are applied at most once;
+//!   partitions, and a client-side state machine with the model's fixed
+//!   retransmit timeout ([`RPC_TIMEOUT`]), capped exponential backoff with
+//!   deterministic jitter ([`BACKOFF_BASE`] doubling up to
+//!   [`BACKOFF_CAP`]), and a bounded in-flight window of
+//!   [`MAX_IN_FLIGHT`] requests;
+//! * each request is delivered to the server at most once by
+//!   construction: the first attempt that gets through ends the RPC, so a
+//!   retransmission never follows a delivery, and a wire duplicate of
+//!   that delivery is counted and judged but not applied;
 //! * the whole exchange is written to a [`WireEvent`] transcript that the
 //!   [`NetJudge`] replays against the wire contract (no acked request
 //!   lost, no request double-applied, no delivery inside a partition).
@@ -24,11 +28,9 @@
 //! * An attempt sent into a cut is dropped whatever its message fate
 //!   says, so no fate is drawn for it.
 //! * When an attempt is sent into a cut that outlasts the worst-case
-//!   ladder of the remaining attempts ([`NetFaultPlan::worst_ladder`]),
-//!   every remaining attempt is sent into the same cut. The request then
-//!   gives up at once, with the counts the attempts would have added.
-//! * Request ids run 0, 1, 2, … per client, so the server's dedup set is
-//!   a table indexed by request id, kept in one record per client.
+//!   ladder of the remaining attempts ([`worst_ladder`]), every
+//!   remaining attempt is sent into the same cut. The request then gives
+//!   up at once, with the counts the attempts would have added.
 //! * A run of dropped attempts is one [`WireEvent::Dropped`] carrying its
 //!   length.
 //!
@@ -56,10 +58,16 @@
 //! any `--jobs`.
 //!
 //! [`ClientCache::take_shed_writes`]: crate::client::ClientCache::take_shed_writes
+//! [`RPC_TIMEOUT`]: nvfs_faults::net::RPC_TIMEOUT
+//! [`BACKOFF_BASE`]: nvfs_faults::net::BACKOFF_BASE
+//! [`BACKOFF_CAP`]: nvfs_faults::net::BACKOFF_CAP
+//! [`MAX_IN_FLIGHT`]: nvfs_faults::net::MAX_IN_FLIGHT
 
 use std::collections::BTreeMap;
 
-use nvfs_faults::net::{MessageFate, NetFaultPlan, PartitionScope};
+use nvfs_faults::net::{
+    worst_ladder, MessageFate, NetFaultPlan, PartitionScope, MAX_IN_FLIGHT, RPC_TIMEOUT,
+};
 use nvfs_oracle::{NetJudge, NetSummary, NetVerdict, WireEvent};
 use nvfs_trace::op::{Op, OpKind};
 use nvfs_types::{ClientId, SimDuration, SimTime};
@@ -106,7 +114,7 @@ pub struct NetStats {
     /// Server-interacting ops issued while the issuing client's link was
     /// severed (degraded mode).
     pub degraded_ops: u64,
-    /// Duplicate deliveries the server's request-id dedup suppressed.
+    /// Wire duplicates delivered, which the server does not apply.
     pub dup_suppressed: u64,
     /// Requests abandoned after the full retry budget.
     pub gave_up: u64,
@@ -152,7 +160,7 @@ pub struct NetFaultInjector<'p> {
     judge: NetJudge,
     stats: NetStats,
     /// `ladder[k]` bounds the time from attempt `k`'s send to the last
-    /// attempt's send ([`NetFaultPlan::worst_ladder`]).
+    /// attempt's send ([`worst_ladder`]).
     ladder: Vec<SimDuration>,
     clients: BTreeMap<ClientId, ClientWire>,
     /// Message fates drawn (`net.fate_draws`): the RPC layer's work count.
@@ -160,16 +168,15 @@ pub struct NetFaultInjector<'p> {
     fate_draws: u64,
 }
 
-/// One client's end of the wire, and the server's dedup table for it.
+/// One client's end of the wire.
 #[derive(Debug)]
 struct ClientWire {
-    /// Ack times of the last `max_in_flight` requests: the bounded
+    /// Ack times of the last [`MAX_IN_FLIGHT`] requests: the bounded
     /// in-flight window (request `r` cannot be transmitted before request
     /// `r - W` was acked). Zero until a slot's first ack.
-    acks: Vec<SimTime>,
-    /// Server-side request-id dedup, indexed by request id: whether the
-    /// request was applied. Its length is the next request id.
-    applied: Vec<bool>,
+    acks: [SimTime; MAX_IN_FLIGHT],
+    /// The next request id; ids run 0, 1, 2, … per client.
+    next_req: u64,
     /// The client crashed: dead machines issue no further RPCs.
     crashed: bool,
 }
@@ -192,7 +199,7 @@ impl<'p> NetFaultInjector<'p> {
             plan,
             judge: NetJudge::new(windows),
             stats: NetStats::default(),
-            ladder: plan.worst_ladder(MAX_ATTEMPTS),
+            ladder: worst_ladder(MAX_ATTEMPTS),
             clients: BTreeMap::new(),
             fate_draws: 0,
         }
@@ -209,10 +216,9 @@ impl<'p> NetFaultInjector<'p> {
     }
 
     fn wire(&mut self, client: ClientId) -> &mut ClientWire {
-        let window = self.plan.config().max_in_flight as usize;
         self.clients.entry(client).or_insert_with(|| ClientWire {
-            acks: vec![SimTime::ZERO; window],
-            applied: Vec::new(),
+            acks: [SimTime::ZERO; MAX_IN_FLIGHT],
+            next_req: 0,
             crashed: false,
         })
     }
@@ -222,15 +228,15 @@ impl<'p> NetFaultInjector<'p> {
     }
 
     /// Resolves one request end to end: transmit, time out and back off
-    /// through drops and partitions, deliver, dedup, ack. Analytic rather
+    /// through drops and partitions, deliver, ack. Analytic rather
     /// than event-driven — each attempt's fate is a pure function of the
     /// message identity — so resolution order cannot perturb other
     /// requests' outcomes.
     fn rpc(&mut self, client: ClientId, at: SimTime) {
         let wire = self.wire(client);
-        let req_id = wire.applied.len() as u64;
-        wire.applied.push(false);
-        let mut send = at.max(wire.acks[req_id as usize % wire.acks.len()]);
+        let req_id = wire.next_req;
+        wire.next_req += 1;
+        let mut send = at.max(wire.acks[req_id as usize % MAX_IN_FLIGHT]);
         self.stats.requests += 1;
         // Attempts dropped since the last transcript event.
         let mut dropped = 0u32;
@@ -268,7 +274,7 @@ impl<'p> NetFaultInjector<'p> {
             dropped += 1;
             self.stats.timeouts += 1;
             send = send
-                .saturating_add(self.plan.config().rpc_timeout)
+                .saturating_add(RPC_TIMEOUT)
                 .saturating_add(self.plan.backoff(client, req_id, attempt));
         }
         self.judge.observe(&WireEvent::Dropped {
@@ -281,8 +287,8 @@ impl<'p> NetFaultInjector<'p> {
     }
 
     /// The server receives request `req_id`, sent at `send`, at
-    /// `deliver` after `dropped` lost attempts: dedup, apply, deliver any
-    /// wire duplicate, ack.
+    /// `deliver` after `dropped` lost attempts: apply, deliver any wire
+    /// duplicate, ack.
     fn deliver(
         &mut self,
         client: ClientId,
@@ -293,10 +299,7 @@ impl<'p> NetFaultInjector<'p> {
         dropped: u32,
     ) {
         let ack_at = deliver.saturating_add(fate.delay);
-        let wire = self.wire(client);
-        let first = !std::mem::replace(&mut wire.applied[req_id as usize], true);
-        let slot = req_id as usize % wire.acks.len();
-        wire.acks[slot] = ack_at;
+        self.wire(client).acks[req_id as usize % MAX_IN_FLIGHT] = ack_at;
         if dropped > 0 {
             self.judge.observe(&WireEvent::Dropped {
                 client,
@@ -310,15 +313,11 @@ impl<'p> NetFaultInjector<'p> {
             at: deliver,
             duplicate: false,
         });
-        if first {
-            self.judge.observe(&WireEvent::Applied {
-                client,
-                req_id,
-                at: deliver,
-            });
-        } else {
-            self.stats.dup_suppressed += 1;
-        }
+        self.judge.observe(&WireEvent::Applied {
+            client,
+            req_id,
+            at: deliver,
+        });
         if fate.duplicated {
             let dup_at = send.saturating_add(fate.dup_delay);
             if !self.plan.client_severed(client, dup_at) {
@@ -426,7 +425,7 @@ mod tests {
         assert_eq!(report.summary.acked, 20);
         assert_eq!(report.summary.applied, 20);
         assert!(report.verdicts.is_empty());
-        // Wire duplication fired for some requests and was suppressed.
+        // Wire duplication fired for some requests; none was applied.
         assert_eq!(report.summary.duplicates, report.stats.dup_suppressed);
     }
 
@@ -441,7 +440,7 @@ mod tests {
         assert!(report.stats.retries > 0, "40% drop must force retries");
         assert_eq!(report.stats.retries, report.stats.timeouts);
         assert_eq!(report.summary.acked, 50);
-        assert_eq!(report.summary.applied, 50, "dedup: one apply per request");
+        assert_eq!(report.summary.applied, 50, "one apply per request");
         assert_eq!(report.summary.violations(), 0);
     }
 
@@ -471,19 +470,20 @@ mod tests {
     #[test]
     fn in_flight_window_gates_burst_sends() {
         let config = NetFaultPlanConfig::new(1, SimDuration::from_secs(600))
-            .with_max_in_flight(2)
             .with_delay_range(SimDuration::from_secs(1), SimDuration::from_secs(1));
         let p = NetFaultPlan::compile(9, &config).unwrap();
         let mut inj = NetFaultInjector::new(&p);
-        // A burst of 6 requests at t=0: with W=2 and a 2s round trip,
-        // request 4 cannot even transmit before request 2's ack at 2s.
-        for _ in 0..6 {
+        // A burst of three windows' worth of requests at t=0: with a 2s
+        // round trip, request `r` cannot transmit before request `r - W`
+        // is acked, so each window sends 2s after the one before it and
+        // the last is acked at 6s.
+        for _ in 0..3 * MAX_IN_FLIGHT {
             inj.rpc(ClientId(0), SimTime::ZERO);
         }
         let ring = &inj.clients[&ClientId(0)].acks;
-        assert!(ring.iter().all(|&t| t >= SimTime::from_secs(4)));
+        assert!(ring.iter().all(|&t| t == SimTime::from_secs(6)));
         let report = inj.into_report();
-        assert_eq!(report.summary.acked, 6);
+        assert_eq!(report.summary.acked, 3 * MAX_IN_FLIGHT as u64);
         assert_eq!(report.summary.violations(), 0);
     }
 }

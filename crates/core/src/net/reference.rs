@@ -1,21 +1,26 @@
 //! Differential test of [`NetFaultInjector`] against the obvious RPC
 //! state machine: one loop iteration per attempt, a message fate drawn
 //! for every attempt, one [`WireEvent::Dropped`] per lost attempt, and
-//! ordered sets for the server's dedup and the per-client state.
+//! ordered sets for the per-client state. The reference keeps a
+//! server-side request-id dedup set; the injector has none, because it
+//! delivers each request at most once, and the two agreeing shows the set
+//! never suppresses a delivery.
 //!
 //! Both are driven through seeded request streams over plans that mix
 //! drop probabilities 0, 0.1 and 0.9, duplicate probabilities 0 and 0.2,
-//! in-flight windows 1 and 8, fuzzed timeouts and backoffs, client
-//! windows that abut server windows, and outages that end inside the
-//! jitter band of the retry ladder. After every request the two must
-//! agree on [`NetStats`], the judge's [`NetSummary`] and verdicts, and
-//! the ack ring.
+//! fuzzed delay ranges, client windows that abut server windows, and
+//! outages that end inside the jitter band of the retry ladder. After
+//! every request the two must agree on [`NetStats`], the judge's
+//! [`NetSummary`] and verdicts, and the ack ring.
 //!
 //! [`NetSummary`]: nvfs_oracle::NetSummary
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use nvfs_faults::net::{NetFaultPlan, NetFaultPlanConfig, PartitionScope, PartitionWindow};
+use nvfs_faults::net::{
+    NetFaultPlan, NetFaultPlanConfig, PartitionScope, PartitionWindow, BACKOFF_BASE, BACKOFF_CAP,
+    MAX_IN_FLIGHT, RPC_TIMEOUT,
+};
 use nvfs_oracle::{NetJudge, WireEvent};
 use nvfs_rng::{Rng, SeedableRng, StdRng};
 use nvfs_types::{ClientId, SimDuration, SimTime};
@@ -28,7 +33,7 @@ struct LoopInjector<'p> {
     judge: NetJudge,
     stats: NetStats,
     next_req: BTreeMap<ClientId, u64>,
-    acks: BTreeMap<ClientId, Vec<SimTime>>,
+    acks: BTreeMap<ClientId, [SimTime; MAX_IN_FLIGHT]>,
     applied: BTreeSet<(u32, u64)>,
     fate_draws: u64,
 }
@@ -57,8 +62,7 @@ impl<'p> LoopInjector<'p> {
             id
         };
         self.stats.requests += 1;
-        let window = self.plan.config().max_in_flight as usize;
-        let slot = (req_id as usize) % window;
+        let slot = (req_id as usize) % MAX_IN_FLIGHT;
         let gate = self
             .acks
             .get(&client)
@@ -81,7 +85,7 @@ impl<'p> LoopInjector<'p> {
                 });
                 self.stats.timeouts += 1;
                 send = send
-                    .saturating_add(self.plan.config().rpc_timeout)
+                    .saturating_add(RPC_TIMEOUT)
                     .saturating_add(self.plan.backoff(client, req_id, attempt));
                 continue;
             }
@@ -120,7 +124,7 @@ impl<'p> LoopInjector<'p> {
             });
             self.acks
                 .entry(client)
-                .or_insert_with(|| vec![SimTime::ZERO; window])[slot] = ack_at;
+                .or_insert([SimTime::ZERO; MAX_IN_FLIGHT])[slot] = ack_at;
             return;
         }
         self.stats.gave_up += 1;
@@ -130,35 +134,22 @@ impl<'p> LoopInjector<'p> {
 
 const CLIENTS: u32 = 3;
 
-/// A plan with fuzzed timeouts and backoffs and hand-placed outages
-/// sized against its own worst-case ladder `span`: some shorter, some
-/// longer, client windows that abut server windows. Returns the plan and
-/// its ladder's jitter band: the least and the most time from a
-/// request's first send to its last, worked out here rather than read
-/// from the plan.
-fn plan(
-    rng: &mut StdRng,
-    case: u64,
-    drop: f64,
-    dup: f64,
-    in_flight: u32,
-) -> (NetFaultPlan, (u64, u64)) {
-    let timeout = SimDuration::from_micros(rng.gen_range(1_000..=2_000_000));
-    let base = SimDuration::from_micros(rng.gen_range(1_000..=1_000_000));
-    let cap = SimDuration::from_micros(rng.gen_range(5_000..=60_000_000));
+/// A plan with a fuzzed delay range and hand-placed outages sized against
+/// the worst-case ladder `span`: some shorter, some longer, client
+/// windows that abut server windows. Returns the plan and the ladder's
+/// jitter band: the least and the most time from a request's first send
+/// to its last, worked out here rather than read from the plan.
+fn plan(rng: &mut StdRng, case: u64, drop: f64, dup: f64) -> (NetFaultPlan, (u64, u64)) {
     let config = NetFaultPlanConfig::new(CLIENTS, SimDuration::from_secs(3_600))
         .with_drop_probability(drop)
         .with_duplicate_probability(dup)
         .with_delay_range(
             SimDuration::from_micros(rng.gen_range(100..=2_000)),
             SimDuration::from_micros(rng.gen_range(2_000..=50_000)),
-        )
-        .with_rpc_timeout(timeout)
-        .with_backoff(base, cap)
-        .with_max_in_flight(in_flight);
-    let (base_us, cap_us) = (base.as_micros(), cap.as_micros().max(base.as_micros()));
+        );
+    let (base_us, cap_us) = (BACKOFF_BASE.as_micros(), BACKOFF_CAP.as_micros());
     let fastest: u64 = (0..MAX_ATTEMPTS - 1)
-        .map(|k| timeout.as_micros() + (base_us << k.min(40)).min(cap_us))
+        .map(|k| RPC_TIMEOUT.as_micros() + (base_us << k.min(40)).min(cap_us))
         .sum();
     let band = (fastest, fastest + u64::from(MAX_ATTEMPTS - 1) * base_us);
     let span = band.1;
@@ -225,33 +216,31 @@ fn closed_form_rpcs_match_the_per_attempt_loop() {
     let mut case = 0;
     for drop in [0.0, 0.1, 0.9] {
         for dup in [0.0, 0.2] {
-            for in_flight in [1, 8] {
-                for _ in 0..3 {
-                    case += 1;
-                    let (plan, band) = plan(&mut rng, case, drop, dup, in_flight);
-                    let mut fast = NetFaultInjector::new(&plan);
-                    let mut slow = LoopInjector::new(&plan);
-                    for (i, (client, at)) in stream(&mut rng, &plan, band).into_iter().enumerate() {
-                        fast.rpc(client, at);
-                        slow.rpc(client, at);
-                        let ctx = format!("case {case} request {i} ({client:?} at {at})");
-                        assert_eq!(fast.stats, slow.stats, "{ctx}: stats");
-                        assert_eq!(
-                            fast.judge.clone().finish(),
-                            slow.judge.clone().finish(),
-                            "{ctx}: judge"
-                        );
-                        let ring = slow
-                            .acks
-                            .get(&client)
-                            .cloned()
-                            .unwrap_or_else(|| vec![SimTime::ZERO; in_flight as usize]);
-                        assert_eq!(fast.clients[&client].acks, ring, "{ctx}: ack ring");
-                        assert!(fast.fate_draws <= slow.fate_draws, "{ctx}: fate draws");
-                    }
-                    gave_up += fast.stats.gave_up;
-                    draws_saved += slow.fate_draws - fast.fate_draws;
+            for _ in 0..6 {
+                case += 1;
+                let (plan, band) = plan(&mut rng, case, drop, dup);
+                let mut fast = NetFaultInjector::new(&plan);
+                let mut slow = LoopInjector::new(&plan);
+                for (i, (client, at)) in stream(&mut rng, &plan, band).into_iter().enumerate() {
+                    fast.rpc(client, at);
+                    slow.rpc(client, at);
+                    let ctx = format!("case {case} request {i} ({client:?} at {at})");
+                    assert_eq!(fast.stats, slow.stats, "{ctx}: stats");
+                    assert_eq!(
+                        fast.judge.clone().finish(),
+                        slow.judge.clone().finish(),
+                        "{ctx}: judge"
+                    );
+                    let ring = slow
+                        .acks
+                        .get(&client)
+                        .copied()
+                        .unwrap_or([SimTime::ZERO; MAX_IN_FLIGHT]);
+                    assert_eq!(fast.clients[&client].acks, ring, "{ctx}: ack ring");
+                    assert!(fast.fate_draws <= slow.fate_draws, "{ctx}: fate draws");
                 }
+                gave_up += fast.stats.gave_up;
+                draws_saved += slow.fate_draws - fast.fate_draws;
             }
         }
     }

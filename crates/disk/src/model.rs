@@ -66,12 +66,6 @@ impl DiskParams {
     }
 }
 
-impl Default for DiskParams {
-    fn default() -> Self {
-        DiskParams::sprite_era()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,7 +7,7 @@
 //! file-system workloads both ways and compares disk cost.
 
 use nvfs_disk::DiskParams;
-use nvfs_lfs::ffs_baseline::{run_update_in_place, FfsConfig};
+use nvfs_lfs::ffs_baseline::run_update_in_place;
 use nvfs_lfs::fs::{run_server, LfsConfig};
 use nvfs_report::{Cell, Table};
 
@@ -29,7 +29,7 @@ pub(crate) fn run(env: &Env) -> Table {
         ],
     );
     for (workload, lfs_report) in env.server.iter().zip(&lfs) {
-        let ffs = run_update_in_place(workload, &FfsConfig::default());
+        let ffs = run_update_in_place(workload);
         let lfs_ms = lfs_report.disk_time(&disk).total_ms;
         table.push_row(vec![
             Cell::from(workload.name.to_string()),

@@ -6,7 +6,7 @@ use nvfs_rng::{Rng, SeedableRng, StdRng};
 use nvfs_disk::DiskParams;
 use nvfs_report::{Cell, Table};
 use nvfs_server::presto::{
-    nfs_synchronous, prestoserve, sprite_delayed, PrestoConfig, WriteOutcome, WriteRequest,
+    nfs_synchronous, prestoserve, sprite_delayed, WriteOutcome, WriteRequest,
 };
 use nvfs_types::SimTime;
 
@@ -46,7 +46,7 @@ fn run_with(n: usize, gap_ms: u64, len: u64, seed: u64) -> Presto {
         })
         .collect();
     let nfs = nfs_synchronous(&reqs, disk);
-    let presto = prestoserve(&reqs, disk, PrestoConfig::default());
+    let presto = prestoserve(&reqs, disk);
     let sprite = sprite_delayed(&reqs, disk, 1 << 20);
     let mut table = Table::new(
         "Synchronous writes: NFS direct vs Prestoserve NVRAM vs Sprite delayed",

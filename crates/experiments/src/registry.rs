@@ -15,7 +15,7 @@
 //! for a given [`Env`], so rendered artifacts are byte-identical at any
 //! `--jobs` count.
 
-use nvfs_report::{render_plot, Figure, PlotOptions};
+use nvfs_report::{render_plot, Figure};
 
 use crate::env::Env;
 use crate::faults::DEFAULT_SEED;
@@ -369,17 +369,7 @@ pub fn readme_table() -> String {
 
 /// Point list plus an ASCII plot for a figure artifact.
 fn fig_text(figure: &Figure, log_x: bool) -> String {
-    format!(
-        "{}{}",
-        figure.render(),
-        render_plot(
-            figure,
-            PlotOptions {
-                log_x,
-                ..PlotOptions::default()
-            }
-        )
-    )
+    format!("{}{}", figure.render(), render_plot(figure, log_x))
 }
 
 fn run_tab1(_env: &Env) -> Result<Artifacts, String> {

@@ -50,6 +50,9 @@ const STREAM_DECAY: u64 = 0x6465_6361_7979_7908; // "decayyy"
 /// is never weaker than a bit flip.
 const MIN_STRAY_BYTES: u64 = 512;
 
+/// Largest stray-write scribble, in bytes.
+const MAX_STRAY_BYTES: u64 = 64 * 1024;
+
 /// The kinds of NVRAM corruption the schedule can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CorruptionKind {
@@ -106,8 +109,6 @@ pub struct CorruptionPlanConfig {
     bit_flips: u32,
     /// Whole-board decay events to schedule.
     decay_events: u32,
-    /// Upper bound on one stray write's length in bytes.
-    max_stray_bytes: u64,
 }
 
 impl CorruptionPlanConfig {
@@ -119,7 +120,6 @@ impl CorruptionPlanConfig {
             stray_writes: 0,
             bit_flips: 0,
             decay_events: 0,
-            max_stray_bytes: 64 * 1024,
         }
     }
 
@@ -185,7 +185,7 @@ pub struct CorruptionEvent {
 }
 
 /// A compiled, chronologically sorted corruption schedule.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorruptionSchedule {
     /// The seed the schedule was compiled from.
     seed: u64,
@@ -193,12 +193,6 @@ pub struct CorruptionSchedule {
     plan: CorruptionPlanConfig,
     /// Every event, sorted by `(time, client)`.
     pub events: Vec<CorruptionEvent>,
-}
-
-impl Default for CorruptionPlanConfig {
-    fn default() -> Self {
-        CorruptionPlanConfig::new(0, SimDuration::ZERO)
-    }
 }
 
 impl CorruptionSchedule {
@@ -227,8 +221,7 @@ impl CorruptionSchedule {
                 client: ClientId(rng.gen_range(0..plan.clients)),
                 kind: CorruptionKind::StrayWrite,
                 offset_fraction: rng.gen::<f64>(),
-                len_bytes: rng
-                    .gen_range(MIN_STRAY_BYTES..=plan.max_stray_bytes.max(MIN_STRAY_BYTES)),
+                len_bytes: rng.gen_range(MIN_STRAY_BYTES..=MAX_STRAY_BYTES),
             });
         }
 

@@ -45,6 +45,16 @@ use nvfs_types::{ClientId, SimDuration, SimTime};
 const STREAM_NET_PARTITION: u64 = 0x6e65_742d_7061_7205; // "net-par"
 const STREAM_NET_MSG: u64 = 0x6e65_742d_6d73_6706; // "net-msg"
 
+/// Client retransmit timeout.
+pub const RPC_TIMEOUT: SimDuration = SimDuration::from_secs(1);
+/// Initial retry backoff; doubles per attempt.
+pub const BACKOFF_BASE: SimDuration = SimDuration::from_millis(500);
+/// Backoff ceiling for the exponential schedule.
+pub const BACKOFF_CAP: SimDuration = SimDuration::from_secs(30);
+/// Bounded in-flight window: a client holds at most this many
+/// unacknowledged requests (bounds reordering distance).
+pub const MAX_IN_FLIGHT: usize = 8;
+
 /// A network fault plan could not be compiled.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NetFaultError {
@@ -66,10 +76,6 @@ pub enum NetFaultError {
         /// Configured maximum, in microseconds.
         max_us: u64,
     },
-    /// The RPC layer needs a positive retransmit timeout.
-    ZeroTimeout,
-    /// The bounded in-flight window must admit at least one request.
-    ZeroWindow,
 }
 
 impl fmt::Display for NetFaultError {
@@ -92,12 +98,6 @@ impl fmt::Display for NetFaultError {
                     f,
                     "delay range is inverted: min {min_us}us > max {max_us}us"
                 )
-            }
-            NetFaultError::ZeroTimeout => {
-                write!(f, "the RPC layer needs a positive retransmit timeout")
-            }
-            NetFaultError::ZeroWindow => {
-                write!(f, "the in-flight window must admit at least one request")
             }
         }
     }
@@ -167,15 +167,6 @@ pub struct NetFaultPlanConfig {
     /// Maximum one-way message delay; unequal delays reorder messages
     /// within the bounded in-flight window.
     delay_max: SimDuration,
-    /// Client retransmit timeout.
-    pub rpc_timeout: SimDuration,
-    /// Initial retry backoff; doubles per attempt.
-    backoff_base: SimDuration,
-    /// Backoff ceiling for the exponential schedule.
-    backoff_cap: SimDuration,
-    /// Bounded in-flight window: a client holds at most this many
-    /// unacknowledged requests (bounds reordering distance).
-    pub max_in_flight: u32,
 }
 
 impl NetFaultPlanConfig {
@@ -191,10 +182,6 @@ impl NetFaultPlanConfig {
             duplicate_probability: 0.0,
             delay_min: SimDuration::from_micros(500),
             delay_max: SimDuration::from_micros(5_000),
-            rpc_timeout: SimDuration::from_secs(1),
-            backoff_base: SimDuration::from_millis(500),
-            backoff_cap: SimDuration::from_secs(30),
-            max_in_flight: 8,
         }
     }
 
@@ -235,25 +222,6 @@ impl NetFaultPlanConfig {
         self
     }
 
-    /// Sets the client retransmit timeout.
-    pub fn with_rpc_timeout(mut self, timeout: SimDuration) -> Self {
-        self.rpc_timeout = timeout;
-        self
-    }
-
-    /// Sets the exponential backoff base and ceiling.
-    pub fn with_backoff(mut self, base: SimDuration, cap: SimDuration) -> Self {
-        self.backoff_base = base;
-        self.backoff_cap = cap;
-        self
-    }
-
-    /// Sets the bounded in-flight window size.
-    pub fn with_max_in_flight(mut self, window: u32) -> Self {
-        self.max_in_flight = window;
-        self
-    }
-
     fn validate(&self) -> Result<(), NetFaultError> {
         if self.client_partitions > 0 && self.clients == 0 {
             return Err(NetFaultError::NoClients);
@@ -275,12 +243,6 @@ impl NetFaultPlanConfig {
                 min_us: self.delay_min.as_micros(),
                 max_us: self.delay_max.as_micros(),
             });
-        }
-        if self.rpc_timeout == SimDuration::ZERO {
-            return Err(NetFaultError::ZeroTimeout);
-        }
-        if self.max_in_flight == 0 {
-            return Err(NetFaultError::ZeroWindow);
         }
         Ok(())
     }
@@ -343,11 +305,6 @@ impl NetFaultPlan {
             config: *config,
             windows,
         })
-    }
-
-    /// The knobs this plan was compiled from.
-    pub fn config(&self) -> &NetFaultPlanConfig {
-        &self.config
     }
 
     /// The merged partition windows, sorted by `(start, scope)`.
@@ -438,42 +395,39 @@ impl NetFaultPlan {
     pub fn backoff(&self, client: ClientId, req_id: u64, attempt: u32) -> SimDuration {
         let key = mix3(u64::from(client.0), req_id, u64::from(attempt) | (1 << 32));
         let mut rng = StdRng::seed_from_u64(self.seed ^ STREAM_NET_MSG ^ key);
-        let jitter = rng.gen_range(0..=self.jitter_max());
-        SimDuration::from_micros(self.backoff_floor(attempt).saturating_add(jitter))
+        let jitter = rng.gen_range(0..=JITTER_MAX);
+        SimDuration::from_micros(backoff_floor(attempt).saturating_add(jitter))
     }
+}
 
-    /// Worst-case retry ladders for a request with `attempts`
-    /// transmissions: entry `k` bounds the time from attempt `k`'s send
-    /// to the last attempt's send, the sum over attempts `k` to
-    /// `attempts - 2` of the retransmit timeout plus the largest backoff
-    /// [`backoff`](NetFaultPlan::backoff) can return. A request whose
-    /// attempt `k` is sent at `t` with `t + ladder[k]` before the edge
-    /// heals therefore sends every remaining attempt into the outage.
-    pub fn worst_ladder(&self, attempts: u32) -> Vec<SimDuration> {
-        let timeout = self.config.rpc_timeout.as_micros();
-        let mut ladder = vec![SimDuration::ZERO; attempts as usize];
-        for k in (0..attempts.saturating_sub(1)).rev() {
-            let step = timeout
-                .saturating_add(self.backoff_floor(k))
-                .saturating_add(self.jitter_max());
-            ladder[k as usize] =
-                SimDuration::from_micros(ladder[k as usize + 1].as_micros().saturating_add(step));
-        }
-        ladder
-    }
+/// The largest jitter a backoff adds: one base step.
+const JITTER_MAX: u64 = BACKOFF_BASE.as_micros();
 
-    /// The exponential part of the backoff after `attempt`, capped.
-    fn backoff_floor(&self, attempt: u32) -> u64 {
-        let base = self.config.backoff_base.as_micros().max(1);
-        let cap = self.config.backoff_cap.as_micros().max(base);
-        let exp = base.saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX));
-        exp.min(cap)
+/// Worst-case retry ladders for a request with `attempts` transmissions:
+/// entry `k` bounds the time from attempt `k`'s send to the last attempt's
+/// send, the sum over attempts `k` to `attempts - 2` of [`RPC_TIMEOUT`]
+/// plus the largest backoff [`NetFaultPlan::backoff`] can return. A
+/// request whose attempt `k` is sent at `t` with `t + ladder[k]` before
+/// the edge heals therefore sends every remaining attempt into the outage.
+pub fn worst_ladder(attempts: u32) -> Vec<SimDuration> {
+    let mut ladder = vec![SimDuration::ZERO; attempts as usize];
+    for k in (0..attempts.saturating_sub(1)).rev() {
+        let step = RPC_TIMEOUT
+            .as_micros()
+            .saturating_add(backoff_floor(k))
+            .saturating_add(JITTER_MAX);
+        ladder[k as usize] =
+            SimDuration::from_micros(ladder[k as usize + 1].as_micros().saturating_add(step));
     }
+    ladder
+}
 
-    /// The largest jitter a backoff adds: one base step.
-    fn jitter_max(&self) -> u64 {
-        self.config.backoff_base.as_micros().max(1)
-    }
+/// The exponential part of the backoff after `attempt`, capped.
+fn backoff_floor(attempt: u32) -> u64 {
+    let exp = BACKOFF_BASE
+        .as_micros()
+        .saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX));
+    exp.min(BACKOFF_CAP.as_micros())
 }
 
 /// Merges overlapping or touching windows on the same edge; the result is
@@ -657,15 +611,10 @@ mod tests {
     fn worst_ladder_bounds_every_realised_ladder() {
         let mut rng = StdRng::seed_from_u64(0x6c61_6464);
         for case in 0..24 {
-            let base = SimDuration::from_micros(rng.gen_range(1..=2_000_000));
-            let cap = SimDuration::from_micros(rng.gen_range(1..=60_000_000));
-            let timeout = SimDuration::from_micros(rng.gen_range(1..=3_000_000));
-            let config = NetFaultPlanConfig::new(3, SimDuration::from_secs(600))
-                .with_rpc_timeout(timeout)
-                .with_backoff(base, cap);
+            let config = NetFaultPlanConfig::new(3, SimDuration::from_secs(600));
             let plan = NetFaultPlan::compile(case, &config).unwrap();
             let attempts = rng.gen_range(1..=64);
-            let ladder = plan.worst_ladder(attempts);
+            let ladder = worst_ladder(attempts);
             assert_eq!(ladder.len(), attempts as usize);
             assert_eq!(ladder[attempts as usize - 1], SimDuration::ZERO);
             for req_id in 0..16 {
@@ -674,7 +623,7 @@ mod tests {
                 for k in (0..attempts).rev() {
                     if k + 1 < attempts {
                         let step =
-                            timeout.as_micros() + plan.backoff(client, req_id, k).as_micros();
+                            RPC_TIMEOUT.as_micros() + plan.backoff(client, req_id, k).as_micros();
                         realised = realised.saturating_add(step);
                     }
                     let bound = ladder[k as usize].as_micros();
@@ -684,7 +633,7 @@ mod tests {
                     );
                     // The bound is tight to within one jitter step per
                     // remaining retransmission.
-                    let slack = u64::from(attempts - 1 - k) * base.as_micros();
+                    let slack = u64::from(attempts - 1 - k) * BACKOFF_BASE.as_micros();
                     assert!(bound - realised <= slack, "case {case}: bound loose");
                 }
             }
@@ -721,14 +670,6 @@ mod tests {
                     max_us: 0,
                 },
             ),
-            (
-                NetFaultPlanConfig::new(4, d).with_rpc_timeout(SimDuration::ZERO),
-                NetFaultError::ZeroTimeout,
-            ),
-            (
-                NetFaultPlanConfig::new(4, d).with_max_in_flight(0),
-                NetFaultError::ZeroWindow,
-            ),
         ];
         for (config, want) in cases {
             assert_eq!(NetFaultPlan::compile(1, &config).unwrap_err(), want);
@@ -739,8 +680,8 @@ mod tests {
     fn backoff_is_capped_and_grows() {
         let plan = NetFaultPlan::compile(3, &config()).unwrap();
         let c = ClientId(2);
-        let base = plan.config().backoff_base.as_micros();
-        let cap = plan.config().backoff_cap.as_micros() + base;
+        let base = BACKOFF_BASE.as_micros();
+        let cap = BACKOFF_CAP.as_micros() + base;
         for attempt in 0..12 {
             let b = plan.backoff(c, 1, attempt).as_micros();
             assert!(b <= cap, "backoff must respect the cap (+jitter)");

@@ -12,7 +12,11 @@
 //! LFS simulator consumes, but the traditional way: each file's blocks live
 //! at fixed disk addresses (spread across cylinder groups), every flushed
 //! block is written in place, and each file update also rewrites its inode
-//! at its own fixed address. Comparing its disk busy time against
+//! at its own fixed address. The disk is [`DiskParams::sprite_era`], each
+//! flush batch is elevator-sorted as real UNIX drivers sort, and a
+//! [`BLOCK_CLEANER_PERIOD`] sweep flushes dirty data once it is
+//! [`DELAYED_WRITE_BACK`] old, as in the LFS simulator. Comparing its disk
+//! busy time against
 //! [`FsReport::disk_time`](crate::fs::FsReport::disk_time) quantifies how
 //! much the log amortizes.
 
@@ -25,39 +29,13 @@ use nvfs_trace::synth::lfs_workload::{FsWorkload, LfsOpKind};
 
 use crate::dirty::DirtyCache;
 
-/// Configuration for the update-in-place baseline. The disk is
-/// [`DiskParams::sprite_era`], and a [`BLOCK_CLEANER_PERIOD`] sweep flushes
-/// dirty data once it is [`DELAYED_WRITE_BACK`] old, as under
-/// [`LfsConfig`](crate::fs::LfsConfig).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FfsConfig {
-    /// Whether each flush batch is elevator-sorted (real UNIX drivers sort;
-    /// turning this off reproduces the naive 7%-utilization case).
-    sort_batches: bool,
-    /// Whether fsync forces a synchronous inode write too (FFS semantics).
-    sync_metadata: bool,
-}
-
-impl Default for FfsConfig {
-    fn default() -> Self {
-        FfsConfig {
-            sort_batches: true,
-            sync_metadata: true,
-        }
-    }
-}
-
 /// Outcome of the update-in-place run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FfsReport {
     /// Individual block/inode writes issued to the disk.
     pub disk_write_accesses: usize,
-    /// File data bytes written.
-    data_bytes: u64,
     /// Total disk busy time in milliseconds.
     pub disk_busy_ms: f64,
-    /// Pure transfer time in milliseconds.
-    transfer_ms: f64,
 }
 
 /// Deterministically scatters a file's base address across the disk, like
@@ -78,26 +56,24 @@ fn inode_addr(file: FileId, disk: &DiskParams) -> u64 {
 /// # Examples
 ///
 /// ```
-/// use nvfs_lfs::ffs_baseline::{run_update_in_place, FfsConfig};
+/// use nvfs_lfs::ffs_baseline::run_update_in_place;
 /// use nvfs_trace::synth::lfs_workload::{sprite_server_workloads, ServerWorkloadConfig};
 ///
 /// let ws = sprite_server_workloads(&ServerWorkloadConfig::tiny());
-/// let report = run_update_in_place(&ws[0], &FfsConfig::default());
+/// let report = run_update_in_place(&ws[0]);
 /// assert!(report.disk_write_accesses > 0);
 /// ```
-pub fn run_update_in_place(workload: &FsWorkload, config: &FfsConfig) -> FfsReport {
+pub fn run_update_in_place(workload: &FsWorkload) -> FfsReport {
     let mut dirty = DirtyCache::new();
     let disk = DiskParams::sprite_era();
     let mut queue = DiskQueue::new(disk);
     let mut next_sweep = SimTime::ZERO + BLOCK_CLEANER_PERIOD;
     let mut accesses = 0usize;
-    let mut data_bytes = 0u64;
     let mut busy_ms = 0.0;
 
     let flush = |queue: &mut DiskQueue,
                  chunks: Vec<(FileId, nvfs_types::RangeSet)>,
                  accesses: &mut usize,
-                 data_bytes: &mut u64,
                  busy_ms: &mut f64| {
         let mut requests = Vec::new();
         let mut files: BTreeMap<FileId, ()> = BTreeMap::new();
@@ -109,29 +85,21 @@ pub fn run_update_in_place(workload: &FsWorkload, config: &FfsConfig) -> FfsRepo
                         addr: base + b.index * 4096,
                         len: 4096,
                     });
-                    *data_bytes += 4096;
                 }
             }
             files.insert(file, ());
         }
-        if config.sync_metadata {
-            // Each touched file's inode is rewritten at its fixed address.
-            for (&file, ()) in &files {
-                requests.push(DiskRequest {
-                    addr: inode_addr(file, &disk),
-                    len: 512,
-                });
-            }
+        // Each touched file's inode is rewritten at its fixed address.
+        for (&file, ()) in &files {
+            requests.push(DiskRequest {
+                addr: inode_addr(file, &disk),
+                len: 512,
+            });
         }
         if requests.is_empty() {
             return;
         }
-        let discipline = if config.sort_batches {
-            Discipline::Elevator
-        } else {
-            Discipline::Fifo
-        };
-        let out = queue.service_batch(&requests, discipline);
+        let out = queue.service_batch(&requests, Discipline::Elevator);
         *accesses += out.requests;
         *busy_ms += out.total_ms;
     };
@@ -141,13 +109,7 @@ pub fn run_update_in_place(workload: &FsWorkload, config: &FfsConfig) -> FfsRepo
             if next_sweep >= SimTime::ZERO + DELAYED_WRITE_BACK {
                 let cutoff = next_sweep - DELAYED_WRITE_BACK;
                 let aged = dirty.take_older_than(cutoff);
-                flush(
-                    &mut queue,
-                    aged,
-                    &mut accesses,
-                    &mut data_bytes,
-                    &mut busy_ms,
-                );
+                flush(&mut queue, aged, &mut accesses, &mut busy_ms);
             }
             next_sweep += BLOCK_CLEANER_PERIOD;
         }
@@ -161,7 +123,6 @@ pub fn run_update_in_place(workload: &FsWorkload, config: &FfsConfig) -> FfsRepo
                         &mut queue,
                         vec![(file, ranges)],
                         &mut accesses,
-                        &mut data_bytes,
                         &mut busy_ms,
                     );
                 }
@@ -172,19 +133,11 @@ pub fn run_update_in_place(workload: &FsWorkload, config: &FfsConfig) -> FfsRepo
         }
     }
     let rest = dirty.take_all();
-    flush(
-        &mut queue,
-        rest,
-        &mut accesses,
-        &mut data_bytes,
-        &mut busy_ms,
-    );
+    flush(&mut queue, rest, &mut accesses, &mut busy_ms);
 
     FfsReport {
         disk_write_accesses: accesses,
-        data_bytes,
         disk_busy_ms: busy_ms,
-        transfer_ms: disk.transfer_ms(data_bytes),
     }
 }
 
@@ -200,7 +153,7 @@ mod tests {
         // /swap1: bursty block traffic with no fsyncs — the pure
         // amortization comparison.
         let swap = &ws[2];
-        let ffs = run_update_in_place(swap, &FfsConfig::default());
+        let ffs = run_update_in_place(swap);
         let lfs = run_filesystem(swap, &LfsConfig::direct());
         let lfs_time = lfs.disk_time(&DiskParams::sprite_era());
         assert!(
@@ -211,36 +164,6 @@ mod tests {
         );
         // And far fewer disk operations.
         assert!(lfs.disk_write_accesses() * 4 < ffs.disk_write_accesses);
-    }
-
-    #[test]
-    fn unsorted_ffs_is_even_worse() {
-        let ws = sprite_server_workloads(&ServerWorkloadConfig::tiny());
-        let sorted = run_update_in_place(&ws[2], &FfsConfig::default());
-        let naive = run_update_in_place(
-            &ws[2],
-            &FfsConfig {
-                sort_batches: false,
-                ..FfsConfig::default()
-            },
-        );
-        assert_eq!(sorted.data_bytes, naive.data_bytes);
-        assert!(sorted.disk_busy_ms <= naive.disk_busy_ms);
-    }
-
-    #[test]
-    fn metadata_sync_costs_extra_accesses() {
-        let ws = sprite_server_workloads(&ServerWorkloadConfig::tiny());
-        let with = run_update_in_place(&ws[0], &FfsConfig::default());
-        let without = run_update_in_place(
-            &ws[0],
-            &FfsConfig {
-                sync_metadata: false,
-                ..FfsConfig::default()
-            },
-        );
-        assert!(with.disk_write_accesses > without.disk_write_accesses);
-        assert_eq!(with.data_bytes, without.data_bytes);
     }
 
     #[test]

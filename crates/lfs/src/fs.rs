@@ -95,12 +95,6 @@ impl LfsConfig {
     }
 }
 
-impl Default for LfsConfig {
-    fn default() -> Self {
-        LfsConfig::direct()
-    }
-}
-
 /// Results of simulating one file system over one workload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FsReport {

@@ -60,12 +60,6 @@ impl WalConfig {
     }
 }
 
-impl Default for WalConfig {
-    fn default() -> Self {
-        WalConfig::sprite()
-    }
-}
-
 /// What one acknowledged fsync cost: the bytes its record appended, plus
 /// any synchronous overflow drain it had to wait out. The experiment layer
 /// turns this into latency with a disk model — `append_latency_ns(payload)`

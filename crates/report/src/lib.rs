@@ -28,6 +28,6 @@ mod run;
 mod table;
 
 pub use figure::{Figure, Series};
-pub use plot::{render_plot, PlotOptions};
+pub use plot::render_plot;
 pub use run::catching;
 pub use table::{Cell, Table};

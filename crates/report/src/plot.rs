@@ -6,31 +6,16 @@
 
 use crate::figure::Figure;
 
-/// Options for [`render_plot`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlotOptions {
-    /// Plot body width in characters.
-    pub width: usize,
-    /// Plot body height in rows.
-    pub height: usize,
-    /// Use a logarithmic x axis (the paper's Figures 2–4).
-    pub log_x: bool,
-}
-
-impl Default for PlotOptions {
-    fn default() -> Self {
-        PlotOptions {
-            width: 64,
-            height: 16,
-            log_x: false,
-        }
-    }
-}
+/// Plot body width in characters.
+const WIDTH: usize = 64;
+/// Plot body height in rows.
+const HEIGHT: usize = 16;
 
 /// Markers assigned to series in order.
 const MARKERS: [char; 8] = ['*', 'o', '+', 'x', '#', '@', '%', '~'];
 
-/// Renders `figure` as an ASCII plot with a legend.
+/// Renders `figure` as an ASCII plot with a legend, on a logarithmic x
+/// axis when `log_x` is set (the paper's Figures 2–4).
 ///
 /// Series beyond the eighth reuse markers. Returns an empty string for a
 /// figure with no points.
@@ -39,25 +24,25 @@ const MARKERS: [char; 8] = ['*', 'o', '+', 'x', '#', '@', '%', '~'];
 ///
 /// ```
 /// use nvfs_report::{Figure, Series};
-/// use nvfs_report::{render_plot, PlotOptions};
+/// use nvfs_report::render_plot;
 ///
 /// let mut f = Figure::new("Demo", "x", "y");
 /// f.push(Series::new("a", vec![(1.0, 0.0), (2.0, 10.0)]));
-/// let s = render_plot(&f, PlotOptions::default());
+/// let s = render_plot(&f, false);
 /// assert!(s.contains("Demo"));
 /// assert!(s.contains("a"));
 /// ```
-pub fn render_plot(figure: &Figure, opts: PlotOptions) -> String {
+pub fn render_plot(figure: &Figure, log_x: bool) -> String {
     let points: Vec<(f64, f64)> = figure
         .all_series()
         .iter()
         .flat_map(|s| s.points.iter().copied())
         .collect();
-    if points.is_empty() || opts.width < 2 || opts.height < 2 {
+    if points.is_empty() {
         return String::new();
     }
     let xform = |x: f64| {
-        if opts.log_x {
+        if log_x {
             x.max(f64::MIN_POSITIVE).log10()
         } else {
             x
@@ -79,15 +64,15 @@ pub fn render_plot(figure: &Figure, opts: PlotOptions) -> String {
         y_max = y_min + 1.0;
     }
 
-    let mut grid = vec![vec![' '; opts.width]; opts.height];
+    let mut grid = vec![vec![' '; WIDTH]; HEIGHT];
     for (si, series) in figure.all_series().iter().enumerate() {
         let marker = MARKERS[si % MARKERS.len()];
         // Plot line segments between consecutive points, sampled per column.
         for pair in series.points.windows(2) {
             let (x0, y0) = (xform(pair[0].0), pair[0].1);
             let (x1, y1) = (xform(pair[1].0), pair[1].1);
-            let c0 = col(x0, x_min, x_max, opts.width);
-            let c1 = col(x1, x_min, x_max, opts.width);
+            let c0 = col(x0, x_min, x_max);
+            let c1 = col(x1, x_min, x_max);
             let (lo, hi) = (c0.min(c1), c0.max(c1));
             #[allow(clippy::needless_range_loop)] // rows vary per column
             for c in lo..=hi {
@@ -101,15 +86,14 @@ pub fn render_plot(figure: &Figure, opts: PlotOptions) -> String {
                 } else {
                     y1 + (1.0 - frac) * (y0 - y1)
                 };
-                let r = row(y, y_min, y_max, opts.height);
+                let r = row(y, y_min, y_max);
                 grid[r][c] = marker;
             }
         }
         // Single-point series still get their marker.
         if series.points.len() == 1 {
             let (x, y) = series.points[0];
-            grid[row(y, y_min, y_max, opts.height)][col(xform(x), x_min, x_max, opts.width)] =
-                marker;
+            grid[row(y, y_min, y_max)][col(xform(x), x_min, x_max)] = marker;
         }
     }
 
@@ -118,24 +102,24 @@ pub fn render_plot(figure: &Figure, opts: PlotOptions) -> String {
     out.push_str(&format!("{:>8.1} ┤", y_max));
     out.push_str(&grid[0].iter().collect::<String>());
     out.push('\n');
-    for r in grid.iter().take(opts.height - 1).skip(1) {
+    for r in grid.iter().take(HEIGHT - 1).skip(1) {
         out.push_str("         │");
         out.push_str(&r.iter().collect::<String>());
         out.push('\n');
     }
     out.push_str(&format!("{:>8.1} ┤", y_min));
-    out.push_str(&grid[opts.height - 1].iter().collect::<String>());
+    out.push_str(&grid[HEIGHT - 1].iter().collect::<String>());
     out.push('\n');
     out.push_str("         └");
-    out.push_str(&"─".repeat(opts.width));
+    out.push_str(&"─".repeat(WIDTH));
     out.push('\n');
-    let x_lo = if opts.log_x { 10f64.powf(x_min) } else { x_min };
-    let x_hi = if opts.log_x { 10f64.powf(x_max) } else { x_max };
+    let x_lo = if log_x { 10f64.powf(x_min) } else { x_min };
+    let x_hi = if log_x { 10f64.powf(x_max) } else { x_max };
     out.push_str(&format!(
         "          {:<width$.3}{:>8.3}\n",
         x_lo,
         x_hi,
-        width = opts.width.saturating_sub(6)
+        width = WIDTH - 6
     ));
     out.push_str(&format!(
         "          x: {} — y: {}\n",
@@ -151,16 +135,16 @@ pub fn render_plot(figure: &Figure, opts: PlotOptions) -> String {
     out
 }
 
-fn col(x: f64, min: f64, max: f64, width: usize) -> usize {
+fn col(x: f64, min: f64, max: f64) -> usize {
     let frac = ((x - min) / (max - min)).clamp(0.0, 1.0);
-    ((frac * (width - 1) as f64).round() as usize).min(width - 1)
+    ((frac * (WIDTH - 1) as f64).round() as usize).min(WIDTH - 1)
 }
 
-fn row(y: f64, min: f64, max: f64, height: usize) -> usize {
+fn row(y: f64, min: f64, max: f64) -> usize {
     // Row 0 is the top (y_max).
     let frac = ((y - min) / (max - min)).clamp(0.0, 1.0);
-    let r = ((1.0 - frac) * (height - 1) as f64).round() as usize;
-    r.min(height - 1)
+    let r = ((1.0 - frac) * (HEIGHT - 1) as f64).round() as usize;
+    r.min(HEIGHT - 1)
 }
 
 #[cfg(test)]
@@ -180,7 +164,7 @@ mod tests {
 
     #[test]
     fn plot_contains_axes_legend_and_markers() {
-        let s = render_plot(&demo(), PlotOptions::default());
+        let s = render_plot(&demo(), false);
         assert!(s.contains('┤'));
         assert!(s.contains('└'));
         assert!(s.contains("* down"));
@@ -191,20 +175,8 @@ mod tests {
 
     #[test]
     fn log_x_spreads_small_values() {
-        let lin = render_plot(
-            &demo(),
-            PlotOptions {
-                log_x: false,
-                ..PlotOptions::default()
-            },
-        );
-        let log = render_plot(
-            &demo(),
-            PlotOptions {
-                log_x: true,
-                ..PlotOptions::default()
-            },
-        );
+        let lin = render_plot(&demo(), false);
+        let log = render_plot(&demo(), true);
         // Both render; the curves differ in shape.
         assert_ne!(lin, log);
     }
@@ -212,14 +184,14 @@ mod tests {
     #[test]
     fn empty_figure_renders_nothing() {
         let f = Figure::new("E", "x", "y");
-        assert_eq!(render_plot(&f, PlotOptions::default()), "");
+        assert_eq!(render_plot(&f, false), "");
     }
 
     #[test]
     fn flat_series_is_handled() {
         let mut f = Figure::new("F", "x", "y");
         f.push(Series::new("c", vec![(1.0, 5.0), (2.0, 5.0)]));
-        let s = render_plot(&f, PlotOptions::default());
+        let s = render_plot(&f, false);
         assert!(s.contains('*'));
     }
 
@@ -227,7 +199,7 @@ mod tests {
     fn single_point_series() {
         let mut f = Figure::new("P", "x", "y");
         f.push(Series::new("dot", vec![(3.0, 7.0)]));
-        let s = render_plot(&f, PlotOptions::default());
+        let s = render_plot(&f, false);
         assert!(s.contains('*'));
     }
 }

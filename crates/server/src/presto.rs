@@ -41,26 +41,13 @@ pub struct WriteOutcome {
     pub disk_accesses: usize,
 }
 
-/// Prestoserve configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrestoConfig {
-    /// NVRAM capacity in bytes (Prestoserve boards held ~1 MB).
-    capacity: u64,
-    /// Time to copy one kilobyte into NVRAM, in milliseconds.
-    nvram_copy_ms_per_kb: f64,
-    /// Drain the buffer once it is this full (fraction of capacity).
-    drain_threshold: f64,
-}
-
-impl Default for PrestoConfig {
-    fn default() -> Self {
-        PrestoConfig {
-            capacity: 1 << 20,
-            nvram_copy_ms_per_kb: 0.005,
-            drain_threshold: 0.5,
-        }
-    }
-}
+/// Prestoserve NVRAM capacity in bytes (Prestoserve boards held ~1 MB).
+const PRESTO_CAPACITY: u64 = 1 << 20;
+/// Time to copy one kilobyte into Prestoserve NVRAM, in milliseconds.
+const PRESTO_COPY_MS_PER_KB: f64 = 0.005;
+/// Prestoserve drains its buffer once it is this full (fraction of
+/// capacity).
+const PRESTO_DRAIN_THRESHOLD: f64 = 0.5;
 
 /// Services every request synchronously against the disk, as the NFS
 /// protocol demands.
@@ -109,15 +96,11 @@ pub fn nfs_synchronous(requests: &[WriteRequest], disk: nvfs_disk::DiskParams) -
     }
 }
 
-/// Services requests through a Prestoserve-style NVRAM: a request completes
-/// once copied into NVRAM; the buffer drains to disk in sorted batches. A
-/// request that finds the buffer full stalls until the in-flight drain
-/// completes.
-pub fn prestoserve(
-    requests: &[WriteRequest],
-    disk: nvfs_disk::DiskParams,
-    cfg: PrestoConfig,
-) -> WriteOutcome {
+/// Services requests through a Prestoserve-style NVRAM of 1 MB: a request
+/// completes once copied into NVRAM; the buffer drains to disk in sorted
+/// batches once half full. A request that finds the buffer full stalls
+/// until the in-flight drain completes.
+pub fn prestoserve(requests: &[WriteRequest], disk: nvfs_disk::DiskParams) -> WriteOutcome {
     let mut q = DiskQueue::new(disk);
     let mut buffered: Vec<DiskRequest> = Vec::new();
     let mut buffered_bytes = 0u64;
@@ -144,8 +127,8 @@ pub fn prestoserve(
 
     for r in requests {
         let arrive_ms = r.time.as_micros() as f64 / 1000.0;
-        let mut latency = cfg.nvram_copy_ms_per_kb * (r.len as f64 / 1024.0);
-        if buffered_bytes + r.len > cfg.capacity {
+        let mut latency = PRESTO_COPY_MS_PER_KB * (r.len as f64 / 1024.0);
+        if buffered_bytes + r.len > PRESTO_CAPACITY {
             // Stall until the oldest drain completes, then flush.
             let t = drain(&mut q, &mut buffered, arrive_ms, &mut disk_free_ms);
             busy += t;
@@ -158,7 +141,7 @@ pub fn prestoserve(
             len: r.len,
         });
         buffered_bytes += r.len;
-        if buffered_bytes as f64 >= cfg.capacity as f64 * cfg.drain_threshold
+        if buffered_bytes as f64 >= PRESTO_CAPACITY as f64 * PRESTO_DRAIN_THRESHOLD
             && disk_free_ms <= arrive_ms
         {
             // Disk is idle: start a background drain.
@@ -265,7 +248,7 @@ mod tests {
         let reqs = workload(500, 40, 8192);
         let disk = DiskParams::sprite_era();
         let nfs = nfs_synchronous(&reqs, disk);
-        let presto = prestoserve(&reqs, disk, PrestoConfig::default());
+        let presto = prestoserve(&reqs, disk);
         // The paper reports "up to 50%" end-to-end gains; per-write latency
         // improves by far more than that.
         assert!(
@@ -281,7 +264,7 @@ mod tests {
         let reqs = workload(500, 40, 8192);
         let disk = DiskParams::sprite_era();
         let nfs = nfs_synchronous(&reqs, disk);
-        let presto = prestoserve(&reqs, disk, PrestoConfig::default());
+        let presto = prestoserve(&reqs, disk);
         assert!(presto.disk_busy_ms < nfs.disk_busy_ms);
         assert!(presto.disk_accesses < nfs.disk_accesses);
     }
@@ -292,7 +275,7 @@ mod tests {
         // and writes stall, but everything is serviced.
         let reqs = workload(2000, 0, 16 << 10);
         let disk = DiskParams::sprite_era();
-        let presto = prestoserve(&reqs, disk, PrestoConfig::default());
+        let presto = prestoserve(&reqs, disk);
         assert_eq!(presto.requests, 2000);
         assert!(presto.max_latency_ms > presto.mean_latency_ms);
         assert!(presto.disk_accesses > 1);
@@ -304,7 +287,7 @@ mod tests {
         let disk = DiskParams::sprite_era();
         let sprite = sprite_delayed(&reqs, disk, 1 << 20);
         let nfs = nfs_synchronous(&reqs, disk);
-        let presto = prestoserve(&reqs, disk, PrestoConfig::default());
+        let presto = prestoserve(&reqs, disk);
         // Sprite's latency is on par with Prestoserve (both are memory
         // copies) and far below synchronous NFS…
         assert!(sprite.mean_latency_ms < nfs.mean_latency_ms / 10.0);
@@ -317,7 +300,7 @@ mod tests {
     #[test]
     fn empty_stream() {
         let disk = DiskParams::sprite_era();
-        let out = prestoserve(&[], disk, PrestoConfig::default());
+        let out = prestoserve(&[], disk);
         assert_eq!(out.requests, 0);
         assert_eq!(out.mean_latency_ms, 0.0);
         assert_eq!(out.disk_accesses, 0);

@@ -14,18 +14,6 @@ use nvfs_types::{ByteRange, ClientId, FileId, ProcessId};
 use crate::event::{EventKind, TraceEvent};
 use crate::op::{Op, OpKind, OpStream};
 
-/// Statistics about a lowering run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LowerStats {
-    /// Events consumed.
-    events: usize,
-    /// Ops produced.
-    pub ops: usize,
-    /// Transfers that referenced a file with no preceding open (tolerated:
-    /// the file is treated as implicitly opened at offset zero).
-    implicit_opens: usize,
-}
-
 /// Per-(client, file) offset cursor.
 #[derive(Debug, Default)]
 struct Cursor {
@@ -37,9 +25,8 @@ struct Cursor {
 /// Reads and writes are converted from `(current offset, length)` form into
 /// explicit [`ByteRange`]s. `Migrate` events are expanded with the set of
 /// files the migrating process has written on the source client since its
-/// last migration.
-///
-/// Returns the stream and statistics about tolerated irregularities.
+/// last migration. A transfer on a file with no preceding open is
+/// tolerated: the file is treated as implicitly opened at offset zero.
 ///
 /// # Examples
 ///
@@ -62,15 +49,11 @@ struct Cursor {
 ///         kind: EventKind::Write { file: FileId(0), len: 100 },
 ///     },
 /// ];
-/// let (ops, stats) = lower(&events);
-/// assert_eq!(stats.ops, 2);
+/// let ops = lower(&events);
+/// assert_eq!(ops.len(), 2);
 /// assert_eq!(ops.app_write_bytes(), 100);
 /// ```
-pub fn lower(events: &[TraceEvent]) -> (OpStream, LowerStats) {
-    let mut stats = LowerStats {
-        events: events.len(),
-        ..LowerStats::default()
-    };
+pub fn lower(events: &[TraceEvent]) -> OpStream {
     let mut out = OpStream::new();
     let mut cursors: BTreeMap<(ClientId, FileId), Cursor> = BTreeMap::new();
     let mut written_by: BTreeMap<(ClientId, ProcessId), BTreeSet<FileId>> = BTreeMap::new();
@@ -94,14 +77,10 @@ pub fn lower(events: &[TraceEvent]) -> (OpStream, LowerStats) {
                 });
             }
             EventKind::Seek { file, offset } => {
-                let cursor = cursors.entry((ev.client, file)).or_insert_with(|| {
-                    stats.implicit_opens += 1;
-                    Cursor::default()
-                });
-                cursor.offset = offset;
+                cursors.entry((ev.client, file)).or_default().offset = offset;
             }
             EventKind::Read { file, len } => {
-                let range = advance(&mut cursors, &mut stats, ev.client, file, len);
+                let range = advance(&mut cursors, ev.client, file, len);
                 out.push(Op {
                     time: ev.time,
                     client: ev.client,
@@ -109,7 +88,7 @@ pub fn lower(events: &[TraceEvent]) -> (OpStream, LowerStats) {
                 });
             }
             EventKind::Write { file, len } => {
-                let range = advance(&mut cursors, &mut stats, ev.client, file, len);
+                let range = advance(&mut cursors, ev.client, file, len);
                 written_by
                     .entry((ev.client, ev.pid))
                     .or_default()
@@ -162,21 +141,16 @@ pub fn lower(events: &[TraceEvent]) -> (OpStream, LowerStats) {
             }
         }
     }
-    stats.ops = out.len();
-    (out, stats)
+    out
 }
 
 fn advance(
     cursors: &mut BTreeMap<(ClientId, FileId), Cursor>,
-    stats: &mut LowerStats,
     client: ClientId,
     file: FileId,
     len: u64,
 ) -> ByteRange {
-    let cursor = cursors.entry((client, file)).or_insert_with(|| {
-        stats.implicit_opens += 1;
-        Cursor::default()
-    });
+    let cursor = cursors.entry((client, file)).or_default();
     let range = ByteRange::at(cursor.offset, len);
     cursor.offset = range.end;
     range
@@ -222,7 +196,7 @@ mod tests {
                 },
             ),
         ];
-        let (ops, _) = lower(&events);
+        let ops = lower(&events);
         let ranges: Vec<ByteRange> = ops
             .iter()
             .filter_map(|o| match o.kind {
@@ -261,7 +235,7 @@ mod tests {
                 },
             ),
         ];
-        let (ops, _) = lower(&events);
+        let ops = lower(&events);
         let read = ops.iter().find_map(|o| match o.kind {
             OpKind::Read { range, .. } => Some(range),
             _ => None,
@@ -302,7 +276,7 @@ mod tests {
                 },
             ),
         ];
-        let (ops, _) = lower(&events);
+        let ops = lower(&events);
         let last_write = ops
             .iter()
             .filter_map(|o| match o.kind {
@@ -314,16 +288,39 @@ mod tests {
     }
 
     #[test]
-    fn implicit_open_is_counted() {
-        let events = vec![ev(
-            0,
-            EventKind::Write {
-                file: FileId(9),
-                len: 5,
-            },
-        )];
-        let (_, stats) = lower(&events);
-        assert_eq!(stats.implicit_opens, 1);
+    fn implicit_open_starts_at_offset_zero() {
+        let events = vec![
+            ev(
+                0,
+                EventKind::Write {
+                    file: FileId(9),
+                    len: 5,
+                },
+            ),
+            ev(
+                1,
+                EventKind::Write {
+                    file: FileId(9),
+                    len: 3,
+                },
+            ),
+        ];
+        let ops = lower(&events);
+        let writes: Vec<(FileId, ByteRange)> = ops
+            .iter()
+            .filter_map(|o| match o.kind {
+                OpKind::Write { file, range } => Some((file, range)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ops.len(), 2, "no open op is invented");
+        assert_eq!(
+            writes,
+            vec![
+                (FileId(9), ByteRange::new(0, 5)),
+                (FileId(9), ByteRange::new(5, 8))
+            ]
+        );
     }
 
     #[test]
@@ -346,7 +343,7 @@ mod tests {
             ev(2, EventKind::Migrate { to: ClientId(1) }),
             ev(3, EventKind::Migrate { to: ClientId(2) }),
         ];
-        let (ops, _) = lower(&events);
+        let ops = lower(&events);
         let migrates: Vec<&Op> = ops
             .iter()
             .filter(|o| matches!(o.kind, OpKind::Migrate { .. }))
@@ -395,7 +392,7 @@ mod tests {
                 },
             ),
         ];
-        let (ops, _) = lower(&events);
+        let ops = lower(&events);
         let last_write = ops
             .iter()
             .filter_map(|o| match o.kind {

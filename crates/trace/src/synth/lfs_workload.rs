@@ -143,12 +143,6 @@ impl ServerWorkloadConfig {
     }
 }
 
-impl Default for ServerWorkloadConfig {
-    fn default() -> Self {
-        ServerWorkloadConfig::small()
-    }
-}
-
 /// The eight Sprite file systems of Table 3, in the paper's row order.
 const SPRITE_FILE_SYSTEMS: [&str; 8] = [
     "/user6",

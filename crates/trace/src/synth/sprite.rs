@@ -133,12 +133,6 @@ impl TraceSetConfig {
     }
 }
 
-impl Default for TraceSetConfig {
-    fn default() -> Self {
-        TraceSetConfig::small()
-    }
-}
-
 /// One synthetic 24-hour trace.
 #[derive(Debug, Clone)]
 pub struct Trace {
@@ -360,7 +354,7 @@ impl<'a> TraceGen<'a> {
 
         // Stable sort preserves per-file event order for equal timestamps.
         self.events.sort_by_key(|e| e.time);
-        let (ops, _) = lower(&self.events);
+        let ops = lower(&self.events);
         Trace {
             number: self.number,
             large_file_workload: self.large,

@@ -6,7 +6,7 @@
 //! ```
 
 use nvfs::experiments::{env::Env, fig2, fig3, fig4, fig5, fig6, tab2};
-use nvfs::report::{render_plot, PlotOptions};
+use nvfs::report::render_plot;
 
 fn main() {
     println!("Generating the synthetic Sprite trace set (small scale)…\n");
@@ -30,16 +30,7 @@ fn main() {
 
     let f3 = fig3::run(&env);
     println!("{}", f3.figure.render());
-    println!(
-        "{}",
-        render_plot(
-            &f3.figure,
-            PlotOptions {
-                log_x: true,
-                ..PlotOptions::default()
-            }
-        )
-    );
+    println!("{}", render_plot(&f3.figure, true));
 
     let f4 = fig4::run(&env);
     println!("{}", f4.figure.render());
@@ -52,7 +43,7 @@ fn main() {
 
     let f5 = fig5::run(&env);
     println!("{}", f5.figure.render());
-    println!("{}", render_plot(&f5.figure, PlotOptions::default()));
+    println!("{}", render_plot(&f5.figure, false));
 
     let f6 = fig6::run(&env);
     println!("{}", f6.figure.render());

@@ -39,12 +39,6 @@ fn random_net_plan(rng: &mut StdRng, clients: u32, duration: SimDuration) -> Net
         .with_drop_probability(rng.gen_range(0.0..=0.4))
         .with_duplicate_probability(rng.gen_range(0.0..=0.4))
         .with_delay_range(delay_min, delay_max)
-        .with_rpc_timeout(SimDuration::from_millis(rng.gen_range(100..=2_000)))
-        .with_backoff(
-            SimDuration::from_millis(rng.gen_range(50..=1_000)),
-            SimDuration::from_secs(rng.gen_range(5..=60)),
-        )
-        .with_max_in_flight(rng.gen_range(1..=16))
 }
 
 fn random_crash_plan(rng: &mut StdRng, clients: u32, duration: SimDuration) -> FaultPlanConfig {
@@ -100,8 +94,9 @@ fn random_net_schedules_never_violate_the_contracts() {
                 "seed {seed} model {model:?}: bytes replayed twice\n{}",
                 summary.verdict_json(seed)
             );
-            // The wire really was exercised: every run issues RPCs, and a
-            // duplicate-heavy plan must suppress every duplicate.
+            // The wire really was exercised: every run issues RPCs, and
+            // every delivery is either a request's one application or a
+            // counted wire duplicate.
             assert!(
                 report.net.stats.requests > 0,
                 "seed {seed} model {model:?}: no RPCs issued"
@@ -109,7 +104,7 @@ fn random_net_schedules_never_violate_the_contracts() {
             assert_eq!(
                 report.net.summary.applied + report.net.stats.dup_suppressed,
                 report.net.summary.deliveries,
-                "seed {seed} model {model:?}: deliveries neither applied nor deduped"
+                "seed {seed} model {model:?}: deliveries neither applied nor counted as duplicates"
             );
         }
     }
