@@ -91,18 +91,7 @@ impl SimConfig {
     ///
     /// Panics if `volatile_bytes` is smaller than one 4 KB block.
     pub fn volatile(volatile_bytes: u64) -> Self {
-        assert!(
-            volatile_bytes >= BLOCK_SIZE,
-            "cache must hold at least one block"
-        );
-        SimConfig {
-            model: CacheModelKind::Volatile,
-            volatile_bytes,
-            nvram_bytes: 0,
-            policy: PolicyKind::Lru,
-            dirty_preference: false,
-            consistency: ConsistencyMode::WholeFile,
-        }
+        SimConfig::for_model(CacheModelKind::Volatile, volatile_bytes, 0)
     }
 
     /// Write-aside NVRAM configuration.
@@ -111,20 +100,7 @@ impl SimConfig {
     ///
     /// Panics if either memory is smaller than one 4 KB block.
     pub fn write_aside(volatile_bytes: u64, nvram_bytes: u64) -> Self {
-        assert!(
-            volatile_bytes >= BLOCK_SIZE,
-            "cache must hold at least one block"
-        );
-        assert!(
-            nvram_bytes >= BLOCK_SIZE,
-            "NVRAM must hold at least one block"
-        );
-        SimConfig {
-            model: CacheModelKind::WriteAside,
-            volatile_bytes,
-            nvram_bytes,
-            ..SimConfig::volatile(volatile_bytes)
-        }
+        SimConfig::for_model(CacheModelKind::WriteAside, volatile_bytes, nvram_bytes)
     }
 
     /// Unified NVRAM configuration.
@@ -133,20 +109,7 @@ impl SimConfig {
     ///
     /// Panics if either memory is smaller than one 4 KB block.
     pub fn unified(volatile_bytes: u64, nvram_bytes: u64) -> Self {
-        assert!(
-            volatile_bytes >= BLOCK_SIZE,
-            "cache must hold at least one block"
-        );
-        assert!(
-            nvram_bytes >= BLOCK_SIZE,
-            "NVRAM must hold at least one block"
-        );
-        SimConfig {
-            model: CacheModelKind::Unified,
-            volatile_bytes,
-            nvram_bytes,
-            ..SimConfig::volatile(volatile_bytes)
-        }
+        SimConfig::for_model(CacheModelKind::Unified, volatile_bytes, nvram_bytes)
     }
 
     /// Hybrid (§2.6 sketch) configuration: volatile-style writes whose aged
@@ -156,34 +119,38 @@ impl SimConfig {
     ///
     /// Panics if either memory is smaller than one 4 KB block.
     pub fn hybrid(volatile_bytes: u64, nvram_bytes: u64) -> Self {
+        SimConfig::for_model(CacheModelKind::Hybrid, volatile_bytes, nvram_bytes)
+    }
+
+    /// The configuration of cache model `model` with the given memories,
+    /// LRU replacement and whole-file consistency; the volatile model
+    /// ignores `nvram_bytes` and records none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a memory the model uses is smaller than one 4 KB block
+    /// (the volatile cache is checked first).
+    pub fn for_model(model: CacheModelKind, volatile_bytes: u64, nvram_bytes: u64) -> Self {
         assert!(
             volatile_bytes >= BLOCK_SIZE,
             "cache must hold at least one block"
         );
-        assert!(
-            nvram_bytes >= BLOCK_SIZE,
-            "NVRAM must hold at least one block"
-        );
+        let nvram_bytes = if model.has_nvram() {
+            assert!(
+                nvram_bytes >= BLOCK_SIZE,
+                "NVRAM must hold at least one block"
+            );
+            nvram_bytes
+        } else {
+            0
+        };
         SimConfig {
-            model: CacheModelKind::Hybrid,
+            model,
             volatile_bytes,
             nvram_bytes,
-            ..SimConfig::volatile(volatile_bytes)
-        }
-    }
-
-    /// The configuration of cache model `model` with the given memories;
-    /// the volatile model ignores `nvram_bytes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a memory the model uses is smaller than one 4 KB block.
-    pub fn for_model(model: CacheModelKind, volatile_bytes: u64, nvram_bytes: u64) -> Self {
-        match model {
-            CacheModelKind::Volatile => SimConfig::volatile(volatile_bytes),
-            CacheModelKind::WriteAside => SimConfig::write_aside(volatile_bytes, nvram_bytes),
-            CacheModelKind::Unified => SimConfig::unified(volatile_bytes, nvram_bytes),
-            CacheModelKind::Hybrid => SimConfig::hybrid(volatile_bytes, nvram_bytes),
+            policy: PolicyKind::Lru,
+            dirty_preference: false,
+            consistency: ConsistencyMode::WholeFile,
         }
     }
 

@@ -6,7 +6,10 @@
 //! run function producing [`Artifacts`]. The `nvfs` binary routes
 //! `experiments`, `export-csv`, the scorecard, and its usage text through
 //! this one registry, so adding an experiment is a single new row here —
-//! no per-module match arms anywhere else.
+//! no per-module match arms anywhere else. A plain table or figure needs
+//! no code beyond its row: the row's run is a one-line closure over the
+//! `table` or `figure` constructor of [`Artifacts`], which renders the
+//! text and the CSV body together.
 //!
 //! Ordering is part of the contract: [`all`] yields entries in the
 //! canonical output order, the default-run subset preserves the historic
@@ -15,7 +18,7 @@
 //! for a given [`Env`], so rendered artifacts are byte-identical at any
 //! `--jobs` count.
 
-use nvfs_report::{render_plot, Figure};
+use nvfs_report::{render_plot, Figure, Table};
 
 use crate::env::Env;
 use crate::faults::DEFAULT_SEED;
@@ -43,10 +46,23 @@ impl Artifacts {
         }
     }
 
-    /// Attaches the CSV export's body.
-    fn with_csv(mut self, body: String) -> Self {
-        self.csv = Some(body);
-        self
+    /// A table artifact: the rendered table, exported as its CSV.
+    fn table(table: &Table) -> Self {
+        Artifacts {
+            text: table.render(),
+            csv: Some(table.to_csv()),
+            failure: None,
+        }
+    }
+
+    /// A figure artifact: the point list plus an ASCII plot (log-scaled x
+    /// when `log_x`), exported as the figure's CSV.
+    fn figure(figure: &Figure, log_x: bool) -> Self {
+        Artifacts {
+            text: format!("{}{}", figure.render(), render_plot(figure, log_x)),
+            csv: Some(figure.to_csv()),
+            failure: None,
+        }
     }
 
     /// Attaches the failure verdict, if any.
@@ -107,203 +123,243 @@ impl std::fmt::Debug for Entry {
 /// The registry, in canonical output order: the default-run artifacts
 /// first (the historic `nvfs experiments` order), then the opt-in
 /// entries (`nvram-speed`, `faults`, `verify-net`, `lfs-wal-vs-buffer`,
-/// `scorecard`).
+/// `scorecard`, `verify-scrub`, `scrub-overhead`).
 static REGISTRY: [Entry; 28] = [
     Entry::new(
         "tab1",
         "Table 1 — NVRAM costs",
         true,
         Some("tab1_costs.csv"),
-        run_tab1,
+        |_| Ok(Artifacts::table(&crate::tab1::run().table)),
     ),
     Entry::new(
         "fig2",
         "Figure 2 — byte lifetimes",
         true,
         Some("fig2_byte_lifetimes.csv"),
-        run_fig2,
+        |env| Ok(Artifacts::figure(&crate::fig2::run(env).figure, true)),
     ),
     Entry::new(
         "tab2",
         "Table 2 — fate of written bytes",
         true,
         Some("tab2_write_fates.csv"),
-        run_tab2,
+        |env| Ok(Artifacts::table(&crate::tab2::run(env).table)),
     ),
     Entry::new(
         "fig3",
         "Figure 3 — omniscient policy vs NVRAM size",
         true,
         Some("fig3_omniscient.csv"),
-        run_fig3,
+        |env| Ok(Artifacts::figure(&crate::fig3::run(env).figure, true)),
     ),
     Entry::new(
         "fig4",
         "Figure 4 — replacement policies",
         true,
         Some("fig4_policies.csv"),
-        run_fig4,
+        |env| Ok(Artifacts::figure(&crate::fig4::run(env).figure, true)),
     ),
     Entry::new(
         "fig5",
         "Figure 5 — cache models, total traffic",
         true,
         Some("fig5_models.csv"),
-        run_fig5,
+        |env| Ok(Artifacts::figure(&crate::fig5::run(env).figure, false)),
     ),
     Entry::new(
         "fig6",
         "Figure 6 — NVRAM vs volatile cost-effectiveness",
         true,
         Some("fig6_cost_effectiveness.csv"),
-        run_fig6,
+        |env| Ok(Artifacts::figure(&crate::fig6::run(env).figure, false)),
     ),
     Entry::new(
         "tab3",
         "Table 3 — forced partial segments",
         true,
         Some("tab3_partial_segments.csv"),
-        run_tab3,
+        |env| Ok(Artifacts::table(&crate::tab3::run(env).table)),
     ),
     Entry::new(
         "tab4",
         "Table 4 — partial segment sizes & space cost",
         true,
         Some("tab4_partial_sizes.csv"),
-        run_tab4,
+        |env| Ok(Artifacts::table(&crate::tab4::run(env).table)),
     ),
     Entry::new(
         "write-buffer",
         "§3 — ½ MB write buffer reductions",
         true,
         Some("write_buffer.csv"),
-        run_write_buffer,
+        |env| Ok(Artifacts::table(&crate::write_buffer::run(env).table)),
     ),
     Entry::new(
         "disk-sort",
         "§3 — random vs sorted disk writes",
         true,
         Some("disk_sort.csv"),
-        run_disk_sort,
+        |_| Ok(Artifacts::table(&crate::disk_sort::run().table)),
     ),
     Entry::new(
         "bus-nvram",
         "§2.6 — bus traffic & NVRAM access counts",
         true,
         Some("bus_nvram.csv"),
-        run_bus_nvram,
+        |env| Ok(Artifacts::table(&crate::bus_nvram::run(env).table)),
     ),
     Entry::new(
         "presto",
         "§3 — NFS synchronous writes vs server NVRAM",
         true,
         Some("presto.csv"),
-        run_presto,
+        |_| Ok(Artifacts::table(&crate::presto::run().table)),
     ),
     Entry::new(
         "pipeline",
         "extension — client NVRAM's effect on the server's LFS",
         true,
         Some("pipeline.csv"),
-        run_pipeline,
+        |env| Ok(Artifacts::table(&crate::pipeline::run(env).table)),
     ),
     Entry::new(
         "ablations",
         "extensions — §2.6 hybrid model, dirty-block preference",
         true,
         None,
-        run_ablations,
+        |env| {
+            let hybrid = crate::ablations::hybrid(env).figure.render();
+            let dirty = crate::ablations::dirty_preference(env).render();
+            Ok(Artifacts::new(format!("{hybrid}{dirty}")))
+        },
     ),
     Entry::new(
         "consistency",
         "extension — block-by-block consistency",
         true,
         None,
-        run_consistency,
+        |env| {
+            let table = crate::consistency_protocol::run(env).table;
+            Ok(Artifacts::new(table.render()))
+        },
     ),
     Entry::new(
         "read-latency",
         "§3 closing analysis — optimal write size, read penalty",
         true,
         None,
-        run_read_latency,
+        |_| {
+            let out = crate::read_latency::run();
+            let (table, figure) = (out.table.render(), out.figure.render());
+            let plot = render_plot(&out.figure, false);
+            Ok(Artifacts::new(format!("{table}{figure}{plot}")))
+        },
     ),
     Entry::new(
         "lfs-vs-ffs",
         "§3 framing — LFS amortization vs update-in-place",
         true,
         None,
-        run_lfs_vs_ffs,
+        |env| Ok(Artifacts::new(crate::lfs_vs_ffs::run(env).render())),
     ),
     Entry::new(
         "server-cache",
         "§3 opening — server NVRAM cache absorbs client writes",
         true,
         None,
-        run_server_cache,
+        |env| Ok(Artifacts::new(crate::server_cache::run(env).render())),
     ),
     Entry::new(
         "diagrams",
         "Figures 1 and 7 rendered from live simulator state",
         true,
         None,
-        run_diagrams,
+        |_| {
+            let (fig1, fig7) = (crate::diagrams::figure1(), crate::diagrams::figure7());
+            Ok(Artifacts::new(format!("{fig1}\n{fig7}")))
+        },
     ),
     Entry::new(
         "warmup",
         "methodology — quantifying the cold-start caveat",
         true,
         None,
-        run_warmup,
+        |env| Ok(Artifacts::new(crate::warmup::run(env).render())),
     ),
     Entry::new(
         "nvram-speed",
         "extension — §2.6 NVRAM access-time sensitivity",
         false,
         Some("nvram_speed.csv"),
-        run_nvram_speed,
+        |env| Ok(Artifacts::table(&crate::nvram_speed::run(env))),
     ),
     Entry::new(
         "faults",
         "§2.3/§4 — bytes lost under a seeded fault schedule",
         false,
         None,
-        run_faults,
+        |env| {
+            let out = crate::faults::run(env, DEFAULT_SEED, false).map_err(|e| e.to_string())?;
+            Ok(Artifacts::new(out.render()).with_failure(out.failure()))
+        },
     ),
     Entry::new(
         "verify-net",
         "robustness — network judge: partitions, retries, degraded modes",
         false,
         None,
-        run_verify_net,
+        |env| {
+            let out = crate::verify_net::run(env, DEFAULT_SEED)?;
+            Ok(Artifacts::new(out.render()).with_failure(out.failure()))
+        },
     ),
     Entry::new(
         "lfs-wal-vs-buffer",
         "extension — logging vs paging: NVRAM WAL vs write buffer",
         false,
         None,
-        run_lfs_wal_vs_buffer,
+        |env| {
+            let out = crate::lfs_wal_vs_buffer::run(env);
+            let failure = crate::scorecard::wal_checks(&out)
+                .into_iter()
+                .find(|c| !c.passed())
+                .map(|c| format!("{} fails: {} (measured {})", c.id, c.paper, c.measured));
+            Ok(Artifacts::new(out.table.render()).with_failure(failure))
+        },
     ),
     Entry::new(
         "scorecard",
         "every paper claim evaluated with PASS/FAIL verdicts",
         false,
         None,
-        run_scorecard,
+        |env| {
+            let card = crate::scorecard::run(env);
+            let (table, passed, total) = (card.table.render(), card.passed(), card.checks.len());
+            let text = format!("{table}\n{passed} of {total} checks passed\n");
+            let failure = (!card.all_passed()).then(|| "scorecard has failures".to_string());
+            Ok(Artifacts::new(text).with_failure(failure))
+        },
     ),
     Entry::new(
         "verify-scrub",
         "robustness — corruption sweep: protection modes under fire",
         false,
         None,
-        run_verify_scrub,
+        |env| {
+            let out = crate::verify_scrub::run(env, DEFAULT_SEED).map_err(|e| e.to_string())?;
+            Ok(Artifacts::new(out.render()).with_failure(out.failure()))
+        },
     ),
     Entry::new(
         "scrub-overhead",
         "robustness — protection overhead vs undetected corruption",
         false,
         None,
-        run_scrub_overhead,
+        |env| {
+            let out = crate::scrub_overhead::run(env, DEFAULT_SEED).map_err(|e| e.to_string())?;
+            Ok(Artifacts::new(out.table().render()).with_failure(out.failure()))
+        },
     ),
 ];
 
@@ -365,172 +421,6 @@ pub fn readme_table() -> String {
         ));
     }
     s
-}
-
-/// Point list plus an ASCII plot for a figure artifact.
-fn fig_text(figure: &Figure, log_x: bool) -> String {
-    format!("{}{}", figure.render(), render_plot(figure, log_x))
-}
-
-fn run_tab1(_env: &Env) -> Result<Artifacts, String> {
-    let table = crate::tab1::run().table;
-    Ok(Artifacts::new(table.render()).with_csv(table.to_csv()))
-}
-
-fn run_fig2(env: &Env) -> Result<Artifacts, String> {
-    let out = crate::fig2::run(env);
-    Ok(Artifacts::new(fig_text(&out.figure, true)).with_csv(out.figure.to_csv()))
-}
-
-fn run_tab2(env: &Env) -> Result<Artifacts, String> {
-    let table = crate::tab2::run(env).table;
-    Ok(Artifacts::new(table.render()).with_csv(table.to_csv()))
-}
-
-fn run_fig3(env: &Env) -> Result<Artifacts, String> {
-    let out = crate::fig3::run(env);
-    Ok(Artifacts::new(fig_text(&out.figure, true)).with_csv(out.figure.to_csv()))
-}
-
-fn run_fig4(env: &Env) -> Result<Artifacts, String> {
-    let out = crate::fig4::run(env);
-    Ok(Artifacts::new(fig_text(&out.figure, true)).with_csv(out.figure.to_csv()))
-}
-
-fn run_fig5(env: &Env) -> Result<Artifacts, String> {
-    let out = crate::fig5::run(env);
-    Ok(Artifacts::new(fig_text(&out.figure, false)).with_csv(out.figure.to_csv()))
-}
-
-fn run_fig6(env: &Env) -> Result<Artifacts, String> {
-    let out = crate::fig6::run(env);
-    Ok(Artifacts::new(fig_text(&out.figure, false)).with_csv(out.figure.to_csv()))
-}
-
-fn run_tab3(env: &Env) -> Result<Artifacts, String> {
-    let table = crate::tab3::run(env).table;
-    Ok(Artifacts::new(table.render()).with_csv(table.to_csv()))
-}
-
-fn run_tab4(env: &Env) -> Result<Artifacts, String> {
-    let table = crate::tab4::run(env).table;
-    Ok(Artifacts::new(table.render()).with_csv(table.to_csv()))
-}
-
-fn run_write_buffer(env: &Env) -> Result<Artifacts, String> {
-    let table = crate::write_buffer::run(env).table;
-    Ok(Artifacts::new(table.render()).with_csv(table.to_csv()))
-}
-
-fn run_disk_sort(_env: &Env) -> Result<Artifacts, String> {
-    let table = crate::disk_sort::run().table;
-    Ok(Artifacts::new(table.render()).with_csv(table.to_csv()))
-}
-
-fn run_bus_nvram(env: &Env) -> Result<Artifacts, String> {
-    let table = crate::bus_nvram::run(env).table;
-    Ok(Artifacts::new(table.render()).with_csv(table.to_csv()))
-}
-
-fn run_presto(_env: &Env) -> Result<Artifacts, String> {
-    let table = crate::presto::run().table;
-    Ok(Artifacts::new(table.render()).with_csv(table.to_csv()))
-}
-
-fn run_pipeline(env: &Env) -> Result<Artifacts, String> {
-    let table = crate::pipeline::run(env).table;
-    Ok(Artifacts::new(table.render()).with_csv(table.to_csv()))
-}
-
-fn run_ablations(env: &Env) -> Result<Artifacts, String> {
-    let h = crate::ablations::hybrid(env);
-    let d = crate::ablations::dirty_preference(env);
-    Ok(Artifacts::new(format!(
-        "{}{}",
-        h.figure.render(),
-        d.render()
-    )))
-}
-
-fn run_consistency(env: &Env) -> Result<Artifacts, String> {
-    Ok(Artifacts::new(
-        crate::consistency_protocol::run(env).table.render(),
-    ))
-}
-
-fn run_read_latency(_env: &Env) -> Result<Artifacts, String> {
-    let out = crate::read_latency::run();
-    Ok(Artifacts::new(format!(
-        "{}{}",
-        out.table.render(),
-        fig_text(&out.figure, false)
-    )))
-}
-
-fn run_lfs_vs_ffs(env: &Env) -> Result<Artifacts, String> {
-    Ok(Artifacts::new(crate::lfs_vs_ffs::run(env).render()))
-}
-
-fn run_server_cache(env: &Env) -> Result<Artifacts, String> {
-    Ok(Artifacts::new(crate::server_cache::run(env).render()))
-}
-
-fn run_diagrams(_env: &Env) -> Result<Artifacts, String> {
-    Ok(Artifacts::new(format!(
-        "{}\n{}",
-        crate::diagrams::figure1(),
-        crate::diagrams::figure7()
-    )))
-}
-
-fn run_warmup(env: &Env) -> Result<Artifacts, String> {
-    Ok(Artifacts::new(crate::warmup::run(env).render()))
-}
-
-fn run_nvram_speed(env: &Env) -> Result<Artifacts, String> {
-    let table = crate::nvram_speed::run(env);
-    Ok(Artifacts::new(table.render()).with_csv(table.to_csv()))
-}
-
-fn run_faults(env: &Env) -> Result<Artifacts, String> {
-    let out = crate::faults::run(env, DEFAULT_SEED, false).map_err(|e| e.to_string())?;
-    Ok(Artifacts::new(out.render()).with_failure(out.failure()))
-}
-
-fn run_verify_net(env: &Env) -> Result<Artifacts, String> {
-    let out = crate::verify_net::run(env, DEFAULT_SEED)?;
-    Ok(Artifacts::new(out.render()).with_failure(out.failure()))
-}
-
-fn run_lfs_wal_vs_buffer(env: &Env) -> Result<Artifacts, String> {
-    let out = crate::lfs_wal_vs_buffer::run(env);
-    let failure = crate::scorecard::wal_checks(&out)
-        .into_iter()
-        .find(|c| !c.passed())
-        .map(|c| format!("{} fails: {} (measured {})", c.id, c.paper, c.measured));
-    Ok(Artifacts::new(out.table.render()).with_failure(failure))
-}
-
-fn run_scorecard(env: &Env) -> Result<Artifacts, String> {
-    let card = crate::scorecard::run(env);
-    let text = format!(
-        "{}\n{} of {} checks passed\n",
-        card.table.render(),
-        card.passed(),
-        card.checks.len()
-    );
-    let failure = (!card.all_passed()).then(|| "scorecard has failures".to_string());
-    Ok(Artifacts::new(text).with_failure(failure))
-}
-
-fn run_verify_scrub(env: &Env) -> Result<Artifacts, String> {
-    let out = crate::verify_scrub::run(env, DEFAULT_SEED).map_err(|e| e.to_string())?;
-    Ok(Artifacts::new(out.render()).with_failure(out.failure()))
-}
-
-fn run_scrub_overhead(env: &Env) -> Result<Artifacts, String> {
-    let out = crate::scrub_overhead::run(env, DEFAULT_SEED).map_err(|e| e.to_string())?;
-    Ok(Artifacts::new(out.table().render()).with_failure(out.failure()))
 }
 
 #[cfg(test)]

@@ -405,21 +405,28 @@ fn wal_table(seed: u64, rows: &[WalSweepRow]) -> Table {
             "observed KB",
         ],
     );
-    let kb = |b: u64| Cell::f1(b as f64 / 1024.0);
     for row in rows {
-        let s = &row.summary;
-        table.push_row(vec![
-            Cell::from(row.point.label()),
-            Cell::Int(s.crash_points as i64),
-            Cell::Int(s.clean as i64),
-            Cell::Int(s.lost_durable as i64),
-            Cell::Int(s.resurrected as i64),
-            Cell::Int(s.double_replay as i64),
-            kb(s.bytes_expected),
-            kb(s.bytes_observed),
-        ]);
+        let lead = vec![Cell::from(row.point.label())];
+        table.push_row(oracle_row(lead, &row.summary));
     }
     table
+}
+
+/// Appends the oracle columns both crash-point tables share to a row's
+/// leading cells: crash points judged, clean, lost, resurrected,
+/// double-replay, expected KB and observed KB.
+fn oracle_row(mut cells: Vec<Cell>, s: &OracleSummary) -> Vec<Cell> {
+    let kb = |b: u64| Cell::f1(b as f64 / 1024.0);
+    cells.extend([
+        Cell::Int(s.crash_points as i64),
+        Cell::Int(s.clean as i64),
+        Cell::Int(s.lost_durable as i64),
+        Cell::Int(s.resurrected as i64),
+        Cell::Int(s.double_replay as i64),
+        kb(s.bytes_expected),
+        kb(s.bytes_observed),
+    ]);
+    cells
 }
 
 /// Renders the client sweep table.
@@ -438,20 +445,12 @@ fn client_table(seed: u64, rows: &[CrashPointRow]) -> Table {
             "observed KB",
         ],
     );
-    let kb = |b: u64| Cell::f1(b as f64 / 1024.0);
     for row in rows {
-        let s = &row.run.oracle;
-        table.push_row(vec![
+        let lead = vec![
             Cell::from(model_name(row.model)),
             Cell::Text(row.kind.to_string()),
-            Cell::Int(s.crash_points as i64),
-            Cell::Int(s.clean as i64),
-            Cell::Int(s.lost_durable as i64),
-            Cell::Int(s.resurrected as i64),
-            Cell::Int(s.double_replay as i64),
-            kb(s.bytes_expected),
-            kb(s.bytes_observed),
-        ]);
+        ];
+        table.push_row(oracle_row(lead, &row.run.oracle));
     }
     table
 }

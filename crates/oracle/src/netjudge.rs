@@ -9,9 +9,9 @@
 //!
 //! * **No acknowledged request is lost** — an ack the client acted on must
 //!   correspond to a server apply ([`NetVerdict::AckedLost`]).
-//! * **No request is applied twice** — retransmissions and duplicated
-//!   deliveries must be deduplicated by request id
-//!   ([`NetVerdict::DoubleApply`]).
+//! * **No request is applied twice** — however many copies of a request
+//!   reach the server (retransmissions, wire duplicates), at most one
+//!   apply may carry its request id ([`NetVerdict::DoubleApply`]).
 //! * **Partitions actually partition** — no delivery may be timestamped
 //!   inside a window that severs its edge ([`NetVerdict::PartitionLeak`]).
 //!
@@ -58,7 +58,7 @@ pub enum WireEvent {
         /// Whether this is a wire-duplicated copy of an earlier delivery.
         duplicate: bool,
     },
-    /// The server applied the request (first delivery past dedup).
+    /// The server applied the request (at its first delivery).
     Applied {
         /// Sending client.
         client: ClientId,
@@ -142,7 +142,7 @@ pub struct NetSummary {
     pub applied: u64,
     /// Deliveries observed (including duplicates).
     pub deliveries: u64,
-    /// Duplicate deliveries the server had to suppress.
+    /// Wire-duplicated deliveries, which the server does not apply.
     pub duplicates: u64,
     /// Transmissions dropped on the wire.
     dropped: u64,

@@ -287,14 +287,7 @@ fn export_csv_writes_every_artifact() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    for name in [
-        "tab1_costs.csv",
-        "fig2_byte_lifetimes.csv",
-        "fig3_omniscient.csv",
-        "tab3_partial_segments.csv",
-        "write_buffer.csv",
-        "nvram_speed.csv",
-    ] {
+    for (name, _) in nvfs::experiments::registry::csv_entries() {
         let p = dir.join(name);
         assert!(p.exists(), "missing {name}");
         let body = std::fs::read_to_string(&p).unwrap();

@@ -310,21 +310,44 @@ fn scrub_overhead_is_jobs_invariant_and_matches_golden() {
     );
 }
 
-#[test]
-fn manifest_matches_golden() {
-    let dir = tempdir("golden");
-    let (_, _, manifest) = faults_run(&dir, "2");
-    let golden = std::fs::read_to_string(
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/manifest_faults_tiny.json"),
-    )
-    .expect("golden manifest present");
+/// Runs the command line `args` (split at whitespace, with every `{dir}`
+/// replaced by a fresh temporary directory) and checks the `run` section
+/// of the manifest it writes to `{dir}/manifest.json` against
+/// `tests/golden/<golden>`.
+fn check_manifest(args: &str, golden: &str) {
+    let dir = tempdir(golden);
+    let dir_str = dir.to_str().unwrap();
+    let args: Vec<String> = args
+        .split_whitespace()
+        .map(|a| a.replace("{dir}", dir_str))
+        .collect();
+    let out = nvfs(&args.iter().map(String::as_str).collect::<Vec<_>>());
+    assert!(
+        out.status.success(),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let manifest = std::fs::read_to_string(dir.join("manifest.json")).expect("manifest written");
+    let golden_path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(golden);
+    let expected = std::fs::read_to_string(golden_path).expect("golden manifest present");
     assert_eq!(
         run_section(&manifest),
-        run_section(&golden),
-        "run section drifted from tests/golden/manifest_faults_tiny.json; \
+        run_section(&expected),
+        "run section drifted from tests/golden/{golden}; \
          regenerate it if the change is intentional"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn manifest_matches_golden() {
+    check_manifest(
+        "--jobs 2 --trace-out {dir}/trace-j2.jsonl --manifest-out {dir}/manifest.json \
+         faults --scale tiny --seed 42",
+        "manifest_faults_tiny.json",
+    );
 }
 
 /// The RPC layer's work counts (`net.*`, `oracle.net_*`) under the tiny
@@ -332,34 +355,10 @@ fn manifest_matches_golden() {
 /// which counters moved.
 #[test]
 fn net_manifest_matches_golden() {
-    let dir = tempdir("net-golden");
-    let manifest = dir.join("manifest.json");
-    let out = nvfs(&[
-        "--jobs",
-        "2",
-        "--manifest-out",
-        manifest.to_str().unwrap(),
-        "verify-net",
-        "--scale",
-        "tiny",
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+    check_manifest(
+        "--jobs 2 --manifest-out {dir}/manifest.json verify-net --scale tiny",
+        "manifest_net_tiny.json",
     );
-    let manifest = std::fs::read_to_string(&manifest).expect("manifest written");
-    let golden = std::fs::read_to_string(
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/manifest_net_tiny.json"),
-    )
-    .expect("golden manifest present");
-    assert_eq!(
-        run_section(&manifest),
-        run_section(&golden),
-        "run section drifted from tests/golden/manifest_net_tiny.json; \
-         regenerate it if the change is intentional"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
