@@ -211,7 +211,6 @@ impl Logging {
     /// Appends and acknowledges one record: its ranges are promised from
     /// `t` on.
     fn append(&mut self, t: SimTime, file: FileId, ranges: RangeSet) {
-        self.log.append(t, file, &ranges);
         self.stats.appends += 1;
         self.stats.append_bytes += ranges.len_bytes();
         self.trace
@@ -219,6 +218,7 @@ impl Logging {
             .entry(file)
             .or_default()
             .union_with(&ranges);
+        self.log.append(t, file, ranges);
     }
 
     /// Writes the first `n` log records as `cause` segments, then truncates
@@ -377,6 +377,7 @@ impl Buffer for Logging {
     }
 
     fn report(mut self, lfs: Lfs, name: &str) -> WalFsReport {
+        self.log.publish();
         self.trace.final_disk = lfs.writer.usage().live_ranges();
         WalFsReport {
             fs: FsReport {

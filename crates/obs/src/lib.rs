@@ -38,6 +38,6 @@ pub mod timing;
 
 pub use events::{event, set_trace_enabled};
 pub use manifest::RunManifest;
-pub use metrics::{counter_add, gauge_set, histogram_record};
+pub use metrics::{counter_add, gauge_set, histogram_record, histogram_record_all};
 pub use sink::{task_frame, task_path};
 pub use timing::{span, timed};

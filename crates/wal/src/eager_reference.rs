@@ -185,7 +185,7 @@ fn lazy_image_matches_the_eager_log() {
                 0..=44 => {
                     let ranges = random_ranges(&mut rng);
                     appends_behind_a_tear += u64::from(!log.torn.is_empty());
-                    let seq = log.append(t, file, &ranges);
+                    let seq = log.append(t, file, ranges.clone());
                     assert_eq!(seq, reference.append(t, file, &ranges), "{ctx}");
                 }
                 45..=59 => {

@@ -23,8 +23,11 @@
 //!    record prefix is replayed and the first torn or checksum-invalid
 //!    record — necessarily un-acked — truncates the tail.
 //!
-//! Observability: appends and truncations emit `wal.*` counters and
-//! `wal_append` / `wal_truncate` events, all jobs-invariant.
+//! Observability: appends and truncations emit `wal_append` /
+//! `wal_truncate` events and count in plain fields, which
+//! [`NvLog::publish`] adds to the `wal.*` counters once, when the log's
+//! run ends; recoveries count `wal.recoveries` as they happen. All of it
+//! is jobs-invariant.
 //!
 //! # Examples
 //!
@@ -34,7 +37,7 @@
 //!
 //! let mut log = NvLog::new(64 << 10);
 //! let t = SimTime::from_micros(10);
-//! let seq = log.append(t, FileId(3), &RangeSet::from_range(ByteRange::new(0, 100)));
+//! let seq = log.append(t, FileId(3), RangeSet::from_range(ByteRange::new(0, 100)));
 //! assert_eq!(seq, 0);
 //! assert_eq!(log.entries().len(), 1);
 //! // The segment carrying record 0 hit the disk: the log lets it go.
@@ -113,6 +116,11 @@ pub struct NvLog {
     used: u64,
     next_seq: u64,
     capacity: u64,
+    /// Counts for the `wal.*` counters, published by [`NvLog::publish`].
+    appended: u64,
+    append_bytes: u64,
+    truncated_records: u64,
+    truncated_bytes: u64,
 }
 
 /// Bytes one record occupies in the log for `payload_bytes` of payload.
@@ -162,6 +170,10 @@ impl NvLog {
             used: 0,
             next_seq: 0,
             capacity,
+            appended: 0,
+            append_bytes: 0,
+            truncated_records: 0,
+            truncated_bytes: 0,
         }
     }
 
@@ -190,22 +202,23 @@ impl NvLog {
     /// Durably appends one record and acknowledges it: from this moment
     /// every byte in `ranges` is promised to survive any crash. Returns the
     /// record's sequence number.
-    pub fn append(&mut self, t: SimTime, file: FileId, ranges: &RangeSet) -> u64 {
+    pub fn append(&mut self, t: SimTime, file: FileId, ranges: RangeSet) -> u64 {
         let seq = self.next_seq;
+        let bytes = ranges.len_bytes();
         self.next_seq += 1;
-        self.used += framed_bytes(ranges.len_bytes());
+        self.used += framed_bytes(bytes);
+        self.appended += 1;
+        self.append_bytes += bytes;
         self.entries.push(WalEntry {
             seq,
             time: t,
             file,
-            ranges: ranges.clone(),
+            ranges,
         });
-        nvfs_obs::counter_add("wal.appended", 1);
-        nvfs_obs::counter_add("wal.append_bytes", ranges.len_bytes());
         nvfs_obs::event("wal_append", t.as_micros())
             .u64("seq", seq)
             .u64("file", file.0 as u64)
-            .u64("bytes", ranges.len_bytes())
+            .u64("bytes", bytes)
             .emit();
         seq
     }
@@ -299,13 +312,23 @@ impl NvLog {
         self.used -= records * RECORD_HEADER_BYTES + bytes;
         // NVRAM is rewritten from the surviving records: a tear goes too.
         self.torn.clear();
-        nvfs_obs::counter_add("wal.truncated_records", records);
-        nvfs_obs::counter_add("wal.truncated_bytes", bytes);
+        self.truncated_records += records;
+        self.truncated_bytes += bytes;
         nvfs_obs::event("wal_truncate", t.as_micros())
             .u64("through_seq", seq)
             .u64("records", records)
             .u64("bytes", bytes)
             .emit();
+    }
+
+    /// Adds this log's appends and truncations to the `wal.appended`,
+    /// `wal.append_bytes`, `wal.truncated_records` and `wal.truncated_bytes`
+    /// counters. Call it once, when the log's run ends.
+    pub fn publish(&self) {
+        nvfs_obs::counter_add("wal.appended", self.appended);
+        nvfs_obs::counter_add("wal.append_bytes", self.append_bytes);
+        nvfs_obs::counter_add("wal.truncated_records", self.truncated_records);
+        nvfs_obs::counter_add("wal.truncated_bytes", self.truncated_bytes);
     }
 
     /// Drops `file`'s promised ranges from every record (the file was
@@ -338,8 +361,8 @@ mod tests {
     fn append_truncate_round_trip() {
         let mut log = NvLog::new(1 << 16);
         let t = SimTime::from_micros(5);
-        assert_eq!(log.append(t, FileId(1), &rs(0, 100)), 0);
-        assert_eq!(log.append(t, FileId(2), &rs(0, 50)), 1);
+        assert_eq!(log.append(t, FileId(1), rs(0, 100)), 0);
+        assert_eq!(log.append(t, FileId(2), rs(0, 50)), 1);
         assert_eq!(log.entries().len(), 2);
         log.truncate_through(t, 0);
         assert_eq!(log.entries().len(), 1);
@@ -347,14 +370,14 @@ mod tests {
         log.truncate_through(t, 1);
         assert!(log.is_empty());
         // Sequence numbers keep climbing across truncation.
-        assert_eq!(log.append(t, FileId(1), &rs(0, 10)), 2);
+        assert_eq!(log.append(t, FileId(1), rs(0, 10)), 2);
     }
 
     #[test]
     fn recover_replays_acked_and_truncates_torn() {
         let mut log = NvLog::new(1 << 16);
         let t = SimTime::from_micros(9);
-        log.append(t, FileId(1), &rs(0, 4096));
+        log.append(t, FileId(1), rs(0, 4096));
         log.append_torn(FileId(2), &rs(0, 4096), 0.5);
         let out = log.recover(SimTime::from_micros(20));
         assert_eq!(out.replayed_records, 1);
@@ -378,8 +401,8 @@ mod tests {
     fn kill_file_empties_only_that_files_promises() {
         let mut log = NvLog::new(1 << 16);
         let t = SimTime::ZERO;
-        log.append(t, FileId(1), &rs(0, 100));
-        log.append(t, FileId(2), &rs(0, 200));
+        log.append(t, FileId(1), rs(0, 100));
+        log.append(t, FileId(2), rs(0, 200));
         log.kill_file(FileId(1));
         assert_eq!(log.entries()[0].data_bytes(), 0);
         assert_eq!(log.entries()[1].data_bytes(), 200);
@@ -393,7 +416,7 @@ mod tests {
         let ranges = rs(0, 100);
         let mut log = NvLog::new(framed_bytes(100));
         assert!(!log.would_overflow(&ranges));
-        log.append(SimTime::ZERO, FileId(1), &ranges);
+        log.append(SimTime::ZERO, FileId(1), ranges.clone());
         assert_eq!(log.used, framed_bytes(100));
         assert!(log.would_overflow(&ranges));
     }
