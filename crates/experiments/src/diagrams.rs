@@ -103,6 +103,7 @@ pub(crate) fn figure7() -> String {
         "\n  live bytes after the rewrites: {} KB (old copies are dead, awaiting the cleaner)\n",
         w.usage().total_live_bytes() / 1024,
     ));
+    w.publish();
     out
 }
 

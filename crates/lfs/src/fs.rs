@@ -341,8 +341,10 @@ impl Lfs {
         self.writer.write_all(t, chunks, cause);
     }
 
-    /// The segment-level report; buffers fill in what they absorbed.
+    /// The segment-level report; buffers fill in what they absorbed. Ends
+    /// the run, so the segment writer publishes its counts here.
     pub(crate) fn into_report(self, name: &str) -> FsReport {
+        self.writer.publish();
         FsReport {
             name: name.to_string(),
             records: self.writer.into_records(),
