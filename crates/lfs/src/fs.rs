@@ -333,14 +333,6 @@ pub(crate) struct Lfs {
 }
 
 impl Lfs {
-    /// Writes `chunks` as `cause` segments, unless they hold no bytes.
-    pub(crate) fn write_out(&mut self, t: SimTime, chunks: &Chunks, cause: SegmentCause) {
-        if chunks.iter().all(|(_, r)| r.is_empty()) {
-            return;
-        }
-        self.writer.write_all(t, chunks, cause);
-    }
-
     /// The segment-level report; buffers fill in what they absorbed. Ends
     /// the run, so the segment writer publishes its counts here.
     pub(crate) fn into_report(self, name: &str) -> FsReport {
@@ -379,7 +371,7 @@ pub(crate) trait Buffer {
 
     /// Flushes the dirty data a sweep at `t` found past the write-back age.
     fn flush_aged(&mut self, lfs: &mut Lfs, t: SimTime, aged: Chunks) {
-        lfs.write_out(t, &aged, SegmentCause::Timeout);
+        lfs.writer.write_all(t, &aged, SegmentCause::Timeout);
     }
 
     /// Ends the sweep at `t`.
@@ -484,7 +476,8 @@ pub(crate) fn drive<B: Buffer>(
     // Shutdown: flush whatever is left.
     let mut rest = lfs.dirty.take_all();
     buffer.shutdown(&mut lfs, end_time, &mut rest);
-    lfs.write_out(end_time, &rest, SegmentCause::Shutdown);
+    lfs.writer
+        .write_all(end_time, &rest, SegmentCause::Shutdown);
     let reliability = lfs.reliability;
     (buffer.report(lfs, workload.name), reliability)
 }
@@ -537,7 +530,7 @@ impl Paging {
         if self.nvram_bytes > capacity {
             // Overflow: force everything out.
             let chunks = self.take();
-            lfs.write_out(t, &chunks, SegmentCause::NvramFull);
+            lfs.writer.write_all(t, &chunks, SegmentCause::NvramFull);
         }
     }
 }
@@ -571,7 +564,7 @@ impl Buffer for Paging {
                 }
                 self.drain_full_segments(lfs, t, capacity);
             }
-            _ => lfs.write_out(t, &aged, SegmentCause::Timeout),
+            _ => lfs.writer.write_all(t, &aged, SegmentCause::Timeout),
         }
     }
 
@@ -583,7 +576,7 @@ impl Buffer for Paging {
                 // is present" — all of it.
                 if lfs.dirty.has_file(file) {
                     let chunks = lfs.dirty.take_all();
-                    lfs.write_out(t, &chunks, SegmentCause::Fsync);
+                    lfs.writer.write_all(t, &chunks, SegmentCause::Fsync);
                 }
             }
             WriteBufferMode::FsyncAbsorb { capacity } => {
@@ -591,7 +584,7 @@ impl Buffer for Paging {
                     self.absorb(file, r);
                     if self.nvram_bytes >= capacity {
                         let chunks = self.take();
-                        lfs.write_out(t, &chunks, SegmentCause::NvramFull);
+                        lfs.writer.write_all(t, &chunks, SegmentCause::NvramFull);
                     }
                 }
             }
@@ -627,9 +620,9 @@ impl Buffer for Paging {
                     .write_all_torn(t, &staged, SegmentCause::Recovery, fraction);
                 let rolled = lfs.writer.roll_forward(t);
                 lfs.reliability.bytes_rewritten_torn += rolled.truncated_data_bytes;
-                lfs.write_out(t, &tail, SegmentCause::Recovery);
+                lfs.writer.write_all(t, &tail, SegmentCause::Recovery);
             }
-            None => lfs.write_out(t, &staged, SegmentCause::Recovery),
+            None => lfs.writer.write_all(t, &staged, SegmentCause::Recovery),
         }
     }
 

@@ -226,7 +226,7 @@ impl Logging {
     /// second, never the other way around. Returns what was written.
     fn write_back(&mut self, lfs: &mut Lfs, t: SimTime, n: usize, cause: SegmentCause) -> Chunks {
         let chunks = log_chunks(&self.log.entries()[..n]);
-        lfs.write_out(t, &chunks, cause);
+        lfs.writer.write_all(t, &chunks, cause);
         if let Some(seq) = self.log.entries()[..n].last().map(|e| e.seq) {
             self.stats.truncated_records += n as u64;
             self.log.truncate_through(t, seq);
@@ -347,7 +347,8 @@ impl Buffer for Logging {
                 // will be replayed a second time. Replay is idempotent (the
                 // blocks are simply rewritten), which is exactly what this
                 // point proves.
-                lfs.write_out(t, &log_chunks(self.log.entries()), SegmentCause::WalDrain);
+                lfs.writer
+                    .write_all(t, &log_chunks(self.log.entries()), SegmentCause::WalDrain);
             }
         }
 

@@ -12,8 +12,8 @@
 //! * `metrics` — always-on counters / gauges / power-of-two histograms;
 //! * [`events`] — opt-in typed event traces (`--trace-out`), JSONL output;
 //! * [`timing`] — nesting-safe wall-clock spans (exclusive time fixes the
-//!   old bench double-count); wall time stays out of the registry;
-//! * [`digest`] — the workspace's single FNV-1a config/artifact hasher;
+//!   old bench double-count), also the stage timer of `nvfs bench`; wall
+//!   time stays out of the registry;
 //! * [`manifest`] — `RunManifest` with a deterministic `run` section and a
 //!   volatile `meta` section, plus parse/diff for `nvfs obs`;
 //! * [`json`] — the minimal parser/renderer backing show/diff;
@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
-pub mod digest;
 pub mod events;
 pub mod json;
 pub mod manifest;

@@ -51,7 +51,7 @@ pub fn set_seed(seed: u64) {
     with_ctx(|c| c.seed = Some(seed));
 }
 
-/// Records the canonical config digest (hex from [`crate::digest::Digest`]).
+/// Records the command's config digest, a fixed-width hex string.
 pub fn set_config_digest(hex: String) {
     with_ctx(|c| c.config_digest = Some(hex));
 }
@@ -356,7 +356,8 @@ pub fn diff(a_text: &str, b_text: &str) -> Result<DiffReport, String> {
         lines.push("run: sections differ structurally".to_string());
     }
 
-    // Informational wall-clock movement per phase.
+    // Informational wall-clock movement per phase: the k-th phase of a
+    // name in A against the k-th phase of that name in B.
     let walls = |meta: &Json| -> Vec<(String, f64)> {
         match meta.get("phases") {
             Some(Json::Arr(items)) => items
@@ -370,8 +371,10 @@ pub fn diff(a_text: &str, b_text: &str) -> Result<DiffReport, String> {
             _ => Vec::new(),
         }
     };
+    let mut b_walls = walls(&b_meta);
     for (name, a_ms) in walls(&a_meta) {
-        if let Some((_, b_ms)) = walls(&b_meta).into_iter().find(|(n, _)| *n == name) {
+        if let Some(at) = b_walls.iter().position(|(n, _)| *n == name) {
+            let (_, b_ms) = b_walls.remove(at);
             lines.push(format!("meta: phase {name}: {a_ms:.1} ms -> {b_ms:.1} ms"));
         }
     }
@@ -482,9 +485,7 @@ mod tests {
         reset();
         set_scale("tiny");
         set_seed(seed);
-        let mut digest = crate::digest::Digest::new();
-        digest.update(&format!("seed={seed}"));
-        set_config_digest(digest.hex());
+        set_config_digest(format!("seed={seed}"));
         crate::metrics::counter_add("t.manifest.bytes", 100 + extra_counter);
         crate::timing::span("phase-a", || {});
         RunManifest::collect("faults", 4).render()
@@ -529,6 +530,30 @@ mod tests {
             "{text}"
         );
         reset();
+    }
+
+    #[test]
+    fn diff_pairs_repeated_phases_by_occurrence() {
+        let manifest = |walls: [f64; 3]| {
+            let phases: Vec<String> = walls
+                .iter()
+                .map(|ms| format!("{{\"name\": \"drain\", \"wall_ms\": {ms}}}"))
+                .collect();
+            format!(
+                "{{\"nvfs_manifest\": 1, \"meta\": {{\"phases\": [{}]}}, \"run\": {{}}}}",
+                phases.join(", ")
+            )
+        };
+        let report = diff(&manifest([1.0, 2.0, 3.0]), &manifest([4.0, 5.0, 6.0])).unwrap();
+        assert!(report.runs_match);
+        assert_eq!(
+            report.lines,
+            [
+                "meta: phase drain: 1.0 ms -> 4.0 ms",
+                "meta: phase drain: 2.0 ms -> 5.0 ms",
+                "meta: phase drain: 3.0 ms -> 6.0 ms",
+            ]
+        );
     }
 
     #[test]

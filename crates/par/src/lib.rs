@@ -34,11 +34,6 @@
 //! time accumulates into the manifest's volatile `meta` section via
 //! [`nvfs_obs::timing::add_task_wall`].
 //!
-//! The [`bench`](mod@bench) module is the matching timing harness: nesting-safe
-//! [`nvfs_obs::timing`] spans serialized as JSON rows
-//! (`{name, wall_ms, excl_ms, jobs}`) for the repository's
-//! `BENCH_*.json` trajectory.
-//!
 //! # Examples
 //!
 //! ```
@@ -52,8 +47,6 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-pub mod bench;
 
 /// Applies `f` to every item on up to `jobs` scoped worker threads,
 /// returning the results **in input order**.

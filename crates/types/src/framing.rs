@@ -3,11 +3,9 @@
 //!
 //! Two layers live here:
 //!
-//! * [`Fnv64`] — the 64-bit FNV-1a hasher. It is bit-identical to the
-//!   `nvfs-obs` digest (pinned by the same test vectors) but duplicated
-//!   because `nvfs-types` sits below `nvfs-obs` in the crate graph; both
-//!   the segment summary-block checksum and the WAL record checksum are
-//!   produced by this one implementation.
+//! * [`Fnv64`] — the workspace's one 64-bit FNV-1a hasher. It produces
+//!   the segment summary-block checksum, the WAL record checksum, and the
+//!   CLI's config digests and `nvfs bench` artifact gate.
 //! * [`encode_record`] / [`decode_stream`] — the sequence-numbered,
 //!   length-prefixed, checksummed record framing the WAL appends to
 //!   NVRAM. The framing's contract is the roll-forward invariant: decoding
@@ -160,8 +158,8 @@ mod tests {
 
     #[test]
     fn fnv_matches_the_published_vectors() {
-        // The same vectors pin the nvfs-obs digest; the two implementations
-        // must never drift apart.
+        // Every summary checksum, WAL record and config digest in the
+        // goldens rests on these bytes.
         let of = |s: &str| {
             let mut h = Fnv64::new();
             h.update(s);

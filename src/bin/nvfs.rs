@@ -58,13 +58,14 @@ use nvfs::experiments as exp;
 use nvfs::experiments::env::Env;
 use nvfs::experiments::registry;
 use nvfs::experiments::Scale;
+use nvfs::obs::timing::{timed, SpanRecord};
 use nvfs::report::catching;
 use nvfs::trace::serialize::{parse_ops, render_ops};
 use nvfs::trace::stats::TraceStats;
 use nvfs::trace::synth::SpriteTraceSet;
 use nvfs::trace::validate::validate_ignoring_leaks;
 use nvfs::trace::OpStream;
-use nvfs::types::SimDuration;
+use nvfs::types::{Fnv64, SimDuration};
 
 fn main() -> ExitCode {
     let mut args: VecDeque<String> = std::env::args().skip(1).collect();
@@ -295,17 +296,24 @@ fn parse_scale(args: &mut VecDeque<String>) -> Result<Scale, String> {
     Ok(scale)
 }
 
+/// `size` units of `1 << shift` bytes (a size flag's value in KB or MB),
+/// or a one-line error naming `flag` when that overflows.
+fn flag_bytes(flag: &str, size: u64, shift: u32) -> Result<u64, String> {
+    size.checked_mul(1 << shift)
+        .ok_or_else(|| format!("{flag} {size} is too large"))
+}
+
 /// Fingerprints a command's resolved configuration into the run-manifest
-/// context via the workspace's canonical digest ([`nvfs::obs::digest`]).
+/// context: the FNV-1a hash of its `key=value;` pairs, as 16 hex digits.
 fn note_config(parts: &[(&str, &str)]) {
-    let mut d = nvfs::obs::digest::Digest::new();
+    let mut d = Fnv64::new();
     for (key, value) in parts {
         d.update(key);
         d.update("=");
         d.update(value);
         d.update(";");
     }
-    nvfs::obs::manifest::set_config_digest(d.hex());
+    nvfs::obs::manifest::set_config_digest(format!("{:016x}", d.value()));
 }
 
 /// Reads and parses the trace at `path`, rejecting one that breaks session
@@ -407,14 +415,10 @@ fn cmd_client_sim(mut args: VecDeque<String>) -> Result<(), String> {
     }
     let kind =
         exp::faults::parse_model(&model).ok_or_else(|| format!("unknown model {model:?}"))?;
-    let bytes = |flag: &str, mb: u64| {
-        mb.checked_mul(1 << 20)
-            .ok_or_else(|| format!("{flag} {mb} is too large"))
-    };
     let cfg = SimConfig::for_model(
         kind,
-        bytes("--volatile-mb", volatile_mb)?,
-        bytes("--nvram-mb", nvram_mb)?,
+        flag_bytes("--volatile-mb", volatile_mb, 20)?,
+        flag_bytes("--nvram-mb", nvram_mb, 20)?,
     )
     .with_policy(policy)
     .with_consistency(consistency);
@@ -516,6 +520,10 @@ fn cmd_lfs(mut args: VecDeque<String>) -> Result<(), String> {
         .parse()
         .map_err(|_| "bad --buffer-kb")?;
     reject_leftovers(&args, "lfs")?;
+    if buffer_kb == 0 {
+        return Err("--buffer-kb must be at least 1".to_string());
+    }
+    let buffer_bytes = flag_bytes("--buffer-kb", buffer_kb, 10)?;
     let env = scale.env();
     note_config(&[
         ("command", "lfs"),
@@ -527,7 +535,7 @@ fn cmd_lfs(mut args: VecDeque<String>) -> Result<(), String> {
     outln!("{}", exp::tab4::run(&env).table.render());
     outln!(
         "{}",
-        exp::write_buffer::run_with_capacity(&env, buffer_kb << 10)
+        exp::write_buffer::run_with_capacity(&env, buffer_bytes)
             .table
             .render()
     );
@@ -756,7 +764,6 @@ const BENCH_STAGES: [&str; 8] = [
 ];
 
 fn cmd_bench(mut args: VecDeque<String>) -> Result<(), String> {
-    use nvfs::par::bench;
     use nvfs::trace::synth::lfs_workload::sprite_server_workloads;
 
     let scale = parse_scale(&mut args)?;
@@ -783,13 +790,13 @@ fn cmd_bench(mut args: VecDeque<String>) -> Result<(), String> {
     let passes: &[usize] = if parallel == 1 { &[1] } else { &[1, parallel] };
     let rev = nvfs::obs::manifest::git_rev();
     let mut records = Vec::new();
-    let mut reference: Option<String> = None;
+    let mut reference = None;
     for iter in 1..=iters {
         for &jobs in passes {
             nvfs::par::set_jobs(jobs);
             eprintln!("[bench] pass with jobs = {jobs} (iteration {iter}/{iters})");
             let mut pass = Vec::new();
-            let traces = bench::timed(&mut pass, BENCH_STAGES[0], jobs, || {
+            let traces = stage(&mut pass, BENCH_STAGES[0], || {
                 SpriteTraceSet::generate(&cfg)
             });
             let env = Env {
@@ -797,29 +804,26 @@ fn cmd_bench(mut args: VecDeque<String>) -> Result<(), String> {
                 server: sprite_server_workloads(&server_cfg),
                 trace_config: cfg.clone(),
             };
-            let f2 = bench::timed(&mut pass, BENCH_STAGES[1], jobs, || exp::fig2::run(&env));
-            let f3 = bench::timed(&mut pass, BENCH_STAGES[2], jobs, || exp::fig3::run(&env));
-            let t3 = bench::timed(&mut pass, BENCH_STAGES[3], jobs, || exp::tab3::run(&env));
-            let wal = bench::timed(&mut pass, BENCH_STAGES[4], jobs, || {
+            let f2 = stage(&mut pass, BENCH_STAGES[1], || exp::fig2::run(&env));
+            let f3 = stage(&mut pass, BENCH_STAGES[2], || exp::fig3::run(&env));
+            let t3 = stage(&mut pass, BENCH_STAGES[3], || exp::tab3::run(&env));
+            let wal = stage(&mut pass, BENCH_STAGES[4], || {
                 exp::lfs_wal_vs_buffer::run(&env)
             });
-            let scrub = bench::timed(&mut pass, BENCH_STAGES[5], jobs, || {
+            let scrub = stage(&mut pass, BENCH_STAGES[5], || {
                 exp::scrub_overhead::run(&env, exp::faults::DEFAULT_SEED)
             })
             .map_err(|e| e.to_string())?;
-            let net = bench::timed(&mut pass, BENCH_STAGES[6], jobs, || {
+            let net = stage(&mut pass, BENCH_STAGES[6], || {
                 exp::verify_net::run(&env, exp::faults::DEFAULT_SEED)
             })?;
-            let card = bench::timed(&mut pass, BENCH_STAGES[7], jobs, || {
-                exp::scorecard::run(&env)
-            });
-            bench::annotate(&mut pass, scale.name(), &rev, iter);
-            records.append(&mut pass);
+            let card = stage(&mut pass, BENCH_STAGES[7], || exp::scorecard::run(&env));
+            records.extend(pass.into_iter().map(|span| (span, jobs, iter)));
             // Determinism gate: the rendered artifacts (traces included)
             // must be byte-identical across job counts and repetitions.
-            // Streamed through the workspace's canonical digest instead of
-            // holding concatenated renders.
-            let mut digest = nvfs::obs::digest::Digest::new();
+            // Streamed through one FNV-1a hash instead of holding
+            // concatenated renders.
+            let mut digest = Fnv64::new();
             digest.update(&render_ops(env.traces.trace(0).ops()));
             digest.update(&f2.figure.render());
             digest.update(&f3.figure.render());
@@ -828,37 +832,62 @@ fn cmd_bench(mut args: VecDeque<String>) -> Result<(), String> {
             digest.update(&scrub.table().render());
             digest.update(&net.render());
             digest.update(&card.table.render());
-            let digest = digest.hex();
-            match &reference {
-                None => reference = Some(digest),
-                Some(first) if *first == digest => {}
-                Some(_) => {
-                    return Err(format!(
-                        "jobs={jobs} produced different artifacts than jobs=1"
-                    ));
-                }
+            if *reference.get_or_insert(digest.value()) != digest.value() {
+                return Err(format!(
+                    "jobs={jobs} produced different artifacts than jobs=1"
+                ));
             }
         }
     }
     // Restore the requested job count for any later work in this process.
     nvfs::par::set_jobs(parallel);
 
-    fs::write(&out, bench::to_json(&records))
+    fs::write(&out, bench_json(&records, scale.name(), &rev))
         .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
     outln!("wrote {}", out.display());
-    for r in &records {
+    for (span, jobs, iter) in &records {
         outln!(
             "  {:<12} jobs={:<3} iter={:<3} {:>10.1} ms",
-            r.name,
-            r.jobs,
-            r.iter,
-            r.wall_ms
+            span.name,
+            jobs,
+            iter,
+            span.wall_ms
         );
     }
     if profile {
         outln!("{}", render_profile());
     }
     Ok(())
+}
+
+/// Times `f` as the `nvfs bench` stage `name`, keeping its span in `pass`.
+fn stage<R>(pass: &mut Vec<SpanRecord>, name: &str, f: impl FnOnce() -> R) -> R {
+    let (out, span) = timed(name, f);
+    pass.push(span);
+    out
+}
+
+/// Serializes `nvfs bench` rows (a stage's span, its pass's job count and
+/// iteration) as a JSON array of `{name, wall_ms, excl_ms, jobs, scale,
+/// rev, iter}` objects.
+fn bench_json(records: &[(SpanRecord, usize, usize)], scale: &str, rev: &str) -> String {
+    use nvfs::obs::json::escape;
+    let mut out = String::from("[\n");
+    for (i, (span, jobs, iter)) in records.iter().enumerate() {
+        let sep = if i + 1 == records.len() { "" } else { "," };
+        let _ = writeln!(
+            out,
+            "  {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"excl_ms\": {:.3}, \"jobs\": {jobs}, \
+             \"scale\": \"{}\", \"rev\": \"{}\", \"iter\": {iter}}}{sep}",
+            escape(&span.name),
+            span.wall_ms,
+            span.excl_ms,
+            escape(scale),
+            escape(rev),
+        );
+    }
+    out.push_str("]\n");
+    out
 }
 
 /// Aggregates every observability span record so far by name: call count

@@ -6,7 +6,8 @@
 //!
 //! This facade crate re-exports the whole workspace:
 //!
-//! * [`types`] — ids, simulated time, byte-range algebra.
+//! * [`types`] — ids, simulated time, byte-range algebra, and the FNV-1a
+//!   hasher behind every checksum and config digest.
 //! * [`trace`] — trace events, op streams, and the synthetic Sprite workload
 //!   generator (eight 24-hour traces; traces 3 and 4 carry the large-file
 //!   simulation workloads).
@@ -37,11 +38,11 @@
 //!   idempotent.
 //! * [`rng`] — the self-contained xoshiro256++ PRNG every simulation seeds
 //!   from (no external dependencies, stable streams).
-//! * [`par`] — deterministic parallel fan-out ([`par::par_map`]) and the
-//!   wall-clock bench harness; output is byte-identical at any job count.
+//! * [`par`] — deterministic parallel fan-out ([`par::par_map`]); output
+//!   is byte-identical at any job count.
 //! * [`obs`] — deterministic observability: the metrics registry, the
-//!   opt-in event-trace layer (`--trace-out`), run manifests
-//!   (`--manifest-out`), and the workspace config-digest primitive.
+//!   opt-in event-trace layer (`--trace-out`), wall-clock timing spans,
+//!   and run manifests (`--manifest-out`).
 //!   Snapshots, event streams, and manifest `run` sections are
 //!   byte-identical at any job count.
 //!

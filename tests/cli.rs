@@ -349,6 +349,39 @@ fn bench_profile_calls_count_every_span_opened() {
     assert_eq!(opened.remove("bench"), Some(1));
     assert_eq!(calls, opened, "{stdout}");
     assert!(calls["wal_drain"] > 1, "{stdout}");
+
+    // bench.json holds one row per stage in pass order, each with the same
+    // keys in the same order and the pass's job count, scale and iteration.
+    use nvfs::obs::json::{parse, Json};
+    let text = std::fs::read_to_string(dir.join("bench.json")).expect("bench.json written");
+    let Ok(Json::Arr(rows)) = parse(&text) else {
+        panic!("bench.json is not a JSON array: {text}");
+    };
+    let stages = [
+        "gen-traces",
+        "fig2",
+        "fig3",
+        "tab3",
+        "wal",
+        "scrub",
+        "verify-net",
+        "scorecard",
+    ];
+    assert_eq!(rows.len(), stages.len(), "{text}");
+    for (row, stage) in rows.iter().zip(stages) {
+        let Json::Obj(members) = row else {
+            panic!("row is not an object: {text}");
+        };
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            ["name", "wall_ms", "excl_ms", "jobs", "scale", "rev", "iter"]
+        );
+        assert_eq!(row.get("name"), Some(&Json::Str(stage.into())), "{text}");
+        assert_eq!(row.get("jobs").and_then(Json::as_u64), Some(1), "{text}");
+        assert_eq!(row.get("scale"), Some(&Json::Str("tiny".into())), "{text}");
+        assert_eq!(row.get("iter").and_then(Json::as_u64), Some(1), "{text}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -404,6 +437,14 @@ fn fault_studies_reject_leftover_arguments() {
             "lfs: unexpected argument",
         ),
         (&["lfs", "--buffer-kb", "abc"], "bad --buffer-kb"),
+        (
+            &["lfs", "--buffer-kb", "0"],
+            "--buffer-kb must be at least 1",
+        ),
+        (
+            &["lfs", "--buffer-kb", "18014398509481984"],
+            "--buffer-kb 18014398509481984 is too large",
+        ),
         (&["scorecard", "--bogus"], "scorecard: unexpected argument"),
         (
             &["export-csv", "--out", "csv", "--bogus"],
