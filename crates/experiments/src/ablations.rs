@@ -13,6 +13,7 @@ use nvfs_core::{ClusterSim, SimConfig};
 use nvfs_report::{Cell, Figure, Series, Table};
 
 use crate::env::Env;
+use crate::VOLATILE_BYTES;
 
 /// Output of the hybrid-model ablation.
 #[derive(Debug, Clone)]
@@ -32,7 +33,6 @@ const HYBRID_NVRAM_MB: [f64; 4] = [0.125, 0.25, 0.5, 1.0];
 pub fn hybrid(env: &Env) -> HybridAblation {
     let trace = env.trace7();
     let replay = |cfg: SimConfig| ClusterSim::new(cfg).session(trace.ops()).run().stats;
-    let base = 8u64 << 20;
     let mut figure = Figure::new(
         "Ablation: hybrid (§2.6 sketch) vs unified, Trace 7",
         "Megabytes NVRAM",
@@ -47,7 +47,7 @@ pub fn hybrid(env: &Env) -> HybridAblation {
             .iter()
             .map(|&mb| {
                 let nv = (mb * (1 << 20) as f64) as u64;
-                let stats = replay(make(base, nv));
+                let stats = replay(make(VOLATILE_BYTES, nv));
                 if name == "hybrid" && (mb - 1.0).abs() < 1e-9 {
                     exposed_bytes_1mb = stats.aged_into_nvram_bytes;
                 }

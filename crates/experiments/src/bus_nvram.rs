@@ -11,6 +11,7 @@ use nvfs_core::{ClusterSim, SimConfig, TrafficStats};
 use nvfs_report::{Cell, Table};
 
 use crate::env::Env;
+use crate::VOLATILE_BYTES;
 
 /// Output of the bus/NVRAM-access comparison.
 #[derive(Debug, Clone)]
@@ -39,15 +40,10 @@ impl BusNvram {
 
 /// Runs both NVRAM models with 8 MB volatile + 8 MB NVRAM on Trace 7.
 pub fn run(env: &Env) -> BusNvram {
-    run_sized(env, 8 << 20, 8 << 20)
-}
-
-/// Parameterized variant.
-fn run_sized(env: &Env, volatile: u64, nvram: u64) -> BusNvram {
     let trace = env.trace7();
     let replay = |cfg: SimConfig| ClusterSim::new(cfg).session(trace.ops()).run().stats;
-    let unified = replay(SimConfig::unified(volatile, nvram));
-    let write_aside = replay(SimConfig::write_aside(volatile, nvram));
+    let unified = replay(SimConfig::unified(VOLATILE_BYTES, 8 << 20));
+    let write_aside = replay(SimConfig::write_aside(VOLATILE_BYTES, 8 << 20));
     let mut table = Table::new(
         "§2.6: memory-bus traffic and NVRAM accesses (Trace 7)",
         &["Model", "Bus MB", "NVRAM accesses", "NVRAM MB"],

@@ -11,6 +11,7 @@ use nvfs_core::{ClusterSim, ConsistencyMode, SimConfig, TrafficStats};
 use nvfs_report::{Cell, Table};
 
 use crate::env::Env;
+use crate::VOLATILE_BYTES;
 
 /// Output of the consistency-protocol comparison.
 #[derive(Debug, Clone)]
@@ -46,9 +47,10 @@ pub fn run(env: &Env) -> ConsistencyProtocol {
     let mut per_trace = Vec::new();
     for trace in env.traces.typical() {
         let replay = |cfg: SimConfig| ClusterSim::new(cfg).session(trace.ops()).run().stats;
-        let whole = replay(SimConfig::unified(8 << 20, 1 << 20));
+        let whole = replay(SimConfig::unified(VOLATILE_BYTES, 1 << 20));
         let block = replay(
-            SimConfig::unified(8 << 20, 1 << 20).with_consistency(ConsistencyMode::BlockOnDemand),
+            SimConfig::unified(VOLATILE_BYTES, 1 << 20)
+                .with_consistency(ConsistencyMode::BlockOnDemand),
         );
         table.push_row(vec![
             Cell::from(format!("Trace {}", trace.number())),

@@ -2,8 +2,8 @@
 //!
 //! Generating the synthetic trace set is the most expensive step of most
 //! experiments, so runners share one [`Env`]. The [`Scale`] enum is the
-//! single source of truth for the four workload sizes (`tiny`, `small`,
-//! `paper`, `mega`) — the CLI parses `--scale` straight into it via
+//! single source of truth for the three workload sizes (`tiny`, `small`,
+//! `paper`) — the CLI parses `--scale` straight into it via
 //! [`FromStr`] and every consumer derives its trace/server configuration
 //! from the same value.
 
@@ -24,20 +24,15 @@ pub enum Scale {
     Small,
     /// Full paper-scale workloads (24-hour traces; slow).
     Paper,
-    /// Cluster-scale workloads: 256 mostly-idle clients over two days —
-    /// the cluster-width stress.
-    Mega,
 }
 
 impl Scale {
-    /// The canonical lowercase name (`"tiny"`, `"small"`, `"paper"`,
-    /// `"mega"`).
+    /// The canonical lowercase name (`"tiny"`, `"small"`, `"paper"`).
     pub fn name(self) -> &'static str {
         match self {
             Scale::Tiny => "tiny",
             Scale::Small => "small",
             Scale::Paper => "paper",
-            Scale::Mega => "mega",
         }
     }
 
@@ -47,7 +42,6 @@ impl Scale {
             Scale::Tiny => TraceSetConfig::tiny(),
             Scale::Small => TraceSetConfig::small(),
             Scale::Paper => TraceSetConfig::paper(),
-            Scale::Mega => TraceSetConfig::mega(),
         }
     }
 
@@ -57,7 +51,6 @@ impl Scale {
             Scale::Tiny => ServerWorkloadConfig::tiny(),
             Scale::Small => ServerWorkloadConfig::small(),
             Scale::Paper => ServerWorkloadConfig::paper(),
-            Scale::Mega => ServerWorkloadConfig::mega(),
         }
     }
 
@@ -75,8 +68,7 @@ impl FromStr for Scale {
             "tiny" => Ok(Scale::Tiny),
             "small" => Ok(Scale::Small),
             "paper" => Ok(Scale::Paper),
-            "mega" => Ok(Scale::Mega),
-            other => Err(format!("unknown scale {other:?} (tiny|small|paper|mega)")),
+            other => Err(format!("unknown scale {other:?} (tiny|small|paper)")),
         }
     }
 }
@@ -131,7 +123,7 @@ mod tests {
     use super::*;
 
     /// Every scale, smallest first.
-    const ALL: [Scale; 4] = [Scale::Tiny, Scale::Small, Scale::Paper, Scale::Mega];
+    const ALL: [Scale; 3] = [Scale::Tiny, Scale::Small, Scale::Paper];
 
     #[test]
     fn tiny_env_has_all_workloads() {
@@ -152,8 +144,8 @@ mod tests {
 
     #[test]
     fn experiments_doc_enumerates_every_scale() {
-        // The CLI and EXPERIMENTS.md must agree on the valid scale set —
-        // `mega` once existed in code but not in the docs.
+        // The CLI and EXPERIMENTS.md must agree on the valid scale set, so
+        // adding or deleting a scale updates both.
         let doc =
             std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md"))
                 .unwrap();
@@ -167,6 +159,6 @@ mod tests {
     #[test]
     fn scale_rejects_unknown_names_with_the_valid_set() {
         let err = "huge".parse::<Scale>().unwrap_err();
-        assert_eq!(err, "unknown scale \"huge\" (tiny|small|paper|mega)");
+        assert_eq!(err, "unknown scale \"huge\" (tiny|small|paper)");
     }
 }

@@ -23,12 +23,10 @@ use nvfs_types::SimDuration;
 
 use crate::env::Env;
 use crate::sweep::sweep;
+use crate::VOLATILE_BYTES;
 
 /// Default schedule seed; `nvfs faults --seed` overrides it.
 pub const DEFAULT_SEED: u64 = 42;
-
-/// Volatile cache size shared by every model (as in `nvfs client-sim`).
-pub(crate) const BASE_BYTES: u64 = 8 << 20;
 
 /// NVRAM size for the models that have a board: a single block, so the
 /// dirty bytes one board exposes to a battery failure stay comparable to
@@ -163,7 +161,7 @@ pub fn client_reliability(
             // share everything except battery redundancy, so all models see
             // the same crashes at the same times.
             let schedule = FaultSchedule::compile(seed ^ trace.number() as u64, &plan)?;
-            let sim = ClusterSim::new(SimConfig::for_model(model, BASE_BYTES, NVRAM_BYTES));
+            let sim = ClusterSim::new(SimConfig::for_model(model, VOLATILE_BYTES, NVRAM_BYTES));
             let session = sim.session(trace.ops()).faults(&schedule);
             let report = if judged { session.judged() } else { session }.run();
             Ok((model, report.into_summary()))
@@ -173,7 +171,7 @@ pub fn client_reliability(
 }
 
 /// Server write-buffer modes compared under the same crash schedule.
-fn server_configs() -> Vec<(&'static str, LfsConfig)> {
+pub(crate) fn server_configs() -> Vec<(&'static str, LfsConfig)> {
     vec![
         ("none", LfsConfig::direct()),
         ("fsync-absorb", LfsConfig::with_fsync_buffer(512 << 10)),

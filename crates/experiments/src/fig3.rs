@@ -5,12 +5,10 @@ use nvfs_core::{ClusterSim, PolicyKind, SimConfig};
 use nvfs_report::{Figure, Series};
 
 use crate::env::Env;
+use crate::VOLATILE_BYTES;
 
 /// NVRAM sizes swept, in megabytes (log-ish scale as in the paper).
 pub(crate) const NVRAM_MB: [f64; 7] = [0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0];
-
-/// Volatile cache size behind the NVRAM (the Sprite average was ~7 MB).
-pub(crate) const VOLATILE_BYTES: u64 = 8 << 20;
 
 /// Output of the Figure 3 reproduction.
 #[derive(Debug, Clone)]

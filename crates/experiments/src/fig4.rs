@@ -4,7 +4,8 @@ use nvfs_core::{ClusterSim, PolicyKind, SimConfig};
 use nvfs_report::{Figure, Series};
 
 use crate::env::Env;
-use crate::fig3::{NVRAM_MB, VOLATILE_BYTES};
+use crate::fig3::NVRAM_MB;
+use crate::VOLATILE_BYTES;
 
 /// Output of the Figure 4 reproduction.
 #[derive(Debug, Clone)]

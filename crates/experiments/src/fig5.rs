@@ -5,12 +5,10 @@ use nvfs_core::{CacheModelKind, ClusterSim, SimConfig};
 use nvfs_report::{Figure, Series};
 
 use crate::env::Env;
+use crate::VOLATILE_BYTES;
 
 /// Extra memory swept, in megabytes.
 const EXTRA_MB: [f64; 5] = [0.0, 1.0, 2.0, 4.0, 8.0];
-
-/// Base volatile cache size.
-pub(crate) const BASE_BYTES: u64 = 8 << 20;
 
 /// Output of the Figure 5 reproduction.
 #[derive(Debug, Clone)]
@@ -60,15 +58,15 @@ pub fn run(env: &Env) -> Fig5 {
     );
     figure.push(Series::new(
         "volatile",
-        model_curve(env, CacheModelKind::Volatile, BASE_BYTES, &EXTRA_MB),
+        model_curve(env, CacheModelKind::Volatile, VOLATILE_BYTES, &EXTRA_MB),
     ));
     figure.push(Series::new(
         "unified",
-        model_curve(env, CacheModelKind::Unified, BASE_BYTES, &EXTRA_MB),
+        model_curve(env, CacheModelKind::Unified, VOLATILE_BYTES, &EXTRA_MB),
     ));
     figure.push(Series::new(
         "write-aside",
-        model_curve(env, CacheModelKind::WriteAside, BASE_BYTES, &EXTRA_MB),
+        model_curve(env, CacheModelKind::WriteAside, VOLATILE_BYTES, &EXTRA_MB),
     ));
     Fig5 { figure }
 }

@@ -97,6 +97,10 @@ pub mod write_buffer;
 
 pub use env::Scale;
 
+/// Volatile cache size in front of the NVRAM in every client-cache
+/// experiment (the Sprite average was ~7 MB).
+pub(crate) const VOLATILE_BYTES: u64 = 8 << 20;
+
 /// The number in one cell of a rendered table, so unit tests can check an
 /// experiment's claims against exactly what it prints.
 #[cfg(test)]

@@ -13,6 +13,7 @@ use nvfs_report::{Cell, Table};
 use nvfs_server::e2e::{client_server_pipeline, PipelineReport};
 
 use crate::env::Env;
+use crate::VOLATILE_BYTES;
 
 /// Output of the pipeline experiment.
 #[derive(Debug, Clone)]
@@ -28,16 +29,10 @@ pub struct Pipeline {
 /// Runs the composed pipeline on Trace 7 with 8 MB client caches (the
 /// unified configuration adds 1 MB of client NVRAM).
 pub fn run(env: &Env) -> Pipeline {
-    run_sized(env, 8 << 20, 1 << 20)
-}
-
-/// Parameterized variant.
-fn run_sized(env: &Env, volatile_bytes: u64, nvram_bytes: u64) -> Pipeline {
     let ops = env.trace7().ops();
     let lfs = LfsConfig::direct();
-    let volatile = client_server_pipeline(ops, &SimConfig::volatile(volatile_bytes), &lfs);
-    let unified =
-        client_server_pipeline(ops, &SimConfig::unified(volatile_bytes, nvram_bytes), &lfs);
+    let volatile = client_server_pipeline(ops, &SimConfig::volatile(VOLATILE_BYTES), &lfs);
+    let unified = client_server_pipeline(ops, &SimConfig::unified(VOLATILE_BYTES, 1 << 20), &lfs);
     let mut table = Table::new(
         "Client NVRAM vs the server's LFS (Trace 7)",
         &[

@@ -29,10 +29,10 @@ use nvfs_report::{Cell, Table};
 use nvfs_types::{SimDuration, BLOCK_SIZE};
 
 use crate::env::Env;
-use crate::faults::BASE_BYTES;
 use crate::sweep::sweep;
 use crate::verify_crash::NVRAM_BLOCKS;
 use crate::verify_scrub::SCRUB_INTERVAL;
+use crate::VOLATILE_BYTES;
 
 /// The scrub each mode runs: the unprotected baseline has no checksums
 /// to scrub; both defended modes sweep every [`SCRUB_INTERVAL`].
@@ -157,7 +157,7 @@ pub fn run(env: &Env, seed: u64) -> Result<ScrubOverhead, FaultError> {
             .with_bit_flips(16)
             .with_decay_events(6),
     )?;
-    let config = SimConfig::unified(BASE_BYTES, NVRAM_BLOCKS * BLOCK_SIZE);
+    let config = SimConfig::unified(VOLATILE_BYTES, NVRAM_BLOCKS * BLOCK_SIZE);
     let rows = sweep(
         &ProtectionMode::ALL,
         &[trace],

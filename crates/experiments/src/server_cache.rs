@@ -16,6 +16,7 @@ use nvfs_trace::op::{Op, OpKind, OpStream};
 use nvfs_types::{ByteRange, ClientId};
 
 use crate::env::Env;
+use crate::VOLATILE_BYTES;
 
 /// Re-expresses the client→server write log as ops against the *server's*
 /// cache: each flush of a file rewrites its head bytes, so repeated flushes
@@ -56,7 +57,7 @@ fn server_ops_from_writes(writes: &[ServerWrite]) -> OpStream {
 /// cache or the same cache with 1 MB of NVRAM (unified). One row per
 /// server cache: arriving, disk-bound and absorbed megabytes.
 pub(crate) fn run(env: &Env) -> Table {
-    let clients = ClusterSim::new(SimConfig::volatile(8 << 20));
+    let clients = ClusterSim::new(SimConfig::volatile(VOLATILE_BYTES));
     let writes = clients.session(env.trace7().ops()).writes().run().writes;
     let server_ops = server_ops_from_writes(&writes);
     let arriving_bytes = server_ops.app_write_bytes();

@@ -42,14 +42,15 @@ use nvfs_faults::{
     WalCrashPoint,
 };
 use nvfs_lfs::wal_fs::{run_filesystem_wal_faulted, WalFsReport};
-use nvfs_lfs::{run_filesystem_faulted, Chunks, LfsConfig, WalConfig, SEGMENT_BYTES};
+use nvfs_lfs::{run_filesystem_faulted, Chunks, LfsConfig, WalConfig};
 use nvfs_oracle::{OracleSummary, WalJudge};
 use nvfs_report::{Cell, Table};
 use nvfs_types::{ClientId, FileId, RangeSet, SimDuration, SimTime, BLOCK_SIZE};
 
 use crate::env::Env;
-use crate::faults::{batteries_for, model_name, BASE_BYTES, MODELS};
+use crate::faults::{batteries_for, model_name, server_configs, MODELS};
 use crate::sweep::sweep;
+use crate::VOLATILE_BYTES;
 
 /// NVRAM board size for the sweep: four 4 KB blocks, so the mid-drain
 /// sweep `TornDrainBlocks(0..=4)` crosses every interior block boundary of
@@ -252,7 +253,7 @@ fn client_sweep(env: &Env, seed: u64) -> Result<Vec<CrashPointRow>, FaultError> 
             let plan = sweep_plan(trace.clients() as u32, trace.duration(), model);
             let schedule = FaultSchedule::compile(seed ^ trace.number() as u64, &plan)?
                 .apply_crash_point(kind, FLUSH_TICK);
-            let config = SimConfig::for_model(model, BASE_BYTES, NVRAM_BLOCKS * BLOCK_SIZE);
+            let config = SimConfig::for_model(model, VOLATILE_BYTES, NVRAM_BLOCKS * BLOCK_SIZE);
             let report = ClusterSim::new(config)
                 .session(trace.ops())
                 .faults(&schedule)
@@ -271,10 +272,9 @@ fn client_sweep(env: &Env, seed: u64) -> Result<Vec<CrashPointRow>, FaultError> 
 /// Server write-buffer modes swept (the volatile `none` mode has nothing
 /// to replay, hence nothing for a torn write to tear).
 fn server_modes() -> Vec<(&'static str, LfsConfig)> {
-    vec![
-        ("fsync-absorb", LfsConfig::with_fsync_buffer(512 << 10)),
-        ("stage-all", LfsConfig::with_staging_buffer(SEGMENT_BYTES)),
-    ]
+    let mut modes = server_configs();
+    modes.retain(|&(mode, _)| mode != "none");
+    modes
 }
 
 /// Runs the server half: each write-buffer mode crashed at the quartiles

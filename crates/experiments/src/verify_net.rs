@@ -36,7 +36,8 @@ use nvfs_report::{Cell, Table};
 use nvfs_types::SimDuration;
 
 use crate::env::Env;
-use crate::faults::{model_name, BASE_BYTES, MODELS};
+use crate::faults::{model_name, MODELS};
+use crate::VOLATILE_BYTES;
 
 /// NVRAM board size for the write-aside and hybrid rows: big enough to
 /// coalesce overwrites during an outage, small enough that a long
@@ -276,10 +277,10 @@ fn sweep(env: &Env, seed: u64) -> Result<Vec<NetRow>, String> {
             // defining trait in §2.1), write-aside and hybrid a bounded
             // board, volatile none.
             let nvram = match model {
-                CacheModelKind::Unified => BASE_BYTES,
+                CacheModelKind::Unified => VOLATILE_BYTES,
                 _ => WRITE_ASIDE_NVRAM,
             };
-            let report = ClusterSim::new(SimConfig::for_model(model, BASE_BYTES, nvram))
+            let report = ClusterSim::new(SimConfig::for_model(model, VOLATILE_BYTES, nvram))
                 .session(trace.ops())
                 .net(&net)
                 .faults(crashes.as_ref())

@@ -34,9 +34,9 @@ use nvfs_report::{Cell, Table};
 use nvfs_types::{SimDuration, BLOCK_SIZE};
 
 use crate::env::Env;
-use crate::faults::BASE_BYTES;
 use crate::sweep::sweep;
 use crate::verify_crash::{FLUSH_TICK, NVRAM_BLOCKS};
+use crate::VOLATILE_BYTES;
 
 /// Background scrub period for the sweep and for `scrub-overhead`'s
 /// defended modes: long against the 5-second flush tick, so propagation
@@ -237,7 +237,7 @@ pub fn run(env: &Env, seed: u64) -> Result<VerifyScrub, FaultError> {
                 run_seed,
                 &corruption_plan(clients, trace.duration(), kind),
             )?;
-            let config = SimConfig::unified(BASE_BYTES, NVRAM_BLOCKS * BLOCK_SIZE);
+            let config = SimConfig::unified(VOLATILE_BYTES, NVRAM_BLOCKS * BLOCK_SIZE);
             let report = ClusterSim::new(config)
                 .session(trace.ops())
                 .faults(&schedule)
@@ -322,7 +322,7 @@ mod tests {
         let env = Env::tiny();
         let trace = env.traces.trace(6);
         let clients = trace.clients() as u32;
-        let config = SimConfig::unified(BASE_BYTES, NVRAM_BLOCKS * BLOCK_SIZE);
+        let config = SimConfig::unified(VOLATILE_BYTES, NVRAM_BLOCKS * BLOCK_SIZE);
         let plan = FaultPlanConfig::new(clients, trace.duration())
             .with_client_crashes(2)
             .with_torn_probability(0.5);

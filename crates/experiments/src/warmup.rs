@@ -12,12 +12,13 @@ use nvfs_report::{Cell, Table};
 use nvfs_trace::op::OpStream;
 
 use crate::env::Env;
+use crate::VOLATILE_BYTES;
 
 /// Steady-state `(cold, warm)` stats on Trace 7 with the unified model
 /// (8 MB + 1 MB), warming with the first 30% of the trace.
 fn replay(env: &Env) -> (TrafficStats, TrafficStats) {
     let ops = env.trace7().ops();
-    let sim = ClusterSim::new(SimConfig::unified(8 << 20, 1 << 20));
+    let sim = ClusterSim::new(SimConfig::unified(VOLATILE_BYTES, 1 << 20));
     let warm = sim.session(ops).warmup(0.3).run().stats;
     // The same rounding rule the warm-up reset uses, so the cold suffix is
     // exactly the ops the warm run measures.

@@ -57,9 +57,9 @@ impl Run {
 /// Which blocks of each file have a live copy on disk.
 ///
 /// Block indices are expected to be dense: a file's live bits reach its
-/// largest placed index. In the bench, small, paper and mega server
-/// workloads the largest index is 65,543 (the /swap1 page slots), so one
-/// file's bits stay under 64 KB.
+/// largest placed index. In the bench, small and paper server workloads
+/// the largest index is 65,543 (the /swap1 page slots), so one file's
+/// bits stay under 64 KB.
 #[derive(Debug, Clone, Default)]
 pub struct SegmentUsage {
     /// Each file's live bits by block index; a killed file has no entry.

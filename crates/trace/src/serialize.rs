@@ -101,8 +101,7 @@ pub fn render_ops(ops: &OpStream) -> String {
 /// for days; one write spanning exactly the cap takes 12 s under the
 /// volatile model (release build, one core of a 2-vCPU x86 VM). The
 /// largest trace the generator emits spans 1.63 million blocks (trace 3
-/// at `paper` scale; no `mega` trace reaches 1.6 million), a tenth of the
-/// cap.
+/// at `paper` scale), a tenth of the cap.
 const MAX_TRACE_BLOCKS: u64 = 1 << 24;
 
 /// Parses the line format back into an [`OpStream`].

@@ -128,16 +128,6 @@ impl ServerWorkloadConfig {
         }
     }
 
-    /// Cluster-scale: a two-day window at moderate rate, matching the
-    /// wide-cluster client traces of `TraceSetConfig::mega`.
-    pub fn mega() -> Self {
-        ServerWorkloadConfig {
-            seed: 3990,
-            hours: 48,
-            scale: 0.5,
-        }
-    }
-
     fn end(&self) -> SimTime {
         SimTime::from_hours(self.hours)
     }

@@ -53,12 +53,6 @@ pub struct TraceSetConfig {
     pub scale: f64,
     /// Number of pre-existing files in the shared read corpus.
     pub corpus_files: usize,
-    /// Multiplier on per-client activity rates (1.0 reproduces the
-    /// paper's per-workstation op density). Values below 1.0 stretch the
-    /// gaps between activities, thinning each client's day — the lever
-    /// that makes very wide clusters ([`TraceSetConfig::mega`])
-    /// tractable without changing any per-op shape.
-    pub activity: f64,
 }
 
 impl TraceSetConfig {
@@ -72,7 +66,6 @@ impl TraceSetConfig {
             hours: 24,
             scale: 1.0,
             corpus_files: 6000,
-            activity: 1.0,
         }
     }
 
@@ -85,7 +78,6 @@ impl TraceSetConfig {
             hours: 6,
             scale: 0.35,
             corpus_files: 2500,
-            activity: 1.0,
         }
     }
 
@@ -97,33 +89,6 @@ impl TraceSetConfig {
             hours: 2,
             scale: 0.2,
             corpus_files: 300,
-            activity: 1.0,
-        }
-    }
-
-    /// Cluster-scale configuration: 256 clients over a two-day window —
-    /// 21× the paper's cluster width and twice its trace length. Activity
-    /// is thinned to 1/50th (each workstation is mostly idle, as on a
-    /// real large cluster) and file sizes reduced, keeping the op count
-    /// tractable while the *width* — the number of client caches one
-    /// session replays through — goes well beyond `paper`.
-    ///
-    /// Width is capped where every scorecard band still passes: the
-    /// generators clamp inter-burst gaps (e.g. compile bursts fire at
-    /// least every 4 simulated hours), so thinning saturates below
-    /// `activity ≈ 0.02` — op mass stops shrinking while gap-coupled
-    /// byte deaths stretch past the write-back horizon, which drags
-    /// measured absorption out of the paper's Table 2 band. 1024-client
-    /// variants at activity 0.002–0.005 were measured at 24–28 of 28
-    /// scorecard checks and 2–3× the wall time of this sizing.
-    pub fn mega() -> Self {
-        TraceSetConfig {
-            seed: 1992,
-            clients: 256,
-            hours: 48,
-            scale: 0.25,
-            corpus_files: 8000,
-            activity: 0.02,
         }
     }
 
@@ -325,10 +290,8 @@ impl<'a> TraceGen<'a> {
     fn generate(mut self) -> Trace {
         let clients = self.cfg.clients;
         // Background intensity is reduced on the large-file traces (the
-        // paper notes those days were dominated by the simulation users)
-        // and scaled by the config's activity knob. At activity 1.0 the
-        // product is exact, so the paper/small/tiny traces are untouched.
-        let background = self.cfg.activity * if self.large { 0.6 } else { 1.0 };
+        // paper notes those days were dominated by the simulation users).
+        let background = if self.large { 0.6 } else { 1.0 };
 
         for c in 0..clients {
             let client = ClientId(c as u32);

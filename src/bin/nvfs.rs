@@ -14,7 +14,7 @@
 //!                                                    time sequential vs parallel
 //! ```
 //!
-//! Scales: `tiny`, `small` (default), `paper`, `mega`.
+//! Scales: `tiny`, `small` (default), `paper`.
 //!
 //! A global `--jobs N` flag (or the `NVFS_JOBS` environment variable)
 //! bounds the worker threads used for trace generation, sweeps, and
@@ -89,12 +89,9 @@ fn main() -> ExitCode {
     // Global observability flags: `--trace-out FILE` records the typed
     // event stream, `--manifest-out FILE` writes a run manifest. Both are
     // parsed before dispatch so every subcommand honours them.
-    let (trace_out, manifest_out) = match (
-        take_flag(&mut args, "--trace-out"),
-        take_flag(&mut args, "--manifest-out"),
-    ) {
-        (Ok(t), Ok(m)) => (t, m),
-        (Err(e), _) | (_, Err(e)) => {
+    let (trace_out, manifest_out) = match take_obs_files(&mut args) {
+        Ok(files) => files,
+        Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
@@ -139,22 +136,45 @@ fn main() -> ExitCode {
     }
 }
 
+/// A file named by a global observability flag, with its path.
+type ObsFile = Option<(String, fs::File)>;
+
+/// Takes `--trace-out` and `--manifest-out` and creates both files before
+/// any command runs, so an unwritable path fails at once rather than
+/// after the whole run. A command that then fails leaves them empty.
+fn take_obs_files(args: &mut VecDeque<String>) -> Result<(ObsFile, ObsFile), String> {
+    let create = |path: Option<String>| {
+        path.map(|path| match fs::File::create(&path) {
+            Ok(file) => Ok((path, file)),
+            Err(e) => Err(format!("cannot write {path}: {e}")),
+        })
+        .transpose()
+    };
+    let trace_out = take_flag(args, "--trace-out")?;
+    let manifest_out = take_flag(args, "--manifest-out")?;
+    Ok((create(trace_out)?, create(manifest_out)?))
+}
+
 /// Writes the `--trace-out` JSONL stream and the `--manifest-out` run
 /// manifest after a successful command. Confirmations go to stderr so
 /// stdout stays byte-identical with and without the flags.
 fn write_obs_outputs(
     command: &str,
-    trace_out: Option<String>,
-    manifest_out: Option<String>,
+    trace_out: ObsFile,
+    manifest_out: ObsFile,
 ) -> Result<(), String> {
-    if let Some(path) = trace_out {
-        fs::write(&path, nvfs::obs::events::render_jsonl())
+    if let Some((path, mut file)) = trace_out {
+        file.write_all(nvfs::obs::events::render_jsonl().as_bytes())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("[obs] wrote trace {path}");
     }
-    if let Some(path) = manifest_out {
+    if let Some((path, mut file)) = manifest_out {
         let manifest = nvfs::obs::RunManifest::collect(command, nvfs::par::jobs());
-        fs::write(&path, manifest.render()).map_err(|e| format!("cannot write {path}: {e}"))?;
+        // Truncating first leaves the manifest alone in the file when both
+        // flags name the same path.
+        file.set_len(0)
+            .and_then(|()| file.write_all(manifest.render().as_bytes()))
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("[obs] wrote manifest {path}");
     }
     Ok(())
@@ -183,7 +203,7 @@ fn usage() -> String {
     format!(
         "usage: nvfs [--jobs N] [--trace-out FILE] [--manifest-out FILE] <command> [options]
 commands:
-  gen-traces   [--scale tiny|small|paper|mega] [--out DIR]
+  gen-traces   [--scale tiny|small|paper] [--out DIR]
   trace-stats  <FILE>
   client-sim   <FILE> [--model volatile|write-aside|unified|hybrid]
                [--volatile-mb N] [--nvram-mb N]
@@ -403,8 +423,6 @@ fn cmd_client_sim(mut args: VecDeque<String>) -> Result<(), String> {
     };
     let path = args.pop_front().ok_or("client-sim requires a trace file")?;
     reject_leftovers(&args, "client-sim")?;
-    let ops = load_ops(&path)?;
-
     if volatile_mb == 0 {
         return Err("--volatile-mb must be at least 1".to_string());
     }
@@ -422,6 +440,7 @@ fn cmd_client_sim(mut args: VecDeque<String>) -> Result<(), String> {
     )
     .with_policy(policy)
     .with_consistency(consistency);
+    let ops = load_ops(&path)?;
     note_config(&[
         ("command", "client-sim"),
         ("trace", &path),

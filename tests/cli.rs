@@ -231,6 +231,89 @@ fn client_sim_rejects_overflowing_inputs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A bad size or model flag is reported before the trace is read, so it
+/// names the flag even when the trace file does not exist.
+#[test]
+fn client_sim_checks_flags_before_reading_the_trace() {
+    let missing = tempdir("flags-first").join("missing.ops");
+    for (flags, reason) in [
+        (
+            &["--volatile-mb", "0"][..],
+            "--volatile-mb must be at least 1",
+        ),
+        (
+            &["--nvram-mb", "0"],
+            "--nvram-mb must be at least 1 for the unified model",
+        ),
+        (&["--model", "bogus"], "unknown model \"bogus\""),
+        (
+            &["--volatile-mb", "17592186044416"],
+            "--volatile-mb 17592186044416 is too large",
+        ),
+    ] {
+        let mut args = vec!["client-sim"];
+        args.extend(flags);
+        args.push(missing.to_str().unwrap());
+        let out = nvfs(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.trim_end(), format!("error: {reason}"), "{args:?}");
+    }
+    let _ = std::fs::remove_dir_all(missing.parent().unwrap());
+}
+
+/// An unwritable `--trace-out` or `--manifest-out` fails before the
+/// command runs: one `error:` line, no report on stdout.
+#[test]
+fn unwritable_obs_outputs_fail_before_any_work() {
+    let dir = tempdir("obs-unwritable");
+    let bad = dir.join("no-such-dir").join("x");
+    let bad = bad.to_str().unwrap();
+    for flag in ["--manifest-out", "--trace-out"] {
+        let out = nvfs(&[flag, bad, "lfs", "--scale", "tiny"]);
+        assert_eq!(out.status.code(), Some(1), "{flag}");
+        assert!(out.stdout.is_empty(), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.lines().count(), 1, "{flag}: {err}");
+        assert!(
+            err.starts_with(&format!("error: cannot write {bad}: ")),
+            "{flag}: {err}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// When `--trace-out` and `--manifest-out` name one file, the manifest,
+/// written last, replaces the longer trace rather than overwriting only
+/// its start.
+#[test]
+fn obs_outputs_naming_one_file_hold_the_manifest() {
+    let dir = tempdir("obs-one-file");
+    let path = dir.join("obs.json");
+    let path = path.to_str().unwrap();
+    let out = nvfs(&[
+        "--trace-out",
+        path,
+        "--manifest-out",
+        path,
+        "lfs",
+        "--scale",
+        "tiny",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let show = nvfs(&["obs", "show", path]);
+    assert!(
+        show.status.success(),
+        "{}",
+        String::from_utf8_lossy(&show.stderr)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The largest file id replays like any other: a second client's open of
 /// file 4294967295 recalls and invalidates its blocks under every model
 /// (the block-order range end for that file once wrapped and panicked).
@@ -431,6 +514,10 @@ fn fault_studies_reject_leftover_arguments() {
         (
             &["gen-traces", "--bogus"],
             "gen-traces: unexpected argument \"--bogus\"",
+        ),
+        (
+            &["gen-traces", "--scale", "mega", "--bogus"],
+            "unknown scale \"mega\" (tiny|small|paper)",
         ),
         (
             &["lfs", "--scale", "tiny", "--bogus"],
